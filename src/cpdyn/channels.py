@@ -19,10 +19,9 @@ import numpy as np
 from .tensor import (
     dagger,
     is_hermitian,
-    kron,
-    min_eigenvalue,
+    is_psd,
     partial_trace,
-    psd_tolerance,
+    tr_e,
     unvec,
     vec,
 )
@@ -147,7 +146,7 @@ def channel_from_choi(ch: np.ndarray, d_in: int, d_out: int) -> ChannelMap:
 
 def is_cp(ch: np.ndarray) -> bool:
     """CP test on a Choi matrix: Hermitian and PSD to scale-aware tolerance."""
-    return is_hermitian(ch) and min_eigenvalue((ch + dagger(ch)) / 2) >= -psd_tolerance(ch)
+    return is_psd(ch)
 
 
 def is_tp(c: ChannelMap, tol: float = 1e-9) -> bool:
@@ -197,7 +196,11 @@ def kraus_from_choi(ch: np.ndarray, d_in: int, d_out: int) -> KrausSet:
 
 
 def trace_out_env_matrix(d_s: int, d_e: int) -> np.ndarray:
-    """Matrix of Tr_E : vec L(H_S x H_E) -> vec L(H_S)."""
+    """Matrix of Tr_E : vec L(H_S x H_E) -> vec L(H_S).
+
+    Dense reference for ``tensor.tr_e``, which applies the same map without
+    forming it; the program itself does not call this.
+    """
     d = d_s * d_e
     t = np.zeros((d_s**2, d**2), dtype=complex)
     for s in range(d_s):
@@ -220,21 +223,17 @@ def reduced_dynamics(u: np.ndarray, assign_mat: np.ndarray, d_s: int, d_e: int) 
         raise ValueError(
             f"assignment matrix shape {assign_mat.shape}, expected ({d**2}, {d_s**2})"
         )
-    ad = np.kron(u, u.conj())
-    return ChannelMap(d_s, d_s, trace_out_env_matrix(d_s, d_e) @ ad @ assign_mat)
+    return ChannelMap(d_s, d_s, tr_e(assign_mat, d_s, d_e, u))
 
 
 def product_assignment_matrix(omega_e: np.ndarray, d_s: int) -> np.ndarray:
     """Matrix of the product assignment x -> x kron omega_E."""
+    omega_e = np.asarray(omega_e, dtype=complex)
     d_e = omega_e.shape[0]
-    d = d_s * d_e
-    m = np.zeros((d**2, d_s**2), dtype=complex)
-    for i in range(d_s):
-        for j in range(d_s):
-            x = np.zeros((d_s, d_s), dtype=complex)
-            x[i, j] = 1.0
-            m[:, i * d_s + j] = vec(kron(x, omega_e))
-    return m
+    eye = np.eye(d_s)
+    # Row (s, e, t, f), column (i, j): <s|i> omega_E[e, f] <j|t>.
+    m = np.einsum("si,tj,ef->setfij", eye, eye, omega_e)
+    return m.reshape((d_s * d_e) ** 2, d_s * d_s)
 
 
 def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> KrausSet:
@@ -353,9 +352,6 @@ def apply_dilation(dil: StinespringDilation, x: np.ndarray) -> np.ndarray:
 
 def verify_fixed_point(assign_mat: np.ndarray, d_s: int, d_e: int, samples) -> float:
     """Max deviation || Tr_E(Lambda(rho)) - rho || over the given domain states."""
-    t = trace_out_env_matrix(d_s, d_e)
-    worst = 0.0
-    for rho in samples:
-        out = unvec(t @ (assign_mat @ vec(rho)), d_s)
-        worst = max(worst, float(np.linalg.norm(out - rho)))
-    return worst
+    rhos = np.column_stack([vec(rho) for rho in samples])
+    out = tr_e(assign_mat @ rhos, d_s, d_e)
+    return float(np.linalg.norm(out - rhos, axis=0).max())

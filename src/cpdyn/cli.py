@@ -11,8 +11,8 @@ Subcommands:
 * ``demo``          — the two worked swap / local-product scenarios.
 
 Reports are deterministic functions of (command, config, seed) except for
-the ``wall_time_s`` field.  Per-trial RNG streams are derived as
-``seed XOR trial_index``.  Exit code is 0 iff the summary pass flag is set.
+the ``wall_time_s`` field.  Per-trial RNG streams are seeded with the
+pair ``[seed, trial_index]``.  Exit code is 0 iff the summary pass flag is set.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from . import channels, consistency, families, info
 from .consistency import (
     AllUnitaries,
-    ExplicitList,
     LocalProducts,
     SwapOnly,
     canonical_assignment,
@@ -80,7 +79,7 @@ def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(seed ^ trial)
+    return np.random.default_rng([seed, trial])
 
 
 def _unitary_set(name: str, samples: int):
@@ -91,6 +90,11 @@ def _unitary_set(name: str, samples: int):
     if name == "swap":
         return SwapOnly()
     raise ValueError(f"unknown unitary set {name!r}")
+
+
+def _check_swap(g: str, d_s: int, d_e: int):
+    if g == "swap" and d_s != d_e:
+        raise SystemExit("error: --g swap needs equal system and environment dimensions")
 
 
 def _check_dims(*dims: int):
@@ -105,7 +109,15 @@ def _check_dims(*dims: int):
         )
 
 
-def _random_spec(family: str, args, rng: np.random.Generator):
+def _ambient_kernel(family: str, d_s: int, d_e: int):
+    """Kernel of Tr_E on the full operator space, which kernel-extended
+    specs draw their extra directions from; None for other families."""
+    if family != "kernel-extended":
+        return None
+    return kernel_tr_e(full_space(d_s, d_e))
+
+
+def _random_spec(family: str, args, rng: np.random.Generator, ambient_kernel):
     ds, de, da = args.ds, args.de, args.da
     if family == "factorized":
         return families.FactorizedSpec(ds, random_density(de, de, rng))
@@ -143,7 +155,6 @@ def _random_spec(family: str, args, rng: np.random.Generator):
             de,
             tuple(random_density(r * de, r * de, rng) for _, r in args.blocks),
         )
-        ambient_kernel = kernel_tr_e(full_space(base.d_s, de))
         n_dir = min(3, ambient_kernel.dim)
         coeffs = rng.normal(size=(ambient_kernel.dim, n_dir))
         sub = np.linalg.qr(ambient_kernel.basis @ coeffs)[0]
@@ -162,9 +173,9 @@ def _family_members(spec, rng: np.random.Generator, n: int):
     ]
 
 
-def _verify_family_trial(args, trial: int) -> dict:
+def _verify_family_trial(args, trial: int, ambient_kernel) -> dict:
     rng = _trial_rng(args.seed, trial)
-    spec = _random_spec(args.family, args, rng)
+    spec = _random_spec(args.family, args, rng, ambient_kernel)
     ds, de = _spec_dims(spec)
     # The assignment is built from the span of the widest family containing
     # the sampled members: steered sets reuse their underlying block family,
@@ -243,10 +254,12 @@ def cmd_verify_family(args) -> dict:
     else:
         ds = args.ds
     _check_dims(ds, args.de)
+    _check_swap(args.g, ds, args.de)
     args.ds = ds
     if args.family == "kernel-extended" and args.g == "all":
         args.g = "local"  # arbitrary unitaries void the kernel freedom
-    trials = [_verify_family_trial(args, t) for t in range(args.trials)]
+    ambient_kernel = _ambient_kernel(args.family, ds, args.de)
+    trials = [_verify_family_trial(args, t, ambient_kernel) for t in range(args.trials)]
     ok = [t["cp"] and t["tp"] for t in trials]
     summary = {
         "pass": all(ok),
@@ -267,7 +280,7 @@ def _build_subspace(args, rng: np.random.Generator):
     if args.family == "random":
         states = [random_density(ds * de, ds * de, rng) for _ in range(args.span_states)]
         return span_from_states(states, ds, de)
-    spec = _random_spec(args.family, args, rng)
+    spec = _random_spec(args.family, args, rng, _ambient_kernel(args.family, ds, de))
     base = spec.base if isinstance(spec, families.KernelExtendedSpec) else spec
     members = _family_members(base, rng, ds * ds + 2)
     return span_from_states(members, spec.d_s, spec.d_e)
@@ -279,6 +292,7 @@ def cmd_consistency(args) -> dict:
     _check_dims(args.ds, args.de)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
+    _check_swap(args.g, v.d_s, v.d_e)
     g = _unitary_set(args.g, args.trials)
     report = consistency.g_consistency_report(v, g, rng)
     kernel = kernel_tr_e(v)
@@ -307,6 +321,7 @@ def cmd_theorem1(args) -> dict:
     _check_dims(args.ds, args.de)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
+    _check_swap(args.g, v.d_s, v.d_e)
     g = _unitary_set(args.g, args.trials)
     report = theorem1_verify(v, g, rng, tol=args.tol)
     summary = {

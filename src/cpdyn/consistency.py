@@ -11,6 +11,7 @@ kernel into the trace kernel again is exactly unitary consistency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,10 +20,9 @@ from .channels import (
     choi,
     choi_distance,
     is_cp,
-    is_tp,
+    is_tp_on_domain,
     product_assignment_matrix,
     reduced_dynamics,
-    trace_out_env_matrix,
 )
 from .tensor import (
     dagger,
@@ -31,6 +31,7 @@ from .tensor import (
     min_eigenvalue,
     random_haar_unitary,
     swap_unitary,
+    tr_e,
     unvec,
     vec,
 )
@@ -96,17 +97,31 @@ class AssignmentMap:
     """Linear section of the environment trace on a declared domain.
 
     ``mat`` maps vec L(H_S) to vec L(H_S x H_E); ``domain_projector`` is the
-    orthogonal projector onto Tr_E V inside vec L(H_S).  Flags are computed
-    numerically at construction.
+    orthogonal projector onto Tr_E V inside vec L(H_S).  The flags
+    ``trace_consistent``, ``hermitian`` and ``cp`` are computed numerically
+    when first read.
     """
 
     d_s: int
     d_e: int
     mat: np.ndarray = field(repr=False)
     domain_projector: np.ndarray = field(repr=False)
-    trace_consistent: bool
-    hermitian: bool
-    cp: bool
+
+    @cached_property
+    def trace_consistent(self) -> bool:
+        """Tr_E after the assignment is the projector onto the domain."""
+        residual = tr_e(self.mat, self.d_s, self.d_e) - self.domain_projector
+        return bool(np.linalg.norm(residual) <= 1e-8 * max(1, self.d_s))
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """The Choi matrix is Hermitian: the map preserves Hermiticity."""
+        return bool(is_hermitian(self.choi()))
+
+    @cached_property
+    def cp(self) -> bool:
+        """The Choi matrix is PSD: the map is completely positive."""
+        return bool(is_cp(self.choi()))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return unvec(self.mat @ vec(x), self.d_s * self.d_e)
@@ -165,8 +180,7 @@ def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubsp
 
 def kernel_tr_e(v: OperatorSubspace) -> OperatorSubspace:
     """The sub-subspace of directions with vanishing environment trace."""
-    t = trace_out_env_matrix(v.d_s, v.d_e)
-    r = t @ v.basis
+    r = tr_e(v.basis, v.d_s, v.d_e)
     _, sv, vh = np.linalg.svd(r, full_matrices=True)
     top = sv[0] if sv.size and sv[0] > 0 else 1.0
     rank = int((sv > SPAN_RANK_FACTOR * top).sum())
@@ -180,9 +194,7 @@ def u_consistency_violation(v: OperatorSubspace, u: np.ndarray) -> float:
     k = kernel_tr_e(v)
     if k.dim == 0:
         return 0.0
-    t = trace_out_env_matrix(v.d_s, v.d_e)
-    ad = np.kron(u, u.conj())
-    out = t @ (ad @ k.basis)
+    out = tr_e(k.basis, v.d_s, v.d_e, u)
     return float(np.linalg.norm(out, axis=0).max())
 
 
@@ -236,10 +248,9 @@ def g_consistency_report(v: OperatorSubspace, g, rng: np.random.Generator) -> di
     if isinstance(g, LocalProducts):
         # Tr_E((U_S x U_E) Y (U_S x U_E)^dag) = U_S Tr_E(Y) U_S^dag = 0.
         report["exact"] = True
-    t = trace_out_env_matrix(v.d_s, v.d_e)
     worst = 0.0
     for _, u in sample_unitaries(g, v.d_s, v.d_e, rng):
-        out = t @ (np.kron(u, u.conj()) @ kernel.basis)
+        out = tr_e(kernel.basis, v.d_s, v.d_e, u)
         worst = max(worst, float(np.linalg.norm(out, axis=0).max()))
         report["checked"] += 1
     report["worst_violation"] = worst
@@ -247,24 +258,12 @@ def g_consistency_report(v: OperatorSubspace, g, rng: np.random.Generator) -> di
     return report
 
 
-def _assignment_flags(mat, d_s, d_e, domain_projector):
-    t = trace_out_env_matrix(d_s, d_e)
-    trace_consistent = (
-        np.linalg.norm(t @ mat - domain_projector) <= 1e-8 * max(1, d_s)
-    )
-    ch = choi(ChannelMap(d_s, d_s * d_e, mat))
-    hermitian = is_hermitian(ch)
-    cp = is_cp(ch)
-    return trace_consistent, hermitian, cp
-
-
 def assignment_from_matrix(
     mat: np.ndarray, d_s: int, d_e: int, domain_projector: np.ndarray | None = None
 ) -> AssignmentMap:
     if domain_projector is None:
         domain_projector = np.eye(d_s * d_s, dtype=complex)
-    tc, herm, cp = _assignment_flags(mat, d_s, d_e, domain_projector)
-    return AssignmentMap(d_s, d_e, mat, domain_projector, tc, herm, cp)
+    return AssignmentMap(d_s, d_e, mat, domain_projector)
 
 
 def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
@@ -273,13 +272,9 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
     The Moore-Penrose section is deterministic and basis independent;
     operators outside the domain Tr_E V are first projected onto it.
     """
-    t = trace_out_env_matrix(v.d_s, v.d_e)
-    r = t @ v.basis
+    r = tr_e(v.basis, v.d_s, v.d_e)
     r_pinv = np.linalg.pinv(r, rcond=1e-12)
-    mat = v.basis @ r_pinv
-    domain_projector = r @ r_pinv
-    tc, herm, cp = _assignment_flags(mat, v.d_s, v.d_e, domain_projector)
-    return AssignmentMap(v.d_s, v.d_e, mat, domain_projector, tc, herm, cp)
+    return AssignmentMap(v.d_s, v.d_e, v.basis @ r_pinv, r @ r_pinv)
 
 
 def perturb_assignment(
@@ -297,9 +292,7 @@ def perturb_assignment(
     escape = np.linalg.norm(delta - proj)
     if escape > tol * max(1.0, np.linalg.norm(delta)):
         raise ValueError(f"delta range escapes the kernel (residual {escape:.3e})")
-    mat = base.mat + delta
-    tc, herm, cp = _assignment_flags(mat, base.d_s, base.d_e, base.domain_projector)
-    return AssignmentMap(base.d_s, base.d_e, mat, base.domain_projector, tc, herm, cp)
+    return AssignmentMap(base.d_s, base.d_e, base.mat + delta, base.domain_projector)
 
 
 def random_kernel_perturbation(
@@ -329,13 +322,10 @@ def witness_assignment(
         raise ValueError("Delta must be traceless Hermitian")
     d_e = omega_e.shape[0]
     base = product_assignment_matrix(omega_e, d_s)
-    pert = np.zeros_like(base)
-    for i in range(d_s):
-        for j in range(d_s):
-            x = np.zeros((d_s, d_s), dtype=complex)
-            x[i, j] = 1.0
-            hat = x - np.trace(x) * np.eye(d_s) / d_s
-            pert[:, i * d_s + j] = vec(kron(hat, delta_e))
+    # x -> (x - tr(x) I/d_S) kron Delta, with tr(x) = vec(I) . vec(x).
+    eye = np.eye(d_s)
+    pert = product_assignment_matrix(delta_e, d_s)
+    pert -= np.outer(vec(kron(eye, delta_e)), vec(eye)) / d_s
     return assignment_from_matrix(base + gamma * pert, d_s, d_e)
 
 
@@ -389,7 +379,7 @@ def theorem1_verify(
             {
                 "unitary": label,
                 "cp": bool(is_cp(ch)),
-                "tp": bool(is_tp(psi)),
+                "tp": bool(is_tp_on_domain(psi, assign.domain_projector)),
                 "min_choi_eigenvalue": min_eigenvalue((ch + dagger(ch)) / 2),
                 "perturbation_deviation": worst_pert,
             }

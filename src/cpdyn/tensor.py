@@ -29,6 +29,7 @@ __all__ = [
     "basis_unit",
     "dagger",
     "partial_trace",
+    "tr_e",
     "ad_u",
     "eig_hermitian",
     "random_haar_unitary",
@@ -44,7 +45,7 @@ __all__ = [
     "check_unitary",
 ]
 
-# Scale-aware PSD acceptance: min eigenvalue >= -PSD_TOL_FACTOR * max(1, ||m||).
+# Scale-aware PSD acceptance: min eigenvalue >= -PSD_TOL_FACTOR * max(1, ||m||_2).
 PSD_TOL_FACTOR = 1e-9
 HERM_TOL = 1e-9
 # Eigenvalues below this are treated as exact zeros in entropy sums.
@@ -197,6 +198,28 @@ def partial_trace_op(op: Operator, keep: frozenset[str] | set[str]) -> Operator:
     return Operator(SpaceLayout(new_factors), out)
 
 
+def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> np.ndarray:
+    """``vec Tr_E(U X U^dagger)`` for each column ``vec X`` of a ``(d^2, k)`` stack.
+
+    ``d = d_s * d_e`` and the result is a ``(d_s^2, k)`` stack; with
+    ``u=None`` only the environment trace is applied.  No superoperator is
+    formed: the cost is one ``(d, d) x (d, d k)`` product plus one
+    ``d_s``-batched ``(d_s, d d_e) x (d d_e, k)`` product that applies
+    ``U^dagger`` and the trace together.
+    """
+    d = d_s * d_e
+    x = np.asarray(cols, dtype=complex)
+    n = x.shape[1]
+    if u is None:
+        t = x.reshape(d_s, d_e, d_s, d_e, n)
+        return np.einsum("aebek->abk", t).reshape(d_s * d_s, n)
+    u = np.asarray(u, dtype=complex)
+    # (U X_k)[(s, e), c] laid out as [s, (e, c), k].
+    ux = (u @ x.reshape(d, d * n)).reshape(d_s, d_e * d, n)
+    # Tr_E(U X_k U^dagger)[s, t] = sum_(e, c) conj(U)[(t, e), c] (U X_k)[(s, e), c].
+    return (u.conj().reshape(d_s, d_e * d) @ ux).reshape(d_s * d_s, n)
+
+
 def ad_u(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Unitary conjugation U m U^dagger."""
     u = np.asarray(u, dtype=complex)
@@ -275,7 +298,15 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 
 def is_psd(m: np.ndarray) -> bool:
-    return is_hermitian(m) and min_eigenvalue((m + dagger(m)) / 2) >= -psd_tolerance(m)
+    """Hermitian, and PSD down to the scale-aware tolerance.
+
+    One ``eigvalsh`` of the Hermitian part gives both the smallest
+    eigenvalue and the scale ``max |lambda|``, its spectral norm.
+    """
+    if not is_hermitian(m):
+        return False
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    return bool(w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max())))
 
 
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:

@@ -26,13 +26,17 @@ from cpdyn.channels import (
     verify_fixed_point,
 )
 from cpdyn.tensor import (
+    PSD_TOL_FACTOR,
     ad_u,
+    is_hermitian,
+    is_psd,
     kron,
     min_eigenvalue,
     partial_trace,
     random_density,
     random_haar_unitary,
     random_hermitian,
+    tr_e,
     vec,
 )
 
@@ -134,6 +138,60 @@ def test_trace_out_env_matrix_matches_partial_trace(rng):
         x = random_hermitian(d_s * d_e, rng)
         out = (t @ vec(x)).reshape(d_s, d_s)
         assert np.allclose(out, partial_trace(x, (d_s, d_e), keep=(0,)))
+
+
+@pytest.mark.parametrize("haar", [False, True])
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_tr_e_matches_dense_oracle(d_s, d_e, haar):
+    rng = np.random.default_rng(100 * d_s + 10 * d_e + haar)
+    d = d_s * d_e
+    cols = rng.normal(size=(d * d, 5)) + 1j * rng.normal(size=(d * d, 5))
+    u = random_haar_unitary(d, rng) if haar else None
+    ad = np.eye(d * d) if u is None else np.kron(u, u.conj())
+    expected = trace_out_env_matrix(d_s, d_e) @ ad @ cols
+    out = tr_e(cols, d_s, d_e, u)
+    assert out.shape == (d_s * d_s, 5)
+    assert np.abs(out - expected).max() <= 1e-12
+
+
+def product_assignment_by_units(omega_e, d_s):
+    """Per-matrix-unit construction of x -> x kron omega_E (the reference)."""
+    d = d_s * omega_e.shape[0]
+    m = np.zeros((d**2, d_s**2), dtype=complex)
+    for i in range(d_s):
+        for j in range(d_s):
+            x = np.zeros((d_s, d_s), dtype=complex)
+            x[i, j] = 1.0
+            m[:, i * d_s + j] = vec(kron(x, omega_e))
+    return m
+
+
+def test_product_assignment_matrix_matches_per_unit_loop(rng):
+    for d_s, d_e in [(1, 3), (2, 2), (3, 2), (2, 4)]:
+        omega = random_density(d_e, d_e, rng) + 1j * random_hermitian(d_e, rng)
+        assert np.array_equal(
+            product_assignment_matrix(omega, d_s), product_assignment_by_units(omega, d_s)
+        )
+
+
+def is_psd_by_svd(m):
+    """The PSD test with its scale taken from a full SVD (the reference)."""
+    tol = PSD_TOL_FACTOR * max(1.0, np.linalg.norm(m, 2))
+    return is_hermitian(m) and min_eigenvalue((m + m.conj().T) / 2) >= -tol
+
+
+def test_is_psd_matches_svd_scaled_reference(rng):
+    for d in (1, 3, 8):
+        for scale in (1e-3, 1.0, 1e4):
+            w, v = np.linalg.eigh(scale * random_hermitian(d, rng))
+            spread = w - w[0]
+            tol = PSD_TOL_FACTOR * max(1.0, spread[-1])
+            for margin in (-2.0, -0.5, 0.0, 0.5):
+                # Smallest eigenvalue `margin` tolerances away from zero.
+                m = (v * (spread + margin * tol)) @ v.conj().T
+                assert is_psd(m) == is_psd_by_svd(m) == (margin >= -1.0)
+                assert is_cp(m) == is_psd(m)
+    assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_reduced_dynamics_matches_direct_evaluation(rng):

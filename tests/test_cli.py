@@ -4,6 +4,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import numpy as np
+
+from cpdyn import cli
 from cpdyn.cli import build_parser, ghz_state, main, run
 
 SCHEMA = json.loads(
@@ -127,6 +130,49 @@ def test_theorem1_command():
     assert report["theorem"]["premises_hold"]
     assert report["theorem"]["conclusion_holds"]
     jsonschema.validate(report, SCHEMA)
+
+
+def test_theorem1_reports_tp_on_the_assignment_domain():
+    # markov-blocks spans dim V = 5 < d_s^2 = 16, so TP holds only on the domain.
+    report, code = run_args("theorem1", "--trials", "2")
+    assert code == 0
+    assert report["theorem"]["dim_v"] < 16
+    assert [r["tp"] for r in report["trials"]] == [True, True]
+
+
+def test_trial_streams_do_not_collide_across_seeds():
+    a = cli._trial_rng(2025, 0).normal(size=3)
+    b = cli._trial_rng(2024, 1).normal(size=3)
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-family", "--family", "markov-blocks"),
+        ("consistency", "--family", "steered"),
+        ("theorem1", "--family", "markov-blocks"),
+    ],
+)
+def test_swap_with_unequal_dimensions_is_an_argument_error(argv):
+    with pytest.raises(SystemExit, match="--g swap needs equal system and environment"):
+        run_args(*argv, "--g", "swap", "--trials", "1")
+
+
+def test_kernel_extended_builds_the_ambient_kernel_once(monkeypatch):
+    calls = []
+
+    def counting_full_space(d_s, d_e):
+        calls.append((d_s, d_e))
+        return cli.consistency.full_space(d_s, d_e)
+
+    monkeypatch.setattr(cli, "full_space", counting_full_space)
+    report, code = run_args(
+        "verify-family", "--family", "kernel-extended", "--trials", "4", "--seed", "5",
+        "--g", "local",
+    )
+    assert code == 0
+    assert calls == [(4, 2)]
 
 
 def test_dpi_command():

@@ -3,13 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdyn.channels import choi_distance, is_tp_on_domain, reduced_dynamics
+from cpdyn.channels import (
+    ChannelMap,
+    choi,
+    choi_distance,
+    is_cp,
+    is_tp_on_domain,
+    product_assignment_matrix,
+    reduced_dynamics,
+    trace_out_env_matrix,
+)
 from cpdyn.consistency import (
     AllUnitaries,
     ExplicitList,
     LocalProducts,
     OperatorSubspace,
     SwapOnly,
+    assignment_from_matrix,
     canonical_assignment,
     full_space,
     g_consistency_report,
@@ -32,6 +42,7 @@ from cpdyn.families import (
     sample_member,
 )
 from cpdyn.tensor import (
+    is_hermitian,
     kron,
     random_density,
     random_haar_unitary,
@@ -197,6 +208,63 @@ def test_witness_assignment_flags(rng):
     assert w.trace_consistent and w.hermitian and not w.cp
     with pytest.raises(ValueError):
         witness_assignment(omega, np.eye(2), 1.0, 2)
+
+
+def witness_matrix_by_units(omega_e, delta_e, gamma, d_s):
+    """Per-matrix-unit construction of the witness assignment (the reference)."""
+    base = product_assignment_matrix(omega_e, d_s)
+    pert = np.zeros_like(base)
+    for i in range(d_s):
+        for j in range(d_s):
+            x = np.zeros((d_s, d_s), dtype=complex)
+            x[i, j] = 1.0
+            hat = x - np.trace(x) * np.eye(d_s) / d_s
+            pert[:, i * d_s + j] = vec(kron(hat, delta_e))
+    return base + gamma * pert
+
+
+def test_witness_assignment_matches_per_unit_loop(rng):
+    for d_s, d_e in [(2, 2), (3, 2), (2, 3)]:
+        omega = random_density(d_e, d_e, rng)
+        delta = random_hermitian(d_e, rng)
+        delta -= np.trace(delta) * np.eye(d_e) / d_e
+        for gamma in (0.0, 0.3, 2.0):
+            w = witness_assignment(omega, delta, gamma, d_s)
+            ref = witness_matrix_by_units(omega, delta, gamma, d_s)
+            assert np.abs(w.mat - ref).max() <= 1e-15
+
+
+def _assignment_flags(mat, d_s, d_e, domain_projector):
+    """Flags computed eagerly with the dense Tr_E matrix (the reference)."""
+    t = trace_out_env_matrix(d_s, d_e)
+    trace_consistent = np.linalg.norm(t @ mat - domain_projector) <= 1e-8 * max(1, d_s)
+    ch = choi(ChannelMap(d_s, d_s * d_e, mat))
+    return bool(trace_consistent), bool(is_hermitian(ch)), bool(is_cp(ch))
+
+
+def test_assignment_flags_read_lazily_match_direct_flags(rng):
+    v = random_span_with_kernel(rng)
+    v0 = kernel_tr_e(v)
+    canon = canonical_assignment(v)
+    omega = np.diag([0.7, 0.3]).astype(complex)
+    delta = np.diag([1.0, -1.0]).astype(complex)
+    cases = [
+        canon,
+        perturb_assignment(canon, random_kernel_perturbation(v0, rng, scale=1.0), v0),
+        canonical_assignment(markov_span(rng)[1]),
+        witness_assignment(omega, delta, 0.0, 2),
+        witness_assignment(omega, delta, 2.0, 2),
+        assignment_from_matrix(rng.normal(size=(16, 4)) + 0j, 2, 2),
+    ]
+    seen = set()
+    for a in cases:
+        names = ("trace_consistent", "hermitian", "cp")
+        assert not set(names) & set(vars(a))  # nothing computed before a read
+        lazy = tuple(getattr(a, name) for name in names)
+        assert set(names) <= set(vars(a))
+        assert lazy == _assignment_flags(a.mat, a.d_s, a.d_e, a.domain_projector)
+        seen.add(lazy)
+    assert len(seen) > 2  # the cases cover differing flag combinations
 
 
 def test_witness_threshold_is_crossed(rng):
