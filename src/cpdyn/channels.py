@@ -36,7 +36,6 @@ __all__ = [
     "channel_from_kraus",
     "is_cp",
     "is_tp",
-    "is_hermitian_preserving",
     "kraus_from_choi",
     "kraus_factorized",
     "kraus_classical_quantum",
@@ -149,15 +148,9 @@ def is_cp(ch: np.ndarray) -> bool:
     return is_psd(ch)
 
 
-def is_tp(c: ChannelMap, tol: float = 1e-9) -> bool:
+def is_tp(c: ChannelMap) -> bool:
     """Trace preservation: Tr_out of the Choi matrix equals the input identity."""
-    ch = choi(c)
-    marg = partial_trace(ch, (c.d_in, c.d_out), keep=(0,))
-    return np.linalg.norm(marg - np.eye(c.d_in)) <= tol * c.d_in
-
-
-def is_hermitian_preserving(c: ChannelMap, tol: float = 1e-9) -> bool:
-    return is_hermitian(choi(c), tol)
+    return is_tp_on_domain(c, np.eye(c.d_in**2))
 
 
 def is_tp_on_domain(c: ChannelMap, domain_projector: np.ndarray, tol: float = 1e-9) -> bool:

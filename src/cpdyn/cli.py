@@ -54,15 +54,15 @@ MAX_TOTAL_DIM = 64
 SEED_ENV_VAR = "CPDYN_SEED"
 DEFAULT_SEED = 2024
 
-FAMILY_CHOICES = (
-    "factorized",
-    "classical-quantum",
+# Families whose system dimension comes from the block layout.
+BLOCK_FAMILIES = (
     "direct-sum",
     "mixed-direct-sum",
     "markov-blocks",
     "steered",
     "kernel-extended",
 )
+FAMILY_CHOICES = ("factorized", "classical-quantum") + BLOCK_FAMILIES
 
 
 def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
@@ -162,10 +162,6 @@ def _random_spec(family: str, args, rng: np.random.Generator, ambient_kernel):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _spec_dims(spec) -> tuple[int, int]:
-    return spec.d_s, spec.d_e
-
-
 def _family_members(spec, rng: np.random.Generator, n: int):
     return [
         families.sample_member(spec, families.random_params(spec, rng))
@@ -176,7 +172,7 @@ def _family_members(spec, rng: np.random.Generator, n: int):
 def _verify_family_trial(args, trial: int, ambient_kernel) -> dict:
     rng = _trial_rng(args.seed, trial)
     spec = _random_spec(args.family, args, rng, ambient_kernel)
-    ds, de = _spec_dims(spec)
+    ds, de = spec.d_s, spec.d_e
     # The assignment is built from the span of the widest family containing
     # the sampled members: steered sets reuse their underlying block family,
     # kernel extensions reuse their base.
@@ -223,39 +219,28 @@ def spec_omega_re(args, spec: "families.SteeredSpec"):
     """Recover the fixed R,E block states from a steered spec's tripartite
     state (they are its conditional blocks by construction)."""
     da, de = spec.d_a, spec.d_e
-    d_s = spec.d_s
     out = []
-    off = 0
-    for l, r in args.blocks:
-        idx = []
-        for a in range(da):
-            for li in range(l):
-                for ri in range(r):
-                    for e in range(de):
-                        idx.append((a * d_s + off + li * r + ri) * de + e)
+    for (l, r), idx in zip(args.blocks, families.block_indices(args.blocks, de, da)):
         blk = spec.omega_ase[np.ix_(idx, idx)]
         marg = blk.reshape(da * l, r * de, da * l, r * de)
         w = np.einsum("awav->wv", marg)
         tr = np.trace(w).real
         out.append(w / tr if tr > 1e-12 else np.eye(r * de) / (r * de))
-        off += l * r
     return tuple(out)
 
 
+def _system_dim(args) -> int:
+    """System dimension a command runs at: block families take it from
+    ``--blocks``, the others from ``--ds``."""
+    if args.family in BLOCK_FAMILIES:
+        return sum(l * r for l, r in args.blocks)
+    return args.ds
+
+
 def cmd_verify_family(args) -> dict:
-    if args.family in (
-        "direct-sum",
-        "mixed-direct-sum",
-        "markov-blocks",
-        "steered",
-        "kernel-extended",
-    ):
-        ds = sum(l * r for l, r in args.blocks)
-    else:
-        ds = args.ds
+    ds = args.ds = _system_dim(args)
     _check_dims(ds, args.de)
     _check_swap(args.g, ds, args.de)
-    args.ds = ds
     if args.family == "kernel-extended" and args.g == "all":
         args.g = "local"  # arbitrary unitaries void the kernel freedom
     ambient_kernel = _ambient_kernel(args.family, ds, args.de)
@@ -287,8 +272,7 @@ def _build_subspace(args, rng: np.random.Generator):
 
 
 def cmd_consistency(args) -> dict:
-    if args.family in ("direct-sum", "mixed-direct-sum", "markov-blocks", "kernel-extended"):
-        args.ds = sum(l * r for l, r in args.blocks)
+    args.ds = _system_dim(args)
     _check_dims(args.ds, args.de)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
@@ -316,8 +300,7 @@ def cmd_consistency(args) -> dict:
 
 
 def cmd_theorem1(args) -> dict:
-    if args.family in ("direct-sum", "mixed-direct-sum", "markov-blocks", "kernel-extended"):
-        args.ds = sum(l * r for l, r in args.blocks)
+    args.ds = _system_dim(args)
     _check_dims(args.ds, args.de)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
@@ -492,7 +475,7 @@ def cmd_demo(args) -> dict:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func", "out", "verbose"}
+    skip = {"func", "out"}
     cfg = {}
     for k, v in sorted(vars(args).items()):
         if k in skip:
@@ -525,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", type=str, default=None, help="report output path")
-        p.add_argument("--verbose", action="store_true")
         p.add_argument("--g", choices=("all", "local", "swap"), default="all")
 
     p = sub.add_parser("verify-family", help="CP/TP sweep over one family")

@@ -39,7 +39,6 @@ from .tensor import (
 __all__ = [
     "OperatorSubspace",
     "AssignmentMap",
-    "ExplicitList",
     "AllUnitaries",
     "LocalProducts",
     "SwapOnly",
@@ -48,7 +47,6 @@ __all__ = [
     "subspace_from_constraint",
     "kernel_tr_e",
     "u_consistency_violation",
-    "is_u_consistent",
     "g_consistency_report",
     "sample_unitaries",
     "canonical_assignment",
@@ -134,11 +132,6 @@ class AssignmentMap:
 
 
 @dataclass(frozen=True)
-class ExplicitList:
-    unitaries: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class AllUnitaries:
     samples: int = 100
 
@@ -198,14 +191,8 @@ def u_consistency_violation(v: OperatorSubspace, u: np.ndarray) -> float:
     return float(np.linalg.norm(out, axis=0).max())
 
 
-def is_u_consistent(v: OperatorSubspace, u: np.ndarray, tol: float = CONSISTENCY_TOL) -> bool:
-    return u_consistency_violation(v, u) <= tol
-
-
 def sample_unitaries(g, d_s: int, d_e: int, rng: np.random.Generator):
     """Concrete unitaries (with labels) representing a unitary-set spec."""
-    if isinstance(g, ExplicitList):
-        return [(f"explicit_{i}", u) for i, u in enumerate(g.unitaries)]
     if isinstance(g, AllUnitaries):
         return [
             (f"haar_{i}", random_haar_unitary(d_s * d_e, rng)) for i in range(g.samples)

@@ -252,20 +252,20 @@ class StructureFit:
     residual: float
 
 
-def block_indices(blocks, d_f: int) -> list[np.ndarray]:
-    """Row indices of each L_i x R_i x F block inside the S x F space.
+def block_indices(blocks, d_f: int, d_a: int = 1) -> list[np.ndarray]:
+    """Row indices of each A x L_i x R_i x F block inside the A x S x F space.
 
-    F is any trailing factor (the environment, or trivial with d_f = 1).
-    Index order within a block is (l, r, f), matching a plain kron.
+    A is a leading ancilla factor and F a trailing one (the environment);
+    either may be trivial, with dimension 1.  Index order within a block is
+    (a, l, r, f), matching a plain kron.
     """
+    d_s = sum(l * r for l, r in blocks)
     out = []
     off = 0
     for l, r in blocks:
-        idx = []
-        for q in range(l * r):
-            for f in range(d_f):
-                idx.append((off + q) * d_f + f)
-        out.append(np.array(idx))
+        # For each ancilla value a block's (l, r, f) rows are contiguous.
+        n = l * r * d_f
+        out.append(np.array([(a * d_s + off) * d_f + k for a in range(d_a) for k in range(n)]))
         off += l * r
     return out
 
@@ -389,22 +389,11 @@ def _extend_along_kernel(base, kernel_basis, coeffs) -> np.ndarray:
 
 def build_markov_state(spec: MarkovStateSpec) -> np.ndarray:
     """Assemble the A x S x E state directsum_i q_i omega_AL_i kron omega_RE_i."""
-    d_a, d_e = spec.d_a, spec.d_e
-    d_s = spec.d_s
-    d = d_a * d_s * d_e
+    d = spec.d_a * spec.d_s * spec.d_e
     out = np.zeros((d, d), dtype=complex)
-    off = 0
-    for (l, r), q, wal, wre in zip(spec.blocks, spec.q, spec.omega_al, spec.omega_re):
-        term = kron(wal, wre)  # index order (a, l, r, e)
-        idx = []
-        for a in range(d_a):
-            for li in range(l):
-                for ri in range(r):
-                    for e in range(d_e):
-                        idx.append((a * d_s + off + li * r + ri) * d_e + e)
-        idx = np.array(idx)
-        out[np.ix_(idx, idx)] += q * term
-        off += l * r
+    idx = block_indices(spec.blocks, spec.d_e, spec.d_a)
+    for ix, q, wal, wre in zip(idx, spec.q, spec.omega_al, spec.omega_re):
+        out[np.ix_(ix, ix)] += q * kron(wal, wre)  # index order (a, l, r, e)
     return out
 
 

@@ -30,7 +30,6 @@ class InfoReport:
     i_before: float
     i_after: float
     delta: float
-    cmi: float | None = None
 
 
 def mutual_information(omega_as: np.ndarray, d_a: int, d_s: int) -> float:
@@ -75,8 +74,7 @@ def dpi_check(
     after = partial_trace(evolved, dims, keep=(0, 1))
     i_before = mutual_information(before, d_a, d_s)
     i_after = mutual_information(after, d_a, d_s)
-    cmi = conditional_mutual_information(omega_ase, d_a, d_s, d_e)
-    return InfoReport(i_before, i_after, i_before - i_after, cmi)
+    return InfoReport(i_before, i_after, i_before - i_after)
 
 
 def search_dpi_violation(

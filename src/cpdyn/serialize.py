@@ -1,11 +1,14 @@
-"""JSON encoding of matrices, family specs and related value objects.
+"""JSON encoding of matrices and family specs.
 
 Complex matrices are stored as nested arrays of ``[re, im]`` pairs in
-row-major order; family specs carry a ``variant`` tag.  The same encoding
-is used by the CLI reports under ``--verbose``.
+row-major order; family specs carry a ``variant`` tag followed by their
+dataclass fields in declaration order.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -21,6 +24,17 @@ from .families import (
 
 __all__ = ["mat_to_json", "mat_from_json", "spec_to_json", "spec_from_json"]
 
+_VARIANTS = {
+    "factorized": FactorizedSpec,
+    "classical-quantum": ClassicalQuantumSpec,
+    "direct-sum": DirectSumSpec,
+    "mixed-direct-sum": MixedDirectSumSpec,
+    "markov-blocks": MarkovBlocksSpec,
+    "steered": SteeredSpec,
+    "kernel-extended": KernelExtendedSpec,
+}
+_VARIANT_OF = {cls: name for name, cls in _VARIANTS.items()}
+
 
 def mat_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
@@ -31,93 +45,40 @@ def mat_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
+def _encode(x):
+    if is_dataclass(x):
+        return spec_to_json(x)
+    if isinstance(x, np.ndarray):
+        return mat_to_json(x)
+    if isinstance(x, tuple):
+        return [_encode(y) for y in x]
+    return x
+
+
+def _decode(tp, x):
+    """Inverse of ``_encode`` for a field of declared type ``tp``."""
+    if tp is np.ndarray:
+        return mat_from_json(x)
+    if is_dataclass(tp):
+        return spec_from_json(x)
+    if get_origin(tp) is tuple:
+        return tuple(_decode(get_args(tp)[0], y) for y in x)
+    return tp(x)
+
+
 def spec_to_json(spec) -> dict:
-    if isinstance(spec, FactorizedSpec):
-        return {
-            "variant": "factorized",
-            "d_s": spec.d_s,
-            "omega_e": mat_to_json(spec.omega_e),
-        }
-    if isinstance(spec, ClassicalQuantumSpec):
-        return {
-            "variant": "classical-quantum",
-            "basis": mat_to_json(spec.basis),
-            "omegas": [mat_to_json(w) for w in spec.omegas],
-        }
-    if isinstance(spec, DirectSumSpec):
-        return {
-            "variant": "direct-sum",
-            "block_dims": list(spec.block_dims),
-            "omegas": [mat_to_json(w) for w in spec.omegas],
-        }
-    if isinstance(spec, MixedDirectSumSpec):
-        return {
-            "variant": "mixed-direct-sum",
-            "block_dims": list(spec.block_dims),
-            "m_prime": spec.m_prime,
-            "omega_se": [mat_to_json(w) for w in spec.omega_se],
-            "omegas": [mat_to_json(w) for w in spec.omegas],
-        }
-    if isinstance(spec, MarkovBlocksSpec):
-        return {
-            "variant": "markov-blocks",
-            "blocks": [list(b) for b in spec.blocks],
-            "d_e": spec.d_e,
-            "omega_re": [mat_to_json(w) for w in spec.omega_re],
-        }
-    if isinstance(spec, SteeredSpec):
-        return {
-            "variant": "steered",
-            "d_a": spec.d_a,
-            "d_s": spec.d_s,
-            "d_e": spec.d_e,
-            "omega_ase": mat_to_json(spec.omega_ase),
-        }
-    if isinstance(spec, KernelExtendedSpec):
-        return {
-            "variant": "kernel-extended",
-            "base": spec_to_json(spec.base),
-            "kernel_basis": mat_to_json(spec.kernel_basis),
-        }
-    raise TypeError(f"cannot serialize {type(spec).__name__}")
+    if type(spec) not in _VARIANT_OF:
+        raise TypeError(f"cannot serialize {type(spec).__name__}")
+    out = {"variant": _VARIANT_OF[type(spec)]}
+    for f in fields(spec):
+        out[f.name] = _encode(getattr(spec, f.name))
+    return out
 
 
 def spec_from_json(data: dict):
     variant = data["variant"]
-    if variant == "factorized":
-        return FactorizedSpec(int(data["d_s"]), mat_from_json(data["omega_e"]))
-    if variant == "classical-quantum":
-        return ClassicalQuantumSpec(
-            mat_from_json(data["basis"]),
-            tuple(mat_from_json(w) for w in data["omegas"]),
-        )
-    if variant == "direct-sum":
-        return DirectSumSpec(
-            tuple(int(d) for d in data["block_dims"]),
-            tuple(mat_from_json(w) for w in data["omegas"]),
-        )
-    if variant == "mixed-direct-sum":
-        return MixedDirectSumSpec(
-            tuple(int(d) for d in data["block_dims"]),
-            int(data["m_prime"]),
-            tuple(mat_from_json(w) for w in data["omega_se"]),
-            tuple(mat_from_json(w) for w in data["omegas"]),
-        )
-    if variant == "markov-blocks":
-        return MarkovBlocksSpec(
-            tuple((int(l), int(r)) for l, r in data["blocks"]),
-            int(data["d_e"]),
-            tuple(mat_from_json(w) for w in data["omega_re"]),
-        )
-    if variant == "steered":
-        return SteeredSpec(
-            int(data["d_a"]),
-            int(data["d_s"]),
-            int(data["d_e"]),
-            mat_from_json(data["omega_ase"]),
-        )
-    if variant == "kernel-extended":
-        return KernelExtendedSpec(
-            spec_from_json(data["base"]), mat_from_json(data["kernel_basis"])
-        )
-    raise ValueError(f"unknown family variant {variant!r}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown family variant {variant!r}")
+    cls = _VARIANTS[variant]
+    types = get_type_hints(cls)
+    return cls(*(_decode(types[f.name], data[f.name]) for f in fields(cls)))

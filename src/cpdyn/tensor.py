@@ -1,4 +1,6 @@
-"""Dense complex linear algebra on labelled tensor-product spaces.
+"""Dense complex linear algebra on tensor-product spaces: kron and vec,
+partial traces, Tr_E after Ad_U on operator stacks, Haar and Ginibre
+sampling, von Neumann entropy, and Hermitian/PSD/density checks.
 
 Conventions used everywhere in this package:
 
@@ -8,30 +10,24 @@ Conventions used everywhere in this package:
   order, row-major within each ``L x R`` block;
 * ``vec`` is row-major flattening, so ``vec(A X B) = (A kron B.T) vec(X)``.
 
-All values are immutable after construction and every function is a pure
-function of its inputs; RNG state is always passed explicitly.
+Every function is a pure function of its inputs; RNG state is always
+passed explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "SpaceLayout",
-    "Operator",
-    "SpectralDecomposition",
     "kron",
     "vec",
     "unvec",
-    "basis_unit",
     "dagger",
     "partial_trace",
     "tr_e",
     "ad_u",
-    "eig_hermitian",
     "random_haar_unitary",
     "random_density",
     "random_hermitian",
@@ -50,86 +46,6 @@ PSD_TOL_FACTOR = 1e-9
 HERM_TOL = 1e-9
 # Eigenvalues below this are treated as exact zeros in entropy sums.
 ENTROPY_EIG_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class SpaceLayout:
-    """Ordered tensor factors, each a (label, dimension) pair.
-
-    ``block_structure`` optionally describes a direct-sum decomposition of
-    the 'S' factor into L x R blocks, with blocks concatenated in order.
-    """
-
-    factors: tuple[tuple[str, int], ...]
-    block_structure: tuple[tuple[int, int], ...] | None = None
-
-    def __post_init__(self):
-        for label, d in self.factors:
-            if d < 1:
-                raise ValueError(f"factor {label} has non-positive dimension {d}")
-        if self.block_structure is not None:
-            if "S" not in self.labels:
-                raise ValueError("block_structure given but no 'S' factor")
-            total = sum(l * r for l, r in self.block_structure)
-            if total != self.dim_of("S"):
-                raise ValueError(
-                    f"block dims sum to {total}, expected dim(S)={self.dim_of('S')}"
-                )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    def position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no factor labelled {label!r} in {self.labels}") from None
-
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.position(label)]
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A square complex matrix tagged with its tensor-factor layout."""
-
-    layout: SpaceLayout
-    mat: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        if m.shape[0] != self.layout.dim:
-            raise ValueError(
-                f"matrix dim {m.shape[0]} does not match layout dim {self.layout.dim}"
-            )
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in descending order with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -152,13 +68,6 @@ def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
         if rows * rows != v.size:
             raise ValueError(f"cannot unvec length-{v.size} vector to a square matrix")
     return v.reshape(rows, v.size // rows)
-
-
-def basis_unit(d: int, i: int, j: int) -> np.ndarray:
-    """Matrix unit |i><j| on a d-dimensional space."""
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -184,18 +93,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
     d_keep = math.prod(dims[k] for k in keep) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-def partial_trace_op(op: Operator, keep: frozenset[str] | set[str]) -> Operator:
-    """Label-based partial trace returning an Operator on the kept factors."""
-    labels = op.layout.labels
-    unknown = set(keep) - set(labels)
-    if unknown:
-        raise KeyError(f"unknown factor labels {sorted(unknown)}")
-    positions = tuple(i for i, lab in enumerate(labels) if lab in keep)
-    new_factors = tuple(f for f in op.layout.factors if f[0] in keep)
-    out = partial_trace(op.mat, op.layout.dims, positions)
-    return Operator(SpaceLayout(new_factors), out)
 
 
 def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> np.ndarray:
@@ -227,17 +124,6 @@ def ad_u(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     if u.shape != m.shape:
         raise ValueError(f"dimension mismatch: U is {u.shape}, m is {m.shape}")
     return u @ m @ u.conj().T
-
-
-def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    m = np.asarray(m, dtype=complex)
-    herm_err = np.linalg.norm(m - m.conj().T)
-    if herm_err > tol * max(1.0, np.linalg.norm(m)):
-        raise ValueError(f"matrix is not Hermitian (deviation {herm_err:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    order = np.argsort(w)[::-1]
-    return SpectralDecomposition(w[order], v[:, order])
 
 
 def random_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,12 +1,13 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
 import numpy as np
 
-from cpdyn import cli
+from cpdyn import cli, families
 from cpdyn.cli import build_parser, ghz_state, main, run
 
 SCHEMA = json.loads(
@@ -89,6 +90,22 @@ def test_dimension_cap_aborts():
                  "--trials", "1")
 
 
+@pytest.mark.parametrize("command", ["consistency", "theorem1"])
+def test_steered_block_layout_counts_against_the_cap(command):
+    # --blocks 3x3 gives d_s = 9, so the run would be at 9 * 8 = 72 > 64
+    # although --ds keeps its default of 2.
+    with pytest.raises(SystemExit, match="total dimension 72 exceeds the hard cap 64"):
+        run_args(command, "--family", "steered", "--blocks", "3x3", "--de", "8",
+                 "--g", "local", "--trials", "1")
+
+
+def test_steered_consistency_echoes_the_block_dimension():
+    report, code = run_args("consistency", "--family", "steered", "--g", "local",
+                            "--trials", "1", "--seed", "3")
+    assert code == 0
+    assert report["config"]["ds"] == 4  # default blocks 1x2,2x1
+
+
 def test_bad_block_layout_rejected():
     with pytest.raises(SystemExit):
         run_args("verify-family", "--family", "markov-blocks", "--blocks", "abc",
@@ -157,6 +174,18 @@ def test_trial_streams_do_not_collide_across_seeds():
 def test_swap_with_unequal_dimensions_is_an_argument_error(argv):
     with pytest.raises(SystemExit, match="--g swap needs equal system and environment"):
         run_args(*argv, "--g", "swap", "--trials", "1")
+
+
+@pytest.mark.parametrize("d_a", [1, 2, 3])
+@pytest.mark.parametrize("blocks", [((1, 2), (2, 1)), ((2, 2),), ((1, 1), (1, 3))])
+def test_spec_omega_re_recovers_the_block_states(blocks, d_a):
+    rng = np.random.default_rng(17)
+    mspec = families.random_markov_state_spec(d_a, blocks, 2, rng)
+    spec = families.SteeredSpec(d_a, mspec.d_s, 2, families.build_markov_state(mspec))
+    got = cli.spec_omega_re(SimpleNamespace(blocks=blocks), spec)
+    assert len(got) == len(mspec.omega_re)
+    for w, want in zip(got, mspec.omega_re):
+        assert np.abs(w - want).max() <= 1e-12
 
 
 def test_kernel_extended_builds_the_ambient_kernel_once(monkeypatch):

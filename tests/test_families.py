@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,9 @@ ALL_SPECS = [
     ),
     lambda rng: KernelExtendedSpec(
         markov_spec(rng), kernel_tr_e(full_space(4, 2)).basis[:, :3]
+    ),
+    lambda rng: MixedDirectSumSpec(
+        (1, 2), 0, (), (random_density(2, 2, rng), random_density(2, 2, rng))
     ),
 ]
 
@@ -193,6 +198,105 @@ def test_spec_json_round_trip(rng):
         member_a = sample_member(spec, random_params(spec, np.random.default_rng(5)))
         member_b = sample_member(back, random_params(back, np.random.default_rng(5)))
         assert np.allclose(member_a, member_b)
+
+
+D = np.diag
+
+# One small spec per variant with the exact JSON it encodes to; the format
+# is pinned byte for byte, key order included.
+PINNED_JSON = [
+    (
+        FactorizedSpec(2, D([0.75, 0.25])),
+        '{"variant": "factorized", "d_s": 2, "omega_e": [[[0.75, 0.0], [0.0, 0.0]], '
+        '[[0.0, 0.0], [0.25, 0.0]]]}',
+    ),
+    (
+        ClassicalQuantumSpec(np.array([[1, 0], [0, 1j]]), (D([1.0, 0.0]), D([0.5, 0.5]))),
+        '{"variant": "classical-quantum", "basis": [[[1.0, 0.0], [0.0, 0.0]], '
+        '[[0.0, 0.0], [0.0, 1.0]]], "omegas": [[[[1.0, 0.0], [0.0, 0.0]], '
+        '[[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}',
+    ),
+    (
+        DirectSumSpec((1, 2), (D([1.0, 0.0]), D([0.5, 0.5]))),
+        '{"variant": "direct-sum", "block_dims": [1, 2], "omegas": [[[[1.0, 0.0], '
+        '[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.0], [0.0, 0.0]], '
+        '[[0.0, 0.0], [0.5, 0.0]]]]}',
+    ),
+    (
+        MixedDirectSumSpec((1, 1), 0, (), (D([0.5, 0.5]), D([1.0, 0.0]))),
+        '{"variant": "mixed-direct-sum", "block_dims": [1, 1], "m_prime": 0, '
+        '"omega_se": [], "omegas": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], '
+        '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}',
+    ),
+    (
+        MixedDirectSumSpec((1, 1), 1, (D([0.25, 0.75]),), (D([1.0, 0.0]),)),
+        '{"variant": "mixed-direct-sum", "block_dims": [1, 1], "m_prime": 1, '
+        '"omega_se": [[[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.75, 0.0]]]], '
+        '"omegas": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}',
+    ),
+    (
+        MarkovBlocksSpec(((1, 2), (1, 1)), 1, (D([0.5, 0.5]), D([1.0]))),
+        '{"variant": "markov-blocks", "blocks": [[1, 2], [1, 1]], "d_e": 1, '
+        '"omega_re": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], '
+        '[[[1.0, 0.0]]]]}',
+    ),
+    (
+        SteeredSpec(1, 2, 1, D([0.75, 0.25])),
+        '{"variant": "steered", "d_a": 1, "d_s": 2, "d_e": 1, "omega_ase": '
+        '[[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]}',
+    ),
+    (
+        # The kernel direction is vec of the traceless Hermitian
+        # [[0.5, 0.5i], [-0.5i, -0.5]] on d_s = 1, d_e = 2.
+        KernelExtendedSpec(
+            MarkovBlocksSpec(((1, 1),), 2, (D([0.75, 0.25]),)),
+            np.array([[0.5], [0.5j], [-0.5j], [-0.5]]),
+        ),
+        '{"variant": "kernel-extended", "base": {"variant": "markov-blocks", '
+        '"blocks": [[1, 1]], "d_e": 2, "omega_re": [[[[0.75, 0.0], [0.0, 0.0]], '
+        '[[0.0, 0.0], [0.25, 0.0]]]]}, "kernel_basis": [[[0.5, 0.0]], [[0.0, 0.5]], '
+        '[[-0.0, -0.5]], [[-0.5, 0.0]]]}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, expected", PINNED_JSON, ids=[e[1].split('"')[3] for e in PINNED_JSON]
+)
+def test_spec_json_format_is_pinned(spec, expected):
+    assert json.dumps(spec_to_json(spec)) == expected
+    back = spec_from_json(json.loads(expected))
+    assert type(back) is type(spec)
+    assert json.dumps(spec_to_json(back)) == expected
+
+
+def build_markov_state_by_loop(spec):
+    """Reference: the explicit (a, l, r, e) index loop over each block."""
+    d_a, d_e, d_s = spec.d_a, spec.d_e, spec.d_s
+    d = d_a * d_s * d_e
+    out = np.zeros((d, d), dtype=complex)
+    off = 0
+    for (l, r), q, wal, wre in zip(spec.blocks, spec.q, spec.omega_al, spec.omega_re):
+        idx = []
+        for a in range(d_a):
+            for li in range(l):
+                for ri in range(r):
+                    for e in range(d_e):
+                        idx.append((a * d_s + off + li * r + ri) * d_e + e)
+        idx = np.array(idx)
+        out[np.ix_(idx, idx)] += q * kron(wal, wre)
+        off += l * r
+    return out
+
+
+@pytest.mark.parametrize("d_a", [1, 2, 3])
+@pytest.mark.parametrize(
+    "blocks, d_e",
+    [(((1, 2), (2, 1)), 2), (((1, 1),), 3), (((2, 2),), 1), (((1, 3), (2, 1), (1, 1)), 2)],
+)
+def test_build_markov_state_matches_index_loop(blocks, d_e, d_a, rng):
+    mspec = random_markov_state_spec(d_a, blocks, d_e, rng)
+    assert np.array_equal(build_markov_state(mspec), build_markov_state_by_loop(mspec))
 
 
 @settings(max_examples=20, deadline=None)

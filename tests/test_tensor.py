@@ -4,15 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdyn.tensor import (
-    Operator,
-    SpaceLayout,
     ad_u,
     check_density,
     check_unitary,
-    eig_hermitian,
     kron,
     partial_trace,
-    partial_trace_op,
     random_density,
     random_haar_unitary,
     random_hermitian,
@@ -21,7 +17,6 @@ from cpdyn.tensor import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_kron_identities():
@@ -71,15 +66,6 @@ def test_partial_trace_preserves_trace(rng):
     assert abs(np.trace(out) - np.trace(rho)) < 1e-12
 
 
-def test_partial_trace_label_api(rng):
-    layout = SpaceLayout((("S", 2), ("E", 3)))
-    op = Operator(layout, kron(random_density(2, 2, rng), random_density(3, 3, rng)))
-    reduced = partial_trace_op(op, {"S"})
-    assert reduced.layout.labels == ("S",)
-    with pytest.raises(KeyError):
-        partial_trace_op(op, {"X"})
-
-
 def test_ad_u_identity_and_swap(rng):
     m = random_density(4, 4, rng)
     assert np.allclose(ad_u(np.eye(4), m), m)
@@ -102,25 +88,6 @@ def test_ad_u_preserves_spectrum_and_trace(dim, rng):
         assert np.allclose(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-10
         )
-
-
-def test_eig_hermitian_simple():
-    assert np.allclose(eig_hermitian(np.eye(2)).eigenvalues, [1.0, 1.0])
-    assert np.allclose(eig_hermitian(SZ).eigenvalues, [1.0, -1.0])
-
-
-def test_eig_hermitian_reconstruction(rng):
-    for dim in (2, 4, 8):
-        h = random_hermitian(dim, rng)
-        dec = eig_hermitian(h)
-        assert np.linalg.norm(dec.reconstruct() - h) <= 1e-10 * dim
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert np.linalg.norm(gram - np.eye(dim)) < 1e-10
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_haar_unitary_is_unitary_and_deterministic():
@@ -161,15 +128,6 @@ def test_entropy_unitary_invariance(rng):
     rho = random_density(4, 3, rng)
     u = random_haar_unitary(4, rng)
     assert abs(von_neumann_entropy(ad_u(u, rho)) - von_neumann_entropy(rho)) < 1e-10
-
-
-def test_layout_invariants():
-    layout = SpaceLayout((("S", 4), ("E", 2)), block_structure=((1, 2), (2, 1)))
-    assert layout.dim == 8
-    with pytest.raises(ValueError):
-        SpaceLayout((("S", 4),), block_structure=((1, 2), (2, 2)))
-    with pytest.raises(ValueError):
-        Operator(layout, np.eye(4))
 
 
 @settings(max_examples=25, deadline=None)
