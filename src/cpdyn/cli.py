@@ -280,11 +280,12 @@ def cmd_consistency(args) -> dict:
     g = _unitary_set(args.g, args.trials)
     report = consistency.g_consistency_report(v, g, rng)
     kernel = kernel_tr_e(v)
+    one = _unitary_set(args.g, 1)  # each record draws the one unitary it reports
     trials = [
         {
             "trial": i,
             "violation": consistency.u_consistency_violation(
-                v, consistency.sample_unitaries(g, v.d_s, v.d_e, _trial_rng(args.seed, i))[0][1]
+                v, consistency.sample_unitaries(one, v.d_s, v.d_e, _trial_rng(args.seed, i))[0][1]
             ),
         }
         for i in range(min(args.trials, 10))
@@ -331,7 +332,9 @@ def ghz_state(d_a: int = 2, d_s: int = 2, d_e: int = 2) -> np.ndarray:
 
 
 def cmd_dpi(args) -> dict:
+    # The GHZ fixture runs at --ds, the Markov states at the --blocks size.
     _check_dims(args.da, args.ds, args.de)
+    _check_dims(args.da, sum(l * r for l, r in args.blocks), args.de)
     trials = []
     worst_delta = np.inf
     worst_cmi = 0.0

@@ -81,6 +81,12 @@ class OperatorSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def kernel(self) -> OperatorSubspace:
+        """V0 = V ∩ ker Tr_E, computed when first read."""
+        r = tr_e(self.basis, self.d_s, self.d_e)
+        return OperatorSubspace(self.d_s, self.d_e, _null_complement(r, self.basis))
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of an operator onto the subspace."""
         v = self.basis @ (self.basis.conj().T @ vec(x))
@@ -163,23 +169,55 @@ def full_space(d_s: int, d_e: int) -> OperatorSubspace:
     return OperatorSubspace(d_s, d_e, np.eye(d * d, dtype=complex))
 
 
-def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubspace:
-    """Null space of a linear constraint matrix acting on vectorized operators."""
-    _, sv, vh = np.linalg.svd(a)
+def _null_complement(r: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal basis of {B x : r x = 0}, with B = ``basis`` (orthonormal
+    columns) or the identity when ``basis`` is None.
+
+    The rank k of ``r`` comes from its thin SVD, with singular values below
+    SPAN_RANK_FACTOR * largest treated as zero.  One Householder QR of the k
+    leading right singular vectors gives Q = I - Y T Y^dag (compact WY form),
+    whose last n - k columns span the null space of ``r``; the result is
+    (B Q)[:, k:] = B[:, k:] - (B Y)(T Y[k:]^dag), at O(N n k) cost.
+    """
+    _, sv, vh = np.linalg.svd(r, full_matrices=False)
+    n = vh.shape[1]
     top = sv[0] if sv.size and sv[0] > 0 else 1.0
-    rank = int((sv > SPAN_RANK_FACTOR * top).sum())
-    return OperatorSubspace(d_s, d_e, vh[rank:].conj().T)
+    k = int((sv > SPAN_RANK_FACTOR * top).sum())
+    if k == 0:
+        return np.eye(n, dtype=complex) if basis is None else basis
+    h, tau = np.linalg.qr(vh[:k].conj().T, mode="raw")
+    y = np.tril(h.T, -1)  # reflectors H_i = I - tau_i y_i y_i^dag, unit diagonal
+    y[np.arange(k), np.arange(k)] = 1.0
+    gram = y.conj().T @ y
+    t = np.zeros((k, k), dtype=complex)
+    for i in range(k):  # H_1 ... H_k = I - Y T Y^dag, built one reflector at a time
+        t[i, i] = tau[i]
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+    tail = t @ y[k:].conj().T
+    if basis is None:
+        out = -(y @ tail)
+        out[np.arange(k, n), np.arange(n - k)] += 1.0
+        return out
+    return basis[:, k:] - (basis @ y) @ tail
+
+
+def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubspace:
+    """Null space of a linear constraint matrix acting on vectorized operators.
+
+    Computed by ``_null_complement`` with the identity as ambient basis, the
+    same path as the partial-trace kernel.
+    """
+    return OperatorSubspace(d_s, d_e, _null_complement(a))
 
 
 def kernel_tr_e(v: OperatorSubspace) -> OperatorSubspace:
-    """The sub-subspace of directions with vanishing environment trace."""
-    r = tr_e(v.basis, v.d_s, v.d_e)
-    _, sv, vh = np.linalg.svd(r, full_matrices=True)
-    top = sv[0] if sv.size and sv[0] > 0 else 1.0
-    rank = int((sv > SPAN_RANK_FACTOR * top).sum())
-    null_coeffs = vh[rank:].conj().T  # (n, n - rank), orthonormal
-    basis = v.basis @ null_coeffs
-    return OperatorSubspace(v.d_s, v.d_e, basis.reshape(v.basis.shape[0], -1))
+    """The sub-subspace of directions with vanishing environment trace.
+
+    This is ``v.kernel``: computed once per subspace, as the complement of
+    the rank-k row space of Tr_E restricted to V (k <= d_s^2) by one thin
+    SVD and one Householder QR, without an n x n factor.
+    """
+    return v.kernel
 
 
 def u_consistency_violation(v: OperatorSubspace, u: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from cpdyn import cli, families
+from cpdyn import cli, consistency, families
 from cpdyn.cli import build_parser, ghz_state, main, run
 
 SCHEMA = json.loads(
@@ -204,6 +204,51 @@ def test_kernel_extended_builds_the_ambient_kernel_once(monkeypatch):
     assert calls == [(4, 2)]
 
 
+@pytest.mark.parametrize("command", ["theorem1", "consistency"])
+def test_full_space_command_factors_tr_e_once(monkeypatch, command):
+    calls = []
+    factor = consistency._null_complement
+
+    def counting_null_complement(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(consistency, "_null_complement", counting_null_complement)
+    report, code = run_args(command, "--family", "full", "--trials", "3", "--seed", "5")
+    assert report["summary"]["dim_v0"] == 12
+    assert calls == [(4, 16)]  # Tr_E restricted to V, factored once
+
+
+def _parent_trial_violations(argv):
+    """The consistency records as first written: each record drew `--trials`
+    unitaries from its own stream and kept the first."""
+    args = build_parser().parse_args(argv)
+    args.ds = cli._system_dim(args)
+    v = cli._build_subspace(args, np.random.default_rng(args.seed))
+    g = cli._unitary_set(args.g, args.trials)
+    return [
+        consistency.u_consistency_violation(
+            v, consistency.sample_unitaries(g, v.d_s, v.d_e, cli._trial_rng(args.seed, i))[0][1]
+        )
+        for i in range(min(args.trials, 10))
+    ]
+
+
+@pytest.mark.parametrize("g", ["all", "local"])
+def test_consistency_records_draw_only_the_unitary_they_report(g):
+    argv = ["consistency", "--family", "full", "--g", g, "--trials", "7", "--seed", "4"]
+    report, _ = run(argv)
+    assert [t["violation"] for t in report["trials"]] == _parent_trial_violations(argv)
+
+
+def test_dpi_block_layout_counts_against_the_cap():
+    # The Markov states run at d_a * 9 * d_e = 144 although --ds keeps its
+    # default of 2 (the GHZ fixture alone would be 2 * 2 * 8 = 32).
+    with pytest.raises(SystemExit, match="total dimension 144 exceeds the hard cap 64"):
+        run_args("dpi", "--blocks", "3x3", "--de", "8", "--trials", "1",
+                 "--unitaries-per-state", "1", "--search-draws", "1")
+
+
 def test_dpi_command():
     report, code = run_args(
         "dpi", "--trials", "3", "--unitaries-per-state", "3",
@@ -238,6 +283,13 @@ def test_demo1_summary_contents():
     assert s["dim_v0"] == 9
     assert s["product_assignment_cp"]
     assert s["constant_channel_distance"] <= 1e-8
+
+
+def test_demo1_kernel_dimensions_at_ds_3():
+    report, code = run_args("demo", "1", "--ds", "3", "--trials", "2", "--seed", "12")
+    assert code == 0
+    assert report["summary"]["dim_v"] == 73  # 9 * 9 - 9 + 1
+    assert report["summary"]["dim_v0"] == 64  # (9 - 1) * (9 - 1)
 
 
 def test_demo2_summary_contents():
