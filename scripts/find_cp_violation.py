@@ -3,8 +3,9 @@
 
 Builds the Hermitian, trace-consistent assignment
 x -> x kron omega_E + gamma (x - tr(x) I/d_S) kron Delta, reports the gamma
-threshold at which it stops being CP, then hunts over Haar-random joint
-unitaries for the most negative Choi eigenvalue of the reduced dynamics.
+threshold past which it is not CP (0 in closed form: every gamma > 0 breaks
+CP at d_S = 2), then hunts over Haar-random joint unitaries for the most
+negative Choi eigenvalue of the reduced dynamics.
 
 Usage: python scripts/find_cp_violation.py [--gamma G] [--draws N] [--seed N]
 """

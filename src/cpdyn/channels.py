@@ -1,6 +1,5 @@
 """Linear maps on operator spaces: matrix representations, Choi matrices,
-Kraus decompositions, explicit operator-sum constructions, and Stinespring
-dilations.
+signed Kraus sets and explicit operator-sum constructions.
 
 A map Psi with input dimension ``d_in`` and output dimension ``d_out`` is
 stored as a ``(d_out**2, d_in**2)`` matrix acting on row-major vectorized
@@ -18,9 +17,7 @@ import numpy as np
 
 from .tensor import (
     dagger,
-    is_hermitian,
     is_psd,
-    partial_trace,
     tr_e,
     unvec,
     vec,
@@ -29,26 +26,18 @@ from .tensor import (
 __all__ = [
     "ChannelMap",
     "KrausSet",
-    "StinespringDilation",
     "choi",
-    "channel_from_choi",
     "channel_from_function",
     "channel_from_kraus",
     "is_cp",
     "is_tp",
-    "kraus_from_choi",
     "kraus_factorized",
     "kraus_classical_quantum",
     "reduced_dynamics",
     "trace_out_env_matrix",
     "choi_distance",
-    "stinespring",
-    "apply_dilation",
     "verify_fixed_point",
 ]
-
-# Choi eigenvalues with |e| <= RANK_TOL_FACTOR * d_in are discarded.
-RANK_TOL_FACTOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,31 +74,12 @@ class KrausSet:
     operators: tuple[np.ndarray, ...]
     all_positive: bool
 
-    def positive_operators(self) -> list[np.ndarray]:
-        if not self.all_positive:
-            raise ValueError("Kraus set has negative coefficients")
-        return [np.sqrt(e) * k for e, k in zip(self.coefficients, self.operators)]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return sum(e * k @ x @ dagger(k) for e, k in zip(self.coefficients, self.operators))
 
     def closure(self) -> np.ndarray:
         """sum_i e_i E_i^dag E_i; equals the input identity for TP maps."""
         return sum(e * dagger(k) @ k for e, k in zip(self.coefficients, self.operators))
-
-
-@dataclass(frozen=True)
-class StinespringDilation:
-    """Unitary dilation V on (output space) x C with fixed ancilla inputs.
-
-    ``apply_dilation`` reproduces the dilated CP map as
-    ``x -> Tr_C( V (x kron |0..0><0..0|) V^dag )``.
-    """
-
-    d_in: int
-    d_out: int
-    d_anc: int
-    unitary: np.ndarray = field(repr=False)
 
 
 def channel_from_function(fn, d_in: int, d_out: int) -> ChannelMap:
@@ -137,12 +107,6 @@ def choi(c: ChannelMap) -> np.ndarray:
     return t.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
 
 
-def channel_from_choi(ch: np.ndarray, d_in: int, d_out: int) -> ChannelMap:
-    t = np.asarray(ch, dtype=complex).reshape(d_in, d_out, d_in, d_out)
-    m = t.transpose(1, 3, 0, 2).reshape(d_out**2, d_in**2)
-    return ChannelMap(d_in, d_out, m)
-
-
 def is_cp(ch: np.ndarray) -> bool:
     """CP test on a Choi matrix: Hermitian and PSD to scale-aware tolerance."""
     return is_psd(ch)
@@ -162,30 +126,6 @@ def is_tp_on_domain(c: ChannelMap, domain_projector: np.ndarray, tol: float = 1e
     lhs = vec(np.eye(c.d_out)).conj() @ (c.mat @ domain_projector)
     rhs = vec(np.eye(c.d_in)).conj() @ domain_projector
     return bool(np.linalg.norm(lhs - rhs) <= tol * c.d_in)
-
-
-def kraus_from_choi(ch: np.ndarray, d_in: int, d_out: int) -> KrausSet:
-    """Signed Kraus set from the eigendecomposition of a Hermitian Choi matrix.
-
-    Coefficients are the retained eigenvalues; operators are unit-normalized
-    reshaped eigenvectors, so the represented map is
-    ``x -> sum_i e_i E_i x E_i^dag``.
-    """
-    ch = np.asarray(ch, dtype=complex)
-    if not is_hermitian(ch):
-        raise ValueError("Choi matrix is not Hermitian")
-    w, v = np.linalg.eigh((ch + dagger(ch)) / 2)
-    rank_tol = RANK_TOL_FACTOR * d_in
-    coeffs = []
-    ops = []
-    for k in np.argsort(np.abs(w))[::-1]:
-        if abs(w[k]) <= rank_tol:
-            continue
-        coeffs.append(float(w[k]))
-        # Eigenvector index order is (input, output): component (i, a) is
-        # the (a, i) entry of the Kraus operator.
-        ops.append(v[:, k].reshape(d_in, d_out).T.copy())
-    return KrausSet(tuple(coeffs), tuple(ops), all_positive=all(e > 0 for e in coeffs))
 
 
 def trace_out_env_matrix(d_s: int, d_e: int) -> np.ndarray:
@@ -285,62 +225,6 @@ def kraus_classical_quantum(
 def choi_distance(a: ChannelMap, b: ChannelMap) -> float:
     """Frobenius norm of the Choi difference (basis-independent equality metric)."""
     return float(np.linalg.norm(choi(a) - choi(b)))
-
-
-def stinespring(k: KrausSet, d_in: int, d_out: int) -> StinespringDilation:
-    """Unitary dilation of a CP map given by a positive Kraus set.
-
-    Builds the isometry W = sum_k (E_k x) kron |k_C> and completes it to a
-    unitary V on output x C.  The input x is embedded as
-    x kron |0><0| on the first d_out/d_in-worth of each block, i.e. the
-    isometry columns sit at positions ``s * pad * d_anc`` where
-    ``pad = d_out // d_in`` absorbs the fixed-environment reference state.
-    """
-    if not k.all_positive:
-        raise ValueError("Stinespring dilation needs an all-positive Kraus set")
-    if d_out % d_in != 0:
-        raise ValueError("output dimension must be a multiple of the input dimension")
-    ops = k.positive_operators()
-    if np.linalg.norm(k.closure() - np.eye(d_in)) > 1e-8 * d_in:
-        raise ValueError("dilation requires a trace-preserving Kraus set")
-    d_anc = len(ops)
-    n = d_out * d_anc
-    w = np.zeros((n, d_in), dtype=complex)
-    for c, op in enumerate(ops):
-        for a in range(d_out):
-            w[a * d_anc + c, :] += op[a, :]
-    pad = d_out // d_in
-    special = [s * pad * d_anc for s in range(d_in)]
-    v = np.zeros((n, n), dtype=complex)
-    for s, col in enumerate(special):
-        v[:, col] = w[:, s]
-    comp = _orthogonal_complement(w)
-    rest = [c for c in range(n) if c not in set(special)]
-    for c, col in zip(rest, range(comp.shape[1])):
-        v[:, c] = comp[:, col]
-    return StinespringDilation(d_in, d_out, d_anc, v)
-
-
-def _orthogonal_complement(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of the column span of w."""
-    n = w.shape[0]
-    q, _ = np.linalg.qr(w)
-    p = q @ dagger(q)
-    u, s, _ = np.linalg.svd(np.eye(n) - p)
-    rank = int((s > 1e-10).sum())
-    return u[:, :rank]
-
-
-def apply_dilation(dil: StinespringDilation, x: np.ndarray) -> np.ndarray:
-    """Evaluate the dilated map: embed x at the reference ancilla states,
-    conjugate by V, trace out C."""
-    n = dil.d_out * dil.d_anc
-    pad = dil.d_out // dil.d_in
-    idx = [s * pad * dil.d_anc for s in range(dil.d_in)]
-    big = np.zeros((n, n), dtype=complex)
-    big[np.ix_(idx, idx)] = x
-    out = dil.unitary @ big @ dagger(dil.unitary)
-    return partial_trace(out, (dil.d_out, dil.d_anc), keep=(0,))
 
 
 def verify_fixed_point(assign_mat: np.ndarray, d_s: int, d_e: int, samples) -> float:

@@ -92,6 +92,15 @@ def _unitary_set(name: str, samples: int):
     raise ValueError(f"unknown unitary set {name!r}")
 
 
+def _default_g(args) -> str:
+    """Unitary set when ``--g`` is not given: local products for
+    ``verify-family --family kernel-extended``, whose kernel freedom
+    arbitrary unitaries would void, and all unitaries otherwise."""
+    if args.command == "verify-family" and args.family == "kernel-extended":
+        return "local"
+    return "all"
+
+
 def _check_swap(g: str, d_s: int, d_e: int):
     if g == "swap" and d_s != d_e:
         raise SystemExit("error: --g swap needs equal system and environment dimensions")
@@ -242,7 +251,9 @@ def cmd_verify_family(args) -> dict:
     _check_dims(ds, args.de)
     _check_swap(args.g, ds, args.de)
     if args.family == "kernel-extended" and args.g == "all":
-        args.g = "local"  # arbitrary unitaries void the kernel freedom
+        raise SystemExit(
+            "error: --g all voids the kernel freedom of kernel-extended; use --g local or swap"
+        )
     ambient_kernel = _ambient_kernel(args.family, ds, args.de)
     trials = [_verify_family_trial(args, t, ambient_kernel) for t in range(args.trials)]
     ok = [t["cp"] and t["tp"] for t in trials]
@@ -370,6 +381,19 @@ def cmd_dpi(args) -> dict:
     return {"trials": trials, "summary": summary}
 
 
+def demo1_constraint(omega_e: np.ndarray, d_s: int) -> np.ndarray:
+    """Matrix of X -> Tr_S X - tr(X) omega_E on vectorized operators of
+    S x E; its null space is demo 1's subspace."""
+    d_e = omega_e.shape[0]
+    d = d_s * d_e
+    t_s = np.zeros((d_e * d_e, d * d), dtype=complex)
+    for e in range(d_e):
+        for ep in range(d_e):
+            for s in range(d_s):
+                t_s[e * d_e + ep, (s * d_e + e) * d + (s * d_e + ep)] = 1.0
+    return t_s - np.outer(vec(omega_e), vec(np.eye(d)).conj())
+
+
 def _demo1(args) -> dict:
     """Fixed environment marginal, swap-only evolution.
 
@@ -383,15 +407,7 @@ def _demo1(args) -> dict:
     omega_e = np.diag([0.7, 0.3] + [0.0] * (de - 2)).astype(complex) if de == 2 else (
         np.eye(de, dtype=complex) / de
     )
-    d = ds * de
-    # Constraint: Tr_S X - tr(X) omega_E = 0.
-    t_s = np.zeros((de * de, d * d), dtype=complex)
-    for e in range(de):
-        for ep in range(de):
-            for s in range(ds):
-                t_s[e * de + ep, (s * de + e) * d + (s * de + ep)] = 1.0
-    constraint = t_s - np.outer(vec(omega_e), vec(np.eye(d)).conj())
-    v = subspace_from_constraint(constraint, ds, de)
+    v = subspace_from_constraint(demo1_constraint(omega_e, ds), ds, de)
     kernel = kernel_tr_e(v)
     canon = canonical_assignment(v)
     prod_mat = channels.product_assignment_matrix(omega_e, ds)
@@ -511,7 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", type=str, default=None, help="report output path")
-        p.add_argument("--g", choices=("all", "local", "swap"), default="all")
+        p.add_argument(
+            "--g",
+            choices=("all", "local", "swap"),
+            default=None,
+            help="unitary set (default: local for verify-family kernel-extended, else all)",
+        )
 
     p = sub.add_parser("verify-family", help="CP/TP sweep over one family")
     p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
@@ -561,6 +582,8 @@ def run(argv=None) -> tuple[dict, int]:
         parser.error("--trials must be >= 1")
     if args.tol <= 0:
         parser.error("--tol must be positive")
+    if args.g is None:
+        args.g = _default_g(args)
     start = time.monotonic()
     body = args.func(args)
     report = {

@@ -63,7 +63,13 @@ CONSISTENCY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """Orthonormalized subspace of vectorized operators on S x E."""
+    """Orthonormalized subspace of vectorized operators on S x E.
+
+    The public constructor checks that a caller's basis is orthonormal
+    (``||B^dag B - I||_F <= 1e-8 max(1, n)``).  Subspaces built inside this
+    module have orthonormal bases by construction and go through
+    ``_trusted``, which skips that O(N n^2) check.
+    """
 
     d_s: int
     d_e: int
@@ -77,6 +83,16 @@ class OperatorSubspace:
             raise ValueError("subspace basis is not orthonormal")
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def _trusted(cls, d_s: int, d_e: int, basis: np.ndarray) -> OperatorSubspace:
+        """A subspace on a (d^2, n) basis that is orthonormal by construction,
+        built without the Gram check."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "d_s", d_s)
+        object.__setattr__(sub, "d_e", d_e)
+        object.__setattr__(sub, "basis", np.asarray(basis, dtype=complex))
+        return sub
+
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -85,7 +101,7 @@ class OperatorSubspace:
     def kernel(self) -> OperatorSubspace:
         """V0 = V ∩ ker Tr_E, computed when first read."""
         r = tr_e(self.basis, self.d_s, self.d_e)
-        return OperatorSubspace(self.d_s, self.d_e, _null_complement(r, self.basis))
+        return OperatorSubspace._trusted(self.d_s, self.d_e, _null_complement(r, self.basis))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of an operator onto the subspace."""
@@ -159,14 +175,16 @@ def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
         raise ValueError("need at least one spanning operator")
     d = d_s * d_e
     stack = np.column_stack([vec(s) for s in states])
+    if stack.shape[0] != d * d:
+        raise ValueError(f"spanning operators must be {d} x {d}")
     u, sv, _ = np.linalg.svd(stack, full_matrices=False)
     rank = int((sv > SPAN_RANK_FACTOR * sv[0]).sum()) if sv[0] > 0 else 0
-    return OperatorSubspace(d_s, d_e, u[:, :rank])
+    return OperatorSubspace._trusted(d_s, d_e, u[:, :rank])
 
 
 def full_space(d_s: int, d_e: int) -> OperatorSubspace:
     d = d_s * d_e
-    return OperatorSubspace(d_s, d_e, np.eye(d * d, dtype=complex))
+    return OperatorSubspace._trusted(d_s, d_e, np.eye(d * d, dtype=complex))
 
 
 def _null_complement(r: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
@@ -207,7 +225,7 @@ def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubsp
     Computed by ``_null_complement`` with the identity as ambient basis, the
     same path as the partial-trace kernel.
     """
-    return OperatorSubspace(d_s, d_e, _null_complement(a))
+    return OperatorSubspace._trusted(d_s, d_e, _null_complement(a))
 
 
 def kernel_tr_e(v: OperatorSubspace) -> OperatorSubspace:
@@ -295,10 +313,13 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
     """Minimum-Frobenius-norm right inverse of Tr_E restricted to V.
 
     The Moore-Penrose section is deterministic and basis independent;
-    operators outside the domain Tr_E V are first projected onto it.
+    operators outside the domain Tr_E V are first projected onto it.  The
+    pseudoinverse drops singular values at or below SPAN_RANK_FACTOR times
+    the largest, the cutoff ``_null_complement`` uses for the kernel, so
+    dim V = dim V0 + rank of the domain projector.
     """
     r = tr_e(v.basis, v.d_s, v.d_e)
-    r_pinv = np.linalg.pinv(r, rcond=1e-12)
+    r_pinv = np.linalg.pinv(r, rcond=SPAN_RANK_FACTOR)
     return AssignmentMap(v.d_s, v.d_e, v.basis @ r_pinv, r @ r_pinv)
 
 
@@ -340,7 +361,8 @@ def witness_assignment(
 
     x -> x kron omega_E + gamma * (x - tr(x) I/d_S) kron Delta with Delta a
     fixed traceless Hermitian environment direction; trace consistency
-    holds for every gamma, CP fails beyond a finite threshold.
+    holds for every gamma, and for d_S >= 2 and Delta != 0 CP fails at
+    every gamma > 0 (see ``witness_gamma_threshold``).
     """
     delta_e = np.asarray(delta_e, dtype=complex)
     if abs(np.trace(delta_e)) > 1e-10 or not is_hermitian(delta_e):
@@ -354,21 +376,21 @@ def witness_assignment(
     return assignment_from_matrix(base + gamma * pert, d_s, d_e)
 
 
-def witness_gamma_threshold(
-    omega_e: np.ndarray, delta_e: np.ndarray, d_s: int, hi: float = 64.0
-) -> float:
-    """Smallest gamma (by bisection) at which the witness assignment stops
-    being CP."""
-    if not witness_assignment(omega_e, delta_e, hi, d_s).cp:
-        lo = 0.0
-        for _ in range(50):
-            mid = (lo + hi) / 2
-            if witness_assignment(omega_e, delta_e, mid, d_s).cp:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-    raise ValueError("witness assignment stays CP up to the search cap")
+def witness_gamma_threshold(omega_e: np.ndarray, delta_e: np.ndarray, d_s: int) -> float:
+    """Infimum of the gammas at which the witness assignment is not CP: 0.
+
+    The witness Choi matrix is |Omega><Omega| kron (omega_E + gamma Delta)
+    - (gamma/d_S) I kron Delta, with Omega the unnormalized maximally
+    entangled vector.  On Omega-perp kron E it equals -(gamma/d_S) Delta,
+    whose least eigenvalue -gamma lambda_max(Delta)/d_S is negative for
+    every gamma > 0 once d_S >= 2 and Delta != 0 (a nonzero traceless
+    Hermitian Delta has a positive eigenvalue), whatever omega_E is.  For
+    d_S = 1 or Delta = 0 the perturbation vanishes and no gamma breaks CP,
+    which raises.
+    """
+    if d_s < 2 or not np.any(delta_e):
+        raise ValueError("witness assignment is CP for every gamma (d_S = 1 or Delta = 0)")
+    return 0.0
 
 
 def theorem1_verify(

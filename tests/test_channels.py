@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 from cpdyn.channels import (
     ChannelMap,
-    KrausSet,
-    apply_dilation,
-    channel_from_choi,
     channel_from_function,
     channel_from_kraus,
     choi,
@@ -17,10 +14,8 @@ from cpdyn.channels import (
     is_tp_on_domain,
     kraus_classical_quantum,
     kraus_factorized,
-    kraus_from_choi,
     product_assignment_matrix,
     reduced_dynamics,
-    stinespring,
     trace_out_env_matrix,
     verify_fixed_point,
 )
@@ -81,8 +76,9 @@ def test_choi_channel_round_trip(rng):
         m = rng.normal(size=(d_out**2, d_in**2)) + 1j * rng.normal(
             size=(d_out**2, d_in**2)
         )
-        c = channel_from_choi(choi(ChannelMap(d_in, d_out, m)), d_in, d_out)
-        assert np.allclose(c.mat, m)
+        # Inverse reshuffle: C[(i, a), (j, b)] is entry (a, b) of Psi(|i><j|).
+        t = choi(ChannelMap(d_in, d_out, m)).reshape(d_in, d_out, d_in, d_out)
+        assert np.allclose(t.transpose(1, 3, 0, 2).reshape(d_out**2, d_in**2), m)
 
 
 def test_transpose_map_is_positive_but_not_cp():
@@ -100,35 +96,6 @@ def test_depolarizing_is_cp_tp():
         c = depolarizing_channel(3, p)
         assert is_cp(choi(c))
         assert is_tp(c)
-
-
-def test_kraus_from_choi_reconstructs_channel(rng):
-    d = 2
-    u = random_haar_unitary(d * d, rng)
-    omega = random_density(d, d, rng)
-    c = reduced_dynamics(u, product_assignment_matrix(omega, d), d, d)
-    k = kraus_from_choi(choi(c), d, d)
-    assert k.all_positive
-    rebuilt = channel_from_kraus(k, d, d)
-    assert choi_distance(c, rebuilt) < 1e-10
-    x = random_hermitian(d, rng)
-    assert np.allclose(k.apply(x), c.apply(x))
-    assert np.linalg.norm(k.closure() - np.eye(d)) < 1e-10
-
-
-def test_kraus_from_choi_signed_for_transpose():
-    k = kraus_from_choi(choi(transpose_channel(2)), 2, 2)
-    assert not k.all_positive
-    assert min(k.coefficients) < 0
-    with pytest.raises(ValueError):
-        k.positive_operators()
-    rebuilt = channel_from_kraus(k, 2, 2)
-    assert choi_distance(transpose_channel(2), rebuilt) < 1e-10
-
-
-def test_kraus_from_choi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        kraus_from_choi(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 1)
 
 
 def test_trace_out_env_matrix_matches_partial_trace(rng):
@@ -247,28 +214,6 @@ def test_choi_distance_basics(rng):
     c = depolarizing_channel(2, 0.5)
     assert choi_distance(c, c) == 0.0
     assert choi_distance(identity_channel(2), transpose_channel(2)) > 1.0
-
-
-def test_stinespring_dilation_reproduces_channel(rng):
-    d = 2
-    omega = random_density(d, d, rng)
-    u = random_haar_unitary(d * d, rng)
-    c = reduced_dynamics(u, product_assignment_matrix(omega, d), d, d)
-    k = kraus_from_choi(choi(c), d, d)
-    dil = stinespring(k, d, d)
-    v = dil.unitary
-    assert np.linalg.norm(v @ v.conj().T - np.eye(v.shape[0])) < 1e-9
-    x = random_hermitian(d, rng)
-    assert np.linalg.norm(apply_dilation(dil, x) - c.apply(x)) < 1e-9
-
-
-def test_stinespring_rejects_signed_and_non_tp_sets():
-    signed = kraus_from_choi(choi(transpose_channel(2)), 2, 2)
-    with pytest.raises(ValueError):
-        stinespring(signed, 2, 2)
-    shrinking = KrausSet((1.0,), (0.5 * np.eye(2),), all_positive=True)
-    with pytest.raises(ValueError):
-        stinespring(shrinking, 2, 2)
 
 
 def test_is_tp_on_domain(rng):

@@ -310,3 +310,20 @@ def test_ghz_state_is_pure_and_normalized():
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_kernel_extended_defaults_to_local_products():
+    report, code = run_args(
+        "verify-family", "--family", "kernel-extended", "--trials", "2", "--seed", "3"
+    )
+    assert code == 0
+    assert report["config"]["g"] == "local"
+    assert all(t["unitary"].startswith("local_") for t in report["trials"])
+    for argv in (["verify-family", "--family", "markov-blocks"], ["consistency"], ["dpi"]):
+        args = build_parser().parse_args(argv)
+        assert args.g is None and cli._default_g(args) == "all"
+
+
+def test_kernel_extended_with_all_unitaries_is_an_argument_error():
+    with pytest.raises(SystemExit, match="--g all"):
+        run_args("verify-family", "--family", "kernel-extended", "--g", "all", "--trials", "1")

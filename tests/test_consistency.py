@@ -65,6 +65,10 @@ def markov_span(rng, blocks=((1, 2), (2, 1)), d_e=2):
 def test_subspace_requires_orthonormal_basis():
     with pytest.raises(ValueError):
         OperatorSubspace(1, 2, np.ones((4, 2)))
+    q = np.linalg.qr(np.random.default_rng(72).normal(size=(16, 4)))[0]
+    assert OperatorSubspace(2, 2, q).dim == 4
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OperatorSubspace(2, 2, q * (1 + 1e-6))
 
 
 def test_span_from_states_rank(rng):
@@ -270,6 +274,39 @@ def test_witness_threshold_is_crossed(rng):
     gamma = witness_gamma_threshold(omega, delta, 2)
     assert 0.0 <= gamma < 64.0
     assert not witness_assignment(omega, delta, gamma + 0.5, 2).cp
+
+
+def test_witness_threshold_closed_form():
+    omega = np.diag([0.7, 0.3]).astype(complex)
+    delta = np.diag([1.0, -1.0]).astype(complex)
+    for d_s in (2, 3):
+        assert witness_gamma_threshold(omega, delta, d_s) == 0.0
+    with pytest.raises(ValueError):
+        witness_gamma_threshold(omega, delta, 1)
+    with pytest.raises(ValueError):
+        witness_gamma_threshold(omega, np.zeros((2, 2)), 2)
+
+
+def _witness_choi_eigenvalues(omega, delta, gamma, d_s):
+    ch = witness_assignment(omega.astype(complex), delta, gamma, d_s).choi()
+    return np.linalg.eigvalsh((ch + ch.conj().T) / 2)
+
+
+@pytest.mark.parametrize("d_s", [2, 3])
+@pytest.mark.parametrize("gamma", [0.1, 1.0])
+def test_witness_choi_spectrum_closed_form(d_s, gamma):
+    # C = |Omega><Omega| (x) (omega + gamma Delta) - (gamma/d_S) I (x) Delta
+    # is d_S omega + gamma (d_S - 1/d_S) Delta on Omega (x) E, and
+    # -(gamma/d_S) Delta on each of the d_S^2 - 1 copies of Omega-perp (x) E.
+    omega, delta = np.diag([0.7, 0.3]), np.diag([1.0, -1.0])
+    omega_block = np.linalg.eigvalsh(d_s * omega + gamma * (d_s - 1 / d_s) * delta)
+    perp_block = np.repeat(-gamma / d_s * np.diag(delta), d_s * d_s - 1)
+    expected = np.sort(np.concatenate([omega_block, perp_block]))
+    assert np.allclose(_witness_choi_eigenvalues(omega, delta, gamma, d_s), expected, atol=1e-12)
+    # Here the Omega block stays PSD, so the minimum is -gamma lambda_max(Delta)/d_S.
+    omega, delta = np.diag([0.6, 0.4]), np.diag([0.2, -0.2])
+    low = _witness_choi_eigenvalues(omega, delta, gamma, d_s).min()
+    assert abs(low + gamma * 0.2 / d_s) <= 1e-12
 
 
 def test_theorem_verifier_passes_on_consistent_setup(rng):

@@ -1,0 +1,110 @@
+"""Subspaces built inside cpdyn skip the constructor's Gram check because
+their bases are orthonormal by construction; here that check runs as an
+oracle on every internal construction.  Also: the canonical assignment's
+rank cutoff agrees with the kernel's."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from cpdyn import cli, consistency
+from cpdyn.consistency import (
+    SPAN_RANK_FACTOR,
+    OperatorSubspace,
+    canonical_assignment,
+    full_space,
+    kernel_tr_e,
+    span_from_states,
+    subspace_from_constraint,
+)
+from cpdyn.tensor import kron, random_density, tr_e
+
+
+def assert_orthonormal(v: OperatorSubspace):
+    """The oracle every internally built basis must pass, with its kernel."""
+    for sub in (v, v.kernel):
+        assert sub.basis.shape == ((sub.d_s * sub.d_e) ** 2, sub.dim)
+        assert sub.basis.dtype == complex
+        gram = sub.basis.conj().T @ sub.basis
+        assert np.linalg.norm(gram - np.eye(sub.dim)) <= 1e-12 * max(1, sub.dim)
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (4, 4), (4, 8)])
+def test_full_space_and_its_kernel_are_orthonormal(d_s, d_e):
+    assert_orthonormal(full_space(d_s, d_e))
+
+
+def _family_span(family: str) -> OperatorSubspace:
+    rng = np.random.default_rng(71)
+    args = SimpleNamespace(family=family, ds=2, de=2, da=2, blocks=((1, 2), (2, 1)))
+    args.ds = cli._system_dim(args)
+    spec = cli._random_spec(family, args, rng, cli._ambient_kernel(family, args.ds, args.de))
+    members = cli._family_members(spec, rng, args.ds**2 + 2)
+    return span_from_states(members, spec.d_s, spec.d_e)
+
+
+@pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
+def test_family_spans_and_their_kernels_are_orthonormal(family):
+    v = _family_span(family)
+    assert v.dim > 0
+    assert_orthonormal(v)
+
+
+def test_demo1_constraint_space_and_its_kernel_are_orthonormal():
+    d_s = d_e = 3
+    v = subspace_from_constraint(cli.demo1_constraint(np.eye(d_e) / d_e, d_s), d_s, d_e)
+    assert (v.dim, v.kernel.dim) == (73, 64)
+    assert_orthonormal(v)
+
+
+def test_internal_constructions_skip_the_gram_check(monkeypatch, rng):
+    def refuse(self):
+        raise AssertionError("Gram check run on an internally built subspace")
+
+    monkeypatch.setattr(OperatorSubspace, "__post_init__", refuse)
+    states = [random_density(4, 4, rng) for _ in range(3)]
+    built = [
+        full_space(2, 2),
+        span_from_states(states, 2, 2),
+        subspace_from_constraint(rng.normal(size=(3, 16)), 2, 2),
+    ]
+    for v in built:
+        assert kernel_tr_e(v).dim <= v.dim
+
+
+def test_trusted_subspace_computes_its_cached_kernel_once(monkeypatch):
+    calls = []
+    null_complement = consistency._null_complement
+
+    def counting(r, basis=None):
+        calls.append(r.shape)
+        return null_complement(r, basis)
+
+    monkeypatch.setattr(consistency, "_null_complement", counting)
+    v = full_space(2, 3)
+    assert "kernel" not in vars(v)  # nothing computed before the first read
+    k = v.kernel
+    assert v.kernel is k and kernel_tr_e(v) is k
+    assert calls == [(4, 36)]
+    checked = OperatorSubspace(2, 3, v.basis)  # the same basis through the public path
+    assert np.array_equal(checked.basis, v.basis)
+    assert np.array_equal(checked.kernel.basis, k.basis)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-11])
+def test_canonical_assignment_and_kernel_share_one_rank_cutoff(eps):
+    # Tr_E on V has singular values near (1.07, 1.3 eps): at eps = 1e-10
+    # and 1e-11 the second one is below the SPAN_RANK_FACTOR cutoff.
+    rng = np.random.default_rng(5)
+    x, z, eye = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0]), np.eye(2)
+    rho = kron(random_density(2, 2, rng), random_density(2, 2, rng))
+    v = span_from_states([rho, (kron(eye, z) + eps * kron(x, eye)) / 2], 2, 2)
+    a = canonical_assignment(v)
+    sv = np.linalg.svd(tr_e(v.basis, 2, 2), compute_uv=False)
+    kept = sv[sv > SPAN_RANK_FACTOR * sv[0]]
+    rank = np.linalg.matrix_rank(a.domain_projector, tol=0.5)
+    assert rank == kept.size == (2 if eps == 1e-8 else 1)
+    assert v.dim == 2 == kernel_tr_e(v).dim + rank
+    assert a.trace_consistent
+    assert np.linalg.norm(a.mat, 2) <= (1 + 1e-6) / kept[-1]
