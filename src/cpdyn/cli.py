@@ -43,7 +43,7 @@ from .consistency import (
 from .tensor import (
     dagger,
     kron,
-    min_eigenvalue,
+    psd_check,
     random_density,
     random_haar_unitary,
     vec,
@@ -171,11 +171,11 @@ def _random_spec(family: str, args, rng: np.random.Generator, ambient_kernel):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family_members(spec, rng: np.random.Generator, n: int):
-    return [
-        families.sample_member(spec, families.random_params(spec, rng))
-        for _ in range(n)
-    ]
+def _family_span(spec):
+    """V from the linear generators of a family; a kernel-extended family
+    takes the span of its base."""
+    base = spec.base if isinstance(spec, families.KernelExtendedSpec) else spec
+    return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
 
 
 def _verify_family_trial(args, trial: int, ambient_kernel) -> dict:
@@ -183,28 +183,25 @@ def _verify_family_trial(args, trial: int, ambient_kernel) -> dict:
     spec = _random_spec(args.family, args, rng, ambient_kernel)
     ds, de = spec.d_s, spec.d_e
     # The assignment is built from the span of the widest family containing
-    # the sampled members: steered sets reuse their underlying block family,
+    # the trial's members: steered sets reuse their underlying block family,
     # kernel extensions reuse their base.
     if isinstance(spec, families.SteeredSpec):
-        span_spec = families.MarkovBlocksSpec(args.blocks, de, spec_omega_re(args, spec))
-    elif isinstance(spec, families.KernelExtendedSpec):
-        span_spec = spec.base
+        v = _family_span(families.MarkovBlocksSpec(args.blocks, de, spec_omega_re(args, spec)))
     else:
-        span_spec = spec
-    members = _family_members(span_spec, rng, ds * ds + 2)
-    v = span_from_states(members, ds, de)
+        v = _family_span(spec)
     assign = canonical_assignment(v)
+    if args.family == "markov-blocks":
+        member = families.sample_member(spec, families.random_params(spec, rng))
     g = _unitary_set(args.g, 1)
     label, u = consistency.sample_unitaries(g, ds, de, rng)[0]
     psi = channels.reduced_dynamics(u, assign.mat, ds, de)
-    ch = channels.choi(psi)
-    min_eig = min_eigenvalue((ch + dagger(ch)) / 2)
+    cp, min_eig = psd_check(channels.choi(psi))
     rec = {
         "trial": trial,
         "unitary": label,
-        "cp": bool(channels.is_cp(ch)),
+        "cp": cp,
         "tp": bool(channels.is_tp_on_domain(psi, assign.domain_projector)),
-        "min_choi_eigenvalue": float(min_eig),
+        "min_choi_eigenvalue": min_eig,
         "assignment_cp": bool(assign.cp),
     }
     if args.family == "factorized":
@@ -215,7 +212,6 @@ def _verify_family_trial(args, trial: int, ambient_kernel) -> dict:
             np.linalg.norm(k.closure() - np.eye(ds))
         )
     if args.family == "markov-blocks":
-        member = members[0]
         fit = families.structure_fit(member, spec.blocks, spec.omega_re, de)
         rec["structure_residual"] = fit.residual
     if args.family == "steered":
@@ -276,10 +272,7 @@ def _build_subspace(args, rng: np.random.Generator):
     if args.family == "random":
         states = [random_density(ds * de, ds * de, rng) for _ in range(args.span_states)]
         return span_from_states(states, ds, de)
-    spec = _random_spec(args.family, args, rng, _ambient_kernel(args.family, ds, de))
-    base = spec.base if isinstance(spec, families.KernelExtendedSpec) else spec
-    members = _family_members(base, rng, ds * ds + 2)
-    return span_from_states(members, spec.d_s, spec.d_e)
+    return _family_span(_random_spec(args.family, args, rng, _ambient_kernel(args.family, ds, de)))
 
 
 def cmd_consistency(args) -> dict:
@@ -386,11 +379,10 @@ def demo1_constraint(omega_e: np.ndarray, d_s: int) -> np.ndarray:
     S x E; its null space is demo 1's subspace."""
     d_e = omega_e.shape[0]
     d = d_s * d_e
-    t_s = np.zeros((d_e * d_e, d * d), dtype=complex)
-    for e in range(d_e):
-        for ep in range(d_e):
-            for s in range(d_s):
-                t_s[e * d_e + ep, (s * d_e + e) * d + (s * d_e + ep)] = 1.0
+    # Row (e, g), column ((s, f), (t, h)) holds delta_ef delta_gh delta_st:
+    # Tr_S keeps the environment indices and sums over s = t.
+    eye_e, eye_s = np.eye(d_e, dtype=complex), np.eye(d_s, dtype=complex)
+    t_s = np.einsum("ef,gh,st->egsfth", eye_e, eye_e, eye_s).reshape(d_e * d_e, d * d)
     return t_s - np.outer(vec(omega_e), vec(np.eye(d)).conj())
 
 

@@ -25,10 +25,9 @@ from .channels import (
     reduced_dynamics,
 )
 from .tensor import (
-    dagger,
     is_hermitian,
     kron,
-    min_eigenvalue,
+    psd_check,
     random_haar_unitary,
     swap_unitary,
     tr_e,
@@ -56,7 +55,8 @@ __all__ = [
     "theorem1_verify",
 ]
 
-# Singular values below SPAN_RANK_FACTOR * largest are treated as zero.
+# Singular values at or below SPAN_RANK_FACTOR * largest are treated as zero;
+# for Tr_E on an orthonormal basis the largest is floored at 1 (see _rank).
 SPAN_RANK_FACTOR = 1e-9
 CONSISTENCY_TOL = 1e-9
 
@@ -101,7 +101,8 @@ class OperatorSubspace:
     def kernel(self) -> OperatorSubspace:
         """V0 = V ∩ ker Tr_E, computed when first read."""
         r = tr_e(self.basis, self.d_s, self.d_e)
-        return OperatorSubspace._trusted(self.d_s, self.d_e, _null_complement(r, self.basis))
+        basis = _null_complement(r, self.basis, floor=1.0)
+        return OperatorSubspace._trusted(self.d_s, self.d_e, basis)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of an operator onto the subspace."""
@@ -178,8 +179,7 @@ def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
     if stack.shape[0] != d * d:
         raise ValueError(f"spanning operators must be {d} x {d}")
     u, sv, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int((sv > SPAN_RANK_FACTOR * sv[0]).sum()) if sv[0] > 0 else 0
-    return OperatorSubspace._trusted(d_s, d_e, u[:, :rank])
+    return OperatorSubspace._trusted(d_s, d_e, u[:, : _rank(sv)])
 
 
 def full_space(d_s: int, d_e: int) -> OperatorSubspace:
@@ -187,20 +187,33 @@ def full_space(d_s: int, d_e: int) -> OperatorSubspace:
     return OperatorSubspace._trusted(d_s, d_e, np.eye(d * d, dtype=complex))
 
 
-def _null_complement(r: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+def _rank(sv: np.ndarray, floor: float = 0.0) -> int:
+    """Numerical rank from singular values: the count above
+    SPAN_RANK_FACTOR * max(largest, ``floor``).
+
+    Spans and constraints come at the caller's scale and take the purely
+    relative rule, ``floor`` = 0.  Tr_E on an orthonormal basis has a known
+    scale (every singular value is at most sqrt(d_e)) and takes ``floor`` =
+    1, so rounding noise on a V where Tr_E vanishes does not count as rank.
+    """
+    return int((sv > SPAN_RANK_FACTOR * max(sv.max(initial=0.0), floor)).sum())
+
+
+def _null_complement(
+    r: np.ndarray, basis: np.ndarray | None = None, floor: float = 0.0
+) -> np.ndarray:
     """Orthonormal basis of {B x : r x = 0}, with B = ``basis`` (orthonormal
     columns) or the identity when ``basis`` is None.
 
-    The rank k of ``r`` comes from its thin SVD, with singular values below
-    SPAN_RANK_FACTOR * largest treated as zero.  One Householder QR of the k
-    leading right singular vectors gives Q = I - Y T Y^dag (compact WY form),
-    whose last n - k columns span the null space of ``r``; the result is
+    The rank k of ``r`` is ``_rank`` of its thin SVD at ``floor``.  One
+    Householder QR of the k leading right singular vectors gives
+    Q = I - Y T Y^dag (compact WY form), whose last n - k columns span the
+    null space of ``r``; the result is
     (B Q)[:, k:] = B[:, k:] - (B Y)(T Y[k:]^dag), at O(N n k) cost.
     """
     _, sv, vh = np.linalg.svd(r, full_matrices=False)
     n = vh.shape[1]
-    top = sv[0] if sv.size and sv[0] > 0 else 1.0
-    k = int((sv > SPAN_RANK_FACTOR * top).sum())
+    k = _rank(sv, floor)
     if k == 0:
         return np.eye(n, dtype=complex) if basis is None else basis
     h, tau = np.linalg.qr(vh[:k].conj().T, mode="raw")
@@ -314,12 +327,14 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
 
     The Moore-Penrose section is deterministic and basis independent;
     operators outside the domain Tr_E V are first projected onto it.  The
-    pseudoinverse drops singular values at or below SPAN_RANK_FACTOR times
-    the largest, the cutoff ``_null_complement`` uses for the kernel, so
-    dim V = dim V0 + rank of the domain projector.
+    pseudoinverse keeps the singular values of Tr_E on V that ``_rank``
+    counts at floor 1, as the kernel does, so dim V = dim V0 + rank of the
+    domain projector.
     """
     r = tr_e(v.basis, v.d_s, v.d_e)
-    r_pinv = np.linalg.pinv(r, rcond=SPAN_RANK_FACTOR)
+    u, sv, vh = np.linalg.svd(r, full_matrices=False)
+    k = _rank(sv, floor=1.0)
+    r_pinv = vh[:k].conj().T @ (u[:, :k].conj().T / sv[:k, None])
     return AssignmentMap(v.d_s, v.d_e, v.basis @ r_pinv, r @ r_pinv)
 
 
@@ -422,12 +437,13 @@ def theorem1_verify(
             tilted = perturb_assignment(assign, delta, kernel)
             psi_t = reduced_dynamics(u, tilted.mat, v.d_s, v.d_e)
             worst_pert = max(worst_pert, choi_distance(psi, psi_t))
+        cp, min_eig = psd_check(ch)
         per_u.append(
             {
                 "unitary": label,
-                "cp": bool(is_cp(ch)),
+                "cp": cp,
                 "tp": bool(is_tp_on_domain(psi, assign.domain_projector)),
-                "min_choi_eigenvalue": min_eigenvalue((ch + dagger(ch)) / 2),
+                "min_choi_eigenvalue": min_eig,
                 "perturbation_deviation": worst_pert,
             }
         )

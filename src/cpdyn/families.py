@@ -36,6 +36,7 @@ __all__ = [
     "StructureFit",
     "sample_member",
     "random_params",
+    "span_generators",
     "build_markov_state",
     "random_markov_state_spec",
     "steer",
@@ -340,6 +341,78 @@ def sample_member(spec, params: FamilyParams) -> np.ndarray:
         base = sample_member(spec.base, FamilyParams(params.probs, params.states))
         return _extend_along_kernel(base, spec.kernel_basis, params.kernel_coeffs)
     raise TypeError(f"unknown family spec {type(spec).__name__}")
+
+
+def span_generators(spec) -> list[np.ndarray]:
+    """Operators on S x E whose span is the span of the family's members.
+
+    A member is the normalization of a linear function of its free
+    parameters, so the members span the image of that function, which is
+    spanned by its values on unit parameters:
+
+    * factorized: ``E_ab kron omega_E``, d_s^2 of them;
+    * classical-quantum: ``|b_i><b_i| kron omega_i``, d_s of them;
+    * direct-sum and markov-blocks: ``E_ab kron omega_i`` in block i, with
+      a, b < l_i (a direct-sum block has r_i = 1), sum_i l_i^2 of them;
+    * mixed-direct-sum: the fixed ``omega_SE_i`` of each leading block and
+      ``E_ab kron omega_j`` in each trailing block j;
+    * steered: ``Tr_A[(E_ab kron I) omega_ASE]`` for a, b < d_a.
+
+    All but the steered generators are mutually orthogonal.  A
+    kernel-extended member is not linear in its parameters (its step along
+    the kernel is found by a PSD search), so that family has no generators.
+    """
+    if isinstance(spec, FactorizedSpec):
+        return list(_unit_products(spec.d_s, spec.omega_e))
+    if isinstance(spec, ClassicalQuantumSpec):
+        b, w = np.asarray(spec.basis), np.asarray(spec.omegas)
+        d = spec.d_s * spec.d_e
+        return list(np.einsum("ai,bi,ixy->iaxby", b, b.conj(), w).reshape(spec.d_s, d, d))
+    if isinstance(spec, DirectSumSpec):
+        blocks = tuple((d, 1) for d in spec.block_dims)
+        return _in_blocks(blocks, spec.d_e, _free_blocks(blocks, range(len(blocks)), spec.omegas))
+    if isinstance(spec, MixedDirectSumSpec):
+        blocks = tuple((d, 1) for d in spec.block_dims)
+        fixed = {i: np.asarray(w)[None] for i, w in enumerate(spec.omega_se)}
+        free = _free_blocks(blocks, range(spec.m_prime, len(blocks)), spec.omegas)
+        return _in_blocks(blocks, spec.d_e, fixed | free)
+    if isinstance(spec, MarkovBlocksSpec):
+        free = _free_blocks(spec.blocks, range(len(spec.blocks)), spec.omega_re)
+        return _in_blocks(spec.blocks, spec.d_e, free)
+    if isinstance(spec, SteeredSpec):
+        # Tr_A[(E_ab kron I) omega]_{st} = omega_{(b,s),(a,t)}: block (b, a) of omega.
+        d_se = spec.d_s * spec.d_e
+        t = np.asarray(spec.omega_ase, dtype=complex).reshape(spec.d_a, d_se, spec.d_a, d_se)
+        return [t[b, :, a, :] for a in range(spec.d_a) for b in range(spec.d_a)]
+    raise TypeError(f"no linear generators for {type(spec).__name__}")
+
+
+def _unit_products(l: int, w: np.ndarray) -> np.ndarray:
+    """The l^2 operators E_ab kron w, with E_ab = |a><b| in row-major order,
+    stacked as an (l^2, l n, l n) array for an n x n ``w``."""
+    n = w.shape[0]
+    eye = np.eye(l, dtype=complex)
+    return np.einsum("ac,bd,xy->abcxdy", eye, eye, w).reshape(l * l, l * n, l * n)
+
+
+def _free_blocks(blocks, which, fixed) -> dict[int, np.ndarray]:
+    """For each block i in ``which``, with its fixed state, ``E_ab kron fixed``
+    for a, b < l_i."""
+    return {i: _unit_products(blocks[i][0], w) for i, w in zip(which, fixed)}
+
+
+def _in_blocks(blocks, d_e: int, stacks: dict) -> list[np.ndarray]:
+    """Operators on S x E that vanish outside one block: each operator of
+    ``stacks[i]`` placed in block i, whose rows are contiguous."""
+    sizes = [l * r * d_e for l, r in blocks]
+    ends = np.cumsum(sizes)
+    out = []
+    for i, stack in stacks.items():
+        lo, hi = ends[i] - sizes[i], ends[i]
+        g = np.zeros((len(stack), ends[-1], ends[-1]), dtype=complex)
+        g[:, lo:hi, lo:hi] = stack
+        out.extend(g)
+    return out
 
 
 def _assemble_blocks(blocks, d_e, probs, states, fixed) -> np.ndarray:

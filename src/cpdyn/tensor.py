@@ -36,6 +36,7 @@ __all__ = [
     "psd_tolerance",
     "min_eigenvalue",
     "is_hermitian",
+    "psd_check",
     "is_psd",
     "check_density",
     "check_unitary",
@@ -183,27 +184,34 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return np.linalg.norm(m - m.conj().T) <= tol * max(1.0, np.linalg.norm(m))
 
 
-def is_psd(m: np.ndarray) -> bool:
-    """Hermitian, and PSD down to the scale-aware tolerance.
+def psd_check(m: np.ndarray) -> tuple[bool, float]:
+    """Whether ``m`` is Hermitian and PSD down to the scale-aware tolerance,
+    and the least eigenvalue of its Hermitian part.
 
     One ``eigvalsh`` of the Hermitian part gives both the smallest
     eigenvalue and the scale ``max |lambda|``, its spectral norm.
     """
-    if not is_hermitian(m):
-        return False
+    m = np.asarray(m)
     w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return bool(w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max())))
+    ok = is_hermitian(m) and w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max()))
+    return bool(ok), float(w[0])
+
+
+def is_psd(m: np.ndarray) -> bool:
+    """Hermitian, and PSD down to the scale-aware tolerance (``psd_check``)."""
+    return psd_check(m)[0]
 
 
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; returns the array."""
     rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho):
+    psd, _ = psd_check(rho)  # also False when rho is not Hermitian
+    if not psd and not is_hermitian(rho):
         raise ValueError(f"{name} is not Hermitian")
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"{name} has trace {tr}, expected 1")
-    if min_eigenvalue((rho + dagger(rho)) / 2) < -psd_tolerance(rho):
+    if not psd:
         raise ValueError(f"{name} is not positive semidefinite")
     return rho
 

@@ -26,6 +26,7 @@ from cpdyn.tensor import (
     is_psd,
     kron,
     min_eigenvalue,
+    psd_check,
     partial_trace,
     random_density,
     random_haar_unitary,
@@ -158,6 +159,27 @@ def test_is_psd_matches_svd_scaled_reference(rng):
                 assert is_psd(m) == is_psd_by_svd(m) == (margin >= -1.0)
                 assert is_cp(m) == is_psd(m)
     assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_psd_check_gives_cp_and_min_eigenvalue_from_one_spectrum(rng):
+    # Choi matrices of reduced dynamics: CP, Hermitian but not CP (the
+    # transpose), and not Hermitian (an arbitrary assignment matrix).
+    cases = [choi(transpose_channel(3)).astype(complex)]
+    for d_s, d_e in ((2, 2), (3, 2)):
+        d = d_s * d_e
+        for assign in (
+            product_assignment_matrix(random_density(d_e, d_e, rng), d_s),
+            rng.normal(size=(d * d, d_s * d_s)),
+        ):
+            cases.append(choi(reduced_dynamics(random_haar_unitary(d, rng), assign, d_s, d_e)))
+    verdicts = []
+    for ch in cases:
+        cp, min_eig = psd_check(ch)
+        # The two calls the reports used to make, bit for bit.
+        assert min_eig == min_eigenvalue((ch + ch.conj().T) / 2)
+        assert cp == is_psd_by_svd(ch)
+        verdicts.append(cp)
+    assert verdicts == [False, True, False, True, False]
 
 
 def test_reduced_dynamics_matches_direct_evaluation(rng):

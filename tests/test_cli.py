@@ -292,6 +292,27 @@ def test_demo1_kernel_dimensions_at_ds_3():
     assert report["summary"]["dim_v0"] == 64  # (9 - 1) * (9 - 1)
 
 
+def demo1_constraint_by_loop(omega_e, d_s):
+    """The reference: Tr_S X - tr(X) omega_E, one matrix unit at a time."""
+    d_e = omega_e.shape[0]
+    d = d_s * d_e
+    t_s = np.zeros((d_e * d_e, d * d), dtype=complex)
+    for e in range(d_e):
+        for ep in range(d_e):
+            for s in range(d_s):
+                t_s[e * d_e + ep, (s * d_e + e) * d + (s * d_e + ep)] = 1.0
+    return t_s - np.outer(omega_e.reshape(-1), np.eye(d).reshape(-1).conj())
+
+
+@pytest.mark.parametrize("d_e", [2, 3])
+@pytest.mark.parametrize("d_s", [2, 3, 4])
+def test_demo1_constraint_matches_the_loop(d_s, d_e):
+    omega_e = np.diag(np.arange(1.0, d_e + 1)).astype(complex)
+    omega_e /= np.trace(omega_e)
+    fast = cli.demo1_constraint(omega_e, d_s)
+    assert np.array_equal(fast, demo1_constraint_by_loop(omega_e, d_s))
+
+
 def test_demo2_summary_contents():
     report, code = run_args("demo", "2", "--trials", "5", "--seed", "12")
     assert code == 0

@@ -36,12 +36,10 @@ def test_full_space_and_its_kernel_are_orthonormal(d_s, d_e):
 
 
 def _family_span(family: str) -> OperatorSubspace:
-    rng = np.random.default_rng(71)
+    """V as `consistency --family` builds it, from the family's generators."""
     args = SimpleNamespace(family=family, ds=2, de=2, da=2, blocks=((1, 2), (2, 1)))
     args.ds = cli._system_dim(args)
-    spec = cli._random_spec(family, args, rng, cli._ambient_kernel(family, args.ds, args.de))
-    members = cli._family_members(spec, rng, args.ds**2 + 2)
-    return span_from_states(members, spec.d_s, spec.d_e)
+    return cli._build_subspace(args, np.random.default_rng(71))
 
 
 @pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
@@ -77,9 +75,9 @@ def test_trusted_subspace_computes_its_cached_kernel_once(monkeypatch):
     calls = []
     null_complement = consistency._null_complement
 
-    def counting(r, basis=None):
+    def counting(r, basis=None, **kwargs):
         calls.append(r.shape)
-        return null_complement(r, basis)
+        return null_complement(r, basis, **kwargs)
 
     monkeypatch.setattr(consistency, "_null_complement", counting)
     v = full_space(2, 3)
@@ -108,3 +106,18 @@ def test_canonical_assignment_and_kernel_share_one_rank_cutoff(eps):
     assert v.dim == 2 == kernel_tr_e(v).dim + rank
     assert a.trace_consistent
     assert np.linalg.norm(a.mat, 2) <= (1 + 1e-6) / kept[-1]
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_rank_floor_on_a_kernel_where_tr_e_vanishes(d_s, d_e):
+    # Tr_E on V0 has singular values of order 1e-16, rounding noise that
+    # the rank floor keeps from counting as rank.
+    v0 = full_space(d_s, d_e).kernel
+    assert v0.dim == d_s * d_s * (d_e * d_e - 1)
+    k = v0.kernel
+    assert k.dim == v0.dim
+    p0, pk = v0.basis @ v0.basis.conj().T, k.basis @ k.basis.conj().T
+    assert np.linalg.norm(pk - p0) <= 1e-12 * v0.dim
+    a = canonical_assignment(v0)
+    assert not a.domain_projector.any()
+    assert a.trace_consistent

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdyn.tensor import (
+    PSD_TOL_FACTOR,
     ad_u,
     check_density,
     check_unitary,
@@ -105,6 +106,37 @@ def test_random_density_rank_and_determinism():
     assert np.array_equal(rho, again)
     with pytest.raises(ValueError):
         random_density(2, 3, np.random.default_rng(0))
+
+
+def test_check_density_takes_positivity_from_one_eigvalsh(monkeypatch, rng):
+    _, v = np.linalg.eigh(random_hermitian(4, rng))
+    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    def no_spectral_norm(x, ord=None, *args, **kwargs):
+        assert ord != 2, "check_density took an SVD for the spectral norm"
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "norm", no_spectral_norm)
+    for margin in (0.5, 2.0):
+        # Least eigenvalue `margin` tolerances below zero, at scale 1.
+        w = np.array([-margin * PSD_TOL_FACTOR, 0.2, 0.3, 0.5 + margin * PSD_TOL_FACTOR])
+        rho = (v * w) @ v.conj().T
+        if margin < 1:
+            check_density(rho)
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                check_density(rho)
+    assert calls == [(4, 4), (4, 4)]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="has trace"):
+        check_density(np.eye(2))
 
 
 def test_random_density_mean_approaches_maximally_mixed():
