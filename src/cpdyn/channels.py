@@ -1,5 +1,5 @@
 """Linear maps on operator spaces: matrix representations, Choi matrices,
-signed Kraus sets and explicit operator-sum constructions.
+Kraus sets and explicit operator-sum constructions.
 
 A map Psi with input dimension ``d_in`` and output dimension ``d_out`` is
 stored as a ``(d_out**2, d_in**2)`` matrix acting on row-major vectorized
@@ -63,23 +63,19 @@ class ChannelMap:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Signed operator-sum representation {(e_i, E_i)}.
+    """Operator-sum representation x -> sum_i E_i x E_i^dag of a CP map.
 
-    ``coefficients`` are real; ``operators`` have shape (d_out, d_in).  When
-    ``all_positive``, the map is CP and admits the plain Kraus form with
-    operators sqrt(e_i) * E_i.
+    ``operators`` have shape (d_out, d_in).
     """
 
-    coefficients: tuple[float, ...]
     operators: tuple[np.ndarray, ...]
-    all_positive: bool
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return sum(e * k @ x @ dagger(k) for e, k in zip(self.coefficients, self.operators))
+        return sum(k @ x @ dagger(k) for k in self.operators)
 
     def closure(self) -> np.ndarray:
-        """sum_i e_i E_i^dag E_i; equals the input identity for TP maps."""
-        return sum(e * dagger(k) @ k for e, k in zip(self.coefficients, self.operators))
+        """sum_i E_i^dag E_i; equals the input identity for TP maps."""
+        return sum(dagger(k) @ k for k in self.operators)
 
 
 def channel_from_function(fn, d_in: int, d_out: int) -> ChannelMap:
@@ -95,8 +91,8 @@ def channel_from_function(fn, d_in: int, d_out: int) -> ChannelMap:
 
 def channel_from_kraus(k: KrausSet, d_in: int, d_out: int) -> ChannelMap:
     m = np.zeros((d_out**2, d_in**2), dtype=complex)
-    for e, op in zip(k.coefficients, k.operators):
-        m += e * np.kron(op, op.conj())
+    for op in k.operators:
+        m += np.kron(op, op.conj())
     return ChannelMap(d_in, d_out, m)
 
 
@@ -179,7 +175,6 @@ def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> 
     w, vmat = np.linalg.eigh(np.asarray(omega_e, dtype=complex))
     # Row index (s, e), column (s', e'): contract the environment slots.
     u4 = np.asarray(u, dtype=complex).reshape(d_s, d_e, d_s, d_e)
-    coeffs = []
     ops = []
     for l in range(d_e):
         lam = w[l].real
@@ -188,9 +183,8 @@ def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> 
         mu = vmat[:, l]
         u_mu = np.einsum("sket,t->ske", u4, mu)  # still indexed by k_E
         for k in range(d_e):
-            coeffs.append(1.0)
             ops.append(np.sqrt(lam) * u_mu[:, k, :])
-    return KrausSet(tuple(coeffs), tuple(ops), all_positive=True)
+    return KrausSet(tuple(ops))
 
 
 def kraus_classical_quantum(
@@ -201,25 +195,15 @@ def kraus_classical_quantum(
     ``basis`` holds the fixed orthonormal system basis as columns; each
     basis state i carries its own fixed environment state omegas[i].  The
     Kraus operators are ``D_ikl P_i`` with P_i the basis projector and
-    ``D_ikl = sqrt(lam_il) <k_E| U |mu_il>``.
+    ``D_ikl = sqrt(lam_il) <k_E| U |mu_il>`` the ``kraus_factorized``
+    operators for omegas[i].
     """
-    u4 = np.asarray(u, dtype=complex).reshape(d_s, d_e, d_s, d_e)
-    coeffs = []
     ops = []
     for i in range(d_s):
         b = basis[:, i]
         proj = np.outer(b, b.conj())
-        w, vmat = np.linalg.eigh(np.asarray(omegas[i], dtype=complex))
-        for l in range(d_e):
-            lam = w[l].real
-            if lam <= 1e-14:
-                continue
-            mu = vmat[:, l]
-            u_mu = np.einsum("sket,t->ske", u4, mu)
-            for k in range(d_e):
-                coeffs.append(1.0)
-                ops.append(np.sqrt(lam) * u_mu[:, k, :] @ proj)
-    return KrausSet(tuple(coeffs), tuple(ops), all_positive=True)
+        ops += [d @ proj for d in kraus_factorized(u, omegas[i], d_s, d_e).operators]
+    return KrausSet(tuple(ops))
 
 
 def choi_distance(a: ChannelMap, b: ChannelMap) -> float:

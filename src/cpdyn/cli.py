@@ -18,6 +18,7 @@ pair ``[seed, trial_index]``.  Exit code is 0 iff the summary pass flag is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -35,7 +36,6 @@ from .consistency import (
     full_space,
     kernel_tr_e,
     perturb_assignment,
-    random_kernel_perturbation,
     span_from_states,
     subspace_from_constraint,
     theorem1_verify,
@@ -438,7 +438,9 @@ def _demo2(args) -> dict:
 
     The canonical assignment attaches a maximally mixed environment; the
     reduced dynamics is exactly the system-side unitary conjugation for
-    every sampled product unitary, for any kernel perturbation.
+    every sampled product unitary, for any kernel perturbation: each
+    record's ``perturbation_deviation`` is ``u_consistency_violation``,
+    the exact deviation per unit perturbation.
     """
     ds, de = args.ds, args.de
     _check_dims(ds, de)
@@ -449,19 +451,16 @@ def _demo2(args) -> dict:
     per_u = []
     for i in range(args.trials):
         u_s = random_haar_unitary(ds, rng)
-        u_e = random_haar_unitary(de, rng)
-        psi = channels.reduced_dynamics(kron(u_s, u_e), assign.mat, ds, de)
+        u = kron(u_s, random_haar_unitary(de, rng))
+        psi = channels.reduced_dynamics(u, assign.mat, ds, de)
         target = channels.channel_from_function(lambda x: u_s @ x @ dagger(u_s), ds, ds)
         dist = channels.choi_distance(psi, target)
-        delta = random_kernel_perturbation(kernel, rng)
-        tilted = perturb_assignment(assign, delta, kernel)
-        psi_t = channels.reduced_dynamics(kron(u_s, u_e), tilted.mat, ds, de)
         per_u.append(
             {
                 "trial": i,
                 "cp": bool(channels.is_cp(channels.choi(psi))),
                 "unitary_conjugation_distance": float(dist),
-                "perturbation_deviation": channels.choi_distance(psi, psi_t),
+                "perturbation_deviation": consistency.u_consistency_violation(v, u),
             }
         )
     summary = {
@@ -498,7 +497,10 @@ def _config_echo(args) -> dict:
     return cfg
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cpdyn`` argument parser, built on the first call and shared by
+    every later one in the process."""
     parser = argparse.ArgumentParser(
         prog="cpdyn",
         description="Verify complete positivity of reduced open-system dynamics.",

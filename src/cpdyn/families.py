@@ -17,6 +17,7 @@ from .tensor import (
     kron,
     min_eigenvalue,
     partial_trace,
+    psd_check,
     psd_tolerance,
     random_density,
     unvec,
@@ -484,10 +485,11 @@ def random_markov_state_spec(
 def steer(omega_ase: np.ndarray, d_a: int, p_a: np.ndarray) -> np.ndarray:
     """Condition on a positive ancilla operator and trace A out.
 
-    Implements Tr_A[(P_A kron I_SE) omega_ASE], renormalized.
+    Implements Tr_A[(P_A kron I_SE) omega_ASE], renormalized.  Positivity
+    is checked on the Hermitian part of P_A.
     """
     p_a = np.asarray(p_a, dtype=complex)
-    if min_eigenvalue((p_a + p_a.conj().T) / 2) < -psd_tolerance(p_a):
+    if not psd_check((p_a + p_a.conj().T) / 2)[0]:
         raise ValueError("steering operator must be positive semidefinite")
     d = omega_ase.shape[0]
     d_se = d // d_a

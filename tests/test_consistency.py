@@ -25,7 +25,6 @@ from cpdyn.consistency import (
     g_consistency_report,
     kernel_tr_e,
     perturb_assignment,
-    random_kernel_perturbation,
     sample_unitaries,
     span_from_states,
     subspace_from_constraint,
@@ -47,8 +46,21 @@ from cpdyn.tensor import (
     random_haar_unitary,
     random_hermitian,
     swap_unitary,
+    tr_e,
     vec,
 )
+
+
+def random_kernel_perturbation(v0, rng, scale=0.1):
+    """A random linear map from vec L(H_S) into V0: Delta = K C with C a
+    complex Gaussian (dim V0, d_s^2) coefficient matrix."""
+    d_s = v0.d_s
+    if v0.dim == 0:
+        return np.zeros((v0.basis.shape[0], d_s * d_s), dtype=complex)
+    coeffs = scale * (
+        rng.normal(size=(v0.dim, d_s * d_s)) + 1j * rng.normal(size=(v0.dim, d_s * d_s))
+    )
+    return v0.basis @ coeffs
 
 
 def markov_span(rng, blocks=((1, 2), (2, 1)), d_e=2):
@@ -355,3 +367,100 @@ def test_local_consistency_is_exact_property(seed):
     _, v = markov_span(r)
     u = kron(random_haar_unitary(4, r), random_haar_unitary(2, r))
     assert u_consistency_violation(v, u) < 1e-9
+
+
+# The sampled perturbation path as the oracle for u_consistency_violation,
+# ||M_U||_F with M_U = Tr_E o Ad_U restricted to V0.
+
+def _random_span_7():
+    # The subspace `consistency --family random --span-states 7` builds.
+    r = np.random.default_rng(7)
+    return span_from_states([random_density(4, 4, r) for _ in range(7)], 2, 2)
+
+
+ORACLE_SUBSPACES = {
+    "full-2x2": lambda: full_space(2, 2),
+    "full-2x3": lambda: full_space(2, 3),
+    "full-3x2": lambda: full_space(3, 2),
+    "full-4x4": lambda: full_space(4, 4),
+    "random-7": _random_span_7,
+}
+
+
+def _oracle_unitary(kind, d_s, d_e, rng):
+    if kind == "haar":
+        return random_haar_unitary(d_s * d_e, rng)
+    return kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
+
+
+def _dense_m_u(k, u, d_s, d_e):
+    """M_U from the dense Tr_E matrix and kron(U, conj U)."""
+    return trace_out_env_matrix(d_s, d_e) @ np.kron(u, u.conj()) @ k
+
+
+@pytest.mark.parametrize("kind", ["haar", "local"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SUBSPACES))
+def test_kernel_perturbation_moves_dynamics_by_m_u_c(name, kind):
+    rng = np.random.default_rng(81)
+    v = ORACLE_SUBSPACES[name]()
+    d_s, d_e, v0 = v.d_s, v.d_e, kernel_tr_e(v)
+    assert v0.dim > 0
+    assign = canonical_assignment(v)
+    u = _oracle_unitary(kind, d_s, d_e, rng)
+    m_u = _dense_m_u(v0.basis, u, d_s, d_e)
+    hs = u_consistency_violation(v, u)
+    assert np.isclose(hs, np.linalg.norm(m_u), rtol=1e-12, atol=1e-13)
+    psi = reduced_dynamics(u, assign.mat, d_s, d_e)
+    for scale in (0.1, 1.0, 10.0):
+        delta = random_kernel_perturbation(v0, rng, scale)
+        c = v0.basis.conj().T @ delta
+        size = np.linalg.norm(delta)
+        assert np.isclose(np.linalg.norm(c), size, rtol=1e-12)
+        tilted = perturb_assignment(assign, delta, v0)
+        explicit = choi_distance(psi, reduced_dynamics(u, tilted.mat, d_s, d_e))
+        exact = np.linalg.norm(m_u @ c)
+        assert np.isclose(explicit, exact, rtol=1e-12, atol=1e-12 * size)
+        assert explicit <= hs * size * (1 + 1e-12) + 1e-12 * size
+    if kind == "haar":
+        assert hs > 1e-3
+    else:
+        assert hs < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["haar", "local"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SUBSPACES))
+def test_u_consistency_violation_ignores_the_kernel_basis(name, kind):
+    rng = np.random.default_rng(82)
+    v = ORACLE_SUBSPACES[name]()
+    d_s, d_e, k = v.d_s, v.d_e, kernel_tr_e(v).basis
+    # A subspace inside ker Tr_E is its own kernel, on the basis it is given.
+    q = random_haar_unitary(k.shape[1], rng)
+    v0, v0_rotated = OperatorSubspace(d_s, d_e, k), OperatorSubspace(d_s, d_e, k @ q)
+    assert np.array_equal(kernel_tr_e(v0_rotated).basis, v0_rotated.basis)
+    u = _oracle_unitary(kind, d_s, d_e, rng)
+    hs = u_consistency_violation(v, u)
+    for w in (v0, v0_rotated):
+        assert np.isclose(u_consistency_violation(w, u), hs, rtol=1e-12, atol=1e-12)
+    if kind == "haar":
+        # The column maximum reported before depends on the basis.
+        col_max = [
+            np.linalg.norm(tr_e(b, d_s, d_e, u), axis=0).max() for b in (k, k @ q)
+        ]
+        assert abs(col_max[0] - col_max[1]) > 1e-6 * hs
+
+
+@pytest.mark.parametrize("g", [AllUnitaries(3), LocalProducts(3)])
+@pytest.mark.parametrize("name", sorted(ORACLE_SUBSPACES))
+def test_theorem1_records_report_u_consistency_violation(name, g):
+    v = ORACLE_SUBSPACES[name]()
+    report = theorem1_verify(v, g, np.random.default_rng(83))
+    replay = np.random.default_rng(83)
+    checked = sample_unitaries(g, v.d_s, v.d_e, replay)  # g_consistency_report's draw
+    assert report["consistency"]["worst_violation"] == max(
+        u_consistency_violation(v, u) for _, u in checked
+    )
+    reported = sample_unitaries(g, v.d_s, v.d_e, replay)
+    assert [r["unitary"] for r in report["per_unitary"]] == [label for label, _ in reported]
+    assert [r["perturbation_deviation"] for r in report["per_unitary"]] == [
+        u_consistency_violation(v, u) for _, u in reported
+    ]

@@ -174,6 +174,19 @@ def test_steer_input_validation(rng):
         steer(omega, 2, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("low, ok", [(-1e-3, False), (-1e-7, False), (0.0, True), (0.2, True)])
+def test_steer_checks_the_positivity_of_p(low, ok):
+    rng = np.random.default_rng(31)
+    omega = build_markov_state(random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng))
+    w = random_haar_unitary(2, rng)
+    p_a = w @ np.diag([1.0, low]) @ w.conj().T
+    if ok:
+        check_density(steer(omega, 2, p_a))
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            steer(omega, 2, p_a)
+
+
 def test_kernel_extension_changes_state_but_not_marginal(rng):
     base = markov_spec(rng)
     spec = KernelExtendedSpec(base, kernel_tr_e(full_space(base.d_s, 2)).basis[:, :4])

@@ -1,7 +1,7 @@
 """Subspaces built inside cpdyn skip the constructor's Gram check because
 their bases are orthonormal by construction; here that check runs as an
-oracle on every internal construction.  Also: the canonical assignment's
-rank cutoff agrees with the kernel's."""
+oracle on every internal construction.  Also: the canonical assignment
+and the kernel read one factorization of Tr_E on V, with one rank cutoff."""
 
 from types import SimpleNamespace
 
@@ -88,6 +88,36 @@ def test_trusted_subspace_computes_its_cached_kernel_once(monkeypatch):
     checked = OperatorSubspace(2, 3, v.basis)  # the same basis through the public path
     assert np.array_equal(checked.basis, v.basis)
     assert np.array_equal(checked.kernel.basis, k.basis)
+
+
+def _random_span(d_s, d_e, n):
+    r = np.random.default_rng(9)
+    return span_from_states([random_density(d_s * d_e, d_s * d_e, r) for _ in range(n)], d_s, d_e)
+
+
+@pytest.mark.parametrize("build", [lambda: full_space(2, 3), lambda: _random_span(2, 2, 7)])
+def test_kernel_and_canonical_assignment_share_one_svd(monkeypatch, build):
+    v = build()
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    k, a = v.kernel, canonical_assignment(v)
+    assert canonical_assignment(v).mat.tobytes() == a.mat.tobytes()
+    assert calls == [(v.d_s**2, v.dim)]
+    monkeypatch.undo()
+    # The separately factored pseudoinverse section is the oracle.
+    r = tr_e(v.basis, v.d_s, v.d_e)
+    u, sv, vh = np.linalg.svd(r, full_matrices=False)
+    n = consistency._rank(sv, floor=1.0)
+    r_pinv = vh[:n].conj().T @ (u[:, :n].conj().T / sv[:n, None])
+    assert np.array_equal(a.mat, v.basis @ r_pinv)
+    assert np.linalg.norm(a.domain_projector - r @ r_pinv) <= 1e-12
+    assert v.dim == k.dim + n
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-11])
