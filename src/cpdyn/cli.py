@@ -11,8 +11,10 @@ Subcommands:
 * ``demo``          — the two worked swap / local-product scenarios.
 
 Reports are deterministic functions of (command, config, seed) except for
-the ``wall_time_s`` field.  Per-trial RNG streams are seeded with the
-pair ``[seed, trial_index]``.  Exit code is 0 iff the summary pass flag is set.
+the ``wall_time_s`` field.  ``verify-family`` and ``dpi`` trials draw from
+RNG streams seeded with the pair ``[seed, trial_index]``; ``consistency``,
+``theorem1`` and ``demo`` draw their unitaries once, from the seed's stream.
+Exit code is 0 iff the summary pass flag is set.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .tensor import (
     psd_check,
     random_density,
     random_haar_unitary,
+    swap_unitary,
     vec,
 )
 
@@ -76,6 +79,13 @@ def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
     if any(len(b) != 2 or b[0] < 1 or b[1] < 1 for b in blocks):
         raise argparse.ArgumentTypeError(f"bad block layout {text!r}")
     return blocks
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -282,22 +292,17 @@ def cmd_consistency(args) -> dict:
     v = _build_subspace(args, rng)
     _check_swap(args.g, v.d_s, v.d_e)
     g = _unitary_set(args.g, args.trials)
-    report = consistency.g_consistency_report(v, g, rng)
-    kernel = kernel_tr_e(v)
-    one = _unitary_set(args.g, 1)  # each record draws the one unitary it reports
+    unitaries = consistency.sample_unitaries(g, v.d_s, v.d_e, rng)
+    violations = [consistency.u_consistency_violation(v, u) for _, u in unitaries]
+    report = consistency.g_consistency_report(v, g, violations, args.tol)
     trials = [
-        {
-            "trial": i,
-            "violation": consistency.u_consistency_violation(
-                v, consistency.sample_unitaries(one, v.d_s, v.d_e, _trial_rng(args.seed, i))[0][1]
-            ),
-        }
-        for i in range(min(args.trials, 10))
+        {"trial": i, "unitary": label, "violation": x}
+        for i, ((label, _), x) in enumerate(zip(unitaries[:10], violations))
     ]
     summary = {
         "pass": bool(report["consistent"]),
         "dim_v": v.dim,
-        "dim_v0": kernel.dim,
+        "dim_v0": report["dim_v0"],
         "worst_violation": report["worst_violation"],
         "exact": report["exact"],
     }
@@ -406,9 +411,7 @@ def _demo1(args) -> dict:
     product = perturb_assignment(canon, prod_mat - canon.mat, kernel)
     report = theorem1_verify(v, SwapOnly(), rng, assignment=product, tol=args.tol)
     # The swap turns any member into its system marginal read on S.
-    psi = channels.reduced_dynamics(
-        consistency.sample_unitaries(SwapOnly(), ds, de, rng)[0][1], product.mat, ds, de
-    )
+    psi = channels.reduced_dynamics(swap_unitary(ds), product.mat, ds, de)
     constant = channels.channel_from_function(
         lambda x: np.trace(x) * omega_e, ds, ds
     )
@@ -507,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=50):
+    def common(p, trials=50, tol=True):
         p.add_argument("--ds", type=int, default=2, help="system dimension")
         p.add_argument("--de", type=int, default=2, help="environment dimension")
         p.add_argument("--da", type=int, default=2, help="ancilla dimension")
@@ -519,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
+        if tol:
+            p.add_argument("--tol", type=_positive_float, default=consistency.CONSISTENCY_TOL)
         p.add_argument("--out", type=str, default=None, help="report output path")
         p.add_argument(
             "--g",
@@ -530,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-family", help="CP/TP sweep over one family")
     p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_verify_family)
 
     p = sub.add_parser("consistency", help="subspace consistency report")
@@ -574,8 +578,6 @@ def run(argv=None) -> tuple[dict, int]:
         args.seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
     if args.trials < 1:
         parser.error("--trials must be >= 1")
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
     if args.g is None:
         args.g = _default_g(args)
     start = time.monotonic()

@@ -298,37 +298,31 @@ def sample_unitaries(g, d_s: int, d_e: int, rng: np.random.Generator):
     raise TypeError(f"unknown unitary set spec {type(g).__name__}")
 
 
-def g_consistency_report(v: OperatorSubspace, g, rng: np.random.Generator) -> dict:
-    """Consistency of a subspace over a unitary set, with exact shortcuts.
+def g_consistency_report(
+    v: OperatorSubspace, g, violations: list[float], tol: float = CONSISTENCY_TOL
+) -> dict:
+    """Consistency of a subspace over a unitary set, summarized from the
+    ``u_consistency_violation`` of each unitary the caller checked.
 
-    ``worst_violation`` is the largest ``u_consistency_violation`` over the
-    sampled unitaries.  An empty kernel is consistent for every unitary.
-    Local product unitaries conjugate the kernel into itself exactly, so
-    that variant is reported as exact as well; sampled violations are
-    reported alongside.
+    ``worst_violation`` is the largest of ``violations``, and the set is
+    consistent when it is at most ``tol``.  An empty kernel is consistent
+    for every unitary, and local product unitaries conjugate the kernel
+    into itself exactly, so both are reported as exact; the checked
+    violations are reported alongside.
     """
-    kernel = kernel_tr_e(v)
-    report = {
+    dim_v0 = kernel_tr_e(v).dim
+    # Tr_E((U_S x U_E) Y (U_S x U_E)^dag) = U_S Tr_E(Y) U_S^dag = 0.
+    exact = dim_v0 == 0 or isinstance(g, LocalProducts)
+    worst = max(violations, default=0.0)
+    return {
         "set": type(g).__name__,
         "dim_v": v.dim,
-        "dim_v0": kernel.dim,
-        "exact": False,
-        "consistent": True,
-        "worst_violation": 0.0,
-        "checked": 0,
+        "dim_v0": dim_v0,
+        "exact": exact,
+        "consistent": exact or worst <= tol,
+        "worst_violation": worst,
+        "checked": len(violations),
     }
-    if kernel.dim == 0:
-        report["exact"] = True
-        return report
-    if isinstance(g, LocalProducts):
-        # Tr_E((U_S x U_E) Y (U_S x U_E)^dag) = U_S Tr_E(Y) U_S^dag = 0.
-        report["exact"] = True
-    unitaries = sample_unitaries(g, v.d_s, v.d_e, rng)
-    worst = max((u_consistency_violation(v, u) for _, u in unitaries), default=0.0)
-    report["checked"] = len(unitaries)
-    report["worst_violation"] = worst
-    report["consistent"] = report["exact"] or worst <= CONSISTENCY_TOL
-    return report
 
 
 def assignment_from_matrix(
@@ -419,16 +413,16 @@ def theorem1_verify(
 ) -> dict:
     """Check the subspace/assignment route to CP reduced dynamics.
 
-    Reports (a) consistency of the subspace over the unitary set, (b) the
-    CP flag of the assignment, and per-unitary CP/TP verdicts of the
-    reduced channel.  Each record's ``perturbation_deviation`` is
-    ``u_consistency_violation`` for its unitary: the exact bound on how far
-    the reduced dynamics moves per unit Frobenius norm of a kernel-valued
-    perturbation of the assignment.  The combined check passes when (a)
-    and (b) imply CP dynamics and perturbation independence throughout.
+    Draws the unitary set once and reports, over those unitaries, (a)
+    consistency of the subspace, (b) the CP flag of the assignment, and
+    per-unitary CP/TP verdicts of the reduced channel.  Each record's
+    ``perturbation_deviation`` is ``u_consistency_violation`` for its
+    unitary: the exact bound on how far the reduced dynamics moves per unit
+    Frobenius norm of a kernel-valued perturbation of the assignment; (a)
+    is the summary of those same values against ``tol``.  The combined
+    check passes when (a) and (b) imply CP dynamics and perturbation
+    independence throughout.
     """
-    kernel = kernel_tr_e(v)
-    consistency = g_consistency_report(v, g, rng)
     assign = canonical_assignment(v) if assignment is None else assignment
     per_u = []
     for label, u in sample_unitaries(g, v.d_s, v.d_e, rng):
@@ -443,13 +437,14 @@ def theorem1_verify(
                 "perturbation_deviation": u_consistency_violation(v, u),
             }
         )
-    premises = bool(consistency["consistent"]) and bool(assign.cp)
-    conclusion = all(rec["cp"] for rec in per_u) and all(
-        rec["perturbation_deviation"] <= tol for rec in per_u
+    consistency = g_consistency_report(
+        v, g, [rec["perturbation_deviation"] for rec in per_u], tol
     )
+    premises = bool(consistency["consistent"]) and bool(assign.cp)
+    conclusion = all(rec["cp"] for rec in per_u) and consistency["worst_violation"] <= tol
     return {
         "dim_v": v.dim,
-        "dim_v0": kernel.dim,
+        "dim_v0": consistency["dim_v0"],
         "consistency": consistency,
         "assignment": {
             "trace_consistent": bool(assign.trace_consistent),

@@ -115,8 +115,31 @@ def test_bad_block_layout_rejected():
 def test_bad_trials_and_tol_rejected():
     with pytest.raises(SystemExit):
         run_args("verify-family", "--family", "factorized", "--trials", "0")
+    for argv in (("consistency", "--tol", "-1"), ("theorem1", "--tol", "0"),
+                 ("demo", "1", "--tol", "nan")):
+        with pytest.raises(SystemExit):
+            run_args(*argv, "--trials", "1")
+
+
+def test_verify_family_has_no_tol():
+    # No verify-family decision reads a tolerance, so the flag is not offered.
     with pytest.raises(SystemExit):
-        run_args("verify-family", "--family", "factorized", "--tol", "-1")
+        run_args("verify-family", "--family", "factorized", "--tol", "1e-3", "--trials", "1")
+    report, _ = run_args("verify-family", "--family", "factorized", "--trials", "1")
+    assert "tol" not in report["config"]
+
+
+def test_consistency_verdict_flips_as_tol_crosses_worst_violation():
+    argv = ("consistency", "--family", "random", "--span-states", "7", "--g", "all",
+            "--trials", "3", "--seed", "1")
+    report, code = run_args(*argv)
+    worst = report["summary"]["worst_violation"]
+    assert code == 1 and worst > 1e-3
+    at, code_at = run_args(*argv, "--tol", repr(worst))
+    below, code_below = run_args(*argv, "--tol", repr(worst * (1 - 1e-12)))
+    assert code_at == 0 and at["summary"]["pass"]
+    assert code_below == 1 and not below["summary"]["pass"]
+    assert at["summary"]["worst_violation"] == below["summary"]["worst_violation"] == worst
 
 
 def test_consistency_command_local_exact():
@@ -219,26 +242,76 @@ def test_full_space_command_factors_tr_e_once(monkeypatch, command):
     assert calls == [(4, 16)]  # Tr_E restricted to V, factored once
 
 
-def _parent_trial_violations(argv):
-    """The consistency records as first written: each record drew `--trials`
-    unitaries from its own stream and kept the first."""
+def _checked_unitaries(argv):
+    """A consistency report's subspace and checked unitaries, replayed: the
+    subspace, then one draw of `--trials` unitaries from the seed stream."""
     args = build_parser().parse_args(argv)
     args.ds = cli._system_dim(args)
-    v = cli._build_subspace(args, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    v = cli._build_subspace(args, rng)
     g = cli._unitary_set(args.g, args.trials)
-    return [
-        consistency.u_consistency_violation(
-            v, consistency.sample_unitaries(g, v.d_s, v.d_e, cli._trial_rng(args.seed, i))[0][1]
-        )
-        for i in range(min(args.trials, 10))
-    ]
+    return v, consistency.sample_unitaries(g, v.d_s, v.d_e, rng)
 
 
 @pytest.mark.parametrize("g", ["all", "local"])
-def test_consistency_records_draw_only_the_unitary_they_report(g):
-    argv = ["consistency", "--family", "full", "--g", g, "--trials", "7", "--seed", "4"]
+def test_consistency_records_are_the_checked_unitaries(g):
+    argv = ["consistency", "--family", "full", "--g", g, "--trials", "12", "--seed", "4"]
     report, _ = run(argv)
-    assert [t["violation"] for t in report["trials"]] == _parent_trial_violations(argv)
+    v, checked = _checked_unitaries(argv)
+    violations = [consistency.u_consistency_violation(v, u) for _, u in checked]
+    assert report["summary"]["worst_violation"] == max(violations)
+    # The records are the first ten of the checked set, each naming its unitary.
+    assert [t["unitary"] for t in report["trials"]] == [label for label, _ in checked[:10]]
+    assert [t["violation"] for t in report["trials"]] == violations[:10]
+
+
+@pytest.mark.parametrize(
+    "argv, n_drawn",
+    [
+        (("consistency", "--family", "full", "--trials", "12"), 12),
+        (("consistency", "--family", "factorized", "--trials", "3"), 3),  # empty kernel
+        (("theorem1", "--family", "full", "--g", "local", "--trials", "3"), 3),
+        (("theorem1", "--family", "random", "--span-states", "7", "--trials", "3"), 3),
+        (("demo", "1", "--trials", "3"), 1),  # the swap
+        (("demo", "2", "--trials", "3"), 3),
+    ],
+)
+def test_one_u_consistency_violation_per_drawn_unitary(monkeypatch, argv, n_drawn):
+    calls, drawn = [], []
+    violation, sample = consistency.u_consistency_violation, consistency.sample_unitaries
+
+    def counting_violation(v, u):
+        calls.append(u)
+        return violation(v, u)
+
+    def recording_sample(*args):
+        out = sample(*args)
+        drawn.extend(u for _, u in out)
+        return out
+
+    monkeypatch.setattr(consistency, "u_consistency_violation", counting_violation)
+    monkeypatch.setattr(consistency, "sample_unitaries", recording_sample)
+    run_args(*argv, "--seed", "5")
+    assert len(calls) == n_drawn
+    if argv[:2] != ("demo", "2"):  # demo 2 draws its product unitaries itself
+        assert len(drawn) == n_drawn
+        assert all(c is d for c, d in zip(calls, drawn))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("demo", "1"), ("demo", "2"), ("consistency", "--family", "factorized")],
+)
+def test_demo_and_empty_kernel_reports_validate(argv):
+    report, code = run_args(*argv, "--trials", "3", "--seed", "6")
+    assert code == 0
+    jsonschema.validate(report, SCHEMA)
+    if argv[0] == "consistency":
+        s = report["summary"]
+        assert s["dim_v0"] == 0 and s["exact"] and s["worst_violation"] == 0.0
+        assert [(t["unitary"], t["violation"]) for t in report["trials"]] == [
+            (f"haar_{i}", 0.0) for i in range(3)
+        ]
 
 
 def test_dpi_block_layout_counts_against_the_cap():

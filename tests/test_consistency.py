@@ -126,13 +126,20 @@ def test_subspace_from_constraint_is_null_space(rng):
     assert np.linalg.norm(a @ v.basis) < 1e-9
 
 
+def checked_report(v, g, rng, tol=CONSISTENCY_TOL):
+    """g_consistency_report over one draw of the unitary set."""
+    unitaries = sample_unitaries(g, v.d_s, v.d_e, rng)
+    return g_consistency_report(v, g, [u_consistency_violation(v, u) for _, u in unitaries], tol)
+
+
 def test_product_span_is_locally_consistent(rng):
     spec, v = markov_span(rng)
     d_s, d_e = spec.d_s, spec.d_e
     u_local = kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
     assert u_consistency_violation(v, u_local) <= CONSISTENCY_TOL
-    report = g_consistency_report(v, LocalProducts(5), rng)
+    report = checked_report(v, LocalProducts(5), rng)
     assert report["exact"] and report["consistent"]
+    assert report["checked"] == 5
     assert report["worst_violation"] < 1e-9
 
 
@@ -148,16 +155,24 @@ def test_generic_unitary_breaks_consistency(rng):
     assert kernel_tr_e(v).dim > 0
     u = random_haar_unitary(4, rng)
     assert u_consistency_violation(v, u) > 1e-3
-    report = g_consistency_report(v, AllUnitaries(3), rng)
-    assert not report["consistent"]
+    report = checked_report(v, AllUnitaries(3), rng)
+    assert not report["consistent"] and not report["exact"]
+    assert report["checked"] == 3
+    # The verdict is the worst checked violation against tol, nothing redrawn.
+    worst = report["worst_violation"]
+    g = AllUnitaries(3)
+    assert g_consistency_report(v, g, [worst, 0.0], tol=worst)["consistent"]
+    assert not g_consistency_report(v, g, [worst, 0.0], tol=worst * (1 - 1e-12))["consistent"]
+    assert g_consistency_report(v, LocalProducts(3), [worst])["consistent"]
 
 
 def test_zero_kernel_is_always_consistent(rng):
     rho = random_density(4, 4, rng)
     v = span_from_states([rho], 2, 2)
     assert kernel_tr_e(v).dim == 0
-    report = g_consistency_report(v, AllUnitaries(3), rng)
+    report = checked_report(v, AllUnitaries(3), rng)
     assert report["exact"] and report["consistent"]
+    assert report["checked"] == 3 and report["worst_violation"] == 0.0
 
 
 def test_sample_unitaries_variants(rng):
@@ -454,13 +469,13 @@ def test_u_consistency_violation_ignores_the_kernel_basis(name, kind):
 def test_theorem1_records_report_u_consistency_violation(name, g):
     v = ORACLE_SUBSPACES[name]()
     report = theorem1_verify(v, g, np.random.default_rng(83))
-    replay = np.random.default_rng(83)
-    checked = sample_unitaries(g, v.d_s, v.d_e, replay)  # g_consistency_report's draw
-    assert report["consistency"]["worst_violation"] == max(
-        u_consistency_violation(v, u) for _, u in checked
-    )
-    reported = sample_unitaries(g, v.d_s, v.d_e, replay)
-    assert [r["unitary"] for r in report["per_unitary"]] == [label for label, _ in reported]
-    assert [r["perturbation_deviation"] for r in report["per_unitary"]] == [
-        u_consistency_violation(v, u) for _, u in reported
+    records, checked = report["per_unitary"], report["consistency"]
+    # One draw: the records name the first unitaries of the stream, and the
+    # consistency block summarizes those same records.
+    drawn = sample_unitaries(g, v.d_s, v.d_e, np.random.default_rng(83))
+    assert [r["unitary"] for r in records] == [label for label, _ in drawn]
+    assert [r["perturbation_deviation"] for r in records] == [
+        u_consistency_violation(v, u) for _, u in drawn
     ]
+    assert checked["checked"] == len(records)
+    assert checked["worst_violation"] == max(r["perturbation_deviation"] for r in records)

@@ -1,0 +1,68 @@
+"""Metamorphic tests of the reduced dynamics at d_s, d_e in {2, 3, 4}.
+
+Each test runs the verifier on a transformed input and checks the output
+against the transformation the theory predicts, with no stored value:
+
+* a unitary W on E applied after U is traced out, so (I x W) U gives the
+  same channel Psi and the same ||M_U||_HS as U;
+* a unitary change of basis W on S, applied to the spanning states and to
+  U, turns Psi into Ad_W o Psi o Ad_W^dag, whose Choi matrix is the old
+  one conjugated by conj(W) x W.
+"""
+
+import numpy as np
+import pytest
+
+from cpdyn.channels import choi, reduced_dynamics
+from cpdyn.consistency import (
+    canonical_assignment,
+    kernel_tr_e,
+    span_from_states,
+    u_consistency_violation,
+)
+from cpdyn.tensor import dagger, kron, random_density, random_haar_unitary
+
+DIMS = [(d_s, d_e) for d_s in (2, 3, 4) for d_e in (2, 3, 4)]
+
+
+def generic_states(d_s, d_e, rng):
+    """d_s^2 + 2 generic states: Tr_E maps their span onto L(H_S), and the
+    kernel of Tr_E in the span has dimension 2."""
+    d = d_s * d_e
+    return [random_density(d, d, rng) for _ in range(d_s * d_s + 2)]
+
+
+@pytest.mark.parametrize("d_s, d_e", DIMS)
+def test_environment_unitary_after_u_changes_nothing(d_s, d_e):
+    rng = np.random.default_rng(100 * d_s + d_e)
+    v = span_from_states(generic_states(d_s, d_e, rng), d_s, d_e)
+    assert kernel_tr_e(v).dim == 2
+    assign = canonical_assignment(v)
+    u = random_haar_unitary(d_s * d_e, rng)
+    uw = kron(np.eye(d_s), random_haar_unitary(d_e, rng)) @ u
+    psi = reduced_dynamics(u, assign.mat, d_s, d_e).mat
+    psi_w = reduced_dynamics(uw, assign.mat, d_s, d_e).mat
+    assert np.abs(psi_w - psi).max() <= 1e-12 * max(1.0, np.abs(psi).max())
+    hs = u_consistency_violation(v, u)
+    assert hs > 1e-3  # a Haar U is not consistent on a generic kernel
+    assert np.isclose(u_consistency_violation(v, uw), hs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d_s, d_e", DIMS)
+def test_system_change_of_basis_conjugates_the_choi_matrix(d_s, d_e):
+    rng = np.random.default_rng(200 * d_s + d_e)
+    states = generic_states(d_s, d_e, rng)
+    w = random_haar_unitary(d_s, rng)
+    w_se = kron(w, np.eye(d_e))
+    v = span_from_states(states, d_s, d_e)
+    v_w = span_from_states([w_se @ s @ dagger(w_se) for s in states], d_s, d_e)
+    assert v_w.dim == v.dim and kernel_tr_e(v_w).dim == kernel_tr_e(v).dim
+    u = random_haar_unitary(d_s * d_e, rng)
+    u_w = w_se @ u @ dagger(w_se)
+    c = choi(reduced_dynamics(u, canonical_assignment(v).mat, d_s, d_e))
+    c_w = choi(reduced_dynamics(u_w, canonical_assignment(v_w).mat, d_s, d_e))
+    x = np.kron(w.conj(), w)
+    assert np.abs(c_w - x @ c @ dagger(x)).max() <= 1e-10 * max(1.0, np.abs(c).max())
+    assert np.isclose(
+        u_consistency_violation(v_w, u_w), u_consistency_violation(v, u), rtol=1e-10
+    )
