@@ -37,9 +37,6 @@ from .tensor import (
 __all__ = [
     "OperatorSubspace",
     "AssignmentMap",
-    "AllUnitaries",
-    "LocalProducts",
-    "SwapOnly",
     "span_from_states",
     "full_space",
     "subspace_from_constraint",
@@ -165,21 +162,6 @@ class AssignmentMap:
         return choi(self.as_channel())
 
 
-@dataclass(frozen=True)
-class AllUnitaries:
-    samples: int = 100
-
-
-@dataclass(frozen=True)
-class LocalProducts:
-    samples: int = 100
-
-
-@dataclass(frozen=True)
-class SwapOnly:
-    pass
-
-
 def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
     """Orthonormalized span of a list of operators; dimension is the
     numerical rank of the stack."""
@@ -277,32 +259,32 @@ def u_consistency_violation(v: OperatorSubspace, u: np.ndarray) -> float:
     return float(np.linalg.norm(tr_e(k.basis, v.d_s, v.d_e, u)))
 
 
-def sample_unitaries(g, d_s: int, d_e: int, rng: np.random.Generator):
-    """Concrete unitaries (with labels) representing a unitary-set spec."""
-    if isinstance(g, AllUnitaries):
-        return [
-            (f"haar_{i}", random_haar_unitary(d_s * d_e, rng)) for i in range(g.samples)
-        ]
-    if isinstance(g, LocalProducts):
+def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generator):
+    """``n`` labelled unitaries drawn from the set named ``g``: ``"all"``
+    (Haar on S x E), ``"local"`` (Haar products U_S x U_E) or ``"swap"``
+    (the one swap, whatever ``n``)."""
+    if g == "all":
+        return [(f"haar_{i}", random_haar_unitary(d_s * d_e, rng)) for i in range(n)]
+    if g == "local":
         return [
             (
                 f"local_{i}",
                 kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng)),
             )
-            for i in range(g.samples)
+            for i in range(n)
         ]
-    if isinstance(g, SwapOnly):
+    if g == "swap":
         if d_s != d_e:
             raise ValueError("swap needs equal system and environment dimensions")
         return [("swap", swap_unitary(d_s))]
-    raise TypeError(f"unknown unitary set spec {type(g).__name__}")
+    raise ValueError(f"unknown unitary set {g!r}")
 
 
 def g_consistency_report(
-    v: OperatorSubspace, g, violations: list[float], tol: float = CONSISTENCY_TOL
+    v: OperatorSubspace, g: str, violations: list[float], tol: float = CONSISTENCY_TOL
 ) -> dict:
-    """Consistency of a subspace over a unitary set, summarized from the
-    ``u_consistency_violation`` of each unitary the caller checked.
+    """Consistency of a subspace over the unitary set named ``g``, summarized
+    from the ``u_consistency_violation`` of each unitary the caller checked.
 
     ``worst_violation`` is the largest of ``violations``, and the set is
     consistent when it is at most ``tol``.  An empty kernel is consistent
@@ -312,10 +294,10 @@ def g_consistency_report(
     """
     dim_v0 = kernel_tr_e(v).dim
     # Tr_E((U_S x U_E) Y (U_S x U_E)^dag) = U_S Tr_E(Y) U_S^dag = 0.
-    exact = dim_v0 == 0 or isinstance(g, LocalProducts)
+    exact = dim_v0 == 0 or g == "local"
     worst = max(violations, default=0.0)
     return {
-        "set": type(g).__name__,
+        "set": g,
         "dim_v": v.dim,
         "dim_v0": dim_v0,
         "exact": exact,
@@ -406,16 +388,17 @@ def witness_gamma_threshold(omega_e: np.ndarray, delta_e: np.ndarray, d_s: int) 
 
 def theorem1_verify(
     v: OperatorSubspace,
-    g,
-    rng: np.random.Generator,
+    g: str,
+    unitaries: list[tuple[str, np.ndarray]],
     assignment: AssignmentMap | None = None,
     tol: float = CONSISTENCY_TOL,
 ) -> dict:
     """Check the subspace/assignment route to CP reduced dynamics.
 
-    Draws the unitary set once and reports, over those unitaries, (a)
-    consistency of the subspace, (b) the CP flag of the assignment, and
-    per-unitary CP/TP verdicts of the reduced channel.  Each record's
+    Reports, over the labelled ``unitaries`` the caller drew from the set
+    named ``g`` (see ``sample_unitaries``), (a) consistency of the
+    subspace, (b) the CP flag of the assignment, and per-unitary CP/TP
+    verdicts of the reduced channel; nothing is drawn here.  Each record's
     ``perturbation_deviation`` is ``u_consistency_violation`` for its
     unitary: the exact bound on how far the reduced dynamics moves per unit
     Frobenius norm of a kernel-valued perturbation of the assignment; (a)
@@ -425,7 +408,7 @@ def theorem1_verify(
     """
     assign = canonical_assignment(v) if assignment is None else assignment
     per_u = []
-    for label, u in sample_unitaries(g, v.d_s, v.d_e, rng):
+    for label, u in unitaries:
         psi = reduced_dynamics(u, assign.mat, v.d_s, v.d_e)
         cp, min_eig = psd_check(choi(psi))
         per_u.append(

@@ -7,8 +7,9 @@ import pytest
 
 import numpy as np
 
-from cpdyn import cli, consistency, families
+from cpdyn import channels, cli, consistency, families
 from cpdyn.cli import build_parser, ghz_state, main, run
+from cpdyn.tensor import random_haar_unitary
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json").read_text()
@@ -249,8 +250,7 @@ def _checked_unitaries(argv):
     args.ds = cli._system_dim(args)
     rng = np.random.default_rng(args.seed)
     v = cli._build_subspace(args, rng)
-    g = cli._unitary_set(args.g, args.trials)
-    return v, consistency.sample_unitaries(g, v.d_s, v.d_e, rng)
+    return v, consistency.sample_unitaries(args.g, args.trials, v.d_s, v.d_e, rng)
 
 
 @pytest.mark.parametrize("g", ["all", "local"])
@@ -277,7 +277,7 @@ def test_consistency_records_are_the_checked_unitaries(g):
     ],
 )
 def test_one_u_consistency_violation_per_drawn_unitary(monkeypatch, argv, n_drawn):
-    calls, drawn = [], []
+    calls, draws = [], []
     violation, sample = consistency.u_consistency_violation, consistency.sample_unitaries
 
     def counting_violation(v, u):
@@ -286,16 +286,16 @@ def test_one_u_consistency_violation_per_drawn_unitary(monkeypatch, argv, n_draw
 
     def recording_sample(*args):
         out = sample(*args)
-        drawn.extend(u for _, u in out)
+        draws.append([u for _, u in out])
         return out
 
     monkeypatch.setattr(consistency, "u_consistency_violation", counting_violation)
     monkeypatch.setattr(consistency, "sample_unitaries", recording_sample)
-    run_args(*argv, "--seed", "5")
-    assert len(calls) == n_drawn
-    if argv[:2] != ("demo", "2"):  # demo 2 draws its product unitaries itself
-        assert len(drawn) == n_drawn
-        assert all(c is d for c, d in zip(calls, drawn))
+    report, _ = run_args(*argv, "--seed", "5")
+    (drawn,) = draws  # one draw per report
+    assert len(drawn) == len(calls) == n_drawn
+    assert all(c is d for c, d in zip(calls, drawn))
+    assert all("unitary" in t for t in report["trials"])
 
 
 @pytest.mark.parametrize(
@@ -393,6 +393,57 @@ def test_demo2_summary_contents():
     assert s["dim_v0"] == 12
     assert s["canonical_assignment_cp"]
     assert s["worst_perturbation_deviation"] <= 1e-9
+    assert s["maximally_mixed_distance"] <= 1e-8
+    theorem = report["theorem"]
+    assert theorem["premises_hold"] and theorem["conclusion_holds"]
+    assert theorem["consistency"]["set"] == "local" and theorem["consistency"]["exact"]
+    assert report["trials"] == theorem["per_unitary"]
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (2, 4)])
+def test_demo2_records_are_the_system_conjugation(ds, de):
+    """Oracle for the one U-independent check demo 2 makes: the reduced
+    dynamics of every drawn product U_S x U_E is Ad_{U_S}, replayed from
+    the seed's stream."""
+    seed, trials = 12, 4
+    report, code = run_args(
+        "demo", "2", "--ds", str(ds), "--de", str(de), "--trials", str(trials),
+        "--seed", str(seed),
+    )
+    assert code == 0
+    assert report["summary"]["maximally_mixed_distance"] <= 1e-8
+    records = report["trials"]
+    assert [r["unitary"] for r in records] == [f"local_{i}" for i in range(trials)]
+    drawn = consistency.sample_unitaries("local", trials, ds, de, np.random.default_rng(seed))
+    v = consistency.full_space(ds, de)
+    assign = consistency.canonical_assignment(v)
+    rng = np.random.default_rng(seed)
+    for rec, (_, u) in zip(records, drawn):
+        u_s = random_haar_unitary(ds, rng)
+        assert np.array_equal(u, np.kron(u_s, random_haar_unitary(de, rng)))
+        psi = channels.reduced_dynamics(u, assign.mat, ds, de)
+        target = channels.channel_from_function(lambda x: u_s @ x @ u_s.conj().T, ds, ds)
+        assert channels.choi_distance(psi, target) <= 1e-8
+        assert rec["cp"] and rec["tp"]
+        assert rec["perturbation_deviation"] == consistency.u_consistency_violation(v, u)
+
+
+@pytest.mark.parametrize(
+    "argv", [("theorem1",), ("consistency",), ("demo", "2"), ("dpi",)]
+)
+def test_tol_below_the_rounding_floor_is_an_argument_error(argv, capsys):
+    with pytest.raises(SystemExit):
+        run_args(*argv, "--tol", "1e-20", "--trials", "1")
+    assert "--tol: must be at least 1e-12, the rounding floor" in capsys.readouterr().err
+
+
+def test_tol_at_the_rounding_floor_certifies_local_products():
+    report, code = run_args(
+        "theorem1", "--family", "full", "--g", "local", "--tol", "1e-12",
+        "--trials", "3", "--seed", "1",
+    )
+    assert code == 0
+    assert report["theorem"]["premises_hold"] and report["theorem"]["conclusion_holds"]
 
 
 def test_ghz_state_is_pure_and_normalized():

@@ -15,10 +15,7 @@ from cpdyn.channels import (
 )
 from cpdyn.consistency import (
     CONSISTENCY_TOL,
-    AllUnitaries,
-    LocalProducts,
     OperatorSubspace,
-    SwapOnly,
     assignment_from_matrix,
     canonical_assignment,
     full_space,
@@ -126,9 +123,9 @@ def test_subspace_from_constraint_is_null_space(rng):
     assert np.linalg.norm(a @ v.basis) < 1e-9
 
 
-def checked_report(v, g, rng, tol=CONSISTENCY_TOL):
-    """g_consistency_report over one draw of the unitary set."""
-    unitaries = sample_unitaries(g, v.d_s, v.d_e, rng)
+def checked_report(v, g, n, rng, tol=CONSISTENCY_TOL):
+    """g_consistency_report over one draw of n unitaries from the set g."""
+    unitaries = sample_unitaries(g, n, v.d_s, v.d_e, rng)
     return g_consistency_report(v, g, [u_consistency_violation(v, u) for _, u in unitaries], tol)
 
 
@@ -137,7 +134,8 @@ def test_product_span_is_locally_consistent(rng):
     d_s, d_e = spec.d_s, spec.d_e
     u_local = kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
     assert u_consistency_violation(v, u_local) <= CONSISTENCY_TOL
-    report = checked_report(v, LocalProducts(5), rng)
+    report = checked_report(v, "local", 5, rng)
+    assert report["set"] == "local"
     assert report["exact"] and report["consistent"]
     assert report["checked"] == 5
     assert report["worst_violation"] < 1e-9
@@ -155,32 +153,36 @@ def test_generic_unitary_breaks_consistency(rng):
     assert kernel_tr_e(v).dim > 0
     u = random_haar_unitary(4, rng)
     assert u_consistency_violation(v, u) > 1e-3
-    report = checked_report(v, AllUnitaries(3), rng)
+    report = checked_report(v, "all", 3, rng)
     assert not report["consistent"] and not report["exact"]
     assert report["checked"] == 3
     # The verdict is the worst checked violation against tol, nothing redrawn.
     worst = report["worst_violation"]
-    g = AllUnitaries(3)
-    assert g_consistency_report(v, g, [worst, 0.0], tol=worst)["consistent"]
-    assert not g_consistency_report(v, g, [worst, 0.0], tol=worst * (1 - 1e-12))["consistent"]
-    assert g_consistency_report(v, LocalProducts(3), [worst])["consistent"]
+    assert g_consistency_report(v, "all", [worst, 0.0], tol=worst)["consistent"]
+    assert not g_consistency_report(v, "all", [worst, 0.0], tol=worst * (1 - 1e-12))["consistent"]
+    assert g_consistency_report(v, "local", [worst])["consistent"]
 
 
 def test_zero_kernel_is_always_consistent(rng):
     rho = random_density(4, 4, rng)
     v = span_from_states([rho], 2, 2)
     assert kernel_tr_e(v).dim == 0
-    report = checked_report(v, AllUnitaries(3), rng)
+    report = checked_report(v, "all", 3, rng)
     assert report["exact"] and report["consistent"]
     assert report["checked"] == 3 and report["worst_violation"] == 0.0
 
 
 def test_sample_unitaries_variants(rng):
-    assert len(sample_unitaries(AllUnitaries(7), 2, 2, rng)) == 7
-    (label, u), = sample_unitaries(SwapOnly(), 2, 2, rng)
-    assert np.allclose(u, swap_unitary(2))
-    with pytest.raises(ValueError):
-        sample_unitaries(SwapOnly(), 2, 3, rng)
+    drawn = sample_unitaries("all", 7, 2, 2, rng)
+    assert [label for label, _ in drawn] == [f"haar_{i}" for i in range(7)]
+    drawn = sample_unitaries("local", 2, 2, 3, rng)
+    assert [(label, u.shape) for label, u in drawn] == [("local_0", (6, 6)), ("local_1", (6, 6))]
+    (label, u), = sample_unitaries("swap", 5, 2, 2, rng)  # the one swap, whatever n
+    assert label == "swap" and np.allclose(u, swap_unitary(2))
+    with pytest.raises(ValueError, match="swap needs equal"):
+        sample_unitaries("swap", 1, 2, 3, rng)
+    with pytest.raises(ValueError, match="unknown unitary set 'Local'"):
+        sample_unitaries("Local", 1, 2, 2, rng)
 
 
 def test_canonical_assignment_is_a_section(rng):
@@ -338,7 +340,7 @@ def test_witness_choi_spectrum_closed_form(d_s, gamma):
 
 def test_theorem_verifier_passes_on_consistent_setup(rng):
     _, v = markov_span(rng)
-    report = theorem1_verify(v, LocalProducts(5), rng)
+    report = theorem1_verify(v, "local", sample_unitaries("local", 5, v.d_s, v.d_e, rng))
     assert report["premises_hold"]
     assert report["conclusion_holds"]
     assert report["passed"]
@@ -350,7 +352,7 @@ def test_theorem_verifier_passes_on_consistent_setup(rng):
 
 def test_theorem_verifier_vacuous_when_premises_fail(rng):
     v = random_span_with_kernel(rng)
-    report = theorem1_verify(v, AllUnitaries(3), rng)
+    report = theorem1_verify(v, "all", sample_unitaries("all", 3, v.d_s, v.d_e, rng))
     assert not report["premises_hold"]
     assert report["passed"]  # implication holds vacuously
 
@@ -464,15 +466,17 @@ def test_u_consistency_violation_ignores_the_kernel_basis(name, kind):
         assert abs(col_max[0] - col_max[1]) > 1e-6 * hs
 
 
-@pytest.mark.parametrize("g", [AllUnitaries(3), LocalProducts(3)])
+@pytest.mark.parametrize("g", [("all", 3), ("local", 3)])  # (set, draws)
 @pytest.mark.parametrize("name", sorted(ORACLE_SUBSPACES))
 def test_theorem1_records_report_u_consistency_violation(name, g):
     v = ORACLE_SUBSPACES[name]()
-    report = theorem1_verify(v, g, np.random.default_rng(83))
+    g_name, n = g
+    drawn = sample_unitaries(g_name, n, v.d_s, v.d_e, np.random.default_rng(83))
+    report = theorem1_verify(v, g_name, drawn)
     records, checked = report["per_unitary"], report["consistency"]
-    # One draw: the records name the first unitaries of the stream, and the
-    # consistency block summarizes those same records.
-    drawn = sample_unitaries(g, v.d_s, v.d_e, np.random.default_rng(83))
+    # The records name the caller's unitaries in order, and the consistency
+    # block summarizes those same records.
+    assert checked["set"] == g_name and checked["exact"] == (g_name == "local")
     assert [r["unitary"] for r in records] == [label for label, _ in drawn]
     assert [r["perturbation_deviation"] for r in records] == [
         u_consistency_violation(v, u) for _, u in drawn
