@@ -2,10 +2,10 @@
 """Search for non-CP reduced dynamics from a witness assignment map.
 
 Builds the Hermitian, trace-consistent assignment
-x -> x kron omega_E + gamma (x - tr(x) I/d_S) kron Delta, reports the gamma
-threshold past which it is not CP (0 in closed form: every gamma > 0 breaks
-CP at d_S = 2), then hunts over Haar-random joint unitaries for the most
-negative Choi eigenvalue of the reduced dynamics.
+x -> x kron omega_E + gamma (x - tr(x) I/d_S) kron Delta, which is not CP
+for any gamma > 0 at d_S = 2 (see ``witness_assignment``), then hunts over
+Haar-random joint unitaries for the most negative Choi eigenvalue of the
+reduced dynamics.
 
 Usage: python scripts/find_cp_violation.py [--gamma G] [--draws N] [--seed N]
 """
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from cpdyn.channels import choi, reduced_dynamics
-from cpdyn.consistency import witness_assignment, witness_gamma_threshold
+from cpdyn.consistency import witness_assignment
 from cpdyn.tensor import dagger, min_eigenvalue, random_haar_unitary
 
 
@@ -30,7 +30,6 @@ def main() -> int:
 
     omega = np.diag([0.7, 0.3]).astype(complex)
     delta = np.diag([1.0, -1.0]).astype(complex)
-    threshold = witness_gamma_threshold(omega, delta, 2)
     assign = witness_assignment(omega, delta, args.gamma, 2)
 
     rng = np.random.default_rng(args.seed)
@@ -45,7 +44,6 @@ def main() -> int:
 
     out = {
         "gamma": args.gamma,
-        "gamma_threshold": float(threshold),
         "assignment_cp": bool(assign.cp),
         "assignment_trace_consistent": bool(assign.trace_consistent),
         "draws": args.draws,

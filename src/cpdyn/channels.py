@@ -36,7 +36,6 @@ __all__ = [
     "reduced_dynamics",
     "trace_out_env_matrix",
     "choi_distance",
-    "verify_fixed_point",
 ]
 
 
@@ -210,9 +209,3 @@ def choi_distance(a: ChannelMap, b: ChannelMap) -> float:
     """Frobenius norm of the Choi difference (basis-independent equality metric)."""
     return float(np.linalg.norm(choi(a) - choi(b)))
 
-
-def verify_fixed_point(assign_mat: np.ndarray, d_s: int, d_e: int, samples) -> float:
-    """Max deviation || Tr_E(Lambda(rho)) - rho || over the given domain states."""
-    rhos = np.column_stack([vec(rho) for rho in samples])
-    out = tr_e(assign_mat @ rhos, d_s, d_e)
-    return float(np.linalg.norm(out - rhos, axis=0).max())

@@ -7,7 +7,7 @@ Subcommands:
 * ``consistency``   — subspace dimensions and per-unitary consistency;
 * ``theorem1``      — the full subspace/assignment/perturbation check;
 * ``dpi``           — data-processing sweeps over Markov states plus a
-  counterexample hunt on a non-Markov fixture;
+  fixed violation and a random hunt on a non-Markov fixture;
 * ``demo``          — the two worked swap / local-product scenarios.
 
 Reports are deterministic functions of (command, config, seed) except for
@@ -39,7 +39,7 @@ from .consistency import (
     subspace_from_constraint,
     theorem1_verify,
 )
-from .tensor import psd_check, random_density, random_haar_unitary, vec
+from .tensor import psd_check, random_density, random_haar_unitary, tr_e, vec
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_DIM = 64
@@ -83,6 +83,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
@@ -113,15 +120,7 @@ def _check_dims(*dims: int):
         )
 
 
-def _ambient_kernel(family: str, d_s: int, d_e: int):
-    """Kernel of Tr_E on the full operator space, which kernel-extended
-    specs draw their extra directions from; None for other families."""
-    if family != "kernel-extended":
-        return None
-    return kernel_tr_e(full_space(d_s, d_e))
-
-
-def _random_spec(family: str, args, rng: np.random.Generator, ambient_kernel):
+def _random_spec(family: str, args, rng: np.random.Generator):
     ds, de, da = args.ds, args.de, args.da
     if family == "factorized":
         return families.FactorizedSpec(ds, random_density(de, de, rng))
@@ -159,10 +158,15 @@ def _random_spec(family: str, args, rng: np.random.Generator, ambient_kernel):
             de,
             tuple(random_density(r * de, r * de, rng) for _, r in args.blocks),
         )
-        n_dir = min(3, ambient_kernel.dim)
-        coeffs = rng.normal(size=(ambient_kernel.dim, n_dir))
-        sub = np.linalg.qr(ambient_kernel.basis @ coeffs)[0]
-        return families.KernelExtendedSpec(base, sub)
+        # Gaussian directions projected onto ker Tr_E, X - Tr_E(X) kron I/d_E:
+        # Tr_E is a co-isometry up to the factor d_E, so this is the
+        # orthogonal projection, and no kernel basis is built.
+        d = ds * de
+        n_dir = min(3, d * d - ds * ds)
+        x = rng.normal(size=(d * d, n_dir)) + 1j * rng.normal(size=(d * d, n_dir))
+        t = tr_e(x, ds, de).reshape(ds, ds, n_dir)
+        x -= np.einsum("abk,ef->aebfk", t, np.eye(de) / de).reshape(d * d, n_dir)
+        return families.KernelExtendedSpec(base, np.linalg.qr(x)[0])
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -173,17 +177,21 @@ def _family_span(spec):
     return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
 
 
-def _verify_family_trial(args, trial: int, ambient_kernel) -> dict:
+def _verify_family_trial(args, trial: int) -> dict:
     rng = _trial_rng(args.seed, trial)
-    spec = _random_spec(args.family, args, rng, ambient_kernel)
-    ds, de = spec.d_s, spec.d_e
     # The assignment is built from the span of the widest family containing
     # the trial's members: steered sets reuse their underlying block family,
     # kernel extensions reuse their base.
-    if isinstance(spec, families.SteeredSpec):
-        v = _family_span(families.MarkovBlocksSpec(args.blocks, de, spec_omega_re(args, spec)))
+    if args.family == "steered":
+        mspec = families.random_markov_state_spec(args.da, args.blocks, args.de, rng)
+        spec = families.SteeredSpec(
+            args.da, mspec.d_s, args.de, families.build_markov_state(mspec)
+        )
+        v = _family_span(families.MarkovBlocksSpec(args.blocks, args.de, mspec.omega_re))
     else:
+        spec = _random_spec(args.family, args, rng)
         v = _family_span(spec)
+    ds, de = spec.d_s, spec.d_e
     assign = canonical_assignment(v)
     if args.family == "markov-blocks":
         member = families.sample_member(spec, families.random_params(spec, rng))
@@ -214,20 +222,6 @@ def _verify_family_trial(args, trial: int, ambient_kernel) -> dict:
     return rec
 
 
-def spec_omega_re(args, spec: "families.SteeredSpec"):
-    """Recover the fixed R,E block states from a steered spec's tripartite
-    state (they are its conditional blocks by construction)."""
-    da, de = spec.d_a, spec.d_e
-    out = []
-    for (l, r), idx in zip(args.blocks, families.block_indices(args.blocks, de, da)):
-        blk = spec.omega_ase[np.ix_(idx, idx)]
-        marg = blk.reshape(da * l, r * de, da * l, r * de)
-        w = np.einsum("awav->wv", marg)
-        tr = np.trace(w).real
-        out.append(w / tr if tr > 1e-12 else np.eye(r * de) / (r * de))
-    return tuple(out)
-
-
 def _system_dim(args) -> int:
     """System dimension a command runs at: block families take it from
     ``--blocks``, the others from ``--ds``."""
@@ -244,8 +238,7 @@ def cmd_verify_family(args) -> dict:
         raise SystemExit(
             "error: --g all voids the kernel freedom of kernel-extended; use --g local or swap"
         )
-    ambient_kernel = _ambient_kernel(args.family, ds, args.de)
-    trials = [_verify_family_trial(args, t, ambient_kernel) for t in range(args.trials)]
+    trials = [_verify_family_trial(args, t) for t in range(args.trials)]
     ok = [t["cp"] and t["tp"] for t in trials]
     summary = {
         "pass": all(ok),
@@ -266,7 +259,7 @@ def _build_subspace(args, rng: np.random.Generator):
     if args.family == "random":
         states = [random_density(ds * de, ds * de, rng) for _ in range(args.span_states)]
         return span_from_states(states, ds, de)
-    return _family_span(_random_spec(args.family, args, rng, _ambient_kernel(args.family, ds, de)))
+    return _family_span(_random_spec(args.family, args, rng))
 
 
 def cmd_consistency(args) -> dict:
@@ -323,6 +316,21 @@ def ghz_state(d_a: int = 2, d_s: int = 2, d_e: int = 2) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def ghz_inverse_shift(d_s: int, d_e: int) -> np.ndarray:
+    """Controlled inverse shift |s, e> -> |s, (e - s) mod d_e> on S x E.
+
+    On ``ghz_state`` with k = min(d_a, d_s, d_e) terms it maps |i, i, i> to
+    |i, i, 0>: E decouples and A:S turns from classically correlated
+    (I = ln k) to maximally entangled (I = 2 ln k), so the data-processing
+    delta is -ln k, whatever the random hunt draws.
+    """
+    d = d_s * d_e
+    s, e = np.divmod(np.arange(d), d_e)
+    u = np.zeros((d, d), dtype=complex)
+    u[s * d_e + (e - s) % d_e, np.arange(d)] = 1.0
+    return u
+
+
 def cmd_dpi(args) -> dict:
     # The GHZ fixture runs at --ds, the Markov states at the --blocks size.
     _check_dims(args.da, args.ds, args.de)
@@ -344,17 +352,14 @@ def cmd_dpi(args) -> dict:
         worst_delta = min(worst_delta, worst)
         worst_cmi = max(worst_cmi, abs(cmi))
         trials.append({"trial": t, "cmi": cmi, "worst_delta": worst})
-    rng = np.random.default_rng(args.seed)
+    ghz = ghz_state(args.da, args.ds, args.de)
+    shift = info.dpi_check(ghz, args.da, args.ds, args.de, ghz_inverse_shift(args.ds, args.de))
     hunt = info.search_dpi_violation(
-        ghz_state(args.da, args.ds, args.de),
-        args.da,
-        args.ds,
-        args.de,
-        rng,
-        draws=args.search_draws,
+        ghz, args.da, args.ds, args.de, np.random.default_rng(args.seed), draws=args.search_draws
     )
     summary = {
-        "pass": bool(worst_delta >= -args.tol and hunt["found"]),
+        "pass": bool(worst_delta >= -args.tol and (shift.delta < -0.01 or hunt["found"])),
+        "ghz_shift_delta": shift.delta,
         "markov_worst_delta": float(worst_delta),
         "markov_worst_cmi": float(worst_cmi),
         "non_markov_search": hunt,
@@ -462,7 +467,12 @@ def _demo2(args) -> dict:
 
 def cmd_demo(args) -> dict:
     if args.example == 1:
+        # Demo 1 swaps S and E, so both run at --ds.
+        if args.de not in (None, args.ds):
+            raise SystemExit("error: demo 1 runs at --ds x --ds; --de must equal --ds")
+        args.de = args.ds
         return _demo1(args)
+    args.de = 2 if args.de is None else args.de
     return _demo2(args)
 
 
@@ -489,27 +499,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=50, tol=True):
+    def common(p, trials=50, tol=True, g=True, blocks=True):
+        # A subcommand takes only the flags it reads.
         p.add_argument("--ds", type=int, default=2, help="system dimension")
         p.add_argument("--de", type=int, default=2, help="environment dimension")
-        p.add_argument("--da", type=int, default=2, help="ancilla dimension")
-        p.add_argument(
-            "--blocks",
-            type=_parse_blocks,
-            default=((1, 2), (2, 1)),
-            help="system block layout, e.g. '1x2,2x1'",
-        )
-        p.add_argument("--trials", type=int, default=trials)
+        if blocks:
+            p.add_argument("--da", type=int, default=2, help="ancilla dimension")
+            p.add_argument(
+                "--blocks",
+                type=_parse_blocks,
+                default=((1, 2), (2, 1)),
+                help="system block layout, e.g. '1x2,2x1'",
+            )
+        p.add_argument("--trials", type=_positive_int, default=trials)
         p.add_argument("--seed", type=int, default=None)
         if tol:
             p.add_argument("--tol", type=_tolerance, default=consistency.CONSISTENCY_TOL)
         p.add_argument("--out", type=str, default=None, help="report output path")
-        p.add_argument(
-            "--g",
-            choices=("all", "local", "swap"),
-            default=None,
-            help="unitary set (default: local for verify-family kernel-extended, else all)",
-        )
+        if g:
+            p.add_argument(
+                "--g",
+                choices=("all", "local", "swap"),
+                default=None,
+                help="unitary set (default: local for verify-family kernel-extended, else all)",
+            )
 
     p = sub.add_parser("verify-family", help="CP/TP sweep over one family")
     p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
@@ -522,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FAMILY_CHOICES + ("full", "random"),
         default="markov-blocks",
     )
-    p.add_argument("--span-states", type=int, default=4)
+    p.add_argument("--span-states", type=_positive_int, default=4)
     common(p)
     p.set_defaults(func=cmd_consistency)
 
@@ -532,20 +545,21 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FAMILY_CHOICES + ("full", "random"),
         default="markov-blocks",
     )
-    p.add_argument("--span-states", type=int, default=4)
+    p.add_argument("--span-states", type=_positive_int, default=4)
     common(p, trials=10)
     p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser("dpi", help="data processing inequality sweeps")
-    p.add_argument("--unitaries-per-state", type=int, default=10)
-    p.add_argument("--search-draws", type=int, default=500)
-    common(p, trials=20)
+    p.add_argument("--unitaries-per-state", type=_positive_int, default=10)
+    p.add_argument("--search-draws", type=_positive_int, default=500)
+    common(p, trials=20, g=False)
     p.set_defaults(func=cmd_dpi)
 
     p = sub.add_parser("demo", help="worked swap / local-product scenarios")
     p.add_argument("example", type=int, choices=(1, 2))
-    common(p, trials=10)
-    p.set_defaults(func=cmd_demo)
+    common(p, trials=10, g=False, blocks=False)
+    # Demo 1 runs at --ds x --ds and demo 2 at --de 2 unless given.
+    p.set_defaults(func=cmd_demo, de=None)
 
     return parser
 
@@ -555,9 +569,7 @@ def run(argv=None) -> tuple[dict, int]:
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if args.g is None:
+    if "g" in vars(args) and args.g is None:
         args.g = _default_g(args)
     start = time.monotonic()
     body = args.func(args)

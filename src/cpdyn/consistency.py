@@ -45,7 +45,6 @@ __all__ = [
     "g_consistency_report",
     "sample_unitaries",
     "canonical_assignment",
-    "assignment_from_matrix",
     "perturb_assignment",
     "witness_assignment",
     "theorem1_verify",
@@ -307,14 +306,6 @@ def g_consistency_report(
     }
 
 
-def assignment_from_matrix(
-    mat: np.ndarray, d_s: int, d_e: int, domain_projector: np.ndarray | None = None
-) -> AssignmentMap:
-    if domain_projector is None:
-        domain_projector = np.eye(d_s * d_s, dtype=complex)
-    return AssignmentMap(d_s, d_e, mat, domain_projector)
-
-
 def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
     """Minimum-Frobenius-norm right inverse of Tr_E restricted to V.
 
@@ -350,12 +341,20 @@ def perturb_assignment(
 def witness_assignment(
     omega_e: np.ndarray, delta_e: np.ndarray, gamma: float, d_s: int
 ) -> AssignmentMap:
-    """Hermitian, trace-consistent assignment that departs from CP-ness.
+    """Hermitian, trace-consistent assignment on all of L(H_S) that departs
+    from CP-ness.
 
     x -> x kron omega_E + gamma * (x - tr(x) I/d_S) kron Delta with Delta a
     fixed traceless Hermitian environment direction; trace consistency
-    holds for every gamma, and for d_S >= 2 and Delta != 0 CP fails at
-    every gamma > 0 (see ``witness_gamma_threshold``).
+    holds for every gamma.  The Choi matrix is |Omega><Omega| kron
+    (omega_E + gamma Delta) - (gamma/d_S) I kron Delta, with Omega the
+    unnormalized maximally entangled vector.  On Omega-perp kron E it
+    equals -(gamma/d_S) Delta, whose least eigenvalue
+    -gamma lambda_max(Delta)/d_S is negative for every gamma > 0 once
+    d_S >= 2 and Delta != 0 (a nonzero traceless Hermitian Delta has a
+    positive eigenvalue), whatever omega_E is.  So the CP threshold is
+    gamma = 0 in closed form; for d_S = 1 or Delta = 0 the perturbation
+    vanishes and the map is CP for every gamma.
     """
     delta_e = np.asarray(delta_e, dtype=complex)
     if abs(np.trace(delta_e)) > 1e-10 or not is_hermitian(delta_e):
@@ -366,24 +365,7 @@ def witness_assignment(
     eye = np.eye(d_s)
     pert = product_assignment_matrix(delta_e, d_s)
     pert -= np.outer(vec(kron(eye, delta_e)), vec(eye)) / d_s
-    return assignment_from_matrix(base + gamma * pert, d_s, d_e)
-
-
-def witness_gamma_threshold(omega_e: np.ndarray, delta_e: np.ndarray, d_s: int) -> float:
-    """Infimum of the gammas at which the witness assignment is not CP: 0.
-
-    The witness Choi matrix is |Omega><Omega| kron (omega_E + gamma Delta)
-    - (gamma/d_S) I kron Delta, with Omega the unnormalized maximally
-    entangled vector.  On Omega-perp kron E it equals -(gamma/d_S) Delta,
-    whose least eigenvalue -gamma lambda_max(Delta)/d_S is negative for
-    every gamma > 0 once d_S >= 2 and Delta != 0 (a nonzero traceless
-    Hermitian Delta has a positive eigenvalue), whatever omega_E is.  For
-    d_S = 1 or Delta = 0 the perturbation vanishes and no gamma breaks CP,
-    which raises.
-    """
-    if d_s < 2 or not np.any(delta_e):
-        raise ValueError("witness assignment is CP for every gamma (d_S = 1 or Delta = 0)")
-    return 0.0
+    return AssignmentMap(d_s, d_e, base + gamma * pert, np.eye(d_s * d_s, dtype=complex))
 
 
 def theorem1_verify(

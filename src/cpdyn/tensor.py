@@ -27,7 +27,6 @@ __all__ = [
     "dagger",
     "partial_trace",
     "tr_e",
-    "ad_u",
     "random_haar_unitary",
     "random_density",
     "random_hermitian",
@@ -39,7 +38,6 @@ __all__ = [
     "psd_check",
     "is_psd",
     "check_density",
-    "check_unitary",
 ]
 
 # Scale-aware PSD acceptance: min eigenvalue >= -PSD_TOL_FACTOR * max(1, ||m||_2).
@@ -116,15 +114,6 @@ def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> n
     ux = (u @ x.reshape(d, d * n)).reshape(d_s, d_e * d, n)
     # Tr_E(U X_k U^dagger)[s, t] = sum_(e, c) conj(U)[(t, e), c] (U X_k)[(s, e), c].
     return (u.conj().reshape(d_s, d_e * d) @ ux).reshape(d_s * d_s, n)
-
-
-def ad_u(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Unitary conjugation U m U^dagger."""
-    u = np.asarray(u, dtype=complex)
-    m = np.asarray(m, dtype=complex)
-    if u.shape != m.shape:
-        raise ValueError(f"dimension mismatch: U is {u.shape}, m is {m.shape}")
-    return u @ m @ u.conj().T
 
 
 def random_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,10 +204,3 @@ def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
         raise ValueError(f"{name} is not positive semidefinite")
     return rho
 
-
-def check_unitary(u: np.ndarray, name: str = "unitary") -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if np.linalg.norm(u @ u.conj().T - np.eye(d)) > 1e-8 * d:
-        raise ValueError(f"{name} is not unitary")
-    return u

@@ -21,7 +21,6 @@ from cpdyn.channels import (
     product_assignment_matrix,
     reduced_dynamics,
     trace_out_env_matrix,
-    verify_fixed_point,
 )
 from cpdyn.cli import ghz_state, run as cli_run
 from cpdyn.consistency import (
@@ -30,10 +29,8 @@ from cpdyn.consistency import (
     kernel_tr_e,
     span_from_states,
     witness_assignment,
-    witness_gamma_threshold,
 )
 from cpdyn.tensor import (
-    ad_u,
     dagger,
     kron,
     min_eigenvalue,
@@ -41,6 +38,7 @@ from cpdyn.tensor import (
     random_density,
     random_haar_unitary,
     random_hermitian,
+    tr_e,
 )
 
 BLOCKS = ((1, 2), (2, 1))
@@ -116,7 +114,7 @@ def test_acceptance_2_classical_quantum_construction_agrees():
             p[i] * kron(np.outer(basis[:, i], basis[:, i].conj()), omegas[i])
             for i in range(d_s)
         )
-        direct = partial_trace(ad_u(u, joint), (d_s, d_e), keep=(0,))
+        direct = partial_trace(u @ joint @ u.conj().T, (d_s, d_e), keep=(0,))
         worst = max(worst, float(np.linalg.norm(k.apply(rho) - direct)))
     report(
         "acceptance 2: classical-quantum operator-sum matches reduced dynamics",
@@ -238,8 +236,9 @@ def test_acceptance_8_non_cp_assignment_is_detected():
     rng = np.random.default_rng(108)
     omega = np.diag([0.7, 0.3]).astype(complex)
     delta = np.diag([1.0, -1.0]).astype(complex)
+    # The witness is not CP for any gamma > 0 at d_S = 2 (closed form, see
+    # witness_assignment), so gamma = 2 is past its threshold.
     gamma = 2.0
-    threshold = witness_gamma_threshold(omega, delta, 2)
     assign = witness_assignment(omega, delta, gamma, 2)
     best = 0.0
     for _ in range(60):
@@ -252,8 +251,8 @@ def test_acceptance_8_non_cp_assignment_is_detected():
     report(
         "acceptance 8: a witness assignment past its CP threshold produces "
         "detectably non-CP reduced dynamics",
-        gamma >= threshold and not assign.cp and best <= -0.01,
-        f"threshold {threshold:.2e}, best min Choi eigenvalue {best:.3f}",
+        not assign.cp and best <= -0.01,
+        f"best min Choi eigenvalue {best:.3f}",
     )
 
 
@@ -285,7 +284,9 @@ def test_acceptance_9_assignments_fix_their_domain():
             )
             for _ in range(100)
         ]
-        worst = max(worst, verify_fixed_point(assign.mat, spec.d_s, spec.d_e, samples))
+        rhos = np.column_stack([rho.reshape(-1) for rho in samples])
+        fixed = tr_e(assign.mat @ rhos, spec.d_s, spec.d_e)
+        worst = max(worst, float(np.linalg.norm(fixed - rhos, axis=0).max()))
     report(
         "acceptance 9: canonical assignments return every domain state unchanged",
         worst <= 1e-10,

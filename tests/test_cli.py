@@ -1,13 +1,12 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
 import numpy as np
 
-from cpdyn import channels, cli, consistency, families
+from cpdyn import channels, cli, consistency, info
 from cpdyn.cli import build_parser, ghz_state, main, run
 from cpdyn.tensor import random_haar_unitary
 
@@ -200,32 +199,31 @@ def test_swap_with_unequal_dimensions_is_an_argument_error(argv):
         run_args(*argv, "--g", "swap", "--trials", "1")
 
 
-@pytest.mark.parametrize("d_a", [1, 2, 3])
-@pytest.mark.parametrize("blocks", [((1, 2), (2, 1)), ((2, 2),), ((1, 1), (1, 3))])
-def test_spec_omega_re_recovers_the_block_states(blocks, d_a):
-    rng = np.random.default_rng(17)
-    mspec = families.random_markov_state_spec(d_a, blocks, 2, rng)
-    spec = families.SteeredSpec(d_a, mspec.d_s, 2, families.build_markov_state(mspec))
-    got = cli.spec_omega_re(SimpleNamespace(blocks=blocks), spec)
-    assert len(got) == len(mspec.omega_re)
-    for w, want in zip(got, mspec.omega_re):
-        assert np.abs(w - want).max() <= 1e-12
+@pytest.mark.parametrize("command", ["verify-family", "consistency", "theorem1"])
+def test_kernel_extended_builds_no_full_space(monkeypatch, command):
+    # The extra directions are drawn by projection, so no report factors the
+    # full operator space; consistency and theorem1 factor only the span of
+    # the base, and verify-family reads no kernel at all.
+    full_spaces, factored = [], []
+    full_space, factor = consistency.full_space, consistency._null_complement
 
+    def counting_full_space(*args):
+        full_spaces.append(args)
+        return full_space(*args)
 
-def test_kernel_extended_builds_the_ambient_kernel_once(monkeypatch):
-    calls = []
-
-    def counting_full_space(d_s, d_e):
-        calls.append((d_s, d_e))
-        return cli.consistency.full_space(d_s, d_e)
+    def counting_null_complement(vh, *rest):
+        factored.append(vh.shape[1])
+        return factor(vh, *rest)
 
     monkeypatch.setattr(cli, "full_space", counting_full_space)
+    monkeypatch.setattr(consistency, "full_space", counting_full_space)
+    monkeypatch.setattr(consistency, "_null_complement", counting_null_complement)
     report, code = run_args(
-        "verify-family", "--family", "kernel-extended", "--trials", "4", "--seed", "5",
-        "--g", "local",
+        command, "--family", "kernel-extended", "--trials", "4", "--seed", "5", "--g", "local"
     )
     assert code == 0
-    assert calls == [(4, 2)]
+    assert full_spaces == []
+    assert factored == ([] if command == "verify-family" else [report["summary"]["dim_v"]])
 
 
 @pytest.mark.parametrize("command", ["theorem1", "consistency"])
@@ -330,7 +328,34 @@ def test_dpi_command():
     assert code == 0
     assert report["summary"]["non_markov_search"]["found"]
     assert report["summary"]["markov_worst_delta"] >= -1e-9
+    assert abs(report["summary"]["ghz_shift_delta"] + np.log(2)) <= 1e-12
     jsonschema.validate(report, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 2), (2, 2, 4), (3, 2, 2), (2, 4, 3), (4, 2, 3),
+        (1, 2, 2), (1, 3, 4),  # no ancilla: delta 0
+    ],
+)
+def test_ghz_inverse_shift_delta_is_minus_log_min_dimension(dims):
+    d_a, d_s, d_e = dims
+    u = cli.ghz_inverse_shift(d_s, d_e)
+    assert np.allclose(u @ u.conj().T, np.eye(d_s * d_e))
+    rep = info.dpi_check(ghz_state(d_a, d_s, d_e), d_a, d_s, d_e, u)
+    assert abs(rep.delta + np.log(min(dims))) <= 1e-12
+
+
+def test_dpi_verdict_does_not_hang_on_the_hunt():
+    # The hunt alone finds no violation in 20 draws here; the fixed shift does.
+    report, code = run_args(
+        "dpi", "--blocks", "2x2,2x2", "--de", "4", "--da", "2", "--trials", "2",
+        "--unitaries-per-state", "2", "--search-draws", "20", "--seed", "2024",
+    )
+    assert code == 0 and report["summary"]["pass"]
+    assert not report["summary"]["non_markov_search"]["found"]
+    assert report["summary"]["ghz_shift_delta"] < -0.01
 
 
 def test_demo_reports_byte_identical_for_fixed_seed(capsys):
@@ -464,7 +489,7 @@ def test_kernel_extended_defaults_to_local_products():
     assert code == 0
     assert report["config"]["g"] == "local"
     assert all(t["unitary"].startswith("local_") for t in report["trials"])
-    for argv in (["verify-family", "--family", "markov-blocks"], ["consistency"], ["dpi"]):
+    for argv in (["verify-family", "--family", "markov-blocks"], ["consistency"]):
         args = build_parser().parse_args(argv)
         assert args.g is None and cli._default_g(args) == "all"
 
@@ -472,3 +497,44 @@ def test_kernel_extended_defaults_to_local_products():
 def test_kernel_extended_with_all_unitaries_is_an_argument_error():
     with pytest.raises(SystemExit, match="--g all"):
         run_args("verify-family", "--family", "kernel-extended", "--g", "all", "--trials", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dpi", "--g", "all"),
+        ("demo", "2", "--g", "all"),
+        ("demo", "1", "--blocks", "2x2"),
+        ("demo", "2", "--da", "3"),
+    ],
+)
+def test_commands_take_only_the_flags_they_read(argv, capsys):
+    with pytest.raises(SystemExit):
+        run_args(*argv, "--trials", "1")
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_demo1_runs_at_ds_by_ds():
+    with pytest.raises(SystemExit, match="demo 1 runs at --ds x --ds"):
+        run_args("demo", "1", "--ds", "3", "--de", "5", "--trials", "1")
+    report, code = run_args("demo", "1", "--ds", "3", "--trials", "1", "--seed", "1")
+    assert code == 0
+    assert report["config"]["de"] == 3
+    assert not {"g", "da", "blocks"} & set(report["config"])
+    report, code = run_args("demo", "2", "--trials", "1", "--seed", "1")
+    assert code == 0 and report["config"]["de"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("consistency", "--family", "random", "--span-states", "0"),
+        ("theorem1", "--trials", "0"),
+        ("dpi", "--unitaries-per-state", "0"),
+        ("dpi", "--search-draws", "0"),
+    ],
+)
+def test_non_positive_counts_are_argument_errors(argv, capsys):
+    with pytest.raises(SystemExit):
+        run_args(*argv)
+    assert "must be at least 1, got '0'" in capsys.readouterr().err

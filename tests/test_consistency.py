@@ -16,7 +16,7 @@ from cpdyn.channels import (
 from cpdyn.consistency import (
     CONSISTENCY_TOL,
     OperatorSubspace,
-    assignment_from_matrix,
+    AssignmentMap,
     canonical_assignment,
     full_space,
     g_consistency_report,
@@ -28,7 +28,6 @@ from cpdyn.consistency import (
     theorem1_verify,
     u_consistency_violation,
     witness_assignment,
-    witness_gamma_threshold,
 )
 from cpdyn.families import (
     FamilyParams,
@@ -284,7 +283,7 @@ def test_assignment_flags_read_lazily_match_direct_flags(rng):
         canonical_assignment(markov_span(rng)[1]),
         witness_assignment(omega, delta, 0.0, 2),
         witness_assignment(omega, delta, 2.0, 2),
-        assignment_from_matrix(rng.normal(size=(16, 4)) + 0j, 2, 2),
+        AssignmentMap(2, 2, rng.normal(size=(16, 4)) + 0j, np.eye(4, dtype=complex)),
     ]
     seen = set()
     for a in cases:
@@ -298,22 +297,23 @@ def test_assignment_flags_read_lazily_match_direct_flags(rng):
 
 
 def test_witness_threshold_is_crossed(rng):
+    # The CP threshold of the witness is gamma = 0 in closed form.
     omega = np.diag([0.7, 0.3]).astype(complex)
     delta = np.diag([1.0, -1.0]).astype(complex)
-    gamma = witness_gamma_threshold(omega, delta, 2)
-    assert 0.0 <= gamma < 64.0
-    assert not witness_assignment(omega, delta, gamma + 0.5, 2).cp
+    assert witness_assignment(omega, delta, 0.0, 2).cp
+    assert not witness_assignment(omega, delta, 0.5, 2).cp
 
 
 def test_witness_threshold_closed_form():
+    # Every gamma > 0 breaks CP once d_S >= 2 and Delta != 0; for d_S = 1 or
+    # Delta = 0 the perturbation vanishes and no gamma does.
     omega = np.diag([0.7, 0.3]).astype(complex)
     delta = np.diag([1.0, -1.0]).astype(complex)
-    for d_s in (2, 3):
-        assert witness_gamma_threshold(omega, delta, d_s) == 0.0
-    with pytest.raises(ValueError):
-        witness_gamma_threshold(omega, delta, 1)
-    with pytest.raises(ValueError):
-        witness_gamma_threshold(omega, np.zeros((2, 2)), 2)
+    for gamma in (1e-6, 1e-3, 2.0):
+        for d_s in (2, 3):
+            assert not witness_assignment(omega, delta, gamma, d_s).cp
+        assert witness_assignment(omega, delta, gamma, 1).cp
+        assert witness_assignment(omega, np.zeros((2, 2)), gamma, 2).cp
 
 
 def _witness_choi_eigenvalues(omega, delta, gamma, d_s):

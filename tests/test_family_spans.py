@@ -15,6 +15,7 @@ from cpdyn.families import (
     sample_member,
     span_generators,
 )
+from cpdyn.tensor import tr_e
 
 LAYOUTS = {
     "1x2,2x1": ((1, 2), (2, 1)),
@@ -32,8 +33,7 @@ def _args(family, blocks, d_a=2, d_e=2):
 
 
 def _spec(args, seed):
-    ambient = cli._ambient_kernel(args.family, args.ds, args.de)
-    return cli._random_spec(args.family, args, np.random.default_rng(seed), ambient)
+    return cli._random_spec(args.family, args, np.random.default_rng(seed))
 
 
 def sampled_span(spec, rng):
@@ -125,3 +125,15 @@ def test_steered_members_lie_in_the_consistency_span(d_a, seed):
     rng = np.random.default_rng(seed + 100)
     for _ in range(3):
         assert v.contains(sample_member(spec, random_params(spec, rng)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("d_e", [1, 2, 3])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_kernel_extended_directions_are_orthonormal_and_traceless(layout, d_e, seed):
+    spec = _spec(_args("kernel-extended", LAYOUTS[layout], d_e=d_e), seed)
+    sub, d_s = spec.kernel_basis, spec.d_s
+    d = d_s * d_e
+    assert sub.shape == (d * d, min(3, d * d - d_s * d_s))
+    assert np.linalg.norm(sub.conj().T @ sub - np.eye(sub.shape[1])) <= 1e-12
+    assert np.linalg.norm(tr_e(sub, d_s, d_e)) <= 1e-12
