@@ -329,6 +329,9 @@ def test_dpi_command():
     assert report["summary"]["non_markov_search"]["found"]
     assert report["summary"]["markov_worst_delta"] >= -1e-9
     assert abs(report["summary"]["ghz_shift_delta"] + np.log(2)) <= 1e-12
+    # The shift reaches the floor -ln k; no drawn unitary goes below it.
+    best = report["summary"]["non_markov_search"]["best_delta"]
+    assert best >= report["summary"]["ghz_shift_delta"] - 1e-9
     jsonschema.validate(report, SCHEMA)
 
 
