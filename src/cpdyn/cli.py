@@ -43,9 +43,9 @@ from .tensor import psd_check, random_density, random_haar_unitary, tr_e, vec
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_DIM = 64
-# --tol below this is rejected: ||M_U||_HS on an orthonormal kernel basis
-# carries rounding of about 1e-14 at the dimension cap, which a smaller
-# tolerance would report as a counterexample.
+# --tol below this is rejected: ||M_U||_HS carries rounding of about 1e-14
+# at the dimension cap, on a kernel basis and in the full space's closed form
+# alike, which a smaller tolerance would report as a counterexample.
 TOL_FLOOR = 1e-12
 SEED_ENV_VAR = "CPDYN_SEED"
 DEFAULT_SEED = 2024
@@ -436,11 +436,12 @@ def _demo1(args) -> dict:
 def _demo2(args) -> dict:
     """Full operator space, local product evolutions.
 
-    The canonical assignment is x -> x kron I/d_E, checked once as
-    ``maximally_mixed_distance``; for every product unitary U_S kron U_E the
-    reduced dynamics is then the system-side conjugation by U_S, whatever
-    the kernel perturbation.  The sampled products go through the theorem
-    verifier like every other report.
+    The canonical assignment is the closed form x -> x kron I/d_E; it is
+    checked once, as ``maximally_mixed_distance``, against that map built
+    column by column from matrix units.  For every product unitary
+    U_S kron U_E the reduced dynamics is then the system-side conjugation
+    by U_S, whatever the kernel perturbation.  The sampled products go
+    through the theorem verifier like every other report.
     """
     ds, de = args.ds, args.de
     _check_dims(ds, de)
@@ -450,8 +451,8 @@ def _demo2(args) -> dict:
         "local", args.trials, ds, de, np.random.default_rng(args.seed)
     )
     report = theorem1_verify(v, "local", unitaries, assignment=canon, tol=args.tol)
-    mixed = channels.product_assignment_matrix(np.eye(de, dtype=complex) / de, ds)
-    mixed_dist = float(np.linalg.norm(canon.mat - mixed))
+    mixed = channels.channel_from_function(lambda x: np.kron(x, np.eye(de) / de), ds, ds * de)
+    mixed_dist = float(np.linalg.norm(canon.mat - mixed.mat))
     summary = {
         "pass": bool(
             report["passed"]

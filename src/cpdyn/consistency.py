@@ -3,9 +3,11 @@ unitary-consistency checks, assignment maps and the end-to-end theorem
 verifier.
 
 A subspace is stored as an orthonormal basis of row-major vectorized
-operators.  The kernel of the environment trace inside a subspace
-parametrizes the freedom in choosing an assignment map; conjugating the
-kernel into the trace kernel again is exactly unitary consistency.
+operators; the full operator space is the exception, whose basis is built
+only when read, since the checks take closed forms there.  The kernel of
+the environment trace inside a subspace parametrizes the freedom in
+choosing an assignment map; conjugating the kernel into the trace kernel
+again is exactly unitary consistency.
 """
 
 from __future__ import annotations
@@ -174,9 +176,29 @@ def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
     return OperatorSubspace._trusted(d_s, d_e, u[:, : _rank(sv)])
 
 
+class _FullSpace(OperatorSubspace):
+    """All of L(S x E), where Tr_E is a co-isometry up to sqrt(d_E).
+
+    ``u_consistency_violation``, ``canonical_assignment`` and
+    ``g_consistency_report`` read closed forms for it.  The identity basis
+    and its kernel are built only when read, by the generic path.
+    """
+
+    def __init__(self, d_s: int, d_e: int):
+        object.__setattr__(self, "d_s", d_s)
+        object.__setattr__(self, "d_e", d_e)
+
+    @property
+    def dim(self) -> int:
+        return (self.d_s * self.d_e) ** 2
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex)
+
+
 def full_space(d_s: int, d_e: int) -> OperatorSubspace:
-    d = d_s * d_e
-    return OperatorSubspace._trusted(d_s, d_e, np.eye(d * d, dtype=complex))
+    return _FullSpace(d_s, d_e)
 
 
 def _rank(sv: np.ndarray, floor: float = 0.0) -> int:
@@ -252,10 +274,33 @@ def u_consistency_violation(v: OperatorSubspace, u: np.ndarray) -> float:
     ``||Psi_{Lambda+Delta} - Psi_Lambda||_F = ||M_U C||_F
     <= ||M_U||_F ||Delta||_F``.
     """
+    if isinstance(v, _FullSpace):
+        return _full_space_violation(u, v.d_s, v.d_e)
     k = kernel_tr_e(v)
     if k.dim == 0:
         return 0.0
     return float(np.linalg.norm(tr_e(k.basis, v.d_s, v.d_e, u)))
+
+
+def _full_space_violation(u: np.ndarray, d_s: int, d_e: int) -> float:
+    """``||M_U||_HS`` on all of L(S x E), with no kernel basis.
+
+    ``A_U[(s, t), (i, j)] = sum_e U[s,e,i] conj U[t,e,j]`` is the matrix of
+    Tr_E o Ad_U, and V0 = ker Tr_E has the projector
+    ``X -> X - Tr_E(X) kron I/d_E``, which is real symmetric; so
+    ``||M_U||_HS`` is the norm of A_U with that projector applied to each
+    row.  It is taken entrywise, not as a difference of squared norms, which
+    would lose the rounding level to cancellation.
+    """
+    d = d_s * d_e
+    w = np.asarray(u, dtype=complex).reshape(d_s, d_e, d).transpose(1, 0, 2)
+    w = w.reshape(d_e, d_s * d)
+    # A_U laid out as [s, (a, f), t, (b, g)] with i = (a, f) and j = (b, g).
+    a = (w.T @ w.conj()).reshape(d_s, d_s, d_e, d_s, d_s, d_e)
+    t = np.einsum("saftbf->satb", a) / d_e
+    for f in range(d_e):
+        a[:, :, f, :, :, f] -= t
+    return float(np.linalg.norm(a))
 
 
 def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generator):
@@ -291,7 +336,10 @@ def g_consistency_report(
     into itself exactly, so both are reported as exact; the checked
     violations are reported alongside.
     """
-    dim_v0 = kernel_tr_e(v).dim
+    if isinstance(v, _FullSpace):
+        dim_v0 = v.d_s**2 * (v.d_e**2 - 1)
+    else:
+        dim_v0 = kernel_tr_e(v).dim
     # Tr_E((U_S x U_E) Y (U_S x U_E)^dag) = U_S Tr_E(Y) U_S^dag = 0.
     exact = dim_v0 == 0 or g == "local"
     worst = max(violations, default=0.0)
@@ -313,8 +361,12 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
     operators outside the domain Tr_E V are first projected onto it.  It
     is ``B V_k S_k^-1 U_k^dag`` from the subspace's cached truncated SVD,
     the factorization the kernel reads, so dim V = dim V0 + rank of the
-    domain projector ``U_k U_k^dag``.
+    domain projector ``U_k U_k^dag``.  On the full space it is
+    ``x -> x kron I/d_E`` on all of L(S), with no factorization.
     """
+    if isinstance(v, _FullSpace):
+        mixed = product_assignment_matrix(np.eye(v.d_e, dtype=complex) / v.d_e, v.d_s)
+        return AssignmentMap(v.d_s, v.d_e, mixed, np.eye(v.d_s**2, dtype=complex))
     u, sv, vh = v._tr_e_svd
     r_pinv = vh.conj().T @ (u.conj().T / sv[:, None])
     return AssignmentMap(v.d_s, v.d_e, v.basis @ r_pinv, u @ u.conj().T)

@@ -226,19 +226,36 @@ def test_kernel_extended_builds_no_full_space(monkeypatch, command):
     assert factored == ([] if command == "verify-family" else [report["summary"]["dim_v"]])
 
 
-@pytest.mark.parametrize("command", ["theorem1", "consistency"])
-def test_full_space_command_factors_tr_e_once(monkeypatch, command):
-    calls = []
-    factor = consistency._null_complement
+@pytest.mark.parametrize(
+    "argv",
+    [("theorem1", "--family", "full"), ("consistency", "--family", "full"), ("demo", "2")],
+    ids=["theorem1", "consistency", "demo-2"],
+)
+def test_full_space_commands_factor_nothing(monkeypatch, argv):
+    # The full space's violation, canonical assignment and dim V0 are
+    # closed forms: no SVD, no kernel basis, no identity basis.
+    spaces, factored, svds = [], [], []
+    full_space, factor, svd = consistency.full_space, consistency._null_complement, np.linalg.svd
+
+    def recording_full_space(*args):
+        spaces.append(full_space(*args))
+        return spaces[-1]
 
     def counting_null_complement(*args, **kwargs):
-        calls.append(args[0].shape)
+        factored.append(args[0].shape)
         return factor(*args, **kwargs)
 
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "full_space", recording_full_space)
     monkeypatch.setattr(consistency, "_null_complement", counting_null_complement)
-    report, code = run_args(command, "--family", "full", "--trials", "3", "--seed", "5")
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report, _ = run_args(*argv, "--trials", "3", "--seed", "5")
     assert report["summary"]["dim_v0"] == 12
-    assert calls == [(4, 16)]  # Tr_E restricted to V, factored once
+    assert factored == [] and svds == []
+    assert len(spaces) == 1 and "basis" not in vars(spaces[0])
 
 
 def _checked_unitaries(argv):

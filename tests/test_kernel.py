@@ -1,6 +1,7 @@
 """The Tr_E kernel and the constraint null space against their full-SVD
-references, the kernel computed once per subspace, and kernel properties at
-dimensions beyond 2x2."""
+references, the kernel computed once per subspace, kernel properties at
+dimensions beyond 2x2, and the full space's closed forms against the
+kernel-basis path on an explicit identity basis."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from cpdyn.consistency import (
     SPAN_RANK_FACTOR,
     OperatorSubspace,
+    canonical_assignment,
     full_space,
+    g_consistency_report,
     kernel_tr_e,
     span_from_states,
     subspace_from_constraint,
@@ -153,3 +156,41 @@ def test_full_space_kernel_properties_beyond_2x2(d_s, d_e):
     for _ in range(3):
         u = kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
         assert u_consistency_violation(v, u) <= 1e-9
+
+
+# The full space's closed forms against the kernel-basis path, which an
+# explicit identity basis still takes.
+
+ORACLE_DIMS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 4), (4, 8)]
+
+
+@pytest.mark.parametrize("d_s, d_e", ORACLE_DIMS)
+def test_full_space_closed_forms_match_kernel_basis_oracle(d_s, d_e):
+    d = d_s * d_e
+    v, oracle = full_space(d_s, d_e), OperatorSubspace(d_s, d_e, np.eye(d * d))
+    rng = np.random.default_rng(41 + 10 * d_s + d_e)
+    for _ in range(3):
+        haar = random_haar_unitary(d, rng)
+        local = kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
+        for u in (haar, local):
+            a, b = u_consistency_violation(v, u), u_consistency_violation(oracle, u)
+            assert abs(a - b) <= 1e-12 * max(1.0, a)
+        assert u_consistency_violation(v, haar) > 1e-3
+        assert u_consistency_violation(v, local) <= 1e-13
+    a, b = canonical_assignment(v), canonical_assignment(oracle)
+    assert np.abs(a.mat - b.mat).max() <= 1e-12
+    assert np.abs(a.domain_projector - b.domain_projector).max() <= 1e-12
+    assert g_consistency_report(v, "all", [])["dim_v0"] == kernel_tr_e(oracle).dim
+    assert v.dim == oracle.dim
+    assert "basis" not in vars(v)  # the closed forms read no basis
+
+
+@pytest.mark.parametrize("d_s, d_e", ORACLE_DIMS)
+def test_lazy_full_space_kernel_passes_the_kernel_checks(d_s, d_e):
+    v = full_space(d_s, d_e)
+    assert "basis" not in vars(v) and "kernel" not in vars(v)
+    k = v.kernel.basis
+    assert k.shape == (v.dim, d_s * d_s * (d_e * d_e - 1))
+    assert np.linalg.norm(k.conj().T @ k - np.eye(k.shape[1])) <= TOL * k.shape[1]
+    assert np.linalg.norm(k - v.basis @ (v.basis.conj().T @ k)) <= TOL * k.shape[1]
+    assert np.linalg.norm(tr_e(k, d_s, d_e), axis=0).max() <= TOL

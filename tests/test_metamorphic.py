@@ -7,15 +7,24 @@ against the transformation the theory predicts, with no stored value:
   same channel Psi and the same ||M_U||_HS as U;
 * a unitary change of basis W on S, applied to the spanning states and to
   U, turns Psi into Ad_W o Psi o Ad_W^dag, whose Choi matrix is the old
-  one conjugated by conj(W) x W.
+  one conjugated by conj(W) x W;
+* on the full space, local unitaries L and R around U leave ||M_U||_HS
+  unchanged: Ad_R maps ker Tr_E onto itself isometrically, and Tr_E o Ad_L
+  is Ad_{L_S} o Tr_E, an isometry of L(S).
+
+The full-space tests run at (4, 8) and (8, 8), and at the 64-dimension cap,
+where local products must give a violation at the rounding level, below
+the CLI's ``--tol`` floor.
 """
 
 import numpy as np
 import pytest
 
 from cpdyn.channels import choi, reduced_dynamics
+from cpdyn.cli import TOL_FLOOR
 from cpdyn.consistency import (
     canonical_assignment,
+    full_space,
     kernel_tr_e,
     span_from_states,
     u_consistency_violation,
@@ -66,3 +75,28 @@ def test_system_change_of_basis_conjugates_the_choi_matrix(d_s, d_e):
     assert np.isclose(
         u_consistency_violation(v_w, u_w), u_consistency_violation(v, u), rtol=1e-10
     )
+
+
+def _local(d_s, d_e, rng):
+    return kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
+
+
+@pytest.mark.parametrize("d_s, d_e", [(4, 8), (8, 8)])
+def test_local_unitaries_around_u_keep_the_full_space_violation(d_s, d_e):
+    rng = np.random.default_rng(300 * d_s + d_e)
+    v = full_space(d_s, d_e)
+    u = random_haar_unitary(d_s * d_e, rng)
+    hs = u_consistency_violation(v, u)
+    assert hs > 1e-3
+    for _ in range(3):
+        lur = _local(d_s, d_e, rng) @ u @ _local(d_s, d_e, rng)
+        assert np.isclose(u_consistency_violation(v, lur), hs, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d_s, d_e", [(8, 8), (4, 16), (32, 2), (2, 32)])
+def test_local_products_at_the_cap_stay_below_the_tol_floor(d_s, d_e):
+    rng = np.random.default_rng(400 * d_s + d_e)
+    v = full_space(d_s, d_e)
+    for _ in range(2):
+        assert u_consistency_violation(v, _local(d_s, d_e, rng)) <= 1e-13 < TOL_FLOOR
+    assert "basis" not in vars(v)
