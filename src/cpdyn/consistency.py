@@ -20,12 +20,12 @@ import numpy as np
 from .channels import (
     ChannelMap,
     choi,
-    is_cp,
     is_tp_on_domain,
     product_assignment_matrix,
     reduced_dynamics,
 )
 from .tensor import (
+    PSD_TOL_FACTOR,
     is_hermitian,
     kron,
     psd_check,
@@ -56,6 +56,10 @@ __all__ = [
 # for Tr_E on an orthonormal basis the largest is floored at 1 (see _rank).
 SPAN_RANK_FACTOR = 1e-9
 CONSISTENCY_TOL = 1e-9
+# Assignment Choi matrices of side d_s^2 d_e at least this are decided on the
+# support of their environment marginal first (``_psd_on_marginal_support``);
+# below it the compression costs more than the dense eigvalsh it saves.
+_COMPRESS_MIN_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,8 @@ class AssignmentMap:
     ``mat`` maps vec L(H_S) to vec L(H_S x H_E); ``domain_projector`` is the
     orthogonal projector onto Tr_E V inside vec L(H_S).  The flags
     ``trace_consistent``, ``hermitian`` and ``cp`` are computed numerically
-    when first read.
+    when first read; ``hermitian`` and ``cp`` read one Choi matrix, built
+    once, and ``cp`` is false without a further test when ``hermitian`` is.
     """
 
     d_s: int
@@ -144,14 +149,23 @@ class AssignmentMap:
         return bool(np.linalg.norm(residual) <= 1e-8 * max(1, self.d_s))
 
     @cached_property
+    def _choi(self) -> np.ndarray:
+        return choi(self.as_channel())
+
+    @cached_property
     def hermitian(self) -> bool:
         """The Choi matrix is Hermitian: the map preserves Hermiticity."""
-        return bool(is_hermitian(self.choi()))
+        return bool(is_hermitian(self._choi))
 
     @cached_property
     def cp(self) -> bool:
-        """The Choi matrix is PSD: the map is completely positive."""
-        return bool(is_cp(self.choi()))
+        """The Choi matrix is PSD: the map is completely positive.
+
+        The verdict is ``channels.is_cp`` of the Choi matrix; it is decided
+        on the support of its environment marginal where that certifies it
+        (``_psd_on_marginal_support``), else by the dense test.
+        """
+        return self.hermitian and _psd_on_marginal_support(self._choi, self.d_e)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return unvec(self.mat @ vec(x), self.d_s * self.d_e)
@@ -160,7 +174,57 @@ class AssignmentMap:
         return ChannelMap(self.d_s, self.d_s * self.d_e, self.mat)
 
     def choi(self) -> np.ndarray:
-        return choi(self.as_channel())
+        return self._choi.copy()
+
+
+def _lift(q: np.ndarray, x: np.ndarray, d_e: int) -> np.ndarray:
+    """``(q kron I_E) x`` for a (r, c) matrix ``q`` and a (c d_e, N) stack."""
+    return (q @ x.reshape(q.shape[1], -1)).reshape(q.shape[0] * d_e, -1)
+
+
+def _psd_on_marginal_support(c: np.ndarray, d_e: int) -> bool:
+    """``tensor.psd_check(c)[0]`` for the Choi matrix ``c`` of an assignment
+    (rows indexed (input, system, environment)) that the caller found
+    Hermitian, decided where it can be on the support of the environment
+    marginal.
+
+    A PSD C is supported on supp(Tr_E C) kron E (Lu 2016).  Let H be the
+    Hermitian part of C, Q the eigenvectors of Tr_E H whose eigenvalues
+    exceed ``SPAN_RANK_FACTOR`` of the largest in magnitude, W = Q kron I_E,
+    A = W^dag H W and E = H - W A W^dag; ``||E||_F <= e = ||C - W A W^dag||_F``,
+    since E is the Hermitian part of C - W A W^dag.  Cauchy interlacing gives
+    ``lambda_min(H) <= lambda_min(A)`` and ``rho(H) <= rho(A) + e``, so
+    ``lambda_min(A) < -1e-9 max(1, rho(A) + e)`` certifies not PSD; Weyl
+    gives ``lambda_min(H) >= min(0, lambda_min(A)) - e`` and ``rho(H) >=
+    rho(A)``, so ``min(0, lambda_min(A)) - e >= -1e-9 max(1, rho(A))``
+    certifies PSD.  Both hold for every isometry W, so the cutoff decides
+    only how often neither holds and the dense test, the ``eigvalsh`` of
+    ``psd_check``, runs: always below ``_COMPRESS_MIN_SIDE``, and when Q is
+    empty or square, where the compression is no cheaper.
+    """
+    n = c.shape[0]
+    m = n // d_e
+    if n >= _COMPRESS_MIN_SIDE:
+        marginal = np.einsum("aebe->ab", c.reshape(m, d_e, m, d_e))
+        w, vecs = np.linalg.eigh((marginal + marginal.conj().T) / 2)
+        keep = np.abs(w) > SPAN_RANK_FACTOR * np.abs(w).max(initial=0.0)
+        if 0 < keep.sum() < m:
+            q = vecs[:, keep]
+            qh = q.conj().T
+            a = _lift(qh, _lift(qh, c, d_e).conj().T, d_e)  # (W^dag C W)^dag
+            a = (a + a.conj().T) / 2
+            waw = _lift(q, _lift(q, a, d_e).conj().T, d_e)  # W A W^dag
+            waw -= c
+            err = float(np.linalg.norm(waw))
+            lam = np.linalg.eigvalsh(a)
+            rho = float(np.abs(lam).max())
+            if lam[0] < -PSD_TOL_FACTOR * max(1.0, rho + err):
+                return False
+            if min(0.0, lam[0]) - err >= -PSD_TOL_FACTOR * max(1.0, rho):
+                return True
+    # psd_check's eigenvalue conjunct; its Hermiticity conjunct is the caller's.
+    w = np.linalg.eigvalsh((c + c.conj().T) / 2)
+    return bool(w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max())))
 
 
 def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdyn import cli, consistency
 from cpdyn.channels import (
     ChannelMap,
     choi,
@@ -36,8 +37,10 @@ from cpdyn.families import (
     sample_member,
 )
 from cpdyn.tensor import (
+    PSD_TOL_FACTOR,
     is_hermitian,
     kron,
+    psd_check,
     random_density,
     random_haar_unitary,
     random_hermitian,
@@ -483,3 +486,154 @@ def test_theorem1_records_report_u_consistency_violation(name, g):
     ]
     assert checked["checked"] == len(records)
     assert checked["worst_violation"] == max(r["perturbation_deviation"] for r in records)
+
+
+# Assignment CP decided on the support of the Choi marginal, against the
+# dense channels.is_cp of the same Choi matrix.
+
+def _family_assignment(family, size, seed):
+    """The canonical assignment `theorem1 --family <family>` builds: at
+    `--blocks 2x2,2x2 --de <size>` for block families, else at
+    `--ds <size[0]> --de <size[1]>`."""
+    argv = ["theorem1", "--family", family, "--seed", str(seed)]
+    if family in cli.BLOCK_FAMILIES:
+        argv += ["--blocks", "2x2,2x2", "--de", str(size)]
+    else:
+        argv += ["--ds", str(size[0]), "--de", str(size[1])]
+    args = cli.build_parser().parse_args(argv)
+    args.ds = cli._system_dim(args)
+    return canonical_assignment(cli._build_subspace(args, np.random.default_rng(seed)))
+
+
+CP_ORACLE_CASES = [
+    (family, size)
+    for family in ("factorized", "classical-quantum", "random")
+    for size in ((2, 2), (4, 2), (4, 4), (8, 8))
+] + [(family, d_e) for family in cli.BLOCK_FAMILIES for d_e in (4, 8)]
+
+
+@pytest.mark.parametrize(
+    "family,size",
+    CP_ORACLE_CASES,
+    ids=[f"{f}-{s if isinstance(s, int) else 'x'.join(map(str, s))}" for f, s in CP_ORACLE_CASES],
+)
+def test_assignment_cp_matches_dense_is_cp(family, size):
+    for seed in range(1, 6):
+        a = _family_assignment(family, size, seed)
+        assert a.cp == is_cp(a.choi())
+        if family == "steered":  # its canonical assignment is never CP
+            assert not a.cp
+
+
+def _record_eigensolver_shapes(monkeypatch) -> list:
+    """Shapes of every eigvalsh and eigh call made after this one."""
+    shapes = []
+    for name in ("eigvalsh", "eigh"):
+        def recording(a, *rest, _orig=getattr(np.linalg, name), **kw):
+            shapes.append(np.shape(a))
+            return _orig(a, *rest, **kw)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
+@pytest.mark.parametrize("d_s,d_e", [(4, 4), (4, 8)])
+@pytest.mark.parametrize("depth", [0.5, 0.9, 1.1, 2.0])
+def test_witness_near_the_tolerance_is_decided_densely(monkeypatch, d_s, d_e, depth):
+    # The witness's least Choi eigenvalue, -gamma lambda_max(Delta)/d_S, lies
+    # on Omega-perp kron E, off supp(Tr_E C) kron E = Omega kron E: neither
+    # certificate holds, and the dense test decides at depth * tolerance,
+    # with the one Hermiticity check the hermitian flag made.
+    rng = np.random.default_rng(91)
+    omega = random_density(d_e, d_e, rng)
+    delta = random_hermitian(d_e, rng)
+    delta -= np.trace(delta) * np.eye(d_e) / d_e
+    c0 = witness_assignment(omega, delta, 0.0, d_s).choi()
+    tau = PSD_TOL_FACTOR * max(1.0, np.abs(np.linalg.eigvalsh(c0)).max())
+    gamma = depth * tau * d_s / np.linalg.eigvalsh(delta)[-1]
+    a = witness_assignment(omega, delta, gamma, d_s)
+    ok, low = psd_check(a.choi())
+    assert low == pytest.approx(-depth * tau, rel=1e-3)
+    shapes = _record_eigensolver_shapes(monkeypatch)
+    checked = []
+    monkeypatch.setattr(
+        consistency, "is_hermitian", lambda m: checked.append(len(m)) or is_hermitian(m)
+    )
+    assert a.hermitian and a.cp == ok == (depth < 1)
+    assert a.choi().shape in shapes and len(checked) == 1
+
+
+@pytest.mark.parametrize("d_s,d_e", [(4, 4), (4, 8)])
+@pytest.mark.parametrize("omega_kind", ["pure", "mixed", "indefinite"])
+def test_product_assignment_is_certified_on_the_marginal_support(
+    monkeypatch, d_s, d_e, omega_kind
+):
+    # x -> x kron omega has C = |Omega><Omega| kron omega, supported on
+    # Omega kron E, where A = d_S omega: a pure omega leaves A with zero
+    # eigenvalues, and an indefinite unit-trace omega puts the negativity
+    # inside the support, so a certificate decides each case.
+    rng = np.random.default_rng(92)
+    omega = random_density(d_e, 1 if omega_kind == "pure" else d_e, rng)
+    if omega_kind == "indefinite":
+        omega = omega - 0.5 * random_density(d_e, 1, rng) + 0.5 * np.eye(d_e) / d_e
+    a = AssignmentMap(
+        d_s, d_e, product_assignment_matrix(omega, d_s), np.eye(d_s * d_s, dtype=complex)
+    )
+    oracle = is_cp(a.choi())
+    shapes = _record_eigensolver_shapes(monkeypatch)
+    assert a.cp == oracle == (omega_kind != "indefinite")
+    assert a.choi().shape not in shapes
+
+
+def _mat_from_choi(c, d_in, d_out):
+    """Inverse of channels.choi: C[(i, s), (j, t)] = mat[(s, t), (i, j)]."""
+    t = c.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+    return t.reshape(d_out * d_out, d_in * d_in)
+
+
+def test_non_hermitian_assignment_choi_is_not_cp(rng):
+    # A PSD Hermitian part (the product assignment x -> x kron omega) plus an
+    # anti-Hermitian i s G: only the Hermiticity conjunct rejects it.
+    d_s, d_e = 4, 4
+    eye = np.eye(d_s * d_s, dtype=complex)
+    product = product_assignment_matrix(random_density(d_e, d_e, rng), d_s)
+    c = AssignmentMap(d_s, d_e, product, eye).choi()
+    g = rng.normal(size=c.shape)
+    bad = c + 1e-6j * (g + g.T)
+    a = AssignmentMap(d_s, d_e, _mat_from_choi(bad, d_s, d_s * d_e), eye)
+    assert np.array_equal(a.choi(), bad)
+    assert np.linalg.eigvalsh((bad + bad.conj().T) / 2)[0] >= -1e-12
+    assert not a.hermitian and not a.cp and not is_cp(a.choi())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-family", "--family", "factorized", "--ds", "8", "--de", "8", "--trials", "1"],
+        [
+            "theorem1", "--family", "markov-blocks", "--blocks", "2x2,2x2",
+            "--de", "8", "--g", "local", "--trials", "1",
+        ],
+    ],
+    ids=["verify-family", "theorem1"],
+)
+def test_certified_assignment_cp_runs_no_dense_eigensolver(monkeypatch, tmp_path, argv):
+    # The assignment's 512 x 512 Choi matrix is built once, checked for
+    # Hermiticity once, and decided without an eigensolver of its size.
+    shapes = _record_eigensolver_shapes(monkeypatch)
+    sides = {"choi": [], "is_hermitian": []}
+    monkeypatch.setattr(
+        consistency, "choi", lambda ch: sides["choi"].append(ch.d_in * ch.d_out) or choi(ch)
+    )
+    monkeypatch.setattr(
+        consistency,
+        "is_hermitian",
+        lambda m: sides["is_hermitian"].append(len(m)) or is_hermitian(m),
+    )
+    report, code = cli.run([*argv, "--seed", "1", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert (512, 512) not in shapes and (64, 64) in shapes
+    assert sides["choi"].count(512) == 1 and sides["is_hermitian"].count(512) == 1
+    if argv[0] == "verify-family":
+        assert all(t["assignment_cp"] for t in report["trials"])
+    else:
+        assert report["theorem"]["assignment"]["cp"]
