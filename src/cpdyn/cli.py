@@ -348,23 +348,21 @@ def cmd_dpi(args) -> dict:
         mspec = families.random_markov_state_spec(args.da, args.blocks, args.de, rng)
         omega = families.build_markov_state(mspec)
         cmi = info.conditional_mutual_information(omega, args.da, mspec.d_s, args.de)
-        deltas = []
-        for _ in range(args.unitaries_per_state):
-            u = random_haar_unitary(mspec.d_s * args.de, rng)
-            rep = info.dpi_check(omega, args.da, mspec.d_s, args.de, u)
-            deltas.append(rep.delta)
-        worst = min(deltas)
+        worst = info.search_dpi_violation(
+            omega, args.da, mspec.d_s, args.de, rng, draws=args.unitaries_per_state
+        )["best_delta"]
         worst_delta = min(worst_delta, worst)
         worst_cmi = max(worst_cmi, abs(cmi))
         trials.append({"trial": t, "cmi": cmi, "worst_delta": worst})
     ghz = ghz_state(args.da, args.ds, args.de)
-    shift = info.dpi_check(ghz, args.da, args.ds, args.de, ghz_inverse_shift(args.ds, args.de))
+    shift = ghz_inverse_shift(args.ds, args.de)[None]
+    shift_delta = float(info.dpi_check(ghz, args.da, args.ds, args.de, shift)[0])
     hunt = info.search_dpi_violation(
         ghz, args.da, args.ds, args.de, np.random.default_rng(args.seed), draws=args.search_draws
     )
     summary = {
-        "pass": bool(worst_delta >= -args.tol and shift.delta < -0.01),
-        "ghz_shift_delta": shift.delta,
+        "pass": bool(worst_delta >= -args.tol and shift_delta < -0.01),
+        "ghz_shift_delta": shift_delta,
         "markov_worst_delta": float(worst_delta),
         "markov_worst_cmi": float(worst_cmi),
         "non_markov_search": hunt,
@@ -453,12 +451,17 @@ def _demo2(args) -> dict:
     report = theorem1_verify(v, "local", unitaries, assignment=canon, tol=args.tol)
     mixed = channels.channel_from_function(lambda x: np.kron(x, np.eye(de) / de), ds, ds * de)
     mixed_dist = float(np.linalg.norm(canon.mat - mixed.mat))
+    # dim V_0 counted apart from its closed form: Tr_E of d_s^2 + 2 random
+    # operators, drawn from a stream of their own, spans the system
+    # operators, and V_0 is the kernel of Tr_E on the (d_s d_e)^2 operators.
+    probe = np.random.default_rng([args.seed, 1]).random(((ds * de) ** 2, ds * ds + 2))
+    dim_v0 = (ds * de) ** 2 - np.linalg.matrix_rank(tr_e(probe, ds, de))
     summary = {
         "pass": bool(
             report["passed"]
             and report["premises_hold"]
             and mixed_dist <= 1e-8
-            and report["dim_v0"] == ds * ds * (de * de - 1)
+            and report["dim_v0"] == dim_v0
         ),
         "dim_v": v.dim,
         "dim_v0": report["dim_v0"],

@@ -28,6 +28,7 @@ __all__ = [
     "partial_trace",
     "tr_e",
     "random_haar_unitary",
+    "random_haar_unitaries",
     "random_density",
     "random_hermitian",
     "von_neumann_entropy",
@@ -78,20 +79,24 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
 
     ``dims`` are the factor dimensions in row-major order; the result keeps
     the surviving factors in their original order.  The full trace is
-    preserved: tr(result) = tr(m).
+    preserved: tr(result) = tr(m).  Leading axes of ``m`` beyond the last
+    two are batch axes and are kept.
     """
     dims = tuple(dims)
     keep = tuple(sorted(keep))
     n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep positions {keep} out of range for {n} factors")
-    t = np.asarray(m, dtype=complex).reshape(dims + dims)
+    m = np.asarray(m, dtype=complex)
+    batch = m.shape[:-2]
+    nb = len(batch)
+    t = m.reshape(batch + dims + dims)
     # Trace the discarded axes pairwise, from the highest axis down so that
     # earlier axis numbers stay valid.
     for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+        t = np.trace(t, axis1=nb + ax, axis2=nb + ax + (t.ndim - nb) // 2)
     d_keep = math.prod(dims[k] for k in keep) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(batch + (d_keep, d_keep))
 
 
 def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> np.ndarray:
@@ -116,16 +121,25 @@ def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> n
     return (u.conj().reshape(d_s, d_e * d) @ ux).reshape(d_s * d_s, n)
 
 
-def random_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix.
+def random_haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A ``(n, dim, dim)`` stack of Haar-random unitaries, via QR of complex
+    Ginibre matrices.
 
-    The diagonal phase fix makes the distribution exactly Haar and the
-    output a deterministic function of the RNG state.
+    Each matrix takes its real part and then its imaginary part from the
+    stream, so the stack equals ``n`` successive ``random_haar_unitary``
+    draws and leaves ``rng`` in the same state.  The diagonal phase fix
+    makes the distribution exactly Haar and the output a deterministic
+    function of the RNG state.
     """
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    x = rng.normal(size=(n, 2, dim, dim))
+    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def random_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-random unitary: ``random_haar_unitaries`` with ``n = 1``."""
+    return random_haar_unitaries(1, dim, rng)[0]
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,11 +156,26 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy in nats, with 0 log 0 := 0."""
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy in nats, with 0 log 0 := 0.
+
+    Leading axes beyond the last two are batch axes: one stacked
+    ``eigvalsh`` gives an array of entropies.  A single matrix gives a float.
+    """
     w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    w = w[w > ENTROPY_EIG_CUTOFF]
-    return float(-(w * np.log(w)).sum())
+    if w.ndim == 1:
+        w = w[w > ENTROPY_EIG_CUTOFF]
+        return float(-(w * np.log(w)).sum())
+    # eigvalsh sorts ascending, so the eigenvalues kept form a suffix.  Rows
+    # are summed in stacks of equal suffix length, so that each entropy is
+    # the one its matrix gives alone, bit for bit.
+    kept = (w > ENTROPY_EIG_CUTOFF).sum(axis=-1)
+    out = np.empty(kept.shape)
+    for k in set(kept.flat):
+        rows = kept == k
+        tail = w[rows][:, w.shape[-1] - k:]
+        out[rows] = -(tail * np.log(tail)).sum(axis=-1)
+    return out
 
 
 def swap_unitary(d: int) -> np.ndarray:

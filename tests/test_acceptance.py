@@ -36,6 +36,7 @@ from cpdyn.tensor import (
     min_eigenvalue,
     partial_trace,
     random_density,
+    random_haar_unitaries,
     random_haar_unitary,
     random_hermitian,
     tr_e,
@@ -169,11 +170,8 @@ def test_acceptance_5_data_processing_inequality():
     for _ in range(100):
         mspec = families.random_markov_state_spec(2, BLOCKS, 2, rng)
         omega = families.build_markov_state(mspec)
-        for _ in range(10):
-            u = random_haar_unitary(mspec.d_s * 2, rng)
-            worst_delta = min(
-                worst_delta, info.dpi_check(omega, 2, mspec.d_s, 2, u).delta
-            )
+        us = random_haar_unitaries(10, mspec.d_s * 2, rng)
+        worst_delta = min(worst_delta, info.dpi_check(omega, 2, mspec.d_s, 2, us).min())
     hunt = info.search_dpi_violation(
         ghz_state(), 2, 2, 2, np.random.default_rng(1055), draws=500
     )

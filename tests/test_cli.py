@@ -363,8 +363,8 @@ def test_ghz_inverse_shift_delta_is_minus_log_min_dimension(dims):
     d_a, d_s, d_e = dims
     u = cli.ghz_inverse_shift(d_s, d_e)
     assert np.allclose(u @ u.conj().T, np.eye(d_s * d_e))
-    rep = info.dpi_check(ghz_state(d_a, d_s, d_e), d_a, d_s, d_e, u)
-    assert abs(rep.delta + np.log(min(dims))) <= 1e-12
+    (delta,) = info.dpi_check(ghz_state(d_a, d_s, d_e), d_a, d_s, d_e, u[None])
+    assert abs(delta + np.log(min(dims))) <= 1e-12
 
 
 def test_dpi_verdict_does_not_hang_on_the_hunt():

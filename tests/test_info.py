@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdyn import info
 from cpdyn.cli import ghz_state
 from cpdyn.families import build_markov_state, random_markov_state_spec
 from cpdyn.info import (
@@ -11,9 +14,60 @@ from cpdyn.info import (
     mutual_information,
     search_dpi_violation,
 )
-from cpdyn.tensor import kron, random_density, random_haar_unitary
+from cpdyn.tensor import (
+    kron,
+    partial_trace,
+    random_density,
+    random_haar_unitaries,
+    random_haar_unitary,
+)
 
 LN2 = 0.6931471805599453
+# Markov block layouts by system dimension.
+BLOCKS = {2: ((1, 1), (1, 1)), 3: ((1, 1), (1, 2)), 4: ((1, 2), (2, 1))}
+DPI_DIMS = [(1, 2, 2), (2, 2, 2), (2, 4, 2), (3, 2, 3), (2, 3, 2), (4, 4, 4)]
+
+
+def reference_delta(omega, d_a, d_s, d_e, u):
+    """The per-unitary data-processing delta: I_A kron U applied densely,
+    Tr_E by partial_trace, and I(A:S) from scalar entropies."""
+    dims = (d_a, d_s, d_e)
+    big_u = kron(np.eye(d_a), u)
+    before = partial_trace(omega, dims, keep=(0, 1))
+    after = partial_trace(big_u @ omega @ big_u.conj().T, dims, keep=(0, 1))
+    return mutual_information(before, d_a, d_s) - mutual_information(after, d_a, d_s)
+
+
+def reference_search(omega, d_a, d_s, d_e, rng, draws):
+    best, best_draw = np.inf, -1
+    for i in range(draws):
+        delta = reference_delta(omega, d_a, d_s, d_e, random_haar_unitary(d_s * d_e, rng))
+        if delta < best:
+            best, best_draw = delta, i
+    return best, best_draw
+
+
+def markov_state(d_a, d_s, d_e, rng):
+    return build_markov_state(random_markov_state_spec(d_a, BLOCKS[d_s], d_e, rng))
+
+
+def reference_haar_unitary(dim, rng):
+    """A single Haar draw as written before stacked draws: real part, then
+    imaginary part, QR and the diagonal phase fix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+class RepeatingNormals:
+    """Stands in for a generator whose every Haar draw is the same unitary."""
+
+    def __init__(self, dim, seed):
+        self.block = np.random.default_rng(seed).normal(size=(2, dim, dim))
+
+    def normal(self, size):
+        return np.broadcast_to(self.block, size).copy()
 
 
 def bell_pair():
@@ -62,25 +116,31 @@ def test_dpi_holds_on_markov_states(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
     assert abs(conditional_mutual_information(omega, 2, mspec.d_s, 2)) < 1e-9
-    for _ in range(10):
-        u = random_haar_unitary(mspec.d_s * 2, rng)
-        rep = dpi_check(omega, 2, mspec.d_s, 2, u)
-        assert rep.delta >= -1e-9
+    deltas = dpi_check(omega, 2, mspec.d_s, 2, random_haar_unitaries(10, mspec.d_s * 2, rng))
+    assert deltas.shape == (10,)
+    assert deltas.min() >= -1e-9
 
 
 def test_dpi_identity_evolution_is_neutral(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
-    rep = dpi_check(omega, 2, mspec.d_s, 2, np.eye(mspec.d_s * 2))
-    assert abs(rep.delta) < 1e-10
-    assert abs(rep.i_before - rep.i_after) < 1e-10
+    deltas = dpi_check(omega, 2, mspec.d_s, 2, np.eye(mspec.d_s * 2)[None])
+    assert abs(deltas[0]) < 1e-10
 
 
 def test_dpi_rejects_wrong_unitary_dimension(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
     with pytest.raises(ValueError):
-        dpi_check(omega, 2, mspec.d_s, 2, np.eye(2))
+        dpi_check(omega, 2, mspec.d_s, 2, np.eye(2)[None])
+    with pytest.raises(ValueError, match="stack"):
+        dpi_check(omega, 2, mspec.d_s, 2, np.eye(mspec.d_s * 2))
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (16, 8), (16,)])
+def test_dpi_rejects_a_state_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match="state shape"):
+        dpi_check(np.zeros(shape), 2, 2, 4, np.eye(8)[None])
 
 
 def test_ghz_admits_deterministic_dpi_violation():
@@ -89,8 +149,72 @@ def test_ghz_admits_deterministic_dpi_violation():
     cnot = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
-    rep = dpi_check(ghz_state(), 2, 2, 2, cnot)
-    assert abs(rep.delta + LN2) < 1e-9
+    (delta,) = dpi_check(ghz_state(), 2, 2, 2, cnot[None])
+    assert abs(delta + LN2) < 1e-9
+
+
+@pytest.mark.parametrize("dims", DPI_DIMS)
+@pytest.mark.parametrize("state", ["markov", "ghz"])
+def test_stacked_delta_matches_the_per_unitary_reference(dims, state):
+    d_a, d_s, d_e = dims
+    rng = np.random.default_rng(sum(dims))
+    omega = markov_state(*dims, rng) if state == "markov" else ghz_state(*dims)
+    us = random_haar_unitaries(7, d_s * d_e, rng)
+    ref = [reference_delta(omega, d_a, d_s, d_e, u) for u in us]
+    assert np.max(np.abs(dpi_check(omega, d_a, d_s, d_e, us) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 64])
+def test_stacked_haar_draw_equals_successive_single_draws(dim):
+    stacked_rng, single_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+    stack = random_haar_unitaries(5, dim, stacked_rng)
+    singles = [reference_haar_unitary(dim, single_rng) for _ in range(5)]
+    assert np.array_equal(stack, np.array(singles))
+    assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+    assert np.array_equal(random_haar_unitary(dim, stacked_rng), reference_haar_unitary(dim, single_rng))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+def test_chunked_search_matches_the_reference_loop(dims):
+    # Two full chunks and a partial one.
+    draws = 2 * info._CHUNK + 3
+    omega = ghz_state(*dims)
+    out = search_dpi_violation(omega, *dims, np.random.default_rng(11), draws=draws)
+    best, best_draw = reference_search(omega, *dims, np.random.default_rng(11), draws)
+    assert out["best_draw"] == best_draw
+    assert abs(out["best_delta"] - best) <= 1e-12
+    assert out["draws"] == draws
+
+
+def test_search_reports_the_first_of_tied_draws():
+    # Every draw is the same unitary: the deltas tie within and across
+    # chunks, and the first draw is reported, as a strict < loop does.
+    rng = RepeatingNormals(4, seed=3)
+    out = search_dpi_violation(ghz_state(), 2, 2, 2, rng, draws=2 * info._CHUNK + 3)
+    assert out["best_draw"] == 0
+
+
+def test_search_rejects_an_empty_budget():
+    with pytest.raises(ValueError, match="draws"):
+        search_dpi_violation(ghz_state(), 2, 2, 2, np.random.default_rng(0), draws=0)
+
+
+def test_search_memory_does_not_grow_with_draws():
+    # At the 64-dimension cap the peak is that of one chunk of unitaries,
+    # whatever the number of draws.
+    omega = ghz_state(4, 4, 4)
+    # One-time allocations of the first call are not part of either peak.
+    search_dpi_violation(omega, 4, 4, 4, np.random.default_rng(5), draws=1)
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            search_dpi_violation(omega, 4, 4, 4, np.random.default_rng(5), draws=chunks * info._CHUNK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.1 * peak(2)
 
 
 def test_search_finds_ghz_violation():

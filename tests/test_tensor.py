@@ -65,6 +65,14 @@ def test_partial_trace_preserves_trace(rng):
     assert abs(np.trace(out) - np.trace(rho)) < 1e-12
 
 
+def test_partial_trace_keeps_leading_batch_axes(rng):
+    stack = np.stack([random_density(12, 12, rng) for _ in range(6)]).reshape(2, 3, 12, 12)
+    for keep in ((0,), (1,), (2,), (0, 2), (1, 2)):
+        out = partial_trace(stack, (2, 3, 2), keep=keep)
+        singles = [partial_trace(m, (2, 3, 2), keep=keep) for m in stack.reshape(6, 12, 12)]
+        assert np.array_equal(out.reshape((6,) + out.shape[2:]), np.array(singles))
+
+
 def test_swap_unitary_exchanges_the_factors(rng):
     for d in (2, 3):
         swap = swap_unitary(d)
@@ -135,6 +143,17 @@ def test_entropy_values(rng):
     assert abs(von_neumann_entropy(np.eye(3) / 3) - np.log(3)) < 1e-12
     # Scalar oracle: -0.75 ln 0.75 - 0.25 ln 0.25.
     assert abs(von_neumann_entropy(np.diag([0.75, 0.25])) - 0.5623351446188083) < 1e-12
+
+
+def test_stacked_entropy_equals_single_entropies(rng):
+    # Ranks 1..6 of an 8-dimensional state give every count of eigenvalues
+    # dropped below the cutoff, zero included.
+    stack = np.stack([random_density(8, 1 + i % 6, rng) for i in range(12)]).reshape(3, 4, 8, 8)
+    out = von_neumann_entropy(stack)
+    assert out.shape == (3, 4)
+    singles = [von_neumann_entropy(m) for m in stack.reshape(12, 8, 8)]
+    assert all(type(s) is float for s in singles)
+    assert np.array_equal(out.reshape(12), np.array(singles))
 
 
 def test_entropy_unitary_invariance(rng):
