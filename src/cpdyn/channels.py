@@ -17,7 +17,7 @@ import numpy as np
 
 from .tensor import (
     dagger,
-    is_psd,
+    psd_check,
     tr_e,
     unvec,
     vec,
@@ -104,7 +104,7 @@ def choi(c: ChannelMap) -> np.ndarray:
 
 def is_cp(ch: np.ndarray) -> bool:
     """CP test on a Choi matrix: Hermitian and PSD to scale-aware tolerance."""
-    return is_psd(ch)
+    return psd_check(ch)[0]
 
 
 def is_tp(c: ChannelMap) -> bool:

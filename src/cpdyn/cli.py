@@ -127,53 +127,49 @@ def _steered_draw(args, rng: np.random.Generator):
     return mspec, families.SteeredSpec(args.da, mspec.d_s, args.de, state)
 
 
+def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
+    """The Markov block layout (l_i, r_i) of a block family: factorized is
+    the one block (d_s, 1) and direct-sum has blocks (d_i, 1), with d_i the
+    sizes of ``--blocks``; mixed-direct-sum holds a fixed S x E state in
+    each of its first max(1, m // 2) blocks, as (1, d_i), and is a direct
+    sum after them."""
+    if family == "factorized":
+        return ((args.ds, 1),)
+    dims = [l * r for l, r in args.blocks]
+    if family == "direct-sum":
+        return tuple((d, 1) for d in dims)
+    if family == "mixed-direct-sum":
+        m_prime = max(1, len(dims) // 2)
+        return tuple((1, d) for d in dims[:m_prime]) + tuple((d, 1) for d in dims[m_prime:])
+    if family in ("markov-blocks", "kernel-extended"):
+        return args.blocks
+    raise ValueError(f"unknown family {family!r}")
+
+
 def _random_spec(family: str, args, rng: np.random.Generator):
     ds, de = args.ds, args.de
-    if family == "factorized":
-        return families.FactorizedSpec(ds, random_density(de, de, rng))
     if family == "classical-quantum":
         return families.ClassicalQuantumSpec(
             random_haar_unitary(ds, rng),
             tuple(random_density(de, de, rng) for _ in range(ds)),
         )
-    if family == "direct-sum":
-        dims = tuple(l * r for l, r in args.blocks)
-        return families.DirectSumSpec(
-            dims, tuple(random_density(de, de, rng) for _ in dims)
-        )
-    if family == "mixed-direct-sum":
-        dims = tuple(l * r for l, r in args.blocks)
-        m_prime = max(1, len(dims) // 2)
-        return families.MixedDirectSumSpec(
-            dims,
-            m_prime,
-            tuple(random_density(d * de, d * de, rng) for d in dims[:m_prime]),
-            tuple(random_density(de, de, rng) for _ in dims[m_prime:]),
-        )
-    if family == "markov-blocks":
-        return families.MarkovBlocksSpec(
-            args.blocks,
-            de,
-            tuple(random_density(r * de, r * de, rng) for _, r in args.blocks),
-        )
     if family == "steered":
         return _steered_draw(args, rng)[1]
-    if family == "kernel-extended":
-        base = families.MarkovBlocksSpec(
-            args.blocks,
-            de,
-            tuple(random_density(r * de, r * de, rng) for _, r in args.blocks),
-        )
-        # Gaussian directions projected onto ker Tr_E, X - Tr_E(X) kron I/d_E:
-        # Tr_E is a co-isometry up to the factor d_E, so this is the
-        # orthogonal projection, and no kernel basis is built.
-        d = ds * de
-        n_dir = min(3, d * d - ds * ds)
-        x = rng.normal(size=(d * d, n_dir)) + 1j * rng.normal(size=(d * d, n_dir))
-        t = tr_e(x, ds, de).reshape(ds, ds, n_dir)
-        x -= np.einsum("abk,ef->aebfk", t, np.eye(de) / de).reshape(d * d, n_dir)
-        return families.KernelExtendedSpec(base, np.linalg.qr(x)[0])
-    raise ValueError(f"unknown family {family!r}")
+    layout = _layout(family, args)
+    spec = families.MarkovBlocksSpec(
+        layout, de, tuple(random_density(r * de, r * de, rng) for _, r in layout)
+    )
+    if family != "kernel-extended":
+        return spec
+    # Gaussian directions projected onto ker Tr_E, X - Tr_E(X) kron I/d_E:
+    # Tr_E is a co-isometry up to the factor d_E, so this is the
+    # orthogonal projection, and no kernel basis is built.
+    d = ds * de
+    n_dir = min(3, d * d - ds * ds)
+    x = rng.normal(size=(d * d, n_dir)) + 1j * rng.normal(size=(d * d, n_dir))
+    t = tr_e(x, ds, de).reshape(ds, ds, n_dir)
+    x -= np.einsum("abk,ef->aebfk", t, np.eye(de) / de).reshape(d * d, n_dir)
+    return families.KernelExtendedSpec(spec, np.linalg.qr(x)[0])
 
 
 def _family_span(spec):
@@ -210,7 +206,7 @@ def _verify_family_trial(args, trial: int) -> dict:
         "assignment_cp": bool(assign.cp),
     }
     if args.family == "factorized":
-        k = channels.kraus_factorized(u, spec.omega_e, ds, de)
+        k = channels.kraus_factorized(u, spec.omega_re[0], ds, de)
         direct = channels.channel_from_kraus(k, ds, ds)
         rec["construction_choi_distance"] = channels.choi_distance(psi, direct)
         rec["kraus_closure_error"] = float(
@@ -233,9 +229,17 @@ def _system_dim(args) -> int:
     return args.ds
 
 
+def _check_family_dims(args):
+    """Check S x E and, for the steered family, whose members are drawn
+    from a state on A x S x E, that state's dimensions too."""
+    _check_dims(args.ds, args.de)
+    if args.family == "steered":
+        _check_dims(args.da, args.ds, args.de)
+
+
 def cmd_verify_family(args) -> dict:
     ds = args.ds = _system_dim(args)
-    _check_dims(ds, args.de)
+    _check_family_dims(args)
     _check_swap(args.g, ds, args.de)
     if args.family == "kernel-extended" and args.g == "all":
         raise SystemExit(
@@ -267,7 +271,7 @@ def _build_subspace(args, rng: np.random.Generator):
 
 def cmd_consistency(args) -> dict:
     args.ds = _system_dim(args)
-    _check_dims(args.ds, args.de)
+    _check_family_dims(args)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
     _check_swap(args.g, v.d_s, v.d_e)
@@ -290,7 +294,7 @@ def cmd_consistency(args) -> dict:
 
 def cmd_theorem1(args) -> dict:
     args.ds = _system_dim(args)
-    _check_dims(args.ds, args.de)
+    _check_family_dims(args)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
     _check_swap(args.g, v.d_s, v.d_e)

@@ -4,6 +4,12 @@ Each family separates fixed data (environment states, block layout,
 orthonormal bases) from free parameters (probability distributions, free
 block states, steering operators).  All members are density matrices on
 S x E; the Markov construction additionally carries an ancilla A.
+
+The block families are layouts of one spec, ``MarkovBlocksSpec``: members
+directsum_i p_i rho_L_i kron omega_RE_i with fixed states on R_i x E (Lu,
+PRA 93, 042332).  A factorized family rho_S kron omega_E is the one block
+(d_s, 1); a direct sum of factorized blocks has blocks (d_i, 1); a block
+holding a fixed S x E state omega_SE_i is a block (1, d_i).
 """
 
 from __future__ import annotations
@@ -25,10 +31,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "FactorizedSpec",
     "ClassicalQuantumSpec",
-    "DirectSumSpec",
-    "MixedDirectSumSpec",
     "MarkovBlocksSpec",
     "SteeredSpec",
     "KernelExtendedSpec",
@@ -51,21 +54,6 @@ def _check_probs(p) -> np.ndarray:
     if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"invalid probability distribution {p}")
     return np.clip(p, 0.0, None)
-
-
-@dataclass(frozen=True)
-class FactorizedSpec:
-    """rho_S kron omega_E with a fixed environment state."""
-
-    d_s: int
-    omega_e: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        check_density(self.omega_e, "omega_E")
-
-    @property
-    def d_e(self) -> int:
-        return self.omega_e.shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,62 +80,6 @@ class ClassicalQuantumSpec:
     @property
     def d_e(self) -> int:
         return self.omegas[0].shape[0]
-
-
-@dataclass(frozen=True)
-class DirectSumSpec:
-    """Direct sum of factorized blocks: sum_i p_i rho_S^(i) kron omega_i."""
-
-    block_dims: tuple[int, ...]
-    omegas: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.omegas) != len(self.block_dims):
-            raise ValueError("need one environment state per block")
-        for i, w in enumerate(self.omegas):
-            check_density(w, f"omega_{i}")
-
-    @property
-    def d_s(self) -> int:
-        return sum(self.block_dims)
-
-    @property
-    def d_e(self) -> int:
-        return self.omegas[0].shape[0]
-
-
-@dataclass(frozen=True)
-class MixedDirectSumSpec:
-    """First ``m_prime`` blocks carry fixed SE-block states, the rest are
-    factorized with free system parts."""
-
-    block_dims: tuple[int, ...]
-    m_prime: int
-    omega_se: tuple[np.ndarray, ...] = field(repr=False)  # fixed states, blocks < m_prime
-    omegas: tuple[np.ndarray, ...] = field(repr=False)  # fixed env states, blocks >= m_prime
-
-    def __post_init__(self):
-        if not 0 <= self.m_prime <= len(self.block_dims):
-            raise ValueError("m_prime out of range")
-        if len(self.omega_se) != self.m_prime:
-            raise ValueError("need one fixed SE state per leading block")
-        if len(self.omegas) != len(self.block_dims) - self.m_prime:
-            raise ValueError("need one environment state per trailing block")
-        d_e = self.d_e
-        for i, w in enumerate(self.omega_se):
-            check_density(w, f"omega_SE_{i}")
-            if w.shape[0] != self.block_dims[i] * d_e:
-                raise ValueError(f"omega_SE_{i} dimension mismatch")
-
-    @property
-    def d_s(self) -> int:
-        return sum(self.block_dims)
-
-    @property
-    def d_e(self) -> int:
-        if self.omegas:
-            return self.omegas[0].shape[0]
-        return self.omega_se[0].shape[0] // self.block_dims[0]
 
 
 @dataclass(frozen=True)
@@ -274,21 +206,8 @@ def block_indices(blocks, d_f: int, d_a: int = 1) -> list[np.ndarray]:
 
 def random_params(spec, rng: np.random.Generator) -> FamilyParams:
     """Draw a valid random parameter set for the given family spec."""
-    if isinstance(spec, FactorizedSpec):
-        return FamilyParams(states=(random_density(spec.d_s, spec.d_s, rng),))
     if isinstance(spec, ClassicalQuantumSpec):
         return FamilyParams(probs=tuple(rng.dirichlet(np.ones(spec.d_s))))
-    if isinstance(spec, DirectSumSpec):
-        return FamilyParams(
-            probs=tuple(rng.dirichlet(np.ones(len(spec.block_dims)))),
-            states=tuple(random_density(d, d, rng) for d in spec.block_dims),
-        )
-    if isinstance(spec, MixedDirectSumSpec):
-        free = spec.block_dims[spec.m_prime :]
-        return FamilyParams(
-            probs=tuple(rng.dirichlet(np.ones(len(spec.block_dims)))),
-            states=tuple(random_density(d, d, rng) for d in free),
-        )
     if isinstance(spec, MarkovBlocksSpec):
         return FamilyParams(
             probs=tuple(rng.dirichlet(np.ones(len(spec.blocks)))),
@@ -307,9 +226,6 @@ def random_params(spec, rng: np.random.Generator) -> FamilyParams:
 
 def sample_member(spec, params: FamilyParams) -> np.ndarray:
     """Assemble the S x E density matrix for one parameter set."""
-    if isinstance(spec, FactorizedSpec):
-        (rho_s,) = params.states
-        return kron(rho_s, spec.omega_e)
     if isinstance(spec, ClassicalQuantumSpec):
         p = _check_probs(params.probs)
         d = spec.d_s * spec.d_e
@@ -318,24 +234,14 @@ def sample_member(spec, params: FamilyParams) -> np.ndarray:
             b = spec.basis[:, i]
             out += p[i] * kron(np.outer(b, b.conj()), spec.omegas[i])
         return out
-    if isinstance(spec, DirectSumSpec):
-        blocks = tuple((d, 1) for d in spec.block_dims)
-        fixed = tuple(spec.omegas)
-        return _assemble_blocks(blocks, spec.d_e, params.probs, params.states, fixed)
-    if isinstance(spec, MixedDirectSumSpec):
+    if isinstance(spec, MarkovBlocksSpec):
         p = _check_probs(params.probs)
         d = spec.d_s * spec.d_e
         out = np.zeros((d, d), dtype=complex)
-        idx = block_indices(tuple((b, 1) for b in spec.block_dims), spec.d_e)
-        for i in range(spec.m_prime):
-            out[np.ix_(idx[i], idx[i])] += p[i] * spec.omega_se[i]
-        for j, i in enumerate(range(spec.m_prime, len(spec.block_dims))):
-            out[np.ix_(idx[i], idx[i])] += p[i] * kron(params.states[j], spec.omegas[j])
+        idx = block_indices(spec.blocks, spec.d_e)
+        for i, (rho_l, w) in enumerate(zip(params.states, spec.omega_re)):
+            out[np.ix_(idx[i], idx[i])] += p[i] * kron(rho_l, w)
         return out
-    if isinstance(spec, MarkovBlocksSpec):
-        return _assemble_blocks(
-            spec.blocks, spec.d_e, params.probs, params.states, spec.omega_re
-        )
     if isinstance(spec, SteeredSpec):
         return steer(spec.omega_ase, spec.d_a, params.p_a)
     if isinstance(spec, KernelExtendedSpec):
@@ -351,80 +257,38 @@ def span_generators(spec) -> list[np.ndarray]:
     parameters, so the members span the image of that function, which is
     spanned by its values on unit parameters:
 
-    * factorized: ``E_ab kron omega_E``, d_s^2 of them;
     * classical-quantum: ``|b_i><b_i| kron omega_i``, d_s of them;
-    * direct-sum and markov-blocks: ``E_ab kron omega_i`` in block i, with
-      a, b < l_i (a direct-sum block has r_i = 1), sum_i l_i^2 of them;
-    * mixed-direct-sum: the fixed ``omega_SE_i`` of each leading block and
-      ``E_ab kron omega_j`` in each trailing block j;
+    * markov-blocks: ``E_ab kron omega_RE_i`` in block i, with a, b < l_i,
+      sum_i l_i^2 of them (a block with l_i = 1 gives its fixed state alone);
     * steered: ``Tr_A[(E_ab kron I) omega_ASE]`` for a, b < d_a.
 
     All but the steered generators are mutually orthogonal.  A
     kernel-extended member is not linear in its parameters (its step along
     the kernel is found by a PSD search), so that family has no generators.
     """
-    if isinstance(spec, FactorizedSpec):
-        return list(_unit_products(spec.d_s, spec.omega_e))
     if isinstance(spec, ClassicalQuantumSpec):
         b, w = np.asarray(spec.basis), np.asarray(spec.omegas)
         d = spec.d_s * spec.d_e
         return list(np.einsum("ai,bi,ixy->iaxby", b, b.conj(), w).reshape(spec.d_s, d, d))
-    if isinstance(spec, DirectSumSpec):
-        blocks = tuple((d, 1) for d in spec.block_dims)
-        return _in_blocks(blocks, spec.d_e, _free_blocks(blocks, range(len(blocks)), spec.omegas))
-    if isinstance(spec, MixedDirectSumSpec):
-        blocks = tuple((d, 1) for d in spec.block_dims)
-        fixed = {i: np.asarray(w)[None] for i, w in enumerate(spec.omega_se)}
-        free = _free_blocks(blocks, range(spec.m_prime, len(blocks)), spec.omegas)
-        return _in_blocks(blocks, spec.d_e, fixed | free)
     if isinstance(spec, MarkovBlocksSpec):
-        free = _free_blocks(spec.blocks, range(len(spec.blocks)), spec.omega_re)
-        return _in_blocks(spec.blocks, spec.d_e, free)
+        d = spec.d_s * spec.d_e
+        out, hi = [], 0
+        for (l, r), w in zip(spec.blocks, spec.omega_re):
+            # Block i's rows are contiguous; E_ab in row-major order of (a, b).
+            lo, hi = hi, hi + l * r * spec.d_e
+            eye = np.eye(l, dtype=complex)
+            g = np.zeros((l * l, d, d), dtype=complex)
+            g[:, lo:hi, lo:hi] = np.einsum("ac,bd,xy->abcxdy", eye, eye, w).reshape(
+                l * l, hi - lo, hi - lo
+            )
+            out.extend(g)
+        return out
     if isinstance(spec, SteeredSpec):
         # Tr_A[(E_ab kron I) omega]_{st} = omega_{(b,s),(a,t)}: block (b, a) of omega.
         d_se = spec.d_s * spec.d_e
         t = np.asarray(spec.omega_ase, dtype=complex).reshape(spec.d_a, d_se, spec.d_a, d_se)
         return [t[b, :, a, :] for a in range(spec.d_a) for b in range(spec.d_a)]
     raise TypeError(f"no linear generators for {type(spec).__name__}")
-
-
-def _unit_products(l: int, w: np.ndarray) -> np.ndarray:
-    """The l^2 operators E_ab kron w, with E_ab = |a><b| in row-major order,
-    stacked as an (l^2, l n, l n) array for an n x n ``w``."""
-    n = w.shape[0]
-    eye = np.eye(l, dtype=complex)
-    return np.einsum("ac,bd,xy->abcxdy", eye, eye, w).reshape(l * l, l * n, l * n)
-
-
-def _free_blocks(blocks, which, fixed) -> dict[int, np.ndarray]:
-    """For each block i in ``which``, with its fixed state, ``E_ab kron fixed``
-    for a, b < l_i."""
-    return {i: _unit_products(blocks[i][0], w) for i, w in zip(which, fixed)}
-
-
-def _in_blocks(blocks, d_e: int, stacks: dict) -> list[np.ndarray]:
-    """Operators on S x E that vanish outside one block: each operator of
-    ``stacks[i]`` placed in block i, whose rows are contiguous."""
-    sizes = [l * r * d_e for l, r in blocks]
-    ends = np.cumsum(sizes)
-    out = []
-    for i, stack in stacks.items():
-        lo, hi = ends[i] - sizes[i], ends[i]
-        g = np.zeros((len(stack), ends[-1], ends[-1]), dtype=complex)
-        g[:, lo:hi, lo:hi] = stack
-        out.extend(g)
-    return out
-
-
-def _assemble_blocks(blocks, d_e, probs, states, fixed) -> np.ndarray:
-    p = _check_probs(probs)
-    d_s = sum(l * r for l, r in blocks)
-    d = d_s * d_e
-    out = np.zeros((d, d), dtype=complex)
-    idx = block_indices(blocks, d_e)
-    for i, (rho_l, w) in enumerate(zip(states, fixed)):
-        out[np.ix_(idx[i], idx[i])] += p[i] * kron(rho_l, w)
-    return out
 
 
 def _extend_along_kernel(base, kernel_basis, coeffs) -> np.ndarray:

@@ -37,7 +37,6 @@ __all__ = [
     "min_eigenvalue",
     "is_hermitian",
     "psd_check",
-    "is_psd",
     "check_density",
 ]
 
@@ -213,11 +212,6 @@ def psd_check(m: np.ndarray) -> tuple[bool, float]:
     w = np.linalg.eigvalsh((m + dagger(m)) / 2)
     ok = is_hermitian(m) and w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max()))
     return bool(ok), float(w[0])
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """Hermitian, and PSD down to the scale-aware tolerance (``psd_check``)."""
-    return psd_check(m)[0]
 
 
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:

@@ -257,18 +257,14 @@ def test_acceptance_8_non_cp_assignment_is_detected():
 def test_acceptance_9_assignments_fix_their_domain():
     rng = np.random.default_rng(109)
     specs = [
-        families.FactorizedSpec(2, random_density(2, 2, rng)),
+        markov_spec(rng, ((2, 1),)),  # factorized: rho_S kron omega_E
         families.ClassicalQuantumSpec(
             random_haar_unitary(2, rng),
             (random_density(2, 2, rng), random_density(2, 2, rng)),
         ),
-        families.DirectSumSpec(
-            (1, 2), (random_density(2, 2, rng), random_density(2, 2, rng))
-        ),
-        families.MixedDirectSumSpec(
-            (1, 2), 1, (random_density(2, 2, rng),), (random_density(2, 2, rng),)
-        ),
-        markov_spec(rng),
+        markov_spec(rng, ((1, 1), (2, 1))),  # a direct sum of factorized blocks
+        markov_spec(rng, ((1, 2), (2, 1))),  # a fixed S x E block, then a factorized one
+        markov_spec(rng, ((2, 2), (1, 1))),
     ]
     worst = 0.0
     for spec in specs:

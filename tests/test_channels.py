@@ -21,7 +21,6 @@ from cpdyn.channels import (
 from cpdyn.tensor import (
     PSD_TOL_FACTOR,
     is_hermitian,
-    is_psd,
     kron,
     min_eigenvalue,
     psd_check,
@@ -145,7 +144,7 @@ def is_psd_by_svd(m):
     return is_hermitian(m) and min_eigenvalue((m + m.conj().T) / 2) >= -tol
 
 
-def test_is_psd_matches_svd_scaled_reference(rng):
+def test_is_cp_matches_svd_scaled_reference(rng):
     for d in (1, 3, 8):
         for scale in (1e-3, 1.0, 1e4):
             w, v = np.linalg.eigh(scale * random_hermitian(d, rng))
@@ -154,9 +153,9 @@ def test_is_psd_matches_svd_scaled_reference(rng):
             for margin in (-2.0, -0.5, 0.0, 0.5):
                 # Smallest eigenvalue `margin` tolerances away from zero.
                 m = (v * (spread + margin * tol)) @ v.conj().T
-                assert is_psd(m) == is_psd_by_svd(m) == (margin >= -1.0)
-                assert is_cp(m) == is_psd(m)
-    assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+                assert is_cp(m) == is_psd_by_svd(m) == (margin >= -1.0)
+                assert is_cp(m) == psd_check(m)[0]
+    assert not is_cp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_psd_check_gives_cp_and_min_eigenvalue_from_one_spectrum(rng):

@@ -99,6 +99,16 @@ def test_steered_block_layout_counts_against_the_cap(command):
                  "--g", "local", "--trials", "1")
 
 
+@pytest.mark.parametrize("command", ["verify-family", "consistency", "theorem1"])
+def test_steered_checks_the_ancilla_dimension(command):
+    with pytest.raises(SystemExit, match="dimensions must be >= 1, got 0"):
+        run_args(command, "--family", "steered", "--da", "0", "--trials", "1")
+    # S x E is 16 but the steered state on A x S x E is 256.
+    with pytest.raises(SystemExit, match="total dimension 256 exceeds the hard cap 64"):
+        run_args(command, "--family", "steered", "--da", "16", "--blocks", "2x2",
+                 "--de", "4", "--trials", "1")
+
+
 def test_steered_consistency_echoes_the_block_dimension():
     report, code = run_args("consistency", "--family", "steered", "--g", "local",
                             "--trials", "1", "--seed", "3")

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,22 +5,19 @@ from hypothesis import strategies as st
 
 from cpdyn.families import (
     ClassicalQuantumSpec,
-    DirectSumSpec,
-    FactorizedSpec,
     FamilyParams,
     KernelExtendedSpec,
     MarkovBlocksSpec,
-    MixedDirectSumSpec,
     SteeredSpec,
     block_indices,
     build_markov_state,
     random_markov_state_spec,
     random_params,
     sample_member,
+    span_generators,
     steer,
     structure_fit,
 )
-from cpdyn.serialize import spec_from_json, spec_to_json
 from cpdyn.tensor import (
     check_density,
     kron,
@@ -40,23 +35,21 @@ def markov_spec(rng, blocks=((1, 2), (2, 1)), d_e=2):
 
 
 ALL_SPECS = [
-    lambda rng: FactorizedSpec(2, random_density(2, 2, rng)),
+    # factorized, rho_S kron omega_E: the one block (d_s, 1)
+    lambda rng: markov_spec(rng, ((2, 1),)),
     lambda rng: ClassicalQuantumSpec(
         random_haar_unitary(2, rng), (random_density(2, 2, rng), random_density(2, 2, rng))
     ),
-    lambda rng: DirectSumSpec((1, 2), (random_density(2, 2, rng), random_density(2, 2, rng))),
-    lambda rng: MixedDirectSumSpec(
-        (1, 2), 1, (random_density(2, 2, rng),), (random_density(2, 2, rng),)
-    ),
-    markov_spec,
+    # direct sum of factorized blocks: blocks (d_i, 1)
+    lambda rng: markov_spec(rng, ((1, 1), (2, 1))),
+    # a fixed S x E state on a two-dimensional block, then a factorized block
+    lambda rng: markov_spec(rng, ((1, 2), (2, 1))),
+    lambda rng: markov_spec(rng, ((2, 2), (1, 1))),
     lambda rng: SteeredSpec(
         2, 4, 2, build_markov_state(random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng))
     ),
     lambda rng: KernelExtendedSpec(
         markov_spec(rng), kernel_tr_e(full_space(4, 2)).basis[:, :3]
-    ),
-    lambda rng: MixedDirectSumSpec(
-        (1, 2), 0, (), (random_density(2, 2, rng), random_density(2, 2, rng))
     ),
 ]
 
@@ -70,14 +63,120 @@ def test_members_are_density_matrices(make, rng):
         assert member.shape[0] == spec.d_s * spec.d_e
 
 
-def test_factorized_member_shape(rng):
-    omega = random_density(3, 3, rng)
-    spec = FactorizedSpec(2, omega)
-    rho = random_density(2, 2, rng)
-    member = sample_member(spec, FamilyParams(states=(rho,)))
-    assert np.allclose(member, kron(rho, omega))
-    # Environment marginal is the fixed state regardless of parameters.
-    assert np.allclose(partial_trace(member, (2, 3), keep=(1,)), omega)
+def block_diag(*mats):
+    """The direct sum of square matrices, in order."""
+    d = sum(m.shape[0] for m in mats)
+    out = np.zeros((d, d), dtype=complex)
+    off = 0
+    for m in mats:
+        n = m.shape[0]
+        out[off : off + n, off : off + n] = m
+        off += n
+    return out
+
+
+def placed(blocks, i, x):
+    """``x`` in block i of a direct sum shaped like ``blocks``, zero elsewhere."""
+    return block_diag(*(x if j == i else np.zeros_like(b) for j, b in enumerate(blocks)))
+
+
+def units(l):
+    """The matrix units E_ab = |a><b| on C^l, in row-major order of (a, b)."""
+    return [np.outer(np.eye(l)[a], np.eye(l)[b]) for a in range(l) for b in range(l)]
+
+
+# The oracles for the three block families that are Markov layouts, in
+# their textbook form.  Each gives the member for the free data and the
+# linear generators of the family's span, block by block.
+
+
+def factorized_by_formula(omega_e, rho_s):
+    """rho_S kron omega_E; generators E_ab kron omega_E."""
+    return kron(rho_s, omega_e), [kron(e, omega_e) for e in units(len(rho_s))]
+
+
+def direct_sum_by_formula(omegas, p, rhos):
+    """sum_i p_i rho_i kron omega_i, each term in block i; generators
+    E_ab kron omega_i in block i."""
+    blocks = [kron(rho, w) for rho, w in zip(rhos, omegas)]
+    member = block_diag(*(q * x for q, x in zip(p, blocks)))
+    gens = [
+        placed(blocks, i, kron(e, w))
+        for i, (rho, w) in enumerate(zip(rhos, omegas))
+        for e in units(len(rho))
+    ]
+    return member, gens
+
+
+def mixed_direct_sum_by_formula(omega_se, omegas, p, rhos):
+    """Fixed p_i omega_SE_i blocks, then p_j rho_j kron omega_j blocks;
+    generators omega_SE_i in block i, then E_ab kron omega_j in block j."""
+    m = len(omega_se)
+    blocks = list(omega_se) + [kron(rho, w) for rho, w in zip(rhos, omegas)]
+    member = block_diag(*(q * x for q, x in zip(p, blocks)))
+    gens = [placed(blocks, i, w) for i, w in enumerate(omega_se)] + [
+        placed(blocks, m + j, kron(e, w))
+        for j, (rho, w) in enumerate(zip(rhos, omegas))
+        for e in units(len(rho))
+    ]
+    return member, gens
+
+
+@pytest.mark.parametrize("d_s, d_e", [(1, 3), (2, 2), (3, 2), (2, 4)])
+def test_factorized_is_the_one_block_layout(d_s, d_e, rng):
+    omega_e, rho_s = random_density(d_e, d_e, rng), random_density(d_s, d_s, rng)
+    spec = MarkovBlocksSpec(((d_s, 1),), d_e, (omega_e,))
+    member, gens = factorized_by_formula(omega_e, rho_s)
+    got = sample_member(spec, FamilyParams(probs=(1.0,), states=(rho_s,)))
+    assert np.linalg.norm(got - member) <= 1e-15
+    assert np.array_equal(span_generators(spec), gens)
+    # The environment marginal is the fixed state whatever the parameters.
+    assert np.allclose(partial_trace(got, (d_s, d_e), keep=(1,)), omega_e)
+
+
+@pytest.mark.parametrize(
+    "dims, d_e", [((1, 2), 2), ((2, 2), 2), ((3, 1), 3), ((1, 2, 1), 2), ((2,), 1)]
+)
+def test_direct_sum_is_the_layout_of_d_i_by_1_blocks(dims, d_e, rng):
+    omegas = tuple(random_density(d_e, d_e, rng) for _ in dims)
+    rhos = tuple(random_density(d, d, rng) for d in dims)
+    p = tuple(rng.dirichlet(np.ones(len(dims))))
+    spec = MarkovBlocksSpec(tuple((d, 1) for d in dims), d_e, omegas)
+    member, gens = direct_sum_by_formula(omegas, p, rhos)
+    got = sample_member(spec, FamilyParams(probs=p, states=rhos))
+    assert np.linalg.norm(got - member) <= 1e-15
+    assert np.array_equal(span_generators(spec), gens)
+    # No weight off the blocks.
+    off_block = got.copy()
+    for ix in block_indices(spec.blocks, d_e):
+        off_block[np.ix_(ix, ix)] = 0.0
+    assert not off_block.any()
+
+
+@pytest.mark.parametrize(
+    "fixed_dims, free_dims, d_e",
+    [((1,), (2,), 2), ((2,), (2,), 2), ((2, 1), (3,), 2), ((3,), (), 2), ((1,), (1, 2), 3)],
+)
+def test_mixed_direct_sum_is_the_layout_of_1_by_d_i_then_d_j_by_1_blocks(
+    fixed_dims, free_dims, d_e, rng
+):
+    omega_se = tuple(random_density(d * d_e, d * d_e, rng) for d in fixed_dims)
+    omegas = tuple(random_density(d_e, d_e, rng) for _ in free_dims)
+    rhos = tuple(random_density(d, d, rng) for d in free_dims)
+    p = tuple(rng.dirichlet(np.ones(len(fixed_dims) + len(free_dims))))
+    layout = tuple((1, d) for d in fixed_dims) + tuple((d, 1) for d in free_dims)
+    spec = MarkovBlocksSpec(layout, d_e, omega_se + omegas)
+    member, gens = mixed_direct_sum_by_formula(omega_se, omegas, p, rhos)
+    # A (1, d) block's free state is the 1 x 1 identity.
+    states = (np.eye(1),) * len(fixed_dims) + rhos
+    got = sample_member(spec, FamilyParams(probs=p, states=states))
+    assert np.linalg.norm(got - member) <= 1e-15
+    assert np.array_equal(span_generators(spec), gens)
+    # At fixed probabilities the leading blocks do not move with the free states.
+    rhos = tuple(random_density(d, d, rng) for d in free_dims)
+    other = sample_member(spec, FamilyParams(probs=p, states=states[: len(fixed_dims)] + rhos))
+    n = sum(fixed_dims) * d_e
+    assert np.array_equal(other[:n, :n], got[:n, :n])
 
 
 def test_classical_quantum_env_conditionals(rng):
@@ -98,26 +197,6 @@ def test_classical_quantum_rejects_bad_basis(rng):
         ClassicalQuantumSpec(
             np.ones((2, 2)), (random_density(2, 2, rng), random_density(2, 2, rng))
         )
-
-
-def test_direct_sum_block_support(rng):
-    spec = DirectSumSpec((1, 2), (random_density(2, 2, rng), random_density(2, 2, rng)))
-    member = sample_member(spec, random_params(spec, rng))
-    idx = block_indices(((1, 1), (2, 1)), 2)
-    off_block = member.copy()
-    for ix in idx:
-        off_block[np.ix_(ix, ix)] = 0.0
-    assert np.linalg.norm(off_block) < 1e-12
-
-
-def test_mixed_direct_sum_leading_block_is_fixed(rng):
-    fixed = random_density(2, 2, rng)
-    spec = MixedDirectSumSpec((1, 2), 1, (fixed,), (random_density(2, 2, rng),))
-    m1 = sample_member(spec, FamilyParams(probs=(0.4, 0.6), states=(random_density(2, 2, rng),)))
-    m2 = sample_member(spec, FamilyParams(probs=(0.4, 0.6), states=(random_density(2, 2, rng),)))
-    # The leading 2x2 corner (block 0 with environment) agrees across members.
-    assert np.allclose(m1[:2, :2], m2[:2, :2])
-    assert np.allclose(m1[:2, :2], 0.4 * fixed)
 
 
 def test_markov_blocks_probabilities_and_fixed_parts(rng):
@@ -201,86 +280,6 @@ def test_kernel_extension_changes_state_but_not_marginal(rng):
         partial_trace(base_member, (d_s, 2), keep=(0,)),
         atol=1e-10,
     )
-
-
-def test_spec_json_round_trip(rng):
-    for make in ALL_SPECS:
-        spec = make(rng)
-        back = spec_from_json(spec_to_json(spec))
-        assert type(back) is type(spec)
-        member_a = sample_member(spec, random_params(spec, np.random.default_rng(5)))
-        member_b = sample_member(back, random_params(back, np.random.default_rng(5)))
-        assert np.allclose(member_a, member_b)
-
-
-D = np.diag
-
-# One small spec per variant with the exact JSON it encodes to; the format
-# is pinned byte for byte, key order included.
-PINNED_JSON = [
-    (
-        FactorizedSpec(2, D([0.75, 0.25])),
-        '{"variant": "factorized", "d_s": 2, "omega_e": [[[0.75, 0.0], [0.0, 0.0]], '
-        '[[0.0, 0.0], [0.25, 0.0]]]}',
-    ),
-    (
-        ClassicalQuantumSpec(np.array([[1, 0], [0, 1j]]), (D([1.0, 0.0]), D([0.5, 0.5]))),
-        '{"variant": "classical-quantum", "basis": [[[1.0, 0.0], [0.0, 0.0]], '
-        '[[0.0, 0.0], [0.0, 1.0]]], "omegas": [[[[1.0, 0.0], [0.0, 0.0]], '
-        '[[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}',
-    ),
-    (
-        DirectSumSpec((1, 2), (D([1.0, 0.0]), D([0.5, 0.5]))),
-        '{"variant": "direct-sum", "block_dims": [1, 2], "omegas": [[[[1.0, 0.0], '
-        '[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.0], [0.0, 0.0]], '
-        '[[0.0, 0.0], [0.5, 0.0]]]]}',
-    ),
-    (
-        MixedDirectSumSpec((1, 1), 0, (), (D([0.5, 0.5]), D([1.0, 0.0]))),
-        '{"variant": "mixed-direct-sum", "block_dims": [1, 1], "m_prime": 0, '
-        '"omega_se": [], "omegas": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], '
-        '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}',
-    ),
-    (
-        MixedDirectSumSpec((1, 1), 1, (D([0.25, 0.75]),), (D([1.0, 0.0]),)),
-        '{"variant": "mixed-direct-sum", "block_dims": [1, 1], "m_prime": 1, '
-        '"omega_se": [[[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.75, 0.0]]]], '
-        '"omegas": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}',
-    ),
-    (
-        MarkovBlocksSpec(((1, 2), (1, 1)), 1, (D([0.5, 0.5]), D([1.0]))),
-        '{"variant": "markov-blocks", "blocks": [[1, 2], [1, 1]], "d_e": 1, '
-        '"omega_re": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], '
-        '[[[1.0, 0.0]]]]}',
-    ),
-    (
-        SteeredSpec(1, 2, 1, D([0.75, 0.25])),
-        '{"variant": "steered", "d_a": 1, "d_s": 2, "d_e": 1, "omega_ase": '
-        '[[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]}',
-    ),
-    (
-        # The kernel direction is vec of the traceless Hermitian
-        # [[0.5, 0.5i], [-0.5i, -0.5]] on d_s = 1, d_e = 2.
-        KernelExtendedSpec(
-            MarkovBlocksSpec(((1, 1),), 2, (D([0.75, 0.25]),)),
-            np.array([[0.5], [0.5j], [-0.5j], [-0.5]]),
-        ),
-        '{"variant": "kernel-extended", "base": {"variant": "markov-blocks", '
-        '"blocks": [[1, 1]], "d_e": 2, "omega_re": [[[[0.75, 0.0], [0.0, 0.0]], '
-        '[[0.0, 0.0], [0.25, 0.0]]]]}, "kernel_basis": [[[0.5, 0.0]], [[0.0, 0.5]], '
-        '[[-0.0, -0.5]], [[-0.5, 0.0]]]}',
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "spec, expected", PINNED_JSON, ids=[e[1].split('"')[3] for e in PINNED_JSON]
-)
-def test_spec_json_format_is_pinned(spec, expected):
-    assert json.dumps(spec_to_json(spec)) == expected
-    back = spec_from_json(json.loads(expected))
-    assert type(back) is type(spec)
-    assert json.dumps(spec_to_json(back)) == expected
 
 
 def build_markov_state_by_loop(spec):

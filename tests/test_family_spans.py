@@ -15,7 +15,7 @@ from cpdyn.families import (
     sample_member,
     span_generators,
 )
-from cpdyn.tensor import tr_e
+from cpdyn.tensor import random_density, tr_e
 
 LAYOUTS = {
     "1x2,2x1": ((1, 2), (2, 1)),
@@ -81,14 +81,50 @@ def test_generators_are_orthogonal_with_the_closed_form_count(family, layout):
     gens = np.column_stack([g.reshape(-1) for g in span_generators(base)])
     gram = gens.conj().T @ gens
     assert np.linalg.norm(gram - np.diag(np.diag(gram))) <= 1e-14
-    dims, m = [l * r for l, r in blocks], getattr(spec, "m_prime", 0)
+    # mixed-direct-sum fixes the S x E state of its first m' blocks.
+    dims, m_prime = [l * r for l, r in blocks], max(1, len(blocks) // 2)
     expected = {
         "factorized": spec.d_s**2,
         "classical-quantum": spec.d_s,
         "direct-sum": sum(d * d for d in dims),
-        "mixed-direct-sum": m + sum(d * d for d in dims[m:]),
+        "mixed-direct-sum": m_prime + sum(d * d for d in dims[m_prime:]),
     }.get(family, sum(l * l for l, _ in blocks))
     assert gens.shape[1] == expected == cli._family_span(spec).dim
+
+
+@pytest.mark.parametrize(
+    "layout, d_e, expected",
+    [
+        ("1x2,2x1", 2, {
+            "factorized": ((4, 1),),
+            "direct-sum": ((2, 1), (2, 1)),
+            "mixed-direct-sum": ((1, 2), (2, 1)),
+        }),
+        ("2x1,1x2,1x1", 3, {
+            "factorized": ((5, 1),),
+            "direct-sum": ((2, 1), (2, 1), (1, 1)),
+            "mixed-direct-sum": ((1, 2), (2, 1), (1, 1)),
+        }),
+        ("2x2", 1, {
+            "factorized": ((4, 1),),
+            "direct-sum": ((4, 1),),
+            "mixed-direct-sum": ((1, 4),),
+        }),
+    ],
+)
+@pytest.mark.parametrize("family", ["factorized", "direct-sum", "mixed-direct-sum"])
+def test_block_families_are_markov_layouts(family, layout, d_e, expected):
+    """Each block family is a MarkovBlocksSpec with its layout, and its
+    fixed states are the random_density draws the family always made: a
+    (1, d) block's fixed S x E state, or a (d, 1) block's E state, in block
+    order."""
+    args = _args(family, LAYOUTS[layout], d_e=d_e)
+    spec = _spec(args, 7)
+    assert type(spec) is families.MarkovBlocksSpec
+    assert spec.blocks == expected[family] and spec.d_e == d_e
+    rng = np.random.default_rng(7)
+    draws = [random_density(r * d_e, r * d_e, rng) for _, r in expected[family]]
+    assert all(np.array_equal(w, x) for w, x in zip(spec.omega_re, draws, strict=True))
 
 
 def test_kernel_extended_has_no_generators():
