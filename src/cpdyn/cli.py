@@ -33,10 +33,8 @@ from . import channels, consistency, families, info
 from .consistency import (
     canonical_assignment,
     full_space,
-    kernel_tr_e,
     perturb_assignment,
     span_from_states,
-    subspace_from_constraint,
     theorem1_verify,
 )
 from .tensor import psd_check, random_density, random_haar_unitary, tr_e, vec
@@ -374,18 +372,6 @@ def cmd_dpi(args) -> dict:
     return {"trials": trials, "summary": summary}
 
 
-def demo1_constraint(omega_e: np.ndarray, d_s: int) -> np.ndarray:
-    """Matrix of X -> Tr_S X - tr(X) omega_E on vectorized operators of
-    S x E; its null space is demo 1's subspace."""
-    d_e = omega_e.shape[0]
-    d = d_s * d_e
-    # Row (e, g), column ((s, f), (t, h)) holds delta_ef delta_gh delta_st:
-    # Tr_S keeps the environment indices and sums over s = t.
-    eye_e, eye_s = np.eye(d_e, dtype=complex), np.eye(d_s, dtype=complex)
-    t_s = np.einsum("ef,gh,st->egsfth", eye_e, eye_e, eye_s).reshape(d_e * d_e, d * d)
-    return t_s - np.outer(vec(omega_e), vec(np.eye(d)).conj())
-
-
 def _demo1(args) -> dict:
     """Fixed environment marginal, swap-only evolution.
 
@@ -397,42 +383,33 @@ def _demo1(args) -> dict:
     """
     ds = de = args.ds
     _check_dims(ds, de)
-    omega_e = np.diag([0.7, 0.3] + [0.0] * (de - 2)).astype(complex) if de == 2 else (
-        np.eye(de, dtype=complex) / de
-    )
-    v = subspace_from_constraint(demo1_constraint(omega_e, ds), ds, de)
-    kernel = kernel_tr_e(v)
+    omega_e = (np.diag([0.7, 0.3]) if de == 2 else np.eye(de) / de).astype(complex)
+    v = full_space(ds, de, omega_e)
     canon = canonical_assignment(v)
     prod_mat = channels.product_assignment_matrix(omega_e, ds)
-    product = perturb_assignment(canon, prod_mat - canon.mat, kernel)
+    product = perturb_assignment(canon, prod_mat - canon.mat, v)
     unitaries = consistency.sample_unitaries(
         "swap", args.trials, ds, de, np.random.default_rng(args.seed)
     )
     report = theorem1_verify(v, "swap", unitaries, assignment=product, tol=args.tol)
     # The swap turns any member into its system marginal read on S.
     psi = channels.reduced_dynamics(unitaries[0][1], product.mat, ds, de)
-    constant = channels.channel_from_function(
-        lambda x: np.trace(x) * omega_e, ds, ds
-    )
+    constant = channels.channel_from_function(lambda x: np.trace(x) * omega_e, ds, ds)
     const_dist = channels.choi_distance(psi, constant)
-    summary = {
-        "pass": bool(
-            report["passed"]
-            and report["premises_hold"]
-            and const_dist <= 1e-8
-            and v.dim == ds * ds * de * de - de * de + 1
-            and kernel.dim == (ds * ds - 1) * (de * de - 1)
-        ),
-        "dim_v": v.dim,
-        "dim_v0": kernel.dim,
-        "constant_channel_distance": float(const_dist),
-        "canonical_assignment_cp": bool(canon.cp),
-        "product_assignment_cp": bool(product.cp),
-        "worst_perturbation_deviation": max(
-            r["perturbation_deviation"] for r in report["per_unitary"]
-        ),
-    }
-    return {"trials": report["per_unitary"], "theorem": report, "summary": summary}
+    # dim V and dim V_0 counted apart from their closed forms, on random
+    # operators P drawn from a stream of their own: V is the kernel of
+    # X -> Tr_S X - tr(X) omega_E, and V_0 that of X -> (Tr_E X, Tr_S X).
+    d2 = (ds * de) ** 2
+    probe = np.random.default_rng([args.seed, 1]).random((d2, ds * ds + de * de + 2))
+    on_e = tr_e(probe, ds, de)
+    on_s = np.einsum("aeafk->efk", probe.reshape(ds, de, ds, de, -1)).reshape(de * de, -1)
+    tilted = on_s - np.outer(vec(omega_e), np.trace(on_e.reshape(ds, ds, -1)))
+    rank = np.linalg.matrix_rank
+    dims = v.dim == d2 - rank(tilted) and report["dim_v0"] == d2 - rank(np.vstack([on_e, on_s]))
+    return _demo_report(
+        v, canon, report, const_dist <= 1e-8 and dims,
+        constant_channel_distance=float(const_dist), product_assignment_cp=bool(product.cp),
+    )
 
 
 def _demo2(args) -> dict:
@@ -460,20 +437,22 @@ def _demo2(args) -> dict:
     # operators, and V_0 is the kernel of Tr_E on the (d_s d_e)^2 operators.
     probe = np.random.default_rng([args.seed, 1]).random(((ds * de) ** 2, ds * ds + 2))
     dim_v0 = (ds * de) ** 2 - np.linalg.matrix_rank(tr_e(probe, ds, de))
+    checks = mixed_dist <= 1e-8 and report["dim_v0"] == dim_v0
+    return _demo_report(v, canon, report, checks, maximally_mixed_distance=mixed_dist)
+
+
+def _demo_report(v, canon, report: dict, checks: bool, **extra) -> dict:
+    """A demo's report: it passes on the theorem verdict with true premises
+    and the demo's own ``checks``; ``extra`` joins the summary."""
     summary = {
-        "pass": bool(
-            report["passed"]
-            and report["premises_hold"]
-            and mixed_dist <= 1e-8
-            and report["dim_v0"] == dim_v0
-        ),
+        "pass": bool(report["passed"] and report["premises_hold"] and checks),
         "dim_v": v.dim,
         "dim_v0": report["dim_v0"],
-        "maximally_mixed_distance": mixed_dist,
         "canonical_assignment_cp": bool(canon.cp),
         "worst_perturbation_deviation": max(
             r["perturbation_deviation"] for r in report["per_unitary"]
         ),
+        **extra,
     }
     return {"trials": report["per_unitary"], "theorem": report, "summary": summary}
 

@@ -2,12 +2,12 @@
 unitary-consistency checks, assignment maps and the end-to-end theorem
 verifier.
 
-A subspace is stored as an orthonormal basis of row-major vectorized
-operators; the full operator space is the exception, whose basis is built
-only when read, since the checks take closed forms there.  The kernel of
-the environment trace inside a subspace parametrizes the freedom in
-choosing an assignment map; conjugating the kernel into the trace kernel
-again is exactly unitary consistency.
+A subspace answers the verifier's questions itself: dim V0 (V0 = V ∩
+ker Tr_E), the violation, the canonical assignment and the escape from V0.
+One stored as an orthonormal basis of row-major vectorized operators
+answers from its kernel of Tr_E; the full space and demo 1's V answer in
+closed form.  The kernel parametrizes the freedom in choosing an
+assignment map; conjugating it into ker Tr_E again is unitary consistency.
 """
 
 from __future__ import annotations
@@ -116,6 +116,26 @@ class OperatorSubspace:
         """V0 = V ∩ ker Tr_E, computed when first read."""
         basis = _null_complement(self._tr_e_svd[2], self.basis)
         return OperatorSubspace._trusted(self.d_s, self.d_e, basis)
+
+    # The verifier's questions, answered from the kernel; the module
+    # functions of the same names say what each answer means.
+    @property
+    def dim_v0(self) -> int:
+        return kernel_tr_e(self).dim
+
+    def violation(self, u: np.ndarray) -> float:
+        k = kernel_tr_e(self)
+        return float(np.linalg.norm(tr_e(k.basis, self.d_s, self.d_e, u))) if k.dim else 0.0
+
+    def canonical_assignment(self) -> AssignmentMap:
+        u, sv, vh = self._tr_e_svd
+        r_pinv = vh.conj().T @ (u.conj().T / sv[:, None])
+        return AssignmentMap(self.d_s, self.d_e, self.basis @ r_pinv, u @ u.conj().T)
+
+    def kernel_escape(self, x: np.ndarray) -> float:
+        """``||x - P_V0 x||_F`` for a (d^2, N) stack of vectorized operators."""
+        k = kernel_tr_e(self).basis
+        return float(np.linalg.norm(x - k @ (k.conj().T @ x)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of an operator onto the subspace."""
@@ -240,29 +260,73 @@ def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
     return OperatorSubspace._trusted(d_s, d_e, u[:, : _rank(sv)])
 
 
-class _FullSpace(OperatorSubspace):
-    """All of L(S x E), where Tr_E is a co-isometry up to sqrt(d_E).
+class _ClosedFormSpace(OperatorSubspace):
+    """All of L(S x E) or, given ``omega_e``, demo 1's V, in closed form.
 
-    ``u_consistency_violation``, ``canonical_assignment`` and
-    ``g_consistency_report`` read closed forms for it.  The identity basis
-    and its kernel are built only when read, by the generic path.
+    V0 is ker Tr_E, or ker Tr_E ∩ ker Tr_S on demo 1's V, with orthogonal
+    projector P: X -> X - Tr_E X kron I/d_E [then Y -> Y - I/d_S kron Tr_S Y].
+    The canonical assignment x -> x kron I/d_E [+ tr(x) I/d_S kron (omega_E
+    - I/d_E)] lies in V, inverts Tr_E and is orthogonal to V0: the
+    minimum-norm section, on all of L(S).  The full space's identity basis
+    and kernel are built only when read; demo 1's V has none to read.
     """
 
-    def __init__(self, d_s: int, d_e: int):
-        object.__setattr__(self, "d_s", d_s)
-        object.__setattr__(self, "d_e", d_e)
+    def __init__(self, d_s: int, d_e: int, omega_e: np.ndarray | None = None):
+        vars(self).update(d_s=d_s, d_e=d_e, omega_e=omega_e)  # frozen: no __setattr__
 
     @property
     def dim(self) -> int:
-        return (self.d_s * self.d_e) ** 2
+        return (self.d_s * self.d_e) ** 2 - (self.omega_e is not None) * (self.d_e**2 - 1)
+
+    @property
+    def dim_v0(self) -> int:
+        return (self.d_s**2 - (self.omega_e is not None)) * (self.d_e**2 - 1)
 
     @cached_property
     def basis(self) -> np.ndarray:
+        if self.omega_e is not None:
+            raise NotImplementedError("demo 1's subspace is closed-form only: it has no basis")
         return np.eye(self.dim, dtype=complex)
 
+    def _project_v0(self, x: np.ndarray) -> np.ndarray:
+        """P applied in place to each operator X[(a, f), (b, g)] = x[s, a, f, t, b, g]."""
+        t = np.einsum("saftbf->satb", x) / self.d_e
+        for f in range(self.d_e):
+            x[:, :, f, :, :, f] -= t
+        if self.omega_e is not None:
+            t = np.einsum("saftag->sftg", x) / self.d_s
+            for a in range(self.d_s):
+                x[:, a, :, :, a] -= t
+        return x
 
-def full_space(d_s: int, d_e: int) -> OperatorSubspace:
-    return _FullSpace(d_s, d_e)
+    def violation(self, u: np.ndarray) -> float:
+        """The norm of A_U, the matrix of Tr_E o Ad_U, with the real symmetric
+        P applied to each row; taken entrywise, as a difference of squared
+        norms would cancel to the rounding level."""
+        d_s, d_e, d = self.d_s, self.d_e, self.d_s * self.d_e
+        w = np.asarray(u, dtype=complex).reshape(d_s, d_e, d).transpose(1, 0, 2)
+        w = w.reshape(d_e, d_s * d)
+        # A_U[(s, t), (i, j)] = sum_e U[s,e,i] conj U[t,e,j], laid out as
+        # [s, (a, f), t, (b, g)] with i = (a, f) and j = (b, g).
+        a = (w.T @ w.conj()).reshape(d_s, d_s, d_e, d_s, d_s, d_e)
+        return float(np.linalg.norm(self._project_v0(a)))
+
+    def canonical_assignment(self) -> AssignmentMap:
+        d_s, d_e = self.d_s, self.d_e
+        mat = product_assignment_matrix(np.eye(d_e, dtype=complex) / d_e, d_s)
+        if self.omega_e is not None:  # tr(x) = vec(I) . vec(x)
+            tilt = kron(np.eye(d_s), self.omega_e - np.eye(d_e) / d_e) / d_s
+            mat += np.outer(vec(tilt), vec(np.eye(d_s)))
+        return AssignmentMap(d_s, d_e, mat, np.eye(d_s * d_s, dtype=complex))
+
+    def kernel_escape(self, x: np.ndarray) -> float:
+        y = x.T.reshape(-1, self.d_s, self.d_e, 1, self.d_s, self.d_e)
+        return float(np.linalg.norm(y - self._project_v0(y.copy())))
+
+
+def full_space(d_s: int, d_e: int, omega_e: np.ndarray | None = None) -> OperatorSubspace:
+    """L(S x E), or demo 1's V = {X : Tr_S X = tr(X) omega_E} given ``omega_e``."""
+    return _ClosedFormSpace(d_s, d_e, omega_e)
 
 
 def _rank(sv: np.ndarray, floor: float = 0.0) -> int:
@@ -277,9 +341,9 @@ def _rank(sv: np.ndarray, floor: float = 0.0) -> int:
     return int((sv > SPAN_RANK_FACTOR * max(sv.max(initial=0.0), floor)).sum())
 
 
-def _null_complement(vh: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+def _null_complement(vh: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {B x : vh x = 0}, with B = ``basis`` (orthonormal
-    columns) or the identity when ``basis`` is None.
+    columns).
 
     ``vh`` is (k, n) with orthonormal rows: the k leading right singular
     vectors of a matrix whose null space is wanted.  One Householder QR of
@@ -287,9 +351,9 @@ def _null_complement(vh: np.ndarray, basis: np.ndarray | None = None) -> np.ndar
     columns span the null space; the result is
     (B Q)[:, k:] = B[:, k:] - (B Y)(T Y[k:]^dag), at O(N n k) cost.
     """
-    k, n = vh.shape
+    k = vh.shape[0]
     if k == 0:
-        return np.eye(n, dtype=complex) if basis is None else basis
+        return basis
     h, tau = np.linalg.qr(vh.conj().T, mode="raw")
     y = np.tril(h.T, -1)  # reflectors H_i = I - tau_i y_i y_i^dag, unit diagonal
     y[np.arange(k), np.arange(k)] = 1.0
@@ -298,12 +362,7 @@ def _null_complement(vh: np.ndarray, basis: np.ndarray | None = None) -> np.ndar
     for i in range(k):  # H_1 ... H_k = I - Y T Y^dag, built one reflector at a time
         t[i, i] = tau[i]
         t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-    tail = t @ y[k:].conj().T
-    if basis is None:
-        out = -(y @ tail)
-        out[np.arange(k, n), np.arange(n - k)] += 1.0
-        return out
-    return basis[:, k:] - (basis @ y) @ tail
+    return basis[:, k:] - (basis @ y) @ (t @ y[k:].conj().T)
 
 
 def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubspace:
@@ -314,17 +373,12 @@ def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubsp
     basis, the same path as the partial-trace kernel.
     """
     _, sv, vh = np.linalg.svd(a, full_matrices=False)
-    return OperatorSubspace._trusted(d_s, d_e, _null_complement(vh[: _rank(sv)]))
+    basis = _null_complement(vh[: _rank(sv)], np.eye(a.shape[1], dtype=complex))
+    return OperatorSubspace._trusted(d_s, d_e, basis)
 
 
 def kernel_tr_e(v: OperatorSubspace) -> OperatorSubspace:
-    """The sub-subspace of directions with vanishing environment trace.
-
-    This is ``v.kernel``: computed once per subspace, as the complement of
-    the rank-k row space of Tr_E restricted to V (k <= d_s^2) by one
-    Householder QR of the subspace's cached thin SVD, without an n x n
-    factor.
-    """
+    """V0 = V ∩ ker Tr_E as a basis: ``v.kernel``, computed once per subspace."""
     return v.kernel
 
 
@@ -338,33 +392,7 @@ def u_consistency_violation(v: OperatorSubspace, u: np.ndarray) -> float:
     ``||Psi_{Lambda+Delta} - Psi_Lambda||_F = ||M_U C||_F
     <= ||M_U||_F ||Delta||_F``.
     """
-    if isinstance(v, _FullSpace):
-        return _full_space_violation(u, v.d_s, v.d_e)
-    k = kernel_tr_e(v)
-    if k.dim == 0:
-        return 0.0
-    return float(np.linalg.norm(tr_e(k.basis, v.d_s, v.d_e, u)))
-
-
-def _full_space_violation(u: np.ndarray, d_s: int, d_e: int) -> float:
-    """``||M_U||_HS`` on all of L(S x E), with no kernel basis.
-
-    ``A_U[(s, t), (i, j)] = sum_e U[s,e,i] conj U[t,e,j]`` is the matrix of
-    Tr_E o Ad_U, and V0 = ker Tr_E has the projector
-    ``X -> X - Tr_E(X) kron I/d_E``, which is real symmetric; so
-    ``||M_U||_HS`` is the norm of A_U with that projector applied to each
-    row.  It is taken entrywise, not as a difference of squared norms, which
-    would lose the rounding level to cancellation.
-    """
-    d = d_s * d_e
-    w = np.asarray(u, dtype=complex).reshape(d_s, d_e, d).transpose(1, 0, 2)
-    w = w.reshape(d_e, d_s * d)
-    # A_U laid out as [s, (a, f), t, (b, g)] with i = (a, f) and j = (b, g).
-    a = (w.T @ w.conj()).reshape(d_s, d_s, d_e, d_s, d_s, d_e)
-    t = np.einsum("saftbf->satb", a) / d_e
-    for f in range(d_e):
-        a[:, :, f, :, :, f] -= t
-    return float(np.linalg.norm(a))
+    return v.violation(u)
 
 
 def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generator):
@@ -400,10 +428,7 @@ def g_consistency_report(
     into itself exactly, so both are reported as exact; the checked
     violations are reported alongside.
     """
-    if isinstance(v, _FullSpace):
-        dim_v0 = v.d_s**2 * (v.d_e**2 - 1)
-    else:
-        dim_v0 = kernel_tr_e(v).dim
+    dim_v0 = v.dim_v0
     # Tr_E((U_S x U_E) Y (U_S x U_E)^dag) = U_S Tr_E(Y) U_S^dag = 0.
     exact = dim_v0 == 0 or g == "local"
     worst = max(violations, default=0.0)
@@ -425,30 +450,24 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
     operators outside the domain Tr_E V are first projected onto it.  It
     is ``B V_k S_k^-1 U_k^dag`` from the subspace's cached truncated SVD,
     the factorization the kernel reads, so dim V = dim V0 + rank of the
-    domain projector ``U_k U_k^dag``.  On the full space it is
-    ``x -> x kron I/d_E`` on all of L(S), with no factorization.
+    domain projector ``U_k U_k^dag``.  The full space and demo 1's V give
+    it in closed form, on all of L(S), with no factorization.
     """
-    if isinstance(v, _FullSpace):
-        mixed = product_assignment_matrix(np.eye(v.d_e, dtype=complex) / v.d_e, v.d_s)
-        return AssignmentMap(v.d_s, v.d_e, mixed, np.eye(v.d_s**2, dtype=complex))
-    u, sv, vh = v._tr_e_svd
-    r_pinv = vh.conj().T @ (u.conj().T / sv[:, None])
-    return AssignmentMap(v.d_s, v.d_e, v.basis @ r_pinv, u @ u.conj().T)
+    return v.canonical_assignment()
 
 
 def perturb_assignment(
-    base: AssignmentMap, delta: np.ndarray, v0: OperatorSubspace, tol: float = 1e-8
+    base: AssignmentMap, delta: np.ndarray, v: OperatorSubspace, tol: float = 1e-8
 ) -> AssignmentMap:
     """Add a kernel-valued linear map to an assignment.
 
-    ``delta`` maps vec L(H_S) into V0; trace consistency survives because
-    every kernel direction vanishes under Tr_E.
+    ``delta`` maps vec L(H_S) into V0 of ``v`` (or of V0 itself, its own
+    kernel); trace consistency survives as Tr_E vanishes on the kernel.
     """
     delta = np.asarray(delta, dtype=complex)
     if delta.shape != base.mat.shape:
         raise ValueError(f"delta shape {delta.shape}, expected {base.mat.shape}")
-    proj = v0.basis @ (v0.basis.conj().T @ delta)
-    escape = np.linalg.norm(delta - proj)
+    escape = v.kernel_escape(delta)
     if escape > tol * max(1.0, np.linalg.norm(delta)):
         raise ValueError(f"delta range escapes the kernel (residual {escape:.3e})")
     return AssignmentMap(base.d_s, base.d_e, base.mat + delta, base.domain_projector)

@@ -1,7 +1,7 @@
 """The Tr_E kernel and the constraint null space against their full-SVD
 references, the kernel computed once per subspace, kernel properties at
-dimensions beyond 2x2, and the full space's closed forms against the
-kernel-basis path on an explicit identity basis."""
+dimensions beyond 2x2, and the closed forms of the full space and of
+demo 1's space against the kernel-basis path on an explicit basis."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,15 @@ from cpdyn.consistency import (
     u_consistency_violation,
 )
 from cpdyn.families import MarkovBlocksSpec, random_params, sample_member
-from cpdyn.tensor import kron, random_density, random_haar_unitary, random_hermitian, tr_e, vec
+from cpdyn.tensor import (
+    kron,
+    random_density,
+    random_haar_unitary,
+    random_hermitian,
+    swap_unitary,
+    tr_e,
+    vec,
+)
 
 TOL = 1e-12
 
@@ -194,3 +202,72 @@ def test_lazy_full_space_kernel_passes_the_kernel_checks(d_s, d_e):
     assert np.linalg.norm(k.conj().T @ k - np.eye(k.shape[1])) <= TOL * k.shape[1]
     assert np.linalg.norm(k - v.basis @ (v.basis.conj().T @ k)) <= TOL * k.shape[1]
     assert np.linalg.norm(tr_e(k, d_s, d_e), axis=0).max() <= TOL
+
+
+# Demo 1's V = {X : Tr_S X = tr(X) omega_E} in closed form against the
+# kernel-basis path on the null space of its constraint, built entry by entry.
+
+
+def demo1_constraint_by_loop(omega_e, d_s):
+    """The reference: Tr_S X - tr(X) omega_E, one matrix unit at a time."""
+    d_e = omega_e.shape[0]
+    d = d_s * d_e
+    t_s = np.zeros((d_e * d_e, d * d), dtype=complex)
+    for e in range(d_e):
+        for ep in range(d_e):
+            for s in range(d_s):
+                t_s[e * d_e + ep, (s * d_e + e) * d + (s * d_e + ep)] = 1.0
+    return t_s - np.outer(omega_e.reshape(-1), np.eye(d).reshape(-1).conj())
+
+
+def demo1_omega(d_e):
+    """The environment state `demo 1` fixes."""
+    if d_e == 2:
+        return np.diag([0.7, 0.3]).astype(complex)
+    return np.eye(d_e, dtype=complex) / d_e
+
+
+def _gaussian(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("omega", ["demo", "random"])
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_demo1_space_closed_forms_match_constraint_oracle(d_s, d_e, omega):
+    rng = np.random.default_rng(61 + 10 * d_s + d_e)
+    omega_e = demo1_omega(d_e) if omega == "demo" else random_density(d_e, d_e, rng)
+    d = d_s * d_e
+    v = full_space(d_s, d_e, omega_e)
+    oracle = subspace_from_constraint(demo1_constraint_by_loop(omega_e, d_s), d_s, d_e)
+    k = kernel_tr_e(oracle)
+    assert (v.dim, v.dim_v0) == (oracle.dim, k.dim)
+    assert g_consistency_report(v, "all", [])["dim_v0"] == k.dim
+    haar = random_haar_unitary(d, rng)
+    local = kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
+    for u in [haar, local] + ([swap_unitary(d_s)] if d_s == d_e else []):
+        a, b = u_consistency_violation(v, u), u_consistency_violation(oracle, u)
+        assert abs(a - b) <= 1e-12 * max(1.0, a)
+    assert u_consistency_violation(v, haar) > 1e-3
+    a, b = canonical_assignment(v), canonical_assignment(oracle)
+    assert np.abs(a.mat - b.mat).max() <= 1e-12
+    assert np.abs(a.domain_projector - b.domain_projector).max() <= 1e-12
+    inside = k.basis @ _gaussian(rng, k.dim, 5)
+    outside = _gaussian(rng, d * d, 5)
+    for x in (inside, outside):
+        escape = v.kernel_escape(x)
+        assert abs(escape - oracle.kernel_escape(x)) <= 1e-12 * np.linalg.norm(x)
+    assert v.kernel_escape(inside) <= 1e-12 * np.linalg.norm(inside)
+    assert v.kernel_escape(outside) > 0.1 * np.linalg.norm(outside)
+
+
+@pytest.mark.parametrize("read", ["basis", "kernel", "project", "kernel_tr_e"])
+def test_demo1_space_exposes_no_basis(read):
+    # Its closed forms need none, and the identity would be a wrong one.
+    v = full_space(2, 2, demo1_omega(2))
+    with pytest.raises(NotImplementedError, match="no basis"):
+        if read == "project":
+            v.project(np.eye(4))
+        elif read == "kernel_tr_e":
+            kernel_tr_e(v)
+        else:
+            getattr(v, read)

@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdyn.tensor import (
+    HERM_TOL,
     PSD_TOL_FACTOR,
+    _with_adjoint,
     check_density,
+    is_hermitian,
     kron,
     partial_trace,
+    psd_check,
     random_density,
     random_haar_unitary,
     random_hermitian,
@@ -126,6 +130,28 @@ def test_check_density_takes_positivity_from_one_eigvalsh(monkeypatch, rng):
         check_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="has trace"):
         check_density(np.eye(2))
+
+
+@pytest.mark.parametrize("layout", ["hermitian", "non-hermitian", "transposed-view", "fortran"])
+def test_hermitian_checks_give_the_bits_of_the_strided_formulas(layout, rng):
+    # The contiguous adjoint copy against m - m^dag and (m + m^dag)/2 taken
+    # on the strided view m.conj().T, at a size where norms sum in blocks.
+    g = rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
+    m = {
+        "hermitian": (g + g.conj().T) / 2,
+        "non-hermitian": g,
+        "transposed-view": g.T,
+        "fortran": np.asfortranarray(g),
+    }[layout]
+    before = m.copy()
+    gap = np.linalg.norm(m - m.conj().T)
+    part = (m + m.conj().T) / 2
+    assert np.linalg.norm(_with_adjoint(m, np.subtract)) == gap
+    assert np.array_equal(_with_adjoint(m, np.add) / 2, part)
+    assert is_hermitian(m) == (gap <= HERM_TOL * max(1.0, np.linalg.norm(m)))
+    assert is_hermitian(m) == (layout == "hermitian")
+    assert psd_check(m)[1] == np.linalg.eigvalsh(part)[0]
+    assert np.array_equal(m, before)  # the input is never written
 
 
 def test_random_density_mean_approaches_maximally_mixed():
