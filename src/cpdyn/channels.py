@@ -89,10 +89,12 @@ def channel_from_function(fn, d_in: int, d_out: int) -> ChannelMap:
 
 
 def channel_from_kraus(k: KrausSet, d_in: int, d_out: int) -> ChannelMap:
-    m = np.zeros((d_out**2, d_in**2), dtype=complex)
-    for op in k.operators:
-        m += np.kron(op, op.conj())
-    return ChannelMap(d_in, d_out, m)
+    """``sum_i E_i kron conj(E_i)`` as one product: with the Kraus operators
+    stacked as rows e[i, (a, b)], entry [(a, c), (b, d)] is
+    ``(e^T conj(e))[(a, b), (c, d)]``."""
+    e = np.asarray(k.operators, dtype=complex).reshape(-1, d_out * d_in)
+    m = (e.T @ e.conj()).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+    return ChannelMap(d_in, d_out, m.reshape(d_out**2, d_in**2))
 
 
 def choi(c: ChannelMap) -> np.ndarray:

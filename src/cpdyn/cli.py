@@ -33,6 +33,7 @@ from . import channels, consistency, families, info
 from .consistency import (
     canonical_assignment,
     full_space,
+    markov_block_space,
     perturb_assignment,
     span_from_states,
     theorem1_verify,
@@ -171,9 +172,12 @@ def _random_spec(family: str, args, rng: np.random.Generator):
 
 
 def _family_span(spec):
-    """V from the linear generators of a family; a kernel-extended family
-    takes the span of its base."""
+    """V, the span of a family's members: in closed form for a Markov-block
+    layout, else from the family's linear generators; a kernel-extended
+    family takes the span of its base."""
     base = spec.base if isinstance(spec, families.KernelExtendedSpec) else spec
+    if isinstance(base, families.MarkovBlocksSpec):
+        return markov_block_space(base.blocks, base.d_e, base.omega_re)
     return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
 
 

@@ -5,9 +5,10 @@ verifier.
 A subspace answers the verifier's questions itself: dim V0 (V0 = V ∩
 ker Tr_E), the violation, the canonical assignment and the escape from V0.
 One stored as an orthonormal basis of row-major vectorized operators
-answers from its kernel of Tr_E; the full space and demo 1's V answer in
-closed form.  The kernel parametrizes the freedom in choosing an
-assignment map; conjugating it into ker Tr_E again is unitary consistency.
+answers from its kernel of Tr_E; the full space, demo 1's V and the span of
+Markov-block states answer in closed form, with no factorization.  The
+kernel parametrizes the freedom in choosing an assignment map; conjugating
+it into ker Tr_E again is unitary consistency.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .channels import (
 )
 from .tensor import (
     PSD_TOL_FACTOR,
+    _hermitian_part,
     is_hermitian,
     kron,
     psd_check,
@@ -41,6 +43,7 @@ __all__ = [
     "AssignmentMap",
     "span_from_states",
     "full_space",
+    "markov_block_space",
     "subspace_from_constraint",
     "kernel_tr_e",
     "u_consistency_violation",
@@ -226,13 +229,13 @@ def _psd_on_marginal_support(c: np.ndarray, d_e: int) -> bool:
     m = n // d_e
     if n >= _COMPRESS_MIN_SIDE:
         marginal = np.einsum("aebe->ab", c.reshape(m, d_e, m, d_e))
-        w, vecs = np.linalg.eigh((marginal + marginal.conj().T) / 2)
+        w, vecs = np.linalg.eigh(_hermitian_part(marginal))
         keep = np.abs(w) > SPAN_RANK_FACTOR * np.abs(w).max(initial=0.0)
         if 0 < keep.sum() < m:
             q = vecs[:, keep]
             qh = q.conj().T
             a = _lift(qh, _lift(qh, c, d_e).conj().T, d_e)  # (W^dag C W)^dag
-            a = (a + a.conj().T) / 2
+            a = _hermitian_part(a)
             waw = _lift(q, _lift(q, a, d_e).conj().T, d_e)  # W A W^dag
             waw -= c
             err = float(np.linalg.norm(waw))
@@ -243,7 +246,7 @@ def _psd_on_marginal_support(c: np.ndarray, d_e: int) -> bool:
             if min(0.0, lam[0]) - err >= -PSD_TOL_FACTOR * max(1.0, rho):
                 return True
     # psd_check's eigenvalue conjunct; its Hermiticity conjunct is the caller's.
-    w = np.linalg.eigvalsh((c + c.conj().T) / 2)
+    w = np.linalg.eigvalsh(_hermitian_part(c))
     return bool(w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max())))
 
 
@@ -327,6 +330,97 @@ class _ClosedFormSpace(OperatorSubspace):
 def full_space(d_s: int, d_e: int, omega_e: np.ndarray | None = None) -> OperatorSubspace:
     """L(S x E), or demo 1's V = {X : Tr_S X = tr(X) omega_E} given ``omega_e``."""
     return _ClosedFormSpace(d_s, d_e, omega_e)
+
+
+class _MarkovBlockSpace(OperatorSubspace):
+    """The span V of the states directsum_i p_i rho_L_i kron omega_RE_i, in
+    closed form.
+
+    V is spanned by E_ab kron omega_RE_i in block i (a, b < l_i), mutually
+    orthogonal, and Tr_E maps them to E_ab kron omega_R_i, with omega_R_i =
+    Tr_E omega_RE_i, which are orthogonal and nonzero.  So Tr_E is injective
+    on V: V0 = 0, every violation is 0.0 and the escape of x from V0 is
+    ||x||_F.  The canonical assignment x -> directsum_i m_i(x) kron
+    omega_RE_i, with m_i(x)_ab = <E_ab kron omega_R_i, x_ii> / ||omega_R_i||_F^2,
+    is the unique section of Tr_E on V after the orthogonal projection onto
+    its domain, directsum_i I kron I kron |omega_R_i>><<omega_R_i| /
+    ||omega_R_i||_F^2.  The basis, the normalized generators, and the empty
+    kernel are built only when read.
+    """
+
+    def __init__(self, blocks, d_e: int, omega_re):
+        d_s = sum(l * r for l, r in blocks)
+        vars(self).update(d_s=d_s, d_e=d_e, blocks=tuple(blocks), omega_re=tuple(omega_re))
+
+    def _blocks(self):
+        """``(off, l, r, omega_RE, omega_R)`` per block, with ``off`` the
+        block's first system index."""
+        off = 0
+        for (l, r), w in zip(self.blocks, self.omega_re):
+            w = np.asarray(w, dtype=complex)
+            yield off, l, r, w, np.einsum("aebe->ab", w.reshape(r, self.d_e, r, self.d_e))
+            off += l * r
+
+    def _section(self, d_f: int) -> np.ndarray:
+        """Matrix on vec L(S) of x -> directsum_i m_i(x) kron f_i, with f_i =
+        omega_RE_i for d_f = d_E (the assignment) and omega_R_i for d_f = 1
+        (its Tr_E, the domain projector), written block by block:
+        [(a, x), (b, y), (c, p), (d, q)] -> delta_ac delta_bd f_i[x, y]
+        conj(omega_R_i[p, q]) / ||omega_R_i||_F^2."""
+        d_s = self.d_s
+        n = d_s * d_f
+        out = np.zeros((n, n, d_s, d_s), dtype=complex)
+        for off, l, r, w, w_r in self._blocks():
+            f = w if d_f > 1 else w_r
+            s, t = slice(off, off + l * r), slice(off * d_f, (off + l * r) * d_f)
+            # Splitting the axes of a view gives a view: blk writes into out.
+            blk = out[t, t, s, s].reshape(l, r * d_f, l, r * d_f, l, r, l, r)
+            a = np.arange(l)
+            blk[a[:, None], :, a, :, a[:, None], :, a, :] = np.multiply.outer(
+                f, w_r.conj() / np.vdot(w_r, w_r).real
+            )
+        return out.reshape(n * n, d_s * d_s)
+
+    @property
+    def dim(self) -> int:
+        return sum(l * l for l, _ in self.blocks)
+
+    @property
+    def dim_v0(self) -> int:
+        return 0
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        d, d_e = self.d_s * self.d_e, self.d_e
+        out = np.zeros((d, d, self.dim), dtype=complex)
+        k = 0
+        for off, l, r, w, _ in self._blocks():
+            t = slice(off * d_e, (off + l * r) * d_e)
+            blk = out[t, t, k : k + l * l].reshape(l, r * d_e, l, r * d_e, l, l)
+            a = np.arange(l)
+            blk[a[:, None], :, a, :, a[:, None], a] = w / np.linalg.norm(w)  # E_ab kron omega_RE
+            k += l * l
+        return out.reshape(d * d, -1)
+
+    @cached_property
+    def kernel(self) -> OperatorSubspace:
+        d = self.d_s * self.d_e
+        return OperatorSubspace._trusted(self.d_s, self.d_e, np.zeros((d * d, 0)))
+
+    def violation(self, u: np.ndarray) -> float:
+        return 0.0
+
+    def canonical_assignment(self) -> AssignmentMap:
+        return AssignmentMap(self.d_s, self.d_e, self._section(self.d_e), self._section(1))
+
+    def kernel_escape(self, x: np.ndarray) -> float:
+        return float(np.linalg.norm(x))
+
+
+def markov_block_space(blocks, d_e: int, omega_re) -> OperatorSubspace:
+    """The span of the Markov-block states directsum_i p_i rho_L_i kron
+    omega_RE_i on the layout ``blocks`` of (l_i, r_i), in closed form."""
+    return _MarkovBlockSpace(blocks, d_e, omega_re)
 
 
 def _rank(sv: np.ndarray, floor: float = 0.0) -> int:
@@ -451,7 +545,8 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
     is ``B V_k S_k^-1 U_k^dag`` from the subspace's cached truncated SVD,
     the factorization the kernel reads, so dim V = dim V0 + rank of the
     domain projector ``U_k U_k^dag``.  The full space and demo 1's V give
-    it in closed form, on all of L(S), with no factorization.
+    it in closed form, on all of L(S), and a Markov-block span gives it in
+    closed form on its domain, with no factorization.
     """
     return v.canonical_assignment()
 

@@ -265,6 +265,9 @@ def span_generators(spec) -> list[np.ndarray]:
     All but the steered generators are mutually orthogonal.  A
     kernel-extended member is not linear in its parameters (its step along
     the kernel is found by a PSD search), so that family has no generators.
+    The CLI takes a Markov-block span in closed form
+    (``consistency.markov_block_space``); ``span_from_states`` of these
+    generators is the reference that closed form is tested against.
     """
     if isinstance(spec, ClassicalQuantumSpec):
         b, w = np.asarray(spec.basis), np.asarray(spec.omegas)

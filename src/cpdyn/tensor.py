@@ -204,6 +204,13 @@ def _with_adjoint(m: np.ndarray, op) -> np.ndarray:
     return op(np.conjugate(h, out=h), m, out=h)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dag) / 2`` in a new array, with the bits of that formula."""
+    h = _with_adjoint(m, np.add)
+    h /= 2
+    return h
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     m = np.asarray(m)
     return np.linalg.norm(_with_adjoint(m, np.subtract)) <= tol * max(1.0, np.linalg.norm(m))
@@ -217,9 +224,7 @@ def psd_check(m: np.ndarray) -> tuple[bool, float]:
     eigenvalue and the scale ``max |lambda|``, its spectral norm.
     """
     m = np.asarray(m)
-    herm = _with_adjoint(m, np.add)
-    herm /= 2
-    w = np.linalg.eigvalsh(herm)
+    w = np.linalg.eigvalsh(_hermitian_part(m))
     ok = is_hermitian(m) and w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max()))
     return bool(ok), float(w[0])
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cpdyn.channels import (
     ChannelMap,
+    KrausSet,
     channel_from_function,
     channel_from_kraus,
     choi,
@@ -200,6 +201,28 @@ def test_fixed_env_kraus_construction_agrees_with_composition(rng):
         built = channel_from_kraus(k, d_s, d_s)
         via = reduced_dynamics(u, product_assignment_matrix(omega, d_s), d_s, d_e)
         assert choi_distance(built, via) < 1e-9
+
+
+def channel_from_kraus_by_loop(k, d_in, d_out):
+    """Reference: sum_i E_i kron conj(E_i), one kron per Kraus operator."""
+    m = np.zeros((d_out**2, d_in**2), dtype=complex)
+    for op in k.operators:
+        m += np.kron(op, op.conj())
+    return m
+
+
+@pytest.mark.parametrize("d_in,d_out,n", [(2, 2, 0), (2, 2, 1), (2, 3, 4), (3, 2, 5), (8, 8, 64)])
+def test_channel_from_kraus_matches_the_kron_loop(rng, d_in, d_out, n):
+    k = KrausSet(
+        tuple(
+            rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
+            for _ in range(n)
+        )
+    )
+    ref = channel_from_kraus_by_loop(k, d_in, d_out)
+    built = channel_from_kraus(k, d_in, d_out)
+    assert built.mat.shape == ref.shape
+    assert np.abs(built.mat - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_fixed_env_kraus_drops_zero_eigenvalues(rng):

@@ -637,3 +637,50 @@ def test_certified_assignment_cp_runs_no_dense_eigensolver(monkeypatch, tmp_path
         assert all(t["assignment_cp"] for t in report["trials"])
     else:
         assert report["theorem"]["assignment"]["cp"]
+
+
+def _record_eigensolver_inputs(monkeypatch) -> dict:
+    """Copies of the matrices every later eigvalsh and eigh call is given."""
+    inputs = {"eigvalsh": [], "eigh": []}
+    for name in inputs:
+        def recording(a, *rest, _orig=getattr(np.linalg, name), _name=name, **kw):
+            inputs[_name].append(np.array(a))
+            return _orig(a, *rest, **kw)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return inputs
+
+
+@pytest.mark.parametrize("d_s,d_e", [(2, 4), (4, 4)], ids=["dense", "compressed"])
+def test_marginal_support_hermitian_parts_give_the_bits_of_the_strided_formulas(
+    monkeypatch, d_s, d_e
+):
+    # Every Hermitian part _psd_on_marginal_support hands an eigensolver is
+    # (m + m^dag)/2 taken on the strided view m.conj().T, bit for bit: the
+    # dense fallback's (side 32, below _COMPRESS_MIN_SIDE), and at side 64
+    # the marginal's and the compressed block's.  The product Choi matrix
+    # is perturbed off Hermiticity so that the formula has bits to differ in.
+    rng = np.random.default_rng(93)
+    c = AssignmentMap(
+        d_s, d_e, product_assignment_matrix(random_density(d_e, d_e, rng), d_s),
+        np.eye(d_s * d_s, dtype=complex),
+    ).choi()
+    c += 1e-13 * (rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape))
+    before = c.copy()
+    inputs = _record_eigensolver_inputs(monkeypatch)
+    consistency._psd_on_marginal_support(c, d_e)
+    monkeypatch.undo()
+    assert np.array_equal(c, before)  # the input is never written
+    if len(c) < consistency._COMPRESS_MIN_SIDE:
+        assert inputs["eigh"] == []
+        assert len(inputs["eigvalsh"]) == 1
+        assert np.array_equal(inputs["eigvalsh"][0], (c + c.conj().T) / 2)
+        return
+    m = len(c) // d_e
+    marginal = np.einsum("aebe->ab", c.reshape(m, d_e, m, d_e))
+    (got_marginal,) = inputs["eigh"]
+    assert np.array_equal(got_marginal, (marginal + marginal.conj().T) / 2)
+    w, vecs = np.linalg.eigh(got_marginal)
+    qh = vecs[:, np.abs(w) > consistency.SPAN_RANK_FACTOR * np.abs(w).max()].conj().T
+    assert 0 < len(qh) < m  # the compressed path runs
+    a = consistency._lift(qh, consistency._lift(qh, c, d_e).conj().T, d_e)
+    assert np.array_equal(inputs["eigvalsh"][0], (a + a.conj().T) / 2)

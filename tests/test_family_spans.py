@@ -1,14 +1,16 @@
 """V, the span of a family's members, built from the family's linear
-generators.  The span of d_s^2 + 2 sampled members, the way V used to be
-built, stays here as the oracle."""
+generators, or in closed form for a Markov-block layout.  The span of
+d_s^2 + 2 sampled members, the way V used to be built, stays here as the
+oracle, and the orthonormalized generators, ``span_from_states`` of
+``span_generators``, as the reference for the closed form."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cpdyn import cli, families
-from cpdyn.consistency import canonical_assignment, span_from_states
+from cpdyn import cli, consistency, families
+from cpdyn.consistency import canonical_assignment, sample_unitaries, span_from_states
 from cpdyn.families import (
     KernelExtendedSpec,
     random_params,
@@ -173,3 +175,87 @@ def test_kernel_extended_directions_are_orthonormal_and_traceless(layout, d_e, s
     assert sub.shape == (d * d, min(3, d * d - d_s * d_s))
     assert np.linalg.norm(sub.conj().T @ sub - np.eye(sub.shape[1])) <= 1e-12
     assert np.linalg.norm(tr_e(sub, d_s, d_e)) <= 1e-12
+
+
+# (layout, d_e): sizes (2, 2) to (4, 4), then the 64-dimension cap.
+CLOSED_FORM_CASES = [
+    ("1x2,2x1", 2),
+    ("2x1,1x3,1x1", 2),
+    ("1x3,2x1", 3),
+    ("3x2", 2),
+    ("8x1", 8),
+    ("2x2,2x2", 8),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("layout, d_e", CLOSED_FORM_CASES)
+def test_markov_block_space_matches_the_generator_span(layout, d_e, seed):
+    spec = _spec(_args("markov-blocks", cli._parse_blocks(layout), d_e=d_e), seed)
+    d_s = spec.d_s
+    v = cli._family_span(spec)
+    ref = span_from_states(span_generators(spec), d_s, d_e)
+    assert type(v) is consistency._MarkovBlockSpace and "basis" not in vars(v)
+    a, a_ref = canonical_assignment(v), canonical_assignment(ref)
+    assert np.linalg.norm(a.mat - a_ref.mat) <= 1e-12
+    assert np.linalg.norm(a.domain_projector - a_ref.domain_projector) <= 1e-12
+    assert v.dim == ref.dim == sum(l * l for l, _ in spec.blocks)
+    assert v.dim_v0 == ref.dim_v0 == 0
+    rng = np.random.default_rng(seed + 200)
+    for g in ("all", "local"):
+        for _, u in sample_unitaries(g, 2, d_s, d_e, rng):
+            assert v.violation(u) == 0.0
+            assert abs(v.violation(u) - ref.violation(u)) <= 1e-12
+    d2 = (d_s * d_e) ** 2
+    x = rng.normal(size=(d2, 3)) + 1j * rng.normal(size=(d2, 3))
+    assert abs(v.kernel_escape(x) - ref.kernel_escape(x)) <= 1e-12 * np.linalg.norm(x)
+    assert "basis" not in vars(v)  # nothing above reads the basis
+    members = [sample_member(spec, random_params(spec, rng)) for _ in range(3)]
+    assert all(v.contains(m) and ref.contains(m) for m in members)
+    outside = random_density(d_s * d_e, d_s * d_e, rng)
+    assert not v.contains(outside) and not ref.contains(outside)
+    b = v.basis
+    assert np.linalg.norm(b.conj().T @ b - np.eye(v.dim)) <= 1e-12
+    assert np.linalg.norm(b @ b.conj().T - ref.basis @ ref.basis.conj().T) <= 1e-12
+    assert np.linalg.norm(v.project(outside) - ref.project(outside)) <= 1e-12
+    assert v.kernel.dim == 0 and v.kernel.basis.shape == (d2, 0)
+
+
+MARKOV_BLOCK_REPORTS = [
+    ("verify-family", "--family", family)
+    for family in cli.FAMILY_CHOICES
+    if family != "classical-quantum"
+] + [
+    (command, "--family", family)
+    for command in ("consistency", "theorem1")
+    for family in (
+        "factorized", "direct-sum", "mixed-direct-sum", "markov-blocks", "kernel-extended"
+    )
+] + [  # the cap-size reports of the benchmark's cap-dynamics workload
+    ("verify-family", "--family", "factorized", "--ds", "8", "--de", "8"),
+    ("theorem1", "--family", "markov-blocks", "--blocks", "2x2,2x2", "--de", "8"),
+]
+
+
+@pytest.mark.parametrize("argv", MARKOV_BLOCK_REPORTS, ids=" ".join)
+def test_markov_block_reports_factor_nothing(monkeypatch, argv):
+    # Every block family's span is a Markov-block layout (verify-family
+    # builds a steered trial's span from its underlying layout, and a
+    # kernel-extended family takes its base): no generator span, no kernel
+    # factorization, no SVD.
+    calls = []
+    for owner, name in (
+        (cli, "span_from_states"),
+        (consistency, "span_from_states"),
+        (consistency, "_null_complement"),
+        (np.linalg, "svd"),
+    ):
+        def counting(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    report, code = cli.run([*argv, "--g", "local", "--trials", "3", "--seed", "5"])
+    assert code == 0
+    assert calls == []
+    assert report["summary"].get("dim_v0", 0) == 0
