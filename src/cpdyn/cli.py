@@ -38,7 +38,7 @@ from .consistency import (
     span_from_states,
     theorem1_verify,
 )
-from .tensor import psd_check, random_density, random_haar_unitary, tr_e, vec
+from .tensor import random_density, random_haar_unitary, tr_e, vec
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_DIM = 64
@@ -197,16 +197,8 @@ def _verify_family_trial(args, trial: int) -> dict:
     if args.family == "markov-blocks":
         member = families.sample_member(spec, families.random_params(spec, rng))
     label, u = consistency.sample_unitaries(args.g, 1, ds, de, rng)[0]
-    psi = channels.reduced_dynamics(u, assign.mat, ds, de)
-    cp, min_eig = psd_check(channels.choi(psi))
-    rec = {
-        "trial": trial,
-        "unitary": label,
-        "cp": cp,
-        "tp": bool(channels.is_tp_on_domain(psi, assign.domain_projector)),
-        "min_choi_eigenvalue": min_eig,
-        "assignment_cp": bool(assign.cp),
-    }
+    psi, verdict = consistency.reduced_dynamics_verdict(assign, u)
+    rec = {"trial": trial, "unitary": label, **verdict, "assignment_cp": bool(assign.cp)}
     if args.family == "factorized":
         k = channels.kraus_factorized(u, spec.omega_re[0], ds, de)
         direct = channels.channel_from_kraus(k, ds, ds)

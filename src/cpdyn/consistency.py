@@ -5,7 +5,8 @@ verifier.
 A subspace answers the verifier's questions itself: dim V0 (V0 = V ∩
 ker Tr_E), the violation, the canonical assignment and the escape from V0.
 One stored as an orthonormal basis of row-major vectorized operators
-answers from its kernel of Tr_E; the full space, demo 1's V and the span of
+answers from one SVD of Tr_E on that basis, which gives both its kernel and
+its canonical assignment; the full space, demo 1's V and the span of
 Markov-block states answer in closed form, with no factorization.  The
 kernel parametrizes the freedom in choosing an assignment map; conjugating
 it into ker Tr_E again is unitary consistency.
@@ -52,6 +53,7 @@ __all__ = [
     "canonical_assignment",
     "perturb_assignment",
     "witness_assignment",
+    "reduced_dynamics_verdict",
     "theorem1_verify",
 ]
 
@@ -69,10 +71,9 @@ _COMPRESS_MIN_SIDE = 64
 class OperatorSubspace:
     """Orthonormalized subspace of vectorized operators on S x E.
 
-    The public constructor checks that a caller's basis is orthonormal
-    (``||B^dag B - I||_F <= 1e-8 max(1, n)``).  Subspaces built inside this
-    module have orthonormal bases by construction and go through
-    ``_trusted``, which skips that O(N n^2) check.
+    The constructor checks that every basis is orthonormal
+    (``||B^dag B - I||_F <= 1e-8 max(1, n)``), the caller's and those this
+    module builds (spans, kernels, constraint null spaces) alike.
     """
 
     d_s: int
@@ -87,38 +88,36 @@ class OperatorSubspace:
             raise ValueError("subspace basis is not orthonormal")
         object.__setattr__(self, "basis", b)
 
-    @classmethod
-    def _trusted(cls, d_s: int, d_e: int, basis: np.ndarray) -> OperatorSubspace:
-        """A subspace on a (d^2, n) basis that is orthonormal by construction,
-        built without the Gram check."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "d_s", d_s)
-        object.__setattr__(sub, "d_e", d_e)
-        object.__setattr__(sub, "basis", np.asarray(basis, dtype=complex))
-        return sub
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     @cached_property
     def _tr_e_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(u, sv, vh)`` of Tr_E on the basis, truncated at its
-        rank (``_rank`` at floor 1), computed when first read.
+        """One SVD ``(u_k, sv_k, vh)`` of R = Tr_E B, computed when first
+        read: ``u`` and ``sv`` truncated at the rank k (``_rank`` at floor
+        1), ``vh`` square (n, n).
 
-        The kernel and the canonical assignment both read this one
-        factorization, so dim V = dim V0 + rank holds by construction.
+        R is (d_s^2, n).  A wide R (n > d_s^2) takes the full factorization,
+        whose trailing rows of ``vh`` span its null space; for n <= d_s^2
+        the thin right factor is already square, and a full left factor
+        would only cost time and memory.  The kernel and the canonical
+        assignment both read this one factorization, so dim V = dim V0 + k
+        holds by construction.
         """
         r = tr_e(self.basis, self.d_s, self.d_e)
-        u, sv, vh = np.linalg.svd(r, full_matrices=False)
+        u, sv, vh = np.linalg.svd(r, full_matrices=self.dim > self.d_s**2)
         k = _rank(sv, floor=1.0)
-        return u[:, :k], sv[:k], vh[:k]
+        return u[:, :k], sv[:k], vh
 
     @cached_property
     def kernel(self) -> OperatorSubspace:
-        """V0 = V ∩ ker Tr_E, computed when first read."""
-        basis = _null_complement(self._tr_e_svd[2], self.basis)
-        return OperatorSubspace._trusted(self.d_s, self.d_e, basis)
+        """V0 = V ∩ ker Tr_E, computed when first read: ``B vh[k:]^dag``
+        from ``_tr_e_svd``, or V itself when Tr_E vanishes on it (k = 0)."""
+        _, sv, vh = self._tr_e_svd
+        if sv.size == 0:
+            return self
+        return OperatorSubspace(self.d_s, self.d_e, self.basis @ vh[sv.size :].conj().T)
 
     # The verifier's questions, answered from the kernel; the module
     # functions of the same names say what each answer means.
@@ -132,7 +131,7 @@ class OperatorSubspace:
 
     def canonical_assignment(self) -> AssignmentMap:
         u, sv, vh = self._tr_e_svd
-        r_pinv = vh.conj().T @ (u.conj().T / sv[:, None])
+        r_pinv = vh[: sv.size].conj().T @ (u.conj().T / sv[:, None])
         return AssignmentMap(self.d_s, self.d_e, self.basis @ r_pinv, u @ u.conj().T)
 
     def kernel_escape(self, x: np.ndarray) -> float:
@@ -260,7 +259,7 @@ def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
     if stack.shape[0] != d * d:
         raise ValueError(f"spanning operators must be {d} x {d}")
     u, sv, _ = np.linalg.svd(stack, full_matrices=False)
-    return OperatorSubspace._trusted(d_s, d_e, u[:, : _rank(sv)])
+    return OperatorSubspace(d_s, d_e, u[:, : _rank(sv)])
 
 
 class _ClosedFormSpace(OperatorSubspace):
@@ -405,7 +404,7 @@ class _MarkovBlockSpace(OperatorSubspace):
     @cached_property
     def kernel(self) -> OperatorSubspace:
         d = self.d_s * self.d_e
-        return OperatorSubspace._trusted(self.d_s, self.d_e, np.zeros((d * d, 0)))
+        return OperatorSubspace(self.d_s, self.d_e, np.zeros((d * d, 0)))
 
     def violation(self, u: np.ndarray) -> float:
         return 0.0
@@ -435,40 +434,12 @@ def _rank(sv: np.ndarray, floor: float = 0.0) -> int:
     return int((sv > SPAN_RANK_FACTOR * max(sv.max(initial=0.0), floor)).sum())
 
 
-def _null_complement(vh: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {B x : vh x = 0}, with B = ``basis`` (orthonormal
-    columns).
-
-    ``vh`` is (k, n) with orthonormal rows: the k leading right singular
-    vectors of a matrix whose null space is wanted.  One Householder QR of
-    ``vh^dag`` gives Q = I - Y T Y^dag (compact WY form), whose last n - k
-    columns span the null space; the result is
-    (B Q)[:, k:] = B[:, k:] - (B Y)(T Y[k:]^dag), at O(N n k) cost.
-    """
-    k = vh.shape[0]
-    if k == 0:
-        return basis
-    h, tau = np.linalg.qr(vh.conj().T, mode="raw")
-    y = np.tril(h.T, -1)  # reflectors H_i = I - tau_i y_i y_i^dag, unit diagonal
-    y[np.arange(k), np.arange(k)] = 1.0
-    gram = y.conj().T @ y
-    t = np.zeros((k, k), dtype=complex)
-    for i in range(k):  # H_1 ... H_k = I - Y T Y^dag, built one reflector at a time
-        t[i, i] = tau[i]
-        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-    return basis[:, k:] - (basis @ y) @ (t @ y[k:].conj().T)
-
-
 def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubspace:
-    """Null space of a linear constraint matrix acting on vectorized operators.
-
-    The rank of ``a`` takes the purely relative ``_rank`` rule; the null
-    space is computed by ``_null_complement`` with the identity as ambient
-    basis, the same path as the partial-trace kernel.
-    """
-    _, sv, vh = np.linalg.svd(a, full_matrices=False)
-    basis = _null_complement(vh[: _rank(sv)], np.eye(a.shape[1], dtype=complex))
-    return OperatorSubspace._trusted(d_s, d_e, basis)
+    """Null space of a linear constraint matrix acting on vectorized operators:
+    the trailing right singular vectors ``vh[rank:]^dag`` of one full SVD of
+    ``a``, whose rank takes the purely relative ``_rank`` rule."""
+    _, sv, vh = np.linalg.svd(a)
+    return OperatorSubspace(d_s, d_e, vh[_rank(sv) :].conj().T)
 
 
 def kernel_tr_e(v: OperatorSubspace) -> OperatorSubspace:
@@ -542,11 +513,12 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
 
     The Moore-Penrose section is deterministic and basis independent;
     operators outside the domain Tr_E V are first projected onto it.  It
-    is ``B V_k S_k^-1 U_k^dag`` from the subspace's cached truncated SVD,
-    the factorization the kernel reads, so dim V = dim V0 + rank of the
-    domain projector ``U_k U_k^dag``.  The full space and demo 1's V give
-    it in closed form, on all of L(S), and a Markov-block span gives it in
-    closed form on its domain, with no factorization.
+    is ``B vh[:k]^dag S_k^-1 U_k^dag`` from the subspace's one cached SVD
+    of Tr_E on V, whose trailing rows ``vh[k:]`` give the kernel, so
+    dim V = dim V0 + k, the rank of the domain projector ``U_k U_k^dag``.
+    The full space and demo 1's V give it in closed form, on all of L(S),
+    and a Markov-block span gives it in closed form on its domain, with no
+    factorization.
     """
     return v.canonical_assignment()
 
@@ -598,6 +570,16 @@ def witness_assignment(
     return AssignmentMap(d_s, d_e, base + gamma * pert, np.eye(d_s * d_s, dtype=complex))
 
 
+def reduced_dynamics_verdict(assign: AssignmentMap, u: np.ndarray) -> tuple[ChannelMap, dict]:
+    """The reduced channel Psi = Tr_E o Ad_U o ``assign`` and its verdicts
+    ``{cp, tp, min_choi_eigenvalue}``: CP and the least eigenvalue from the
+    Choi matrix of Psi, TP on the assignment's domain."""
+    psi = reduced_dynamics(u, assign.mat, assign.d_s, assign.d_e)
+    cp, min_eig = psd_check(choi(psi))
+    tp = bool(is_tp_on_domain(psi, assign.domain_projector))
+    return psi, {"cp": cp, "tp": tp, "min_choi_eigenvalue": min_eig}
+
+
 def theorem1_verify(
     v: OperatorSubspace,
     g: str,
@@ -621,17 +603,9 @@ def theorem1_verify(
     assign = canonical_assignment(v) if assignment is None else assignment
     per_u = []
     for label, u in unitaries:
-        psi = reduced_dynamics(u, assign.mat, v.d_s, v.d_e)
-        cp, min_eig = psd_check(choi(psi))
-        per_u.append(
-            {
-                "unitary": label,
-                "cp": cp,
-                "tp": bool(is_tp_on_domain(psi, assign.domain_projector)),
-                "min_choi_eigenvalue": min_eig,
-                "perturbation_deviation": u_consistency_violation(v, u),
-            }
-        )
+        _, verdict = reduced_dynamics_verdict(assign, u)
+        deviation = u_consistency_violation(v, u)
+        per_u.append({"unitary": label, **verdict, "perturbation_deviation": deviation})
     consistency = g_consistency_report(
         v, g, [rec["perturbation_deviation"] for rec in per_u], tol
     )

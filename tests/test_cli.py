@@ -214,26 +214,26 @@ def test_kernel_extended_builds_no_full_space(monkeypatch, command):
     # The extra directions are drawn by projection, so no report factors the
     # full operator space, and the span of the base is a Markov-block span,
     # whose empty kernel is a closed form: no report factors anything.
-    full_spaces, factored = [], []
-    full_space, factor = consistency.full_space, consistency._null_complement
+    full_spaces, svds = [], []
+    full_space, svd = consistency.full_space, np.linalg.svd
 
     def counting_full_space(*args):
         full_spaces.append(args)
         return full_space(*args)
 
-    def counting_null_complement(vh, *rest):
-        factored.append(vh.shape[1])
-        return factor(vh, *rest)
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(cli, "full_space", counting_full_space)
     monkeypatch.setattr(consistency, "full_space", counting_full_space)
-    monkeypatch.setattr(consistency, "_null_complement", counting_null_complement)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     report, code = run_args(
         command, "--family", "kernel-extended", "--trials", "4", "--seed", "5", "--g", "local"
     )
     assert code == 0
     assert full_spaces == []
-    assert factored == []
+    assert svds == []
 
 
 @pytest.mark.parametrize(
@@ -251,29 +251,24 @@ def test_full_space_commands_factor_nothing(monkeypatch, argv, dim_v0):
     # The violation, canonical assignment and dim V0 of the full space and
     # of demo 1's space are closed forms: no SVD, no kernel basis, no
     # identity or constraint basis.
-    spaces, factored, svds = [], [], []
-    full_space, factor, svd = consistency.full_space, consistency._null_complement, np.linalg.svd
+    spaces, svds = [], []
+    full_space, svd = consistency.full_space, np.linalg.svd
 
     def recording_full_space(*args):
         spaces.append(full_space(*args))
         return spaces[-1]
-
-    def counting_null_complement(*args, **kwargs):
-        factored.append(args[0].shape)
-        return factor(*args, **kwargs)
 
     def counting_svd(a, *args, **kwargs):
         svds.append(a.shape)
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(cli, "full_space", recording_full_space)
-    monkeypatch.setattr(consistency, "_null_complement", counting_null_complement)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(consistency, "subspace_from_constraint", None)
     report, code = run_args(*argv, "--trials", "3", "--seed", "5")
     assert code == 0 or argv[0] == "consistency"  # Haar draws are not consistent on L(S x E)
     assert report["summary"]["dim_v0"] == dim_v0
-    assert factored == [] and svds == []
+    assert svds == []
     assert len(spaces) == 1 and "basis" not in vars(spaces[0])
     assert not hasattr(cli, "subspace_from_constraint") and not hasattr(cli, "kernel_tr_e")
 

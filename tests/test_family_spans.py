@@ -241,13 +241,12 @@ MARKOV_BLOCK_REPORTS = [
 def test_markov_block_reports_factor_nothing(monkeypatch, argv):
     # Every block family's span is a Markov-block layout (verify-family
     # builds a steered trial's span from its underlying layout, and a
-    # kernel-extended family takes its base): no generator span, no kernel
-    # factorization, no SVD.
+    # kernel-extended family takes its base): no generator span and no SVD,
+    # the one factorization a basis-backed kernel would take.
     calls = []
     for owner, name in (
         (cli, "span_from_states"),
         (consistency, "span_from_states"),
-        (consistency, "_null_complement"),
         (np.linalg, "svd"),
     ):
         def counting(*args, _orig=getattr(owner, name), _name=name, **kwargs):

@@ -1,7 +1,8 @@
-"""Subspaces built inside cpdyn skip the constructor's Gram check because
-their bases are orthonormal by construction; here that check runs as an
-oracle on every internal construction.  Also: the canonical assignment
-and the kernel read one factorization of Tr_E on V, with one rank cutoff."""
+"""Every subspace, the caller's and those cpdyn builds, passes the
+constructor's Gram check; here a tighter check runs as an oracle on every
+internal construction.  Also: the canonical assignment and the kernel read
+one SVD of Tr_E on V, with one rank cutoff, on wide and tall Tr_E alike,
+and the kernel matches an independent pseudoinverse oracle."""
 
 from types import SimpleNamespace
 
@@ -58,30 +59,15 @@ def test_demo1_constraint_space_and_its_kernel_are_orthonormal():
     assert_orthonormal(v)
 
 
-def test_internal_constructions_skip_the_gram_check(monkeypatch, rng):
-    def refuse(self):
-        raise AssertionError("Gram check run on an internally built subspace")
-
-    monkeypatch.setattr(OperatorSubspace, "__post_init__", refuse)
-    states = [random_density(4, 4, rng) for _ in range(3)]
-    built = [
-        full_space(2, 2),
-        span_from_states(states, 2, 2),
-        subspace_from_constraint(rng.normal(size=(3, 16)), 2, 2),
-    ]
-    for v in built:
-        assert kernel_tr_e(v).dim <= v.dim
-
-
-def test_trusted_subspace_computes_its_cached_kernel_once(monkeypatch):
+def test_subspace_computes_its_cached_kernel_once(monkeypatch):
     calls = []
-    null_complement = consistency._null_complement
+    svd = np.linalg.svd
 
-    def counting(r, basis=None, **kwargs):
-        calls.append(r.shape)
-        return null_complement(r, basis, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(consistency, "_null_complement", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     v = full_space(2, 3)
     assert "kernel" not in vars(v)  # nothing computed before the first read
     k = v.kernel
@@ -118,12 +104,60 @@ def test_kernel_and_canonical_assignment_share_one_svd(monkeypatch, build):
     monkeypatch.undo()
     # The separately factored pseudoinverse section is the oracle.
     r = tr_e(v.basis, v.d_s, v.d_e)
-    u, sv, vh = np.linalg.svd(r, full_matrices=False)
+    u, sv, vh = np.linalg.svd(r, full_matrices=v.dim > v.d_s**2)
     n = consistency._rank(sv, floor=1.0)
     r_pinv = vh[:n].conj().T @ (u[:, :n].conj().T / sv[:n, None])
     assert np.array_equal(a.mat, v.basis @ r_pinv)
     assert np.linalg.norm(a.domain_projector - r @ r_pinv) <= 1e-12
     assert v.dim == k.dim + n
+
+
+# (d_s, d_e, states): Tr_E on V is wide (dim V > d_s^2) and takes the full
+# SVD, or tall and takes the thin one, whose right factor is already square.
+SVD_SHAPES = {
+    "wide-2x2": (2, 2, 7),
+    "wide-2x4": (2, 4, 12),
+    "wide-3x3": (3, 3, 20),
+    "tall-32x2": (32, 2, 8),
+}
+
+
+@pytest.mark.parametrize("case", list(SVD_SHAPES))
+def test_kernel_matches_pinv_oracle_on_both_svd_shapes(monkeypatch, case):
+    d_s, d_e, n = SVD_SHAPES[case]
+    v = _random_span(d_s, d_e, n)
+    svd, calls = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("full_matrices", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    k = v.kernel
+    monkeypatch.undo()
+    wide = n > d_s**2
+    # A full left factor of a tall R would be (d_s^2, d_s^2): 1024 x 1024 at 32x2.
+    assert calls == [((d_s**2, n), wide)]
+    assert v._tr_e_svd[2].shape == (n, n)
+    r = tr_e(v.basis, d_s, d_e)
+    assert v.dim == n == k.dim + np.linalg.matrix_rank(r)
+    assert (k.dim > 0) == wide
+    # The projector onto V0 is B (I - R^+ R) B^dag.
+    m = np.eye(n) - np.linalg.pinv(r) @ r
+    if k.dim:
+        p = v.basis @ m @ v.basis.conj().T
+        assert np.linalg.norm(k.basis @ k.basis.conj().T - p) <= 1e-12
+    else:  # ||B M B^dag||_F = ||M||_F for orthonormal B, without the d^2 x d^2 matrix
+        assert np.linalg.norm(m) <= 1e-12
+
+
+@pytest.mark.parametrize("case", [c for c in SVD_SHAPES if c.startswith("wide")])
+def test_kernel_of_a_space_inside_ker_tr_e_is_the_space(case):
+    v0 = _random_span(*SVD_SHAPES[case]).kernel
+    assert v0.dim > 0
+    assert v0.kernel is v0 and kernel_tr_e(v0).dim == v0.dim
+    assert v0._tr_e_svd[1].size == 0
+    assert not canonical_assignment(v0).domain_projector.any()
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-11])
