@@ -23,7 +23,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -46,7 +45,6 @@ MAX_TOTAL_DIM = 64
 # at the dimension cap, on a kernel basis and in the full space's closed form
 # alike, which a smaller tolerance would report as a counterexample.
 TOL_FLOOR = 1e-12
-SEED_ENV_VAR = "CPDYN_SEED"
 DEFAULT_SEED = 2024
 
 # Families whose system dimension comes from the block layout.
@@ -86,6 +84,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
     return value
 
 
@@ -500,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="system block layout, e.g. '1x2,2x1'",
             )
         p.add_argument("--trials", type=_positive_int, default=trials)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
         if tol:
             p.add_argument("--tol", type=_tolerance, default=consistency.CONSISTENCY_TOL)
         p.add_argument("--out", type=str, default=None, help="report output path")
@@ -555,8 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> tuple[dict, int]:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
     if "g" in vars(args) and args.g is None:
         args.g = _default_g(args)
     start = time.monotonic()

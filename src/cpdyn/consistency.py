@@ -2,12 +2,15 @@
 unitary-consistency checks, assignment maps and the end-to-end theorem
 verifier.
 
-A subspace answers the verifier's questions itself: dim V0 (V0 = V ∩
-ker Tr_E), the violation, the canonical assignment and the escape from V0.
-One stored as an orthonormal basis of row-major vectorized operators
-answers from one SVD of Tr_E on that basis, which gives both its kernel and
-its canonical assignment; the full space, demo 1's V and the span of
-Markov-block states answer in closed form, with no factorization.  The
+A subspace V answers the verifier's questions itself (``d_s``, ``d_e``,
+``dim``, ``dim_v0`` with V0 = V ∩ ker Tr_E, ``violation(u)``,
+``canonical_assignment()``, ``kernel_escape(x)``), and the module functions
+only call it.  ``OperatorSubspace`` stores V as an orthonormal basis of
+row-major vectorized operators and answers from one SVD of Tr_E on it,
+which gives both its ``kernel`` and its canonical assignment.  The full
+space, demo 1's V and the span of Markov-block states answer in closed
+form, with no factorization, and have no basis or kernel.  A basis-backed
+subspace and a Markov-block span answer ``contains(x, tol)`` too.  The
 kernel parametrizes the freedom in choosing an assignment map; conjugating
 it into ker Tr_E again is unitary consistency.
 """
@@ -26,6 +29,7 @@ from .channels import (
     product_assignment_matrix,
     reduced_dynamics,
 )
+from .families import structure_fit
 from .tensor import (
     PSD_TOL_FACTOR,
     _hermitian_part,
@@ -139,13 +143,12 @@ class OperatorSubspace:
         k = kernel_tr_e(self).basis
         return float(np.linalg.norm(x - k @ (k.conj().T @ x)))
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of an operator onto the subspace."""
-        v = self.basis @ (self.basis.conj().T @ vec(x))
-        return unvec(v, self.d_s * self.d_e)
-
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return np.linalg.norm(self.project(x) - x) <= tol * max(1.0, np.linalg.norm(x))
+        """Whether the orthogonal projection onto V moves ``x`` by at most
+        ``tol max(1, ||x||_F)`` in Frobenius norm."""
+        x = vec(x)
+        residual = np.linalg.norm(self.basis @ (self.basis.conj().T @ x) - x)
+        return bool(residual <= tol * max(1.0, np.linalg.norm(x)))
 
 
 @dataclass(frozen=True)
@@ -262,19 +265,20 @@ def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
     return OperatorSubspace(d_s, d_e, u[:, : _rank(sv)])
 
 
-class _ClosedFormSpace(OperatorSubspace):
+class _ClosedFormSpace:
     """All of L(S x E) or, given ``omega_e``, demo 1's V, in closed form.
 
-    V0 is ker Tr_E, or ker Tr_E ∩ ker Tr_S on demo 1's V, with orthogonal
-    projector P: X -> X - Tr_E X kron I/d_E [then Y -> Y - I/d_S kron Tr_S Y].
-    The canonical assignment x -> x kron I/d_E [+ tr(x) I/d_S kron (omega_E
-    - I/d_E)] lies in V, inverts Tr_E and is orthogonal to V0: the
-    minimum-norm section, on all of L(S).  The full space's identity basis
-    and kernel are built only when read; demo 1's V has none to read.
+    It answers ``dim``, ``dim_v0``, ``violation``, ``canonical_assignment``
+    and ``kernel_escape`` and has no basis or kernel.  V0 is ker Tr_E, or
+    ker Tr_E ∩ ker Tr_S on demo 1's V, with orthogonal projector P:
+    X -> X - Tr_E X kron I/d_E [then Y -> Y - I/d_S kron Tr_S Y].  The
+    canonical assignment x -> x kron I/d_E [+ tr(x) I/d_S kron (omega_E -
+    I/d_E)] lies in V, inverts Tr_E and is orthogonal to V0: the
+    minimum-norm section, on all of L(S).
     """
 
     def __init__(self, d_s: int, d_e: int, omega_e: np.ndarray | None = None):
-        vars(self).update(d_s=d_s, d_e=d_e, omega_e=omega_e)  # frozen: no __setattr__
+        self.d_s, self.d_e, self.omega_e = d_s, d_e, omega_e
 
     @property
     def dim(self) -> int:
@@ -283,12 +287,6 @@ class _ClosedFormSpace(OperatorSubspace):
     @property
     def dim_v0(self) -> int:
         return (self.d_s**2 - (self.omega_e is not None)) * (self.d_e**2 - 1)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        if self.omega_e is not None:
-            raise NotImplementedError("demo 1's subspace is closed-form only: it has no basis")
-        return np.eye(self.dim, dtype=complex)
 
     def _project_v0(self, x: np.ndarray) -> np.ndarray:
         """P applied in place to each operator X[(a, f), (b, g)] = x[s, a, f, t, b, g]."""
@@ -326,14 +324,16 @@ class _ClosedFormSpace(OperatorSubspace):
         return float(np.linalg.norm(y - self._project_v0(y.copy())))
 
 
-def full_space(d_s: int, d_e: int, omega_e: np.ndarray | None = None) -> OperatorSubspace:
+def full_space(d_s: int, d_e: int, omega_e: np.ndarray | None = None) -> _ClosedFormSpace:
     """L(S x E), or demo 1's V = {X : Tr_S X = tr(X) omega_E} given ``omega_e``."""
     return _ClosedFormSpace(d_s, d_e, omega_e)
 
 
-class _MarkovBlockSpace(OperatorSubspace):
+class _MarkovBlockSpace:
     """The span V of the states directsum_i p_i rho_L_i kron omega_RE_i, in
-    closed form.
+    closed form: it answers ``dim``, ``dim_v0``, ``violation``,
+    ``canonical_assignment``, ``kernel_escape`` and ``contains`` and has
+    no basis or kernel.
 
     V is spanned by E_ab kron omega_RE_i in block i (a, b < l_i), mutually
     orthogonal, and Tr_E maps them to E_ab kron omega_R_i, with omega_R_i =
@@ -343,13 +343,12 @@ class _MarkovBlockSpace(OperatorSubspace):
     omega_RE_i, with m_i(x)_ab = <E_ab kron omega_R_i, x_ii> / ||omega_R_i||_F^2,
     is the unique section of Tr_E on V after the orthogonal projection onto
     its domain, directsum_i I kron I kron |omega_R_i>><<omega_R_i| /
-    ||omega_R_i||_F^2.  The basis, the normalized generators, and the empty
-    kernel are built only when read.
+    ||omega_R_i||_F^2.
     """
 
     def __init__(self, blocks, d_e: int, omega_re):
-        d_s = sum(l * r for l, r in blocks)
-        vars(self).update(d_s=d_s, d_e=d_e, blocks=tuple(blocks), omega_re=tuple(omega_re))
+        self.blocks, self.d_e, self.omega_re = tuple(blocks), d_e, tuple(omega_re)
+        self.d_s = sum(l * r for l, r in self.blocks)
 
     def _blocks(self):
         """``(off, l, r, omega_RE, omega_R)`` per block, with ``off`` the
@@ -388,24 +387,6 @@ class _MarkovBlockSpace(OperatorSubspace):
     def dim_v0(self) -> int:
         return 0
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        d, d_e = self.d_s * self.d_e, self.d_e
-        out = np.zeros((d, d, self.dim), dtype=complex)
-        k = 0
-        for off, l, r, w, _ in self._blocks():
-            t = slice(off * d_e, (off + l * r) * d_e)
-            blk = out[t, t, k : k + l * l].reshape(l, r * d_e, l, r * d_e, l, l)
-            a = np.arange(l)
-            blk[a[:, None], :, a, :, a[:, None], a] = w / np.linalg.norm(w)  # E_ab kron omega_RE
-            k += l * l
-        return out.reshape(d * d, -1)
-
-    @cached_property
-    def kernel(self) -> OperatorSubspace:
-        d = self.d_s * self.d_e
-        return OperatorSubspace(self.d_s, self.d_e, np.zeros((d * d, 0)))
-
     def violation(self, u: np.ndarray) -> float:
         return 0.0
 
@@ -415,11 +396,23 @@ class _MarkovBlockSpace(OperatorSubspace):
     def kernel_escape(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(x))
 
+    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
+        """Whether ``||x - P_V x||_F <= tol max(1, ||x||_F)``, read from the
+        residual of ``families.structure_fit`` on the layout: its fit is
+        the orthogonal projection of each diagonal block x_ii onto the span
+        of the E_ab kron omega_RE_i, and it drops every off-block entry."""
+        residual = structure_fit(x, self.blocks, self.omega_re, self.d_e).residual
+        return bool(residual <= tol * max(1.0, np.linalg.norm(x)))
 
-def markov_block_space(blocks, d_e: int, omega_re) -> OperatorSubspace:
+
+def markov_block_space(blocks, d_e: int, omega_re) -> _MarkovBlockSpace:
     """The span of the Markov-block states directsum_i p_i rho_L_i kron
     omega_RE_i on the layout ``blocks`` of (l_i, r_i), in closed form."""
     return _MarkovBlockSpace(blocks, d_e, omega_re)
+
+
+# Any subspace the module functions below accept (see the module docstring).
+Subspace = OperatorSubspace | _ClosedFormSpace | _MarkovBlockSpace
 
 
 def _rank(sv: np.ndarray, floor: float = 0.0) -> int:
@@ -443,11 +436,12 @@ def subspace_from_constraint(a: np.ndarray, d_s: int, d_e: int) -> OperatorSubsp
 
 
 def kernel_tr_e(v: OperatorSubspace) -> OperatorSubspace:
-    """V0 = V ∩ ker Tr_E as a basis: ``v.kernel``, computed once per subspace."""
+    """V0 = V ∩ ker Tr_E as a basis: ``v.kernel``, computed once per
+    subspace.  Only an ``OperatorSubspace`` has one."""
     return v.kernel
 
 
-def u_consistency_violation(v: OperatorSubspace, u: np.ndarray) -> float:
+def u_consistency_violation(v: Subspace, u: np.ndarray) -> float:
     """Hilbert-Schmidt norm of M_U = Tr_E o Ad_U restricted to V0.
 
     ``||M_U||_F = ||tr_e(K, d_s, d_e, u)||_F`` for any orthonormal kernel
@@ -482,7 +476,7 @@ def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generato
 
 
 def g_consistency_report(
-    v: OperatorSubspace, g: str, violations: list[float], tol: float = CONSISTENCY_TOL
+    v: Subspace, g: str, violations: list[float], tol: float = CONSISTENCY_TOL
 ) -> dict:
     """Consistency of a subspace over the unitary set named ``g``, summarized
     from the ``u_consistency_violation`` of each unitary the caller checked.
@@ -508,7 +502,7 @@ def g_consistency_report(
     }
 
 
-def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
+def canonical_assignment(v: Subspace) -> AssignmentMap:
     """Minimum-Frobenius-norm right inverse of Tr_E restricted to V.
 
     The Moore-Penrose section is deterministic and basis independent;
@@ -524,7 +518,7 @@ def canonical_assignment(v: OperatorSubspace) -> AssignmentMap:
 
 
 def perturb_assignment(
-    base: AssignmentMap, delta: np.ndarray, v: OperatorSubspace, tol: float = 1e-8
+    base: AssignmentMap, delta: np.ndarray, v: Subspace, tol: float = 1e-8
 ) -> AssignmentMap:
     """Add a kernel-valued linear map to an assignment.
 
@@ -581,7 +575,7 @@ def reduced_dynamics_verdict(assign: AssignmentMap, u: np.ndarray) -> tuple[Chan
 
 
 def theorem1_verify(
-    v: OperatorSubspace,
+    v: Subspace,
     g: str,
     unitaries: list[tuple[str, np.ndarray]],
     assignment: AssignmentMap | None = None,

@@ -196,7 +196,7 @@ def test_acceptance_6_kernel_dimension_arithmetic():
         v0 = kernel_tr_e(v)
         rank = np.linalg.matrix_rank(t @ v.basis, tol=1e-9)
         ok = ok and v.dim == v0.dim + rank
-    full_kernel = kernel_tr_e(full_space(2, 2)).dim
+    full_kernel = full_space(2, 2).dim_v0
     report(
         "acceptance 6: kernel dimensions satisfy rank-nullity, "
         "full-space kernel has dimension 12",

@@ -78,10 +78,10 @@ def test_out_flag_writes_report(tmp_path):
     assert strip_timing(on_disk) == strip_timing(report)
 
 
-def test_seed_env_var_fallback(monkeypatch):
+def test_default_seed_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("CPDYN_SEED", "99")
     report, _ = run_args("verify-family", "--family", "factorized", "--trials", "2")
-    assert report["config"]["seed"] == 99
+    assert report["config"]["seed"] == 2024
 
 
 def test_dimension_cap_aborts():
@@ -552,3 +552,20 @@ def test_non_positive_counts_are_argument_errors(argv, capsys):
     with pytest.raises(SystemExit):
         run_args(*argv)
     assert "must be at least 1, got '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-family", "--family", "factorized"),
+        ("consistency",),
+        ("theorem1",),
+        ("dpi",),
+        ("demo", "2"),
+    ],
+)
+def test_negative_seed_is_an_argument_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_args(*argv, "--seed", "-5", "--trials", "1")
+    assert exc.value.code == 2
+    assert "--seed: must be at least 0, got '-5'" in capsys.readouterr().err

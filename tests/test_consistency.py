@@ -97,8 +97,8 @@ def test_full_space_dimension():
 
 def test_kernel_dimension_full_space():
     # Traceless-on-E directions of the full 2x2 operator space: exactly 12.
-    assert kernel_tr_e(full_space(2, 2)).dim == 12
-    assert kernel_tr_e(full_space(2, 3)).dim == 4 * 8
+    assert full_space(2, 2).dim_v0 == 12
+    assert full_space(2, 3).dim_v0 == 4 * 8
 
 
 def test_rank_nullity_on_random_subspaces():
@@ -398,6 +398,14 @@ def _random_span_7():
     return span_from_states([random_density(4, 4, r) for _ in range(7)], 2, 2)
 
 
+def _kernel_basis(v):
+    """V0 as a basis: a closed-form full space has none, so its V0 comes
+    from the identity basis, by the generic path."""
+    if not isinstance(v, OperatorSubspace):
+        v = OperatorSubspace(v.d_s, v.d_e, np.eye(v.dim))
+    return kernel_tr_e(v)
+
+
 ORACLE_SUBSPACES = {
     "full-2x2": lambda: full_space(2, 2),
     "full-2x3": lambda: full_space(2, 3),
@@ -423,7 +431,7 @@ def _dense_m_u(k, u, d_s, d_e):
 def test_kernel_perturbation_moves_dynamics_by_m_u_c(name, kind):
     rng = np.random.default_rng(81)
     v = ORACLE_SUBSPACES[name]()
-    d_s, d_e, v0 = v.d_s, v.d_e, kernel_tr_e(v)
+    d_s, d_e, v0 = v.d_s, v.d_e, _kernel_basis(v)
     assert v0.dim > 0
     assign = canonical_assignment(v)
     u = _oracle_unitary(kind, d_s, d_e, rng)
@@ -452,7 +460,7 @@ def test_kernel_perturbation_moves_dynamics_by_m_u_c(name, kind):
 def test_u_consistency_violation_ignores_the_kernel_basis(name, kind):
     rng = np.random.default_rng(82)
     v = ORACLE_SUBSPACES[name]()
-    d_s, d_e, k = v.d_s, v.d_e, kernel_tr_e(v).basis
+    d_s, d_e, k = v.d_s, v.d_e, _kernel_basis(v).basis
     # A subspace inside ker Tr_E is its own kernel, on the basis it is given.
     q = random_haar_unitary(k.shape[1], rng)
     v0, v0_rotated = OperatorSubspace(d_s, d_e, k), OperatorSubspace(d_s, d_e, k @ q)

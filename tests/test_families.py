@@ -25,7 +25,7 @@ from cpdyn.tensor import (
     random_density,
     random_haar_unitary,
 )
-from cpdyn.consistency import full_space, kernel_tr_e
+from cpdyn.consistency import OperatorSubspace, kernel_tr_e
 
 
 def markov_spec(rng, blocks=((1, 2), (2, 1)), d_e=2):
@@ -49,7 +49,7 @@ ALL_SPECS = [
         2, 4, 2, build_markov_state(random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng))
     ),
     lambda rng: KernelExtendedSpec(
-        markov_spec(rng), kernel_tr_e(full_space(4, 2)).basis[:, :3]
+        markov_spec(rng), kernel_tr_e(OperatorSubspace(4, 2, np.eye(64))).basis[:, :3]
     ),
 ]
 
@@ -268,7 +268,8 @@ def test_steer_checks_the_positivity_of_p(low, ok):
 
 def test_kernel_extension_changes_state_but_not_marginal(rng):
     base = markov_spec(rng)
-    spec = KernelExtendedSpec(base, kernel_tr_e(full_space(base.d_s, 2)).basis[:, :4])
+    full = OperatorSubspace(base.d_s, 2, np.eye((2 * base.d_s) ** 2))
+    spec = KernelExtendedSpec(base, kernel_tr_e(full).basis[:, :4])
     params = random_params(spec, rng)
     member = sample_member(spec, params)
     base_member = sample_member(base, FamilyParams(params.probs, params.states))

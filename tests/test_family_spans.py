@@ -47,10 +47,11 @@ def sampled_span(spec, rng):
 
 
 def assert_same_span(v, w):
+    # W's orthonormal basis lies in V, of the same dimension: V = W.  A
+    # closed-form V has no basis to compare projectors with.
     assert v.dim == w.dim
-    p_v = v.basis @ v.basis.conj().T
-    p_w = w.basis @ w.basis.conj().T
-    assert np.linalg.norm(p_v - p_w) <= 1e-12
+    d = v.d_s * v.d_e
+    assert all(v.contains(b.reshape(d, d), tol=1e-12) for b in w.basis.T)
     a_v, a_w = canonical_assignment(v), canonical_assignment(w)
     assert np.linalg.norm(a_v.mat - a_w.mat) <= 1e-12
     assert np.linalg.norm(a_v.domain_projector - a_w.domain_projector) <= 1e-12
@@ -195,7 +196,7 @@ def test_markov_block_space_matches_the_generator_span(layout, d_e, seed):
     d_s = spec.d_s
     v = cli._family_span(spec)
     ref = span_from_states(span_generators(spec), d_s, d_e)
-    assert type(v) is consistency._MarkovBlockSpace and "basis" not in vars(v)
+    assert type(v) is consistency._MarkovBlockSpace
     a, a_ref = canonical_assignment(v), canonical_assignment(ref)
     assert np.linalg.norm(a.mat - a_ref.mat) <= 1e-12
     assert np.linalg.norm(a.domain_projector - a_ref.domain_projector) <= 1e-12
@@ -209,16 +210,42 @@ def test_markov_block_space_matches_the_generator_span(layout, d_e, seed):
     d2 = (d_s * d_e) ** 2
     x = rng.normal(size=(d2, 3)) + 1j * rng.normal(size=(d2, 3))
     assert abs(v.kernel_escape(x) - ref.kernel_escape(x)) <= 1e-12 * np.linalg.norm(x)
-    assert "basis" not in vars(v)  # nothing above reads the basis
     members = [sample_member(spec, random_params(spec, rng)) for _ in range(3)]
     assert all(v.contains(m) and ref.contains(m) for m in members)
     outside = random_density(d_s * d_e, d_s * d_e, rng)
     assert not v.contains(outside) and not ref.contains(outside)
-    b = v.basis
-    assert np.linalg.norm(b.conj().T @ b - np.eye(v.dim)) <= 1e-12
-    assert np.linalg.norm(b @ b.conj().T - ref.basis @ ref.basis.conj().T) <= 1e-12
-    assert np.linalg.norm(v.project(outside) - ref.project(outside)) <= 1e-12
-    assert v.kernel.dim == 0 and v.kernel.basis.shape == (d2, 0)
+    # A unit step orthogonal to V moves a member by exactly its length, on
+    # either side of the tolerance tol * max(1, ||x||_F) = tol (||x||_F <= 1).
+    z = x[:, 0] - ref.basis @ (ref.basis.conj().T @ x[:, 0])
+    step = (z / np.linalg.norm(z)).reshape(d_s * d_e, d_s * d_e)
+    for scale, inside in ((0.5, True), (2.0, False)):
+        y = members[0] + scale * 1e-9 * step
+        assert v.contains(y) is ref.contains(y) is inside
+
+
+# (layout, d_e) of `verify-family --family steered --da 2`, up to
+# A x S x E = 64.
+STEERED_CASES = [("1x2,2x1", 2), ("1x2,2x1", 3), ("2x2,2x2", 4), ("2x1,1x3", 3)]
+
+
+@pytest.mark.parametrize("layout, d_e", STEERED_CASES)
+def test_markov_span_contains_reads_the_structure_fit_residual(layout, d_e):
+    # steered_in_span: the residual of structure_fit is the distance to V
+    # that the orthonormalized generators give, on members and states alike.
+    args = _args("steered", cli._parse_blocks(layout), d_e=d_e)
+    rng = np.random.default_rng(17)
+    mspec, spec = cli._steered_draw(args, rng)
+    markov = families.MarkovBlocksSpec(args.blocks, d_e, mspec.omega_re)
+    v = cli._family_span(markov)
+    b = span_from_states(span_generators(markov), markov.d_s, d_e).basis
+    d = markov.d_s * d_e
+    xs = [sample_member(spec, random_params(spec, rng)) for _ in range(5)]
+    xs += [random_density(d, d, rng) for _ in range(2)]
+    for x in xs:
+        fit = families.structure_fit(x, markov.blocks, markov.omega_re, d_e)
+        x = x.reshape(-1)
+        assert abs(fit.residual - np.linalg.norm(b @ (b.conj().T @ x) - x)) <= 1e-12
+    assert [v.contains(x) for x in xs] == [True] * 5 + [False] * 2
 
 
 MARKOV_BLOCK_REPORTS = [

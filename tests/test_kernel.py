@@ -1,7 +1,8 @@
 """The Tr_E kernel and the constraint null space against their full-SVD
 references, the kernel computed once per subspace, kernel properties at
-dimensions beyond 2x2, and the closed forms of the full space and of
-demo 1's space against the kernel-basis path on an explicit basis."""
+dimensions beyond 2x2, the closed forms of the full space and of demo 1's
+space against the kernel-basis path on an explicit basis, and closed forms
+that carry no basis."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cpdyn.consistency import (
     full_space,
     g_consistency_report,
     kernel_tr_e,
+    markov_block_space,
     span_from_states,
     subspace_from_constraint,
     u_consistency_violation,
@@ -87,11 +89,16 @@ def _trace_injective():
     return span_from_states([kron(random_hermitian(d_s, rng), omega) for _ in range(3)], d_s, d_e)
 
 
+def identity_space(d_s, d_e):
+    """All of L(S x E) on an explicit identity basis: the generic path."""
+    return OperatorSubspace(d_s, d_e, np.eye((d_s * d_e) ** 2))
+
+
 KERNEL_CASES = {
-    "full-2x2": lambda: full_space(2, 2),
-    "full-2x3": lambda: full_space(2, 3),
-    "full-3x2": lambda: full_space(3, 2),
-    "full-4x4": lambda: full_space(4, 4),
+    "full-2x2": lambda: identity_space(2, 2),
+    "full-2x3": lambda: identity_space(2, 3),
+    "full-3x2": lambda: identity_space(3, 2),
+    "full-4x4": lambda: identity_space(4, 4),
     "markov-blocks": _markov_span,
     "inside-kernel": _inside_kernel,
     "trace-injective": _trace_injective,
@@ -148,7 +155,7 @@ def test_constraint_null_space_matches_full_svd_oracle(name):
 
 
 def test_kernel_is_computed_once_per_subspace():
-    v = full_space(2, 3)
+    v = identity_space(2, 3)
     assert kernel_tr_e(v) is kernel_tr_e(v)
     assert v.kernel is kernel_tr_e(v)
 
@@ -156,10 +163,9 @@ def test_kernel_is_computed_once_per_subspace():
 @pytest.mark.parametrize("d_s, d_e", [(4, 4), (2, 8)])
 def test_full_space_kernel_properties_beyond_2x2(d_s, d_e):
     v = full_space(d_s, d_e)
-    v0 = kernel_tr_e(v)
-    rank = np.linalg.matrix_rank(tr_e(v.basis, d_s, d_e), tol=1e-9)
-    assert v.dim == v0.dim + rank
-    assert v0.dim == d_s * d_s * (d_e * d_e - 1)
+    rank = np.linalg.matrix_rank(tr_e(np.eye(v.dim), d_s, d_e), tol=1e-9)
+    assert v.dim == v.dim_v0 + rank
+    assert v.dim_v0 == d_s * d_s * (d_e * d_e - 1)
     rng = np.random.default_rng(31)
     for _ in range(3):
         u = kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng))
@@ -175,7 +181,7 @@ ORACLE_DIMS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 4), (4, 8)]
 @pytest.mark.parametrize("d_s, d_e", ORACLE_DIMS)
 def test_full_space_closed_forms_match_kernel_basis_oracle(d_s, d_e):
     d = d_s * d_e
-    v, oracle = full_space(d_s, d_e), OperatorSubspace(d_s, d_e, np.eye(d * d))
+    v, oracle = full_space(d_s, d_e), identity_space(d_s, d_e)
     rng = np.random.default_rng(41 + 10 * d_s + d_e)
     for _ in range(3):
         haar = random_haar_unitary(d, rng)
@@ -190,18 +196,20 @@ def test_full_space_closed_forms_match_kernel_basis_oracle(d_s, d_e):
     assert np.abs(a.domain_projector - b.domain_projector).max() <= 1e-12
     assert g_consistency_report(v, "all", [])["dim_v0"] == kernel_tr_e(oracle).dim
     assert v.dim == oracle.dim
-    assert "basis" not in vars(v)  # the closed forms read no basis
 
 
 @pytest.mark.parametrize("d_s, d_e", ORACLE_DIMS)
-def test_lazy_full_space_kernel_passes_the_kernel_checks(d_s, d_e):
-    v = full_space(d_s, d_e)
-    assert "basis" not in vars(v) and "kernel" not in vars(v)
-    k = v.kernel.basis
-    assert k.shape == (v.dim, d_s * d_s * (d_e * d_e - 1))
-    assert np.linalg.norm(k.conj().T @ k - np.eye(k.shape[1])) <= TOL * k.shape[1]
-    assert np.linalg.norm(k - v.basis @ (v.basis.conj().T @ k)) <= TOL * k.shape[1]
-    assert np.linalg.norm(tr_e(k, d_s, d_e), axis=0).max() <= TOL
+def test_full_space_kernel_escape_matches_kernel_basis_oracle(d_s, d_e):
+    v, oracle = full_space(d_s, d_e), identity_space(d_s, d_e)
+    k = kernel_tr_e(oracle).basis
+    assert k.shape == (v.dim, v.dim_v0)
+    rng = np.random.default_rng(51 + 10 * d_s + d_e)
+    inside = k @ _gaussian(rng, v.dim_v0, 3)
+    outside = _gaussian(rng, v.dim, 3)
+    for x in (inside, outside):
+        assert abs(v.kernel_escape(x) - oracle.kernel_escape(x)) <= TOL * np.linalg.norm(x)
+    assert v.kernel_escape(inside) <= TOL * np.linalg.norm(inside)
+    assert v.kernel_escape(outside) > 0.1 * np.linalg.norm(outside)
 
 
 # Demo 1's V = {X : Tr_S X = tr(X) omega_E} in closed form against the
@@ -260,14 +268,24 @@ def test_demo1_space_closed_forms_match_constraint_oracle(d_s, d_e, omega):
     assert v.kernel_escape(outside) > 0.1 * np.linalg.norm(outside)
 
 
-@pytest.mark.parametrize("read", ["basis", "kernel", "project", "kernel_tr_e"])
-def test_demo1_space_exposes_no_basis(read):
-    # Its closed forms need none, and the identity would be a wrong one.
-    v = full_space(2, 2, demo1_omega(2))
-    with pytest.raises(NotImplementedError, match="no basis"):
-        if read == "project":
-            v.project(np.eye(4))
-        elif read == "kernel_tr_e":
-            kernel_tr_e(v)
-        else:
-            getattr(v, read)
+def _closed_forms():
+    rng = np.random.default_rng(71)
+    blocks, d_e = ((1, 2), (2, 1)), 2
+    omega_re = [random_density(r * d_e, r * d_e, rng) for _, r in blocks]
+    return {
+        "full": full_space(2, 3),
+        "demo1": full_space(2, 2, demo1_omega(2)),
+        "markov": markov_block_space(blocks, d_e, omega_re),
+    }
+
+
+@pytest.mark.parametrize("name", ["full", "demo1", "markov"])
+def test_closed_forms_carry_no_basis_or_kernel(name):
+    # They answer the verifier from closed forms, and for demo 1's V the
+    # identity would be a wrong basis.
+    v = _closed_forms()[name]
+    assert not isinstance(v, OperatorSubspace)
+    for read in ("basis", "kernel", "project", "_tr_e_svd"):
+        assert not hasattr(v, read)
+    with pytest.raises(AttributeError):
+        kernel_tr_e(v)

@@ -1,4 +1,4 @@
-"""Every subspace, the caller's and those cpdyn builds, passes the
+"""Every basis, the caller's and those cpdyn builds, passes the
 constructor's Gram check; here a tighter check runs as an oracle on every
 internal construction.  Also: the canonical assignment and the kernel read
 one SVD of Tr_E on V, with one rank cutoff, on wide and tall Tr_E alike,
@@ -14,13 +14,12 @@ from cpdyn.consistency import (
     SPAN_RANK_FACTOR,
     OperatorSubspace,
     canonical_assignment,
-    full_space,
     kernel_tr_e,
     span_from_states,
     subspace_from_constraint,
 )
 from cpdyn.tensor import kron, random_density, tr_e
-from test_kernel import demo1_constraint_by_loop
+from test_kernel import demo1_constraint_by_loop, identity_space
 
 
 def assert_orthonormal(v: OperatorSubspace):
@@ -34,7 +33,8 @@ def assert_orthonormal(v: OperatorSubspace):
 
 @pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (4, 4), (4, 8)])
 def test_full_space_and_its_kernel_are_orthonormal(d_s, d_e):
-    assert_orthonormal(full_space(d_s, d_e))
+    # On the identity basis: the closed-form full space has none.
+    assert_orthonormal(identity_space(d_s, d_e))
 
 
 def _family_span(family: str) -> OperatorSubspace:
@@ -44,7 +44,8 @@ def _family_span(family: str) -> OperatorSubspace:
     return cli._build_subspace(args, np.random.default_rng(71))
 
 
-@pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
+# The Markov-block families take closed-form spans, which have no basis.
+@pytest.mark.parametrize("family", ["classical-quantum", "steered"])
 def test_family_spans_and_their_kernels_are_orthonormal(family):
     v = _family_span(family)
     assert v.dim > 0
@@ -68,14 +69,11 @@ def test_subspace_computes_its_cached_kernel_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    v = full_space(2, 3)
+    v = identity_space(2, 3)
     assert "kernel" not in vars(v)  # nothing computed before the first read
     k = v.kernel
     assert v.kernel is k and kernel_tr_e(v) is k
     assert calls == [(4, 36)]
-    checked = OperatorSubspace(2, 3, v.basis)  # the same basis through the public path
-    assert np.array_equal(checked.basis, v.basis)
-    assert np.array_equal(checked.kernel.basis, k.basis)
 
 
 def _random_span(d_s, d_e, n):
@@ -85,9 +83,7 @@ def _random_span(d_s, d_e, n):
 
 # The full space takes closed forms (tests/test_kernel.py), so its case runs
 # on an explicit identity basis, which goes the generic path.
-@pytest.mark.parametrize(
-    "build", [lambda: OperatorSubspace(2, 3, np.eye(36)), lambda: _random_span(2, 2, 7)]
-)
+@pytest.mark.parametrize("build", [lambda: identity_space(2, 3), lambda: _random_span(2, 2, 7)])
 def test_kernel_and_canonical_assignment_share_one_svd(monkeypatch, build):
     v = build()
     svd = np.linalg.svd
@@ -182,7 +178,7 @@ def test_canonical_assignment_and_kernel_share_one_rank_cutoff(eps):
 def test_rank_floor_on_a_kernel_where_tr_e_vanishes(d_s, d_e):
     # Tr_E on V0 has singular values of order 1e-16, rounding noise that
     # the rank floor keeps from counting as rank.
-    v0 = full_space(d_s, d_e).kernel
+    v0 = identity_space(d_s, d_e).kernel
     assert v0.dim == d_s * d_s * (d_e * d_e - 1)
     k = v0.kernel
     assert k.dim == v0.dim
