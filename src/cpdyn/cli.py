@@ -23,6 +23,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -71,27 +72,23 @@ def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
     return blocks
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not value >= TOL_FLOOR:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {TOL_FLOOR:g}, the rounding floor, got {text!r}"
-        )
-    return value
+def _at_least(low, convert=int, kind: str = "an integer", why: str = ""):
+    """A flag parser: ``convert`` of the text, finite and at least ``low``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be at least {low:g}{why}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
-    return value
+_positive_int, _nonnegative_int = _at_least(1), _at_least(0)
+_tolerance = _at_least(TOL_FLOOR, float, "a number", ", the rounding floor, and finite")
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -132,13 +129,15 @@ def _steered_draw(args, rng: np.random.Generator):
 
 
 def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
-    """The Markov block layout (l_i, r_i) of a block family: factorized is
-    the one block (d_s, 1) and direct-sum has blocks (d_i, 1), with d_i the
-    sizes of ``--blocks``; mixed-direct-sum holds a fixed S x E state in
-    each of its first max(1, m // 2) blocks, as (1, d_i), and is a direct
-    sum after them."""
+    """The Markov block layout (l_i, r_i) of a family: factorized is the one
+    block (d_s, 1), classical-quantum d_s blocks (1, 1) (in a random frame)
+    and direct-sum has blocks (d_i, 1), with d_i the sizes of ``--blocks``;
+    mixed-direct-sum holds a fixed S x E state in each of its first
+    max(1, m // 2) blocks, as (1, d_i), and is a direct sum after them."""
     if family == "factorized":
         return ((args.ds, 1),)
+    if family == "classical-quantum":
+        return ((1, 1),) * args.ds
     dims = [l * r for l, r in args.blocks]
     if family == "direct-sum":
         return tuple((d, 1) for d in dims)
@@ -152,16 +151,13 @@ def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
 
 def _random_spec(family: str, args, rng: np.random.Generator):
     ds, de = args.ds, args.de
-    if family == "classical-quantum":
-        return families.ClassicalQuantumSpec(
-            random_haar_unitary(ds, rng),
-            tuple(random_density(de, de, rng) for _ in range(ds)),
-        )
     if family == "steered":
         return _steered_draw(args, rng)[1]
+    # Classical-quantum draws its frame, the Haar basis b_i, first.
+    frame = random_haar_unitary(ds, rng) if family == "classical-quantum" else None
     layout = _layout(family, args)
     spec = families.MarkovBlocksSpec(
-        layout, de, tuple(random_density(r * de, r * de, rng) for _, r in layout)
+        layout, de, tuple(random_density(r * de, r * de, rng) for _, r in layout), frame
     )
     if family != "kernel-extended":
         return spec
@@ -178,11 +174,11 @@ def _random_spec(family: str, args, rng: np.random.Generator):
 
 def _family_span(spec):
     """V, the span of a family's members: in closed form for a Markov-block
-    layout, else from the family's linear generators; a kernel-extended
-    family takes the span of its base."""
+    layout, in its frame, else (steered) from the family's linear
+    generators; a kernel-extended family takes the span of its base."""
     base = spec.base if isinstance(spec, families.KernelExtendedSpec) else spec
     if isinstance(base, families.MarkovBlocksSpec):
-        return markov_block_space(base.blocks, base.d_e, base.omega_re)
+        return markov_block_space(base.blocks, base.d_e, base.omega_re, base.frame)
     return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
 
 
@@ -212,8 +208,7 @@ def _verify_family_trial(args, trial: int) -> dict:
             np.linalg.norm(k.closure() - np.eye(ds))
         )
     if args.family == "markov-blocks":
-        fit = families.structure_fit(member, spec.blocks, spec.omega_re, de)
-        rec["structure_residual"] = fit.residual
+        rec["structure_residual"] = families.structure_fit(member, spec.blocks, spec.omega_re, de)
     if args.family == "steered":
         member = families.sample_member(spec, families.random_params(spec, rng))
         rec["steered_in_span"] = bool(v.contains(member))

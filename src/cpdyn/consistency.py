@@ -8,11 +8,12 @@ A subspace V answers the verifier's questions itself (``d_s``, ``d_e``,
 only call it.  ``OperatorSubspace`` stores V as an orthonormal basis of
 row-major vectorized operators and answers from one SVD of Tr_E on it,
 which gives both its ``kernel`` and its canonical assignment.  The full
-space, demo 1's V and the span of Markov-block states answer in closed
-form, with no factorization, and have no basis or kernel.  A basis-backed
-subspace and a Markov-block span answer ``contains(x, tol)`` too.  The
-kernel parametrizes the freedom in choosing an assignment map; conjugating
-it into ker Tr_E again is unitary consistency.
+space, demo 1's V and the span of Markov-block states, in any frame,
+answer in closed form, with no factorization, and have no basis or
+kernel.  A basis-backed subspace and a Markov-block span answer
+``contains(x, tol)`` too.  The kernel parametrizes the freedom in
+choosing an assignment map; conjugating it into ker Tr_E again is unitary
+consistency.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .channels import (
     product_assignment_matrix,
     reduced_dynamics,
 )
-from .families import structure_fit
+from .families import block_slices, in_frame, markov_generators, structure_fit
 from .tensor import (
     PSD_TOL_FACTOR,
     _hermitian_part,
@@ -335,29 +336,23 @@ class _MarkovBlockSpace:
     ``canonical_assignment``, ``kernel_escape`` and ``contains`` and has
     no basis or kernel.
 
-    V is spanned by E_ab kron omega_RE_i in block i (a, b < l_i), mutually
-    orthogonal, and Tr_E maps them to E_ab kron omega_R_i, with omega_R_i =
-    Tr_E omega_RE_i, which are orthogonal and nonzero.  So Tr_E is injective
-    on V: V0 = 0, every violation is 0.0 and the escape of x from V0 is
-    ||x||_F.  The canonical assignment x -> directsum_i m_i(x) kron
-    omega_RE_i, with m_i(x)_ab = <E_ab kron omega_R_i, x_ii> / ||omega_R_i||_F^2,
-    is the unique section of Tr_E on V after the orthogonal projection onto
-    its domain, directsum_i I kron I kron |omega_R_i>><<omega_R_i| /
-    ||omega_R_i||_F^2.
+    In the standard basis V is spanned by E_ab kron omega_RE_i in block i
+    (a, b < l_i), mutually orthogonal, and Tr_E maps them to E_ab kron
+    omega_R_i, with omega_R_i = Tr_E omega_RE_i, which are orthogonal and
+    nonzero.  So Tr_E is injective on V: V0 = 0, every violation is 0.0
+    and the escape of x from V0 is ||x||_F.  The canonical assignment
+    x -> directsum_i m_i(x) kron omega_RE_i, with m_i(x)_ab = <E_ab kron
+    omega_R_i, x_ii> / ||omega_R_i||_F^2, is the unique section of Tr_E on
+    V after the orthogonal projection onto its domain, directsum_i I kron
+    I kron |omega_R_i>><<omega_R_i| / ||omega_R_i||_F^2.  A ``frame`` F
+    turns V by F kron I_E, so V0 stays 0 and both maps are conjugated, by
+    F kron I_E (F for the projector) on the output and by F on the input.
     """
 
-    def __init__(self, blocks, d_e: int, omega_re):
+    def __init__(self, blocks, d_e: int, omega_re, frame: np.ndarray | None = None):
         self.blocks, self.d_e, self.omega_re = tuple(blocks), d_e, tuple(omega_re)
+        self.frame = frame
         self.d_s = sum(l * r for l, r in self.blocks)
-
-    def _blocks(self):
-        """``(off, l, r, omega_RE, omega_R)`` per block, with ``off`` the
-        block's first system index."""
-        off = 0
-        for (l, r), w in zip(self.blocks, self.omega_re):
-            w = np.asarray(w, dtype=complex)
-            yield off, l, r, w, np.einsum("aebe->ab", w.reshape(r, self.d_e, r, self.d_e))
-            off += l * r
 
     def _section(self, d_f: int) -> np.ndarray:
         """Matrix on vec L(S) of x -> directsum_i m_i(x) kron f_i, with f_i =
@@ -365,12 +360,14 @@ class _MarkovBlockSpace:
         (its Tr_E, the domain projector), written block by block:
         [(a, x), (b, y), (c, p), (d, q)] -> delta_ac delta_bd f_i[x, y]
         conj(omega_R_i[p, q]) / ||omega_R_i||_F^2."""
-        d_s = self.d_s
+        d_s, d_e = self.d_s, self.d_e
         n = d_s * d_f
         out = np.zeros((n, n, d_s, d_s), dtype=complex)
-        for off, l, r, w, w_r in self._blocks():
+        for (l, r, s), w in zip(block_slices(self.blocks), self.omega_re):
+            w = np.asarray(w, dtype=complex)
+            w_r = np.einsum("aebe->ab", w.reshape(r, d_e, r, d_e))
             f = w if d_f > 1 else w_r
-            s, t = slice(off, off + l * r), slice(off * d_f, (off + l * r) * d_f)
+            t = slice(s.start * d_f, s.stop * d_f)
             # Splitting the axes of a view gives a view: blk writes into out.
             blk = out[t, t, s, s].reshape(l, r * d_f, l, r * d_f, l, r, l, r)
             a = np.arange(l)
@@ -391,24 +388,37 @@ class _MarkovBlockSpace:
         return 0.0
 
     def canonical_assignment(self) -> AssignmentMap:
-        return AssignmentMap(self.d_s, self.d_e, self._section(self.d_e), self._section(1))
+        if self.frame is None:
+            return AssignmentMap(self.d_s, self.d_e, self._section(self.d_e), self._section(1))
+        # The section sum_k |g_k>><<h_k| / ||h_k||_F^2 over the generators
+        # g_k and their orthogonal images h_k = Tr_E g_k, framed term by term.
+        g = markov_generators(self.blocks, self.d_e, self.omega_re, self.frame)
+        g = g.reshape(len(g), -1).T
+        h = tr_e(g, self.d_s, self.d_e)
+        h_dag = h.conj().T / np.linalg.norm(h, axis=0)[:, None] ** 2
+        return AssignmentMap(self.d_s, self.d_e, g @ h_dag, h @ h_dag)
 
     def kernel_escape(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(x))
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         """Whether ``||x - P_V x||_F <= tol max(1, ||x||_F)``, read from the
-        residual of ``families.structure_fit`` on the layout: its fit is
-        the orthogonal projection of each diagonal block x_ii onto the span
-        of the E_ab kron omega_RE_i, and it drops every off-block entry."""
-        residual = structure_fit(x, self.blocks, self.omega_re, self.d_e).residual
+        residual of ``families.structure_fit`` on the layout, after x is
+        rotated back from the frame: its fit is the orthogonal projection
+        of each diagonal block x_ii onto the span of the E_ab kron
+        omega_RE_i, and it drops every off-block entry."""
+        if self.frame is not None:
+            x = in_frame(x, self.frame.conj().T, self.d_e)
+        residual = structure_fit(x, self.blocks, self.omega_re, self.d_e)
         return bool(residual <= tol * max(1.0, np.linalg.norm(x)))
 
 
-def markov_block_space(blocks, d_e: int, omega_re) -> _MarkovBlockSpace:
+def markov_block_space(blocks, d_e: int, omega_re, frame=None) -> _MarkovBlockSpace:
     """The span of the Markov-block states directsum_i p_i rho_L_i kron
-    omega_RE_i on the layout ``blocks`` of (l_i, r_i), in closed form."""
-    return _MarkovBlockSpace(blocks, d_e, omega_re)
+    omega_RE_i on the layout ``blocks`` of (l_i, r_i), in the system basis
+    of the columns of the unitary ``frame`` (None: the standard one), in
+    closed form."""
+    return _MarkovBlockSpace(blocks, d_e, omega_re, frame)
 
 
 # Any subspace the module functions below accept (see the module docstring).

@@ -1,15 +1,18 @@
 """Initial system-environment state families.
 
-Each family separates fixed data (environment states, block layout,
-orthonormal bases) from free parameters (probability distributions, free
-block states, steering operators).  All members are density matrices on
-S x E; the Markov construction additionally carries an ancilla A.
+Each family separates fixed data (environment states, block layout and
+frame) from free parameters (probability distributions, free block
+states, steering operators).  All members are density matrices on S x E;
+the Markov construction additionally carries an ancilla A.
 
 The block families are layouts of one spec, ``MarkovBlocksSpec``: members
-directsum_i p_i rho_L_i kron omega_RE_i with fixed states on R_i x E (Lu,
-PRA 93, 042332).  A factorized family rho_S kron omega_E is the one block
-(d_s, 1); a direct sum of factorized blocks has blocks (d_i, 1); a block
-holding a fixed S x E state omega_SE_i is a block (1, d_i).
+directsum_i p_i rho_L_i kron omega_RE_i with fixed states on R_i x E, up to
+a unitary on S, the ``frame`` (Lu, PRA 93, 042332).  A factorized family
+rho_S kron omega_E is the one block (d_s, 1); a direct sum of factorized
+blocks has blocks (d_i, 1); a block holding a fixed S x E state omega_SE_i
+is a block (1, d_i); classical-quantum, sum_i p_i |b_i><b_i| kron omega_i,
+is d_s blocks (1, 1) in the frame of the b_i.  Every reader of a layout
+takes its blocks from ``block_slices``.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from .tensor import (
 )
 
 __all__ = [
-    "ClassicalQuantumSpec",
     "MarkovBlocksSpec",
     "SteeredSpec",
     "KernelExtendedSpec",
     "FamilyParams",
     "MarkovStateSpec",
-    "StructureFit",
     "sample_member",
     "random_params",
     "span_generators",
@@ -45,7 +46,9 @@ __all__ = [
     "random_markov_state_spec",
     "steer",
     "structure_fit",
-    "block_indices",
+    "block_slices",
+    "in_frame",
+    "markov_generators",
 ]
 
 
@@ -57,42 +60,22 @@ def _check_probs(p) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClassicalQuantumSpec:
-    """Fixed orthonormal system basis, one fixed environment state per label."""
-
-    basis: np.ndarray = field(repr=False)  # columns |i~>
-    omegas: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        d = b.shape[0]
-        if np.linalg.norm(b.conj().T @ b - np.eye(d)) > 1e-9 * d:
-            raise ValueError("basis columns are not orthonormal")
-        if len(self.omegas) != d:
-            raise ValueError("need one environment state per basis vector")
-        for i, w in enumerate(self.omegas):
-            check_density(w, f"omega_{i}")
-
-    @property
-    def d_s(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def d_e(self) -> int:
-        return self.omegas[0].shape[0]
-
-
-@dataclass(frozen=True)
 class MarkovBlocksSpec:
-    """H_S = directsum_i L_i x R_i with fixed states on each R_i x E."""
+    """H_S = directsum_i L_i x R_i with fixed states on each R_i x E, laid
+    out in the system basis given by the columns of the unitary ``frame``
+    (the standard basis when it is None)."""
 
     blocks: tuple[tuple[int, int], ...]
     d_e: int
     omega_re: tuple[np.ndarray, ...] = field(repr=False)
+    frame: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.omega_re) != len(self.blocks):
             raise ValueError("need one fixed R,E state per block")
+        f, eye = self.frame, np.eye(self.d_s)
+        if f is not None and (f.shape != eye.shape or np.abs(f.conj().T @ f - eye).max() > 1e-9):
+            raise ValueError("frame is not a unitary on S")
         for i, ((_, r), w) in enumerate(zip(self.blocks, self.omega_re)):
             check_density(w, f"omega_RE_{i}")
             if w.shape[0] != r * self.d_e:
@@ -177,37 +160,39 @@ class MarkovStateSpec:
         return sum(l * r for l, r in self.blocks)
 
 
-@dataclass(frozen=True)
-class StructureFit:
-    """Least-squares fit of a state to the block form sum_i p_i rho_L_i kron fixed_i."""
-
-    probs: tuple[float, ...]
-    block_states: tuple[np.ndarray, ...]
-    residual: float
-
-
-def block_indices(blocks, d_f: int, d_a: int = 1) -> list[np.ndarray]:
-    """Row indices of each A x L_i x R_i x F block inside the A x S x F space.
-
-    A is a leading ancilla factor and F a trailing one (the environment);
-    either may be trivial, with dimension 1.  Index order within a block is
-    (a, l, r, f), matching a plain kron.
-    """
-    d_s = sum(l * r for l, r in blocks)
-    out = []
-    off = 0
+def block_slices(blocks, d_f: int = 1):
+    """Yield ``(l, r, s)`` for each block (l, r) of a layout, with ``s`` the
+    slice of the block's rows in S x F: a block's (l, r, f) rows are
+    contiguous, in the index order of a plain kron."""
+    hi = 0
     for l, r in blocks:
-        # For each ancilla value a block's (l, r, f) rows are contiguous.
-        n = l * r * d_f
-        out.append(np.array([(a * d_s + off) * d_f + k for a in range(d_a) for k in range(n)]))
-        off += l * r
-    return out
+        lo, hi = hi, hi + l * r * d_f
+        yield l, r, slice(lo, hi)
+
+
+def in_frame(x: np.ndarray, frame: np.ndarray | None, d_f: int = 1) -> np.ndarray:
+    """``(F kron I_F) x (F kron I_F)^dag`` for each operator on S x F in the
+    last two axes of ``x``: ``x`` read in the basis of the columns of the
+    unitary ``frame`` F, or ``x`` itself when ``frame`` is None."""
+    if frame is None:
+        return x
+    g = np.kron(frame, np.eye(d_f))
+    return g @ x @ g.conj().T
+
+
+def _direct_sum(blocks, d_e: int, terms, d_a: int = 1) -> np.ndarray:
+    """The operator on A x S x E holding ``terms[i]``, an operator on
+    A x L_i x R_i x E in index order (a, l, r, e), in block i."""
+    n = sum(l * r for l, r in blocks) * d_e
+    out = np.zeros((d_a, n, d_a, n), dtype=complex)
+    for (_, _, s), t in zip(block_slices(blocks, d_e), terms):
+        m = s.stop - s.start
+        out[:, s, :, s] += t.reshape(d_a, m, d_a, m)
+    return out.reshape(d_a * n, d_a * n)
 
 
 def random_params(spec, rng: np.random.Generator) -> FamilyParams:
     """Draw a valid random parameter set for the given family spec."""
-    if isinstance(spec, ClassicalQuantumSpec):
-        return FamilyParams(probs=tuple(rng.dirichlet(np.ones(spec.d_s))))
     if isinstance(spec, MarkovBlocksSpec):
         return FamilyParams(
             probs=tuple(rng.dirichlet(np.ones(len(spec.blocks)))),
@@ -226,22 +211,10 @@ def random_params(spec, rng: np.random.Generator) -> FamilyParams:
 
 def sample_member(spec, params: FamilyParams) -> np.ndarray:
     """Assemble the S x E density matrix for one parameter set."""
-    if isinstance(spec, ClassicalQuantumSpec):
-        p = _check_probs(params.probs)
-        d = spec.d_s * spec.d_e
-        out = np.zeros((d, d), dtype=complex)
-        for i in range(spec.d_s):
-            b = spec.basis[:, i]
-            out += p[i] * kron(np.outer(b, b.conj()), spec.omegas[i])
-        return out
     if isinstance(spec, MarkovBlocksSpec):
         p = _check_probs(params.probs)
-        d = spec.d_s * spec.d_e
-        out = np.zeros((d, d), dtype=complex)
-        idx = block_indices(spec.blocks, spec.d_e)
-        for i, (rho_l, w) in enumerate(zip(params.states, spec.omega_re)):
-            out[np.ix_(idx[i], idx[i])] += p[i] * kron(rho_l, w)
-        return out
+        terms = (q * kron(rho_l, w) for q, rho_l, w in zip(p, params.states, spec.omega_re))
+        return in_frame(_direct_sum(spec.blocks, spec.d_e, terms), spec.frame, spec.d_e)
     if isinstance(spec, SteeredSpec):
         return steer(spec.omega_ase, spec.d_a, params.p_a)
     if isinstance(spec, KernelExtendedSpec):
@@ -257,41 +230,40 @@ def span_generators(spec) -> list[np.ndarray]:
     parameters, so the members span the image of that function, which is
     spanned by its values on unit parameters:
 
-    * classical-quantum: ``|b_i><b_i| kron omega_i``, d_s of them;
     * markov-blocks: ``E_ab kron omega_RE_i`` in block i, with a, b < l_i,
-      sum_i l_i^2 of them (a block with l_i = 1 gives its fixed state alone);
+      sum_i l_i^2 of them (a block with l_i = 1 gives its fixed state
+      alone), read in the spec's frame: classical-quantum gives
+      ``|b_i><b_i| kron omega_i``, d_s of them;
     * steered: ``Tr_A[(E_ab kron I) omega_ASE]`` for a, b < d_a.
 
-    All but the steered generators are mutually orthogonal.  A
+    The Markov-block generators are mutually orthogonal.  A
     kernel-extended member is not linear in its parameters (its step along
     the kernel is found by a PSD search), so that family has no generators.
     The CLI takes a Markov-block span in closed form
     (``consistency.markov_block_space``); ``span_from_states`` of these
     generators is the reference that closed form is tested against.
     """
-    if isinstance(spec, ClassicalQuantumSpec):
-        b, w = np.asarray(spec.basis), np.asarray(spec.omegas)
-        d = spec.d_s * spec.d_e
-        return list(np.einsum("ai,bi,ixy->iaxby", b, b.conj(), w).reshape(spec.d_s, d, d))
     if isinstance(spec, MarkovBlocksSpec):
-        d = spec.d_s * spec.d_e
-        out, hi = [], 0
-        for (l, r), w in zip(spec.blocks, spec.omega_re):
-            # Block i's rows are contiguous; E_ab in row-major order of (a, b).
-            lo, hi = hi, hi + l * r * spec.d_e
-            eye = np.eye(l, dtype=complex)
-            g = np.zeros((l * l, d, d), dtype=complex)
-            g[:, lo:hi, lo:hi] = np.einsum("ac,bd,xy->abcxdy", eye, eye, w).reshape(
-                l * l, hi - lo, hi - lo
-            )
-            out.extend(g)
-        return out
+        return list(markov_generators(spec.blocks, spec.d_e, spec.omega_re, spec.frame))
     if isinstance(spec, SteeredSpec):
         # Tr_A[(E_ab kron I) omega]_{st} = omega_{(b,s),(a,t)}: block (b, a) of omega.
         d_se = spec.d_s * spec.d_e
         t = np.asarray(spec.omega_ase, dtype=complex).reshape(spec.d_a, d_se, spec.d_a, d_se)
         return [t[b, :, a, :] for a in range(spec.d_a) for b in range(spec.d_a)]
     raise TypeError(f"no linear generators for {type(spec).__name__}")
+
+
+def markov_generators(blocks, d_e: int, omega_re, frame=None) -> np.ndarray:
+    """The (k, d, d) stack of E_ab kron omega_RE_i in block i, for a, b < l_i
+    in row-major order, read in ``frame``."""
+    d = sum(l * r for l, r in blocks) * d_e
+    out = []
+    for (l, _, s), w in zip(block_slices(blocks, d_e), omega_re):
+        n, eye = s.stop - s.start, np.eye(l, dtype=complex)
+        g = np.zeros((l * l, d, d), dtype=complex)
+        g[:, s, s] = np.einsum("ac,bd,xy->abcxdy", eye, eye, w).reshape(l * l, n, n)
+        out.append(g)
+    return in_frame(np.concatenate(out), frame, d_e)
 
 
 def _extend_along_kernel(base, kernel_basis, coeffs) -> np.ndarray:
@@ -330,12 +302,8 @@ def _extend_along_kernel(base, kernel_basis, coeffs) -> np.ndarray:
 
 def build_markov_state(spec: MarkovStateSpec) -> np.ndarray:
     """Assemble the A x S x E state directsum_i q_i omega_AL_i kron omega_RE_i."""
-    d = spec.d_a * spec.d_s * spec.d_e
-    out = np.zeros((d, d), dtype=complex)
-    idx = block_indices(spec.blocks, spec.d_e, spec.d_a)
-    for ix, q, wal, wre in zip(idx, spec.q, spec.omega_al, spec.omega_re):
-        out[np.ix_(ix, ix)] += q * kron(wal, wre)  # index order (a, l, r, e)
-    return out
+    terms = (q * kron(wal, wre) for q, wal, wre in zip(spec.q, spec.omega_al, spec.omega_re))
+    return _direct_sum(spec.blocks, spec.d_e, terms, spec.d_a)
 
 
 def random_markov_state_spec(
@@ -368,32 +336,17 @@ def steer(omega_ase: np.ndarray, d_a: int, p_a: np.ndarray) -> np.ndarray:
     return partial_trace(weighted, (d_a, d_se), keep=(1,)) / norm
 
 
-def structure_fit(rho, blocks, fixed, d_f: int) -> StructureFit:
-    """Fit ``rho`` on S x F to directsum_i p_i rho_L_i kron fixed_i.
-
-    Each block is projected onto its fixed R x F state by the normalized
-    partial inner product; the residual is the Frobenius norm of whatever
-    the fitted form leaves unexplained (off-block weight included).
-    """
+def structure_fit(rho, blocks, fixed, d_f: int) -> float:
+    """Frobenius distance from ``rho`` on S x F to the span of the states
+    directsum_i p_i rho_L_i kron fixed_i: each diagonal block is projected
+    onto the span of the E_ab kron fixed_i by the normalized partial inner
+    product, and every off-block entry is left over."""
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    idx = block_indices(blocks, d_f)
     recon = np.zeros_like(rho)
-    probs = []
-    block_states = []
-    for (l, r), ix, w in zip(blocks, idx, fixed):
+    for (l, r, s), w in zip(block_slices(blocks, d_f), fixed):
         w = np.asarray(w, dtype=complex)
-        blk = rho[np.ix_(ix, ix)].reshape(l, r * d_f, l, r * d_f)
-        scale = np.vdot(w, w).real
-        m_l = np.einsum("awbv,wv->ab", blk, w.conj()) / scale
-        p = np.trace(m_l).real
-        if p > 1e-12:
-            rho_l = m_l / p
-        else:
-            p = max(p, 0.0)
-            rho_l = np.eye(l) / l
-        probs.append(float(p))
-        block_states.append(rho_l)
-        recon[np.ix_(ix, ix)] += np.kron(m_l, w)
-    residual = float(np.linalg.norm(rho - recon))
-    return StructureFit(tuple(probs), tuple(block_states), residual)
+        # A contiguous copy of the block, which einsum reads fastest.
+        blk = rho[s, s].copy().reshape(l, r * d_f, l, r * d_f)
+        m_l = np.einsum("awbv,wv->ab", blk, w.conj()) / np.vdot(w, w).real
+        recon[s, s] += np.kron(m_l, w)
+    return float(np.linalg.norm(rho - recon))

@@ -155,8 +155,8 @@ def test_acceptance_4_steered_states_keep_block_structure():
         )
         p_a = random_density(2, 2, rng) * 2 + 0.1 * np.eye(2)  # strictly positive
         steered = families.steer(omega, 2, p_a)
-        fit = families.structure_fit(steered, mspec.blocks, mspec.omega_re, 2)
-        worst_res = max(worst_res, fit.residual)
+        residual = families.structure_fit(steered, mspec.blocks, mspec.omega_re, 2)
+        worst_res = max(worst_res, residual)
     report(
         "acceptance 4: steering preserves the block structure, Markov CMI vanishes",
         worst_res <= 1e-9 and worst_cmi <= 1e-9,
@@ -256,12 +256,13 @@ def test_acceptance_8_non_cp_assignment_is_detected():
 
 def test_acceptance_9_assignments_fix_their_domain():
     rng = np.random.default_rng(109)
+    factorized = markov_spec(rng, ((2, 1),))  # rho_S kron omega_E
+    # classical-quantum: two blocks (1, 1) in a Haar frame, drawn first
+    frame = random_haar_unitary(2, rng)
+    omegas = (random_density(2, 2, rng), random_density(2, 2, rng))
     specs = [
-        markov_spec(rng, ((2, 1),)),  # factorized: rho_S kron omega_E
-        families.ClassicalQuantumSpec(
-            random_haar_unitary(2, rng),
-            (random_density(2, 2, rng), random_density(2, 2, rng)),
-        ),
+        factorized,
+        families.MarkovBlocksSpec(((1, 1),) * 2, 2, omegas, frame),
         markov_spec(rng, ((1, 1), (2, 1))),  # a direct sum of factorized blocks
         markov_spec(rng, ((1, 2), (2, 1))),  # a fixed S x E block, then a factorized one
         markov_spec(rng, ((2, 2), (1, 1))),

@@ -569,3 +569,34 @@ def test_negative_seed_is_an_argument_error(argv, capsys):
         run_args(*argv, "--seed", "-5", "--trials", "1")
     assert exc.value.code == 2
     assert "--seed: must be at least 0, got '-5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["consistency", "theorem1"])
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+def test_non_finite_tol_is_an_argument_error(command, tol, capsys):
+    # An infinite tolerance would pass any violation.
+    argv = (command, "--family", "full", "--g", "all", "--trials", "1", "--tol", tol)
+    with pytest.raises(SystemExit) as exc:
+        run_args(*argv)
+    assert exc.value.code == 2
+    assert f"--tol: must be at least 1e-12, the rounding floor, and finite, got '{tol}'" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("demo", "2", "--trials", "abc"), "--trials: expected an integer, got 'abc'"),
+        (("theorem1", "--seed", "1.5"), "--seed: expected an integer, got '1.5'"),
+        (("dpi", "--tol", "abc"), "--tol: expected a number, got 'abc'"),
+    ],
+)
+def test_malformed_numbers_are_argument_errors_that_name_no_parser(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_args(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "_positive_int" not in err and "_nonnegative_int" not in err
+    assert "_tolerance" not in err and "invalid" not in err

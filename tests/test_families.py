@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdyn.families import (
-    ClassicalQuantumSpec,
     FamilyParams,
     KernelExtendedSpec,
     MarkovBlocksSpec,
     SteeredSpec,
-    block_indices,
+    block_slices,
     build_markov_state,
     random_markov_state_spec,
     random_params,
@@ -34,12 +33,17 @@ def markov_spec(rng, blocks=((1, 2), (2, 1)), d_e=2):
     )
 
 
+def classical_quantum_spec(rng, d_s=2, d_e=2):
+    """d_s blocks (1, 1) in a Haar frame, drawn before the environment states."""
+    frame = random_haar_unitary(d_s, rng)
+    omegas = tuple(random_density(d_e, d_e, rng) for _ in range(d_s))
+    return MarkovBlocksSpec(((1, 1),) * d_s, d_e, omegas, frame)
+
+
 ALL_SPECS = [
     # factorized, rho_S kron omega_E: the one block (d_s, 1)
     lambda rng: markov_spec(rng, ((2, 1),)),
-    lambda rng: ClassicalQuantumSpec(
-        random_haar_unitary(2, rng), (random_density(2, 2, rng), random_density(2, 2, rng))
-    ),
+    classical_quantum_spec,
     # direct sum of factorized blocks: blocks (d_i, 1)
     lambda rng: markov_spec(rng, ((1, 1), (2, 1))),
     # a fixed S x E state on a two-dimensional block, then a factorized block
@@ -148,8 +152,8 @@ def test_direct_sum_is_the_layout_of_d_i_by_1_blocks(dims, d_e, rng):
     assert np.array_equal(span_generators(spec), gens)
     # No weight off the blocks.
     off_block = got.copy()
-    for ix in block_indices(spec.blocks, d_e):
-        off_block[np.ix_(ix, ix)] = 0.0
+    for _, _, s in block_slices(spec.blocks, d_e):
+        off_block[s, s] = 0.0
     assert not off_block.any()
 
 
@@ -179,42 +183,36 @@ def test_mixed_direct_sum_is_the_layout_of_1_by_d_i_then_d_j_by_1_blocks(
     assert np.array_equal(other[:n, :n], got[:n, :n])
 
 
-def test_classical_quantum_env_conditionals(rng):
-    basis = random_haar_unitary(2, rng)
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2), (2, 3)])
+def test_classical_quantum_is_the_1_by_1_layout_in_its_frame(d_s, d_e, rng):
+    spec = classical_quantum_spec(rng, d_s, d_e)
+    basis, omegas = spec.frame, spec.omega_re
+    p = tuple(rng.dirichlet(np.ones(d_s)))
+    member = sample_member(spec, FamilyParams(probs=p, states=(np.eye(1),) * d_s))
+    projectors = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d_s)]
+    expected = sum(q * kron(b, w) for q, b, w in zip(p, projectors, omegas))
+    assert np.linalg.norm(member - expected) <= 1e-14
+    gens = [kron(b, w) for b, w in zip(projectors, omegas)]
+    assert np.linalg.norm(np.array(span_generators(spec)) - gens) <= 1e-14
+
+
+def test_markov_blocks_rejects_a_frame_that_is_not_a_unitary_on_s(rng):
     omegas = (random_density(2, 2, rng), random_density(2, 2, rng))
-    spec = ClassicalQuantumSpec(basis, omegas)
-    p = (0.3, 0.7)
-    member = sample_member(spec, FamilyParams(probs=p))
-    expected = sum(
-        p[i] * kron(np.outer(basis[:, i], basis[:, i].conj()), omegas[i])
-        for i in range(2)
-    )
-    assert np.allclose(member, expected)
+    for frame in (np.ones((2, 2)), random_haar_unitary(3, rng)):
+        with pytest.raises(ValueError, match="frame"):
+            MarkovBlocksSpec(((1, 1),) * 2, 2, omegas, frame)
 
 
-def test_classical_quantum_rejects_bad_basis(rng):
-    with pytest.raises(ValueError):
-        ClassicalQuantumSpec(
-            np.ones((2, 2)), (random_density(2, 2, rng), random_density(2, 2, rng))
-        )
-
-
-def test_markov_blocks_probabilities_and_fixed_parts(rng):
+def test_markov_blocks_members_fit_their_layout(rng):
     spec = markov_spec(rng)
-    params = random_params(spec, rng)
-    member = sample_member(spec, params)
-    fit = structure_fit(member, spec.blocks, spec.omega_re, spec.d_e)
-    assert fit.residual < 1e-10
-    assert np.allclose(fit.probs, params.probs, atol=1e-10)
-    for got, want in zip(fit.block_states, params.states):
-        assert np.allclose(got, want, atol=1e-9)
+    member = sample_member(spec, random_params(spec, rng))
+    assert structure_fit(member, spec.blocks, spec.omega_re, spec.d_e) < 1e-10
 
 
 def test_structure_fit_flags_outside_states(rng):
     spec = markov_spec(rng)
     rho = random_density(spec.d_s * spec.d_e, spec.d_s * spec.d_e, rng)
-    fit = structure_fit(rho, spec.blocks, spec.omega_re, spec.d_e)
-    assert fit.residual > 1e-3
+    assert structure_fit(rho, spec.blocks, spec.omega_re, spec.d_e) > 1e-3
 
 
 def test_markov_state_marginal_lies_in_block_family(rng):
@@ -222,9 +220,7 @@ def test_markov_state_marginal_lies_in_block_family(rng):
     omega = build_markov_state(mspec)
     check_density(omega)
     marg = partial_trace(omega, (2, mspec.d_s * 2), keep=(1,))
-    fit = structure_fit(marg, mspec.blocks, mspec.omega_re, 2)
-    assert fit.residual < 1e-10
-    assert np.allclose(fit.probs, mspec.q, atol=1e-10)
+    assert structure_fit(marg, mspec.blocks, mspec.omega_re, 2) < 1e-10
 
 
 def test_steer_identity_recovers_marginal(rng):
@@ -240,8 +236,7 @@ def test_steered_members_stay_in_block_family(rng):
     for _ in range(10):
         member = sample_member(spec, random_params(spec, rng))
         check_density(member)
-        fit = structure_fit(member, mspec.blocks, mspec.omega_re, 2)
-        assert fit.residual < 1e-9
+        assert structure_fit(member, mspec.blocks, mspec.omega_re, 2) < 1e-9
 
 
 def test_steer_input_validation(rng):
@@ -310,6 +305,11 @@ def build_markov_state_by_loop(spec):
 def test_build_markov_state_matches_index_loop(blocks, d_e, d_a, rng):
     mspec = random_markov_state_spec(d_a, blocks, d_e, rng)
     assert np.array_equal(build_markov_state(mspec), build_markov_state_by_loop(mspec))
+    if d_a == 1:
+        # With no ancilla the Markov state is a member of its block family.
+        spec = MarkovBlocksSpec(mspec.blocks, d_e, mspec.omega_re)
+        params = FamilyParams(probs=mspec.q, states=mspec.omega_al)
+        assert np.array_equal(build_markov_state(mspec), sample_member(spec, params))
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,12 +4,13 @@ d_s^2 + 2 sampled members, the way V used to be built, stays here as the
 oracle, and the orthonormalized generators, ``span_from_states`` of
 ``span_generators``, as the reference for the closed form."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cpdyn import cli, consistency, families
+from cpdyn import channels, cli, consistency, families
 from cpdyn.consistency import canonical_assignment, sample_unitaries, span_from_states
 from cpdyn.families import (
     KernelExtendedSpec,
@@ -17,7 +18,7 @@ from cpdyn.families import (
     sample_member,
     span_generators,
 )
-from cpdyn.tensor import random_density, tr_e
+from cpdyn.tensor import random_density, random_haar_unitary, tr_e
 
 LAYOUTS = {
     "1x2,2x1": ((1, 2), (2, 1)),
@@ -223,6 +224,61 @@ def test_markov_block_space_matches_the_generator_span(layout, d_e, seed):
         assert v.contains(y) is ref.contains(y) is inside
 
 
+# Framed layouts: classical-quantum, d_s blocks (1, 1) in its Haar frame,
+# at (d_s, d_e), and the layout 1x2,2x1 turned by a Haar frame, at d_e.
+FRAMED_CASES = [
+    ("classical-quantum", 2, 2),
+    ("classical-quantum", 3, 2),
+    ("classical-quantum", 4, 4),
+    ("classical-quantum", 8, 8),
+    ("1x2,2x1", 4, 2),
+    ("1x2,2x1", 4, 3),
+]
+
+
+def _framed_spec(layout, d_s, d_e, rng):
+    if layout == "classical-quantum":
+        return cli._random_spec(layout, SimpleNamespace(ds=d_s, de=d_e), rng)
+    spec = cli._random_spec("markov-blocks", _args("markov-blocks", LAYOUTS[layout], d_e=d_e), rng)
+    return replace(spec, frame=random_haar_unitary(d_s, rng))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("layout, d_s, d_e", FRAMED_CASES)
+def test_framed_markov_span_matches_the_generator_span(layout, d_s, d_e, seed):
+    rng = np.random.default_rng(seed)
+    spec = _framed_spec(layout, d_s, d_e, rng)
+    v = cli._family_span(spec)
+    ref = span_from_states(span_generators(spec), d_s, d_e)
+    assert type(v) is consistency._MarkovBlockSpace and v.frame is spec.frame
+    assert v.dim == ref.dim and v.dim_v0 == ref.dim_v0 == 0
+    a, a_ref = canonical_assignment(v), canonical_assignment(ref)
+    assert np.linalg.norm(a.mat - a_ref.mat) <= 1e-12
+    assert np.linalg.norm(a.domain_projector - a_ref.domain_projector) <= 1e-12
+    members = [sample_member(spec, random_params(spec, rng)) for _ in range(3)]
+    assert all(v.contains(m) for m in members)
+    # A unit step orthogonal to V, on either side of the tolerance.
+    x = rng.normal(size=(d_s * d_e) ** 2) + 1j * rng.normal(size=(d_s * d_e) ** 2)
+    z = x - ref.basis @ (ref.basis.conj().T @ x)
+    step = (z / np.linalg.norm(z)).reshape(d_s * d_e, d_s * d_e)
+    for scale, inside in ((0.5, True), (2.0, False)):
+        y = members[0] + scale * 1e-9 * step
+        assert v.contains(y) is ref.contains(y) is inside
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2), (4, 4), (8, 8)])
+def test_classical_quantum_dynamics_dephases_then_prepares(d_s, d_e):
+    # The oracle: Kraus operators D_ikl P_i, which dephase in the frame's
+    # basis b_i and then prepare omega_i on E before U acts.
+    rng = np.random.default_rng(10 * d_s + d_e)
+    spec = _framed_spec("classical-quantum", d_s, d_e, rng)
+    assign = canonical_assignment(cli._family_span(spec))
+    for _, u in sample_unitaries("all", 2, d_s, d_e, rng):
+        psi = channels.reduced_dynamics(u, assign.mat, d_s, d_e)
+        k = channels.kraus_classical_quantum(u, spec.frame, spec.omega_re, d_s, d_e)
+        assert np.linalg.norm(psi.mat - channels.channel_from_kraus(k, d_s, d_s).mat) <= 1e-12
+
+
 # (layout, d_e) of `verify-family --family steered --da 2`, up to
 # A x S x E = 64.
 STEERED_CASES = [("1x2,2x1", 2), ("1x2,2x1", 3), ("2x2,2x2", 4), ("2x1,1x3", 3)]
@@ -242,33 +298,32 @@ def test_markov_span_contains_reads_the_structure_fit_residual(layout, d_e):
     xs = [sample_member(spec, random_params(spec, rng)) for _ in range(5)]
     xs += [random_density(d, d, rng) for _ in range(2)]
     for x in xs:
-        fit = families.structure_fit(x, markov.blocks, markov.omega_re, d_e)
+        residual = families.structure_fit(x, markov.blocks, markov.omega_re, d_e)
         x = x.reshape(-1)
-        assert abs(fit.residual - np.linalg.norm(b @ (b.conj().T @ x) - x)) <= 1e-12
+        assert abs(residual - np.linalg.norm(b @ (b.conj().T @ x) - x)) <= 1e-12
     assert [v.contains(x) for x in xs] == [True] * 5 + [False] * 2
 
 
 MARKOV_BLOCK_REPORTS = [
-    ("verify-family", "--family", family)
-    for family in cli.FAMILY_CHOICES
-    if family != "classical-quantum"
+    ("verify-family", "--family", family) for family in cli.FAMILY_CHOICES
 ] + [
     (command, "--family", family)
     for command in ("consistency", "theorem1")
-    for family in (
-        "factorized", "direct-sum", "mixed-direct-sum", "markov-blocks", "kernel-extended"
-    )
+    for family in cli.FAMILY_CHOICES
+    if family != "steered"
 ] + [  # the cap-size reports of the benchmark's cap-dynamics workload
     ("verify-family", "--family", "factorized", "--ds", "8", "--de", "8"),
     ("theorem1", "--family", "markov-blocks", "--blocks", "2x2,2x2", "--de", "8"),
+    ("theorem1", "--family", "classical-quantum", "--ds", "8", "--de", "8"),
 ]
 
 
 @pytest.mark.parametrize("argv", MARKOV_BLOCK_REPORTS, ids=" ".join)
 def test_markov_block_reports_factor_nothing(monkeypatch, argv):
-    # Every block family's span is a Markov-block layout (verify-family
-    # builds a steered trial's span from its underlying layout, and a
-    # kernel-extended family takes its base): no generator span and no SVD,
+    # Every family's span is a Markov-block layout, classical-quantum's in
+    # its frame (verify-family builds a steered trial's span from its
+    # underlying layout, and a kernel-extended family takes its base): no
+    # generator span and no SVD,
     # the one factorization a basis-backed kernel would take.
     calls = []
     for owner, name in (

@@ -44,10 +44,10 @@ def _family_span(family: str) -> OperatorSubspace:
     return cli._build_subspace(args, np.random.default_rng(71))
 
 
-# The Markov-block families take closed-form spans, which have no basis.
-@pytest.mark.parametrize("family", ["classical-quantum", "steered"])
-def test_family_spans_and_their_kernels_are_orthonormal(family):
-    v = _family_span(family)
+# Every other family is a Markov-block layout, whose closed-form span has
+# no basis; classical-quantum is one in a rotated frame.
+def test_steered_span_and_its_kernel_are_orthonormal():
+    v = _family_span("steered")
     assert v.dim > 0
     assert_orthonormal(v)
 
