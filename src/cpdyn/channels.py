@@ -64,10 +64,11 @@ class ChannelMap:
 class KrausSet:
     """Operator-sum representation x -> sum_i E_i x E_i^dag of a CP map.
 
-    ``operators`` have shape (d_out, d_in).
+    ``operators`` have shape (d_out, d_in), as a tuple or as one
+    (n, d_out, d_in) stack.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: tuple[np.ndarray, ...] | np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return sum(k @ x @ dagger(k) for k in self.operators)

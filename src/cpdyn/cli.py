@@ -14,7 +14,11 @@ Reports are deterministic functions of (command, config, seed) except for
 the ``wall_time_s`` field.  ``verify-family`` and ``dpi`` trials draw from
 RNG streams seeded with the pair ``[seed, trial_index]``; ``consistency``,
 ``theorem1`` and ``demo`` draw their unitaries once, from the seed's stream.
-Exit code is 0 iff the summary pass flag is set.
+
+Exit codes: 0 when the summary pass flag is set, 1 when a verdict failed,
+and 2 for a usage or configuration error (a malformed flag, a dimension
+over the cap, a unitary set the configuration cannot take), which prints
+``error: ...`` on stderr and writes no report.
 """
 
 from __future__ import annotations
@@ -104,21 +108,20 @@ def _default_g(args) -> str:
     return "all"
 
 
+def _refuse(message: str):
+    """Exit 2 with ``error: message`` on stderr, as argparse refuses a flag."""
+    build_parser().error(message)
+
+
 def _check_swap(g: str, d_s: int, d_e: int):
     if g == "swap" and d_s != d_e:
-        raise SystemExit("error: --g swap needs equal system and environment dimensions")
+        _refuse("--g swap needs equal system and environment dimensions")
 
 
 def _check_dims(*dims: int):
-    total = 1
-    for d in dims:
-        if d < 1:
-            raise SystemExit(f"error: dimensions must be >= 1, got {d}")
-        total *= d
+    total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
-        raise SystemExit(
-            f"error: total dimension {total} exceeds the hard cap {MAX_TOTAL_DIM}"
-        )
+        _refuse(f"total dimension {total} exceeds the hard cap {MAX_TOTAL_DIM}")
 
 
 def _steered_draw(args, rng: np.random.Generator):
@@ -178,7 +181,7 @@ def _family_span(spec):
     generators; a kernel-extended family takes the span of its base."""
     base = spec.base if isinstance(spec, families.KernelExtendedSpec) else spec
     if isinstance(base, families.MarkovBlocksSpec):
-        return markov_block_space(base.blocks, base.d_e, base.omega_re, base.frame)
+        return markov_block_space(base)
     return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
 
 
@@ -236,9 +239,7 @@ def cmd_verify_family(args) -> dict:
     _check_family_dims(args)
     _check_swap(args.g, ds, args.de)
     if args.family == "kernel-extended" and args.g == "all":
-        raise SystemExit(
-            "error: --g all voids the kernel freedom of kernel-extended; use --g local or swap"
-        )
+        _refuse("--g all voids the kernel freedom of kernel-extended; use --g local or swap")
     trials = [_verify_family_trial(args, t) for t in range(args.trials)]
     ok = [t["cp"] and t["tp"] for t in trials]
     summary = {
@@ -382,8 +383,11 @@ def _demo1(args) -> dict:
     omega_e = (np.diag([0.7, 0.3]) if de == 2 else np.eye(de) / de).astype(complex)
     v = full_space(ds, de, omega_e)
     canon = canonical_assignment(v)
-    prod_mat = channels.product_assignment_matrix(omega_e, ds)
-    product = perturb_assignment(canon, prod_mat - canon.mat, v)
+    # x -> x kron omega_E, the one-block layout (d_s, 1), is CP by its Kraus
+    # form; it differs from the canonical assignment by a map into V_0.
+    product = markov_block_space(families.MarkovBlocksSpec(((ds, 1),), de, (omega_e,)))
+    product = product.canonical_assignment()
+    perturb_assignment(canon, product.mat - canon.mat, v)
     unitaries = consistency.sample_unitaries(
         "swap", args.trials, ds, de, np.random.default_rng(args.seed)
     )
@@ -457,7 +461,7 @@ def cmd_demo(args) -> dict:
     if args.example == 1:
         # Demo 1 swaps S and E, so both run at --ds.
         if args.de not in (None, args.ds):
-            raise SystemExit("error: demo 1 runs at --ds x --ds; --de must equal --ds")
+            _refuse("demo 1 runs at --ds x --ds; --de must equal --ds")
         args.de = args.ds
         return _demo1(args)
     args.de = 2 if args.de is None else args.de
@@ -489,10 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials=50, tol=True, g=True, blocks=True, de=2):
         # A subcommand takes only the flags it reads.
-        p.add_argument("--ds", type=int, default=2, help="system dimension")
-        p.add_argument("--de", type=int, default=de, help="environment dimension")
+        p.add_argument("--ds", type=_positive_int, default=2, help="system dimension")
+        p.add_argument("--de", type=_positive_int, default=de, help="environment dimension")
         if blocks:
-            p.add_argument("--da", type=int, default=2, help="ancilla dimension")
+            p.add_argument("--da", type=_positive_int, default=2, help="ancilla dimension")
             p.add_argument(
                 "--blocks",
                 type=_parse_blocks,

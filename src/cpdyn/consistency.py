@@ -9,8 +9,11 @@ only call it.  ``OperatorSubspace`` stores V as an orthonormal basis of
 row-major vectorized operators and answers from one SVD of Tr_E on it,
 which gives both its ``kernel`` and its canonical assignment.  The full
 space, demo 1's V and the span of Markov-block states, in any frame,
-answer in closed form, with no factorization, and have no basis or
-kernel.  A basis-backed subspace and a Markov-block span answer
+answer in closed form, with no factorization of Tr_E, and have no basis
+or kernel.  The Markov-block spans and the full space build their
+canonical assignments as Kraus stacks, so those are CP by construction;
+every other assignment is decided by the dense test of its Choi matrix.
+A basis-backed subspace and a Markov-block span answer
 ``contains(x, tol)`` too.  The kernel parametrizes the freedom in
 choosing an assignment map; conjugating it into ker Tr_E again is unitary
 consistency.
@@ -25,15 +28,15 @@ import numpy as np
 
 from .channels import (
     ChannelMap,
+    KrausSet,
+    channel_from_kraus,
     choi,
     is_tp_on_domain,
     product_assignment_matrix,
     reduced_dynamics,
 )
-from .families import block_slices, in_frame, markov_generators, structure_fit
+from .families import MarkovBlocksSpec, block_slices, in_frame, structure_fit
 from .tensor import (
-    PSD_TOL_FACTOR,
-    _hermitian_part,
     is_hermitian,
     kron,
     psd_check,
@@ -66,10 +69,6 @@ __all__ = [
 # for Tr_E on an orthonormal basis the largest is floored at 1 (see _rank).
 SPAN_RANK_FACTOR = 1e-9
 CONSISTENCY_TOL = 1e-9
-# Assignment Choi matrices of side d_s^2 d_e at least this are decided on the
-# support of their environment marginal first (``_psd_on_marginal_support``);
-# below it the compression costs more than the dense eigvalsh it saves.
-_COMPRESS_MIN_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -157,16 +156,27 @@ class AssignmentMap:
     """Linear section of the environment trace on a declared domain.
 
     ``mat`` maps vec L(H_S) to vec L(H_S x H_E); ``domain_projector`` is the
-    orthogonal projector onto Tr_E V inside vec L(H_S).  The flags
-    ``trace_consistent``, ``hermitian`` and ``cp`` are computed numerically
-    when first read; ``hermitian`` and ``cp`` read one Choi matrix, built
-    once, and ``cp`` is false without a further test when ``hermitian`` is.
+    orthogonal projector onto Tr_E V inside vec L(H_S).  A map that is CP
+    by construction is given instead by its Kraus stack ``kraus``, of shape
+    (n, d_s d_e, d_s), with ``mat`` None: ``mat`` is then
+    ``channels.channel_from_kraus`` of the stack, and ``hermitian`` and
+    ``cp`` are true with no Choi matrix built.  Otherwise both read one Choi
+    matrix, built when first read, and ``cp`` is ``hermitian`` and the
+    dense ``psd_check``.  ``trace_consistent`` is always read from ``mat``.
     """
 
     d_s: int
     d_e: int
-    mat: np.ndarray = field(repr=False)
+    mat: np.ndarray | None = field(repr=False)
     domain_projector: np.ndarray = field(repr=False)
+    kraus: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+
+    def __post_init__(self):
+        if (self.mat is None) == (self.kraus is None):
+            raise ValueError("an assignment takes exactly one of mat and kraus")
+        if self.kraus is not None:
+            ch = channel_from_kraus(KrausSet(self.kraus), self.d_s, self.d_s * self.d_e)
+            object.__setattr__(self, "mat", ch.mat)
 
     @cached_property
     def trace_consistent(self) -> bool:
@@ -181,17 +191,12 @@ class AssignmentMap:
     @cached_property
     def hermitian(self) -> bool:
         """The Choi matrix is Hermitian: the map preserves Hermiticity."""
-        return bool(is_hermitian(self._choi))
+        return self.kraus is not None or bool(is_hermitian(self._choi))
 
     @cached_property
     def cp(self) -> bool:
-        """The Choi matrix is PSD: the map is completely positive.
-
-        The verdict is ``channels.is_cp`` of the Choi matrix; it is decided
-        on the support of its environment marginal where that certifies it
-        (``_psd_on_marginal_support``), else by the dense test.
-        """
-        return self.hermitian and _psd_on_marginal_support(self._choi, self.d_e)
+        """The Choi matrix is PSD: the map is completely positive."""
+        return self.kraus is not None or (self.hermitian and psd_check(self._choi)[0])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return unvec(self.mat @ vec(x), self.d_s * self.d_e)
@@ -201,56 +206,6 @@ class AssignmentMap:
 
     def choi(self) -> np.ndarray:
         return self._choi.copy()
-
-
-def _lift(q: np.ndarray, x: np.ndarray, d_e: int) -> np.ndarray:
-    """``(q kron I_E) x`` for a (r, c) matrix ``q`` and a (c d_e, N) stack."""
-    return (q @ x.reshape(q.shape[1], -1)).reshape(q.shape[0] * d_e, -1)
-
-
-def _psd_on_marginal_support(c: np.ndarray, d_e: int) -> bool:
-    """``tensor.psd_check(c)[0]`` for the Choi matrix ``c`` of an assignment
-    (rows indexed (input, system, environment)) that the caller found
-    Hermitian, decided where it can be on the support of the environment
-    marginal.
-
-    A PSD C is supported on supp(Tr_E C) kron E (Lu 2016).  Let H be the
-    Hermitian part of C, Q the eigenvectors of Tr_E H whose eigenvalues
-    exceed ``SPAN_RANK_FACTOR`` of the largest in magnitude, W = Q kron I_E,
-    A = W^dag H W and E = H - W A W^dag; ``||E||_F <= e = ||C - W A W^dag||_F``,
-    since E is the Hermitian part of C - W A W^dag.  Cauchy interlacing gives
-    ``lambda_min(H) <= lambda_min(A)`` and ``rho(H) <= rho(A) + e``, so
-    ``lambda_min(A) < -1e-9 max(1, rho(A) + e)`` certifies not PSD; Weyl
-    gives ``lambda_min(H) >= min(0, lambda_min(A)) - e`` and ``rho(H) >=
-    rho(A)``, so ``min(0, lambda_min(A)) - e >= -1e-9 max(1, rho(A))``
-    certifies PSD.  Both hold for every isometry W, so the cutoff decides
-    only how often neither holds and the dense test, the ``eigvalsh`` of
-    ``psd_check``, runs: always below ``_COMPRESS_MIN_SIDE``, and when Q is
-    empty or square, where the compression is no cheaper.
-    """
-    n = c.shape[0]
-    m = n // d_e
-    if n >= _COMPRESS_MIN_SIDE:
-        marginal = np.einsum("aebe->ab", c.reshape(m, d_e, m, d_e))
-        w, vecs = np.linalg.eigh(_hermitian_part(marginal))
-        keep = np.abs(w) > SPAN_RANK_FACTOR * np.abs(w).max(initial=0.0)
-        if 0 < keep.sum() < m:
-            q = vecs[:, keep]
-            qh = q.conj().T
-            a = _lift(qh, _lift(qh, c, d_e).conj().T, d_e)  # (W^dag C W)^dag
-            a = _hermitian_part(a)
-            waw = _lift(q, _lift(q, a, d_e).conj().T, d_e)  # W A W^dag
-            waw -= c
-            err = float(np.linalg.norm(waw))
-            lam = np.linalg.eigvalsh(a)
-            rho = float(np.abs(lam).max())
-            if lam[0] < -PSD_TOL_FACTOR * max(1.0, rho + err):
-                return False
-            if min(0.0, lam[0]) - err >= -PSD_TOL_FACTOR * max(1.0, rho):
-                return True
-    # psd_check's eigenvalue conjunct; its Hermiticity conjunct is the caller's.
-    w = np.linalg.eigvalsh(_hermitian_part(c))
-    return bool(w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max())))
 
 
 def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
@@ -275,7 +230,9 @@ class _ClosedFormSpace:
     X -> X - Tr_E X kron I/d_E [then Y -> Y - I/d_S kron Tr_S Y].  The
     canonical assignment x -> x kron I/d_E [+ tr(x) I/d_S kron (omega_E -
     I/d_E)] lies in V, inverts Tr_E and is orthogonal to V0: the
-    minimum-norm section, on all of L(S).
+    minimum-norm section, on all of L(S).  Its first term is the one-block
+    layout (d_s, 1) in Kraus form; demo 1's tilt is not, so demo 1's
+    canonical assignment carries only its matrix.
     """
 
     def __init__(self, d_s: int, d_e: int, omega_e: np.ndarray | None = None):
@@ -314,11 +271,14 @@ class _ClosedFormSpace:
 
     def canonical_assignment(self) -> AssignmentMap:
         d_s, d_e = self.d_s, self.d_e
-        mat = product_assignment_matrix(np.eye(d_e, dtype=complex) / d_e, d_s)
-        if self.omega_e is not None:  # tr(x) = vec(I) . vec(x)
-            tilt = kron(np.eye(d_s), self.omega_e - np.eye(d_e) / d_e) / d_s
-            mat += np.outer(vec(tilt), vec(np.eye(d_s)))
-        return AssignmentMap(d_s, d_e, mat, np.eye(d_s * d_s, dtype=complex))
+        spec = MarkovBlocksSpec(((d_s, 1),), d_e, (np.eye(d_e, dtype=complex) / d_e,))
+        base = markov_block_space(spec).canonical_assignment()
+        if self.omega_e is None:
+            return base
+        # The tilt leaves Kraus form: tr(x) = vec(I) . vec(x).
+        tilt = kron(np.eye(d_s), self.omega_e - spec.omega_re[0]) / d_s
+        mat = base.mat + np.outer(vec(tilt), vec(np.eye(d_s)))
+        return AssignmentMap(d_s, d_e, mat, base.domain_projector)
 
     def kernel_escape(self, x: np.ndarray) -> float:
         y = x.T.reshape(-1, self.d_s, self.d_e, 1, self.d_s, self.d_e)
@@ -344,37 +304,53 @@ class _MarkovBlockSpace:
     x -> directsum_i m_i(x) kron omega_RE_i, with m_i(x)_ab = <E_ab kron
     omega_R_i, x_ii> / ||omega_R_i||_F^2, is the unique section of Tr_E on
     V after the orthogonal projection onto its domain, directsum_i I kron
-    I kron |omega_R_i>><<omega_R_i| / ||omega_R_i||_F^2.  A ``frame`` F
-    turns V by F kron I_E, so V0 stays 0 and both maps are conjugated, by
-    F kron I_E (F for the projector) on the output and by F on the input.
+    I kron |omega_R_i>><<omega_R_i| / ||omega_R_i||_F^2.
+
+    Both maps are built in Kraus form (Lu, PRA 93, 042332), so the
+    assignment is CP by construction.  With g_j the columns of a factor of
+    omega_RE_i and b_i = h^dag / ||omega_R_i||_F for a factor h of
+    omega_R_i, so that tr(b_i y b_i^dag) = <omega_R_i, y> /
+    ||omega_R_i||_F^2, the operators are I_L_i kron g_j <k| b_i, one per
+    (k, j), each carrying all l_i diagonal copies.  The columns of h in
+    place of the g_j give the projector.  The factors exist because the
+    spec's constructor has passed every omega_RE_i through ``psd_check``.
+    A ``frame`` F turns V by F kron I_E, so V0 stays 0 and each operator K
+    becomes (F kron I) K F^dag.
     """
 
-    def __init__(self, blocks, d_e: int, omega_re, frame: np.ndarray | None = None):
-        self.blocks, self.d_e, self.omega_re = tuple(blocks), d_e, tuple(omega_re)
-        self.frame = frame
-        self.d_s = sum(l * r for l, r in self.blocks)
+    def __init__(self, spec: MarkovBlocksSpec):
+        self.blocks, self.d_e, self.omega_re = spec.blocks, spec.d_e, spec.omega_re
+        self.frame, self.d_s = spec.frame, spec.d_s
 
-    def _section(self, d_f: int) -> np.ndarray:
-        """Matrix on vec L(S) of x -> directsum_i m_i(x) kron f_i, with f_i =
-        omega_RE_i for d_f = d_E (the assignment) and omega_R_i for d_f = 1
-        (its Tr_E, the domain projector), written block by block:
-        [(a, x), (b, y), (c, p), (d, q)] -> delta_ac delta_bd f_i[x, y]
-        conj(omega_R_i[p, q]) / ||omega_R_i||_F^2."""
-        d_s, d_e = self.d_s, self.d_e
-        n = d_s * d_f
-        out = np.zeros((n, n, d_s, d_s), dtype=complex)
-        for (l, r, s), w in zip(block_slices(self.blocks), self.omega_re):
-            w = np.asarray(w, dtype=complex)
-            w_r = np.einsum("aebe->ab", w.reshape(r, d_e, r, d_e))
-            f = w if d_f > 1 else w_r
-            t = slice(s.start * d_f, s.stop * d_f)
-            # Splitting the axes of a view gives a view: blk writes into out.
-            blk = out[t, t, s, s].reshape(l, r * d_f, l, r * d_f, l, r, l, r)
-            a = np.arange(l)
-            blk[a[:, None], :, a, :, a[:, None], :, a, :] = np.multiply.outer(
-                f, w_r.conj() / np.vdot(w_r, w_r).real
-            )
-        return out.reshape(n * n, d_s * d_s)
+    @cached_property
+    def _factors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per block: factors g of omega_RE_i and h of omega_R_i, and b_i."""
+        out = []
+        for (_, r), w in zip(self.blocks, self.omega_re):
+            w_r = np.einsum("aebe->ab", w.reshape(r, self.d_e, r, self.d_e))
+            h = _factor(w_r)
+            out.append((_factor(w), h, h.conj().T / np.linalg.norm(w_r)))
+        return out
+
+    def _kraus(self, d_f: int) -> np.ndarray:
+        """The (n, d_s d_f, d_s) Kraus stack of x -> directsum_i m_i(x) kron
+        f_i, with f_i = omega_RE_i for d_f = d_E and omega_R_i for d_f = 1:
+        the operators I_L_i kron g_j <k| b_i, zero off block i, in the
+        frame, for g the factor of f_i."""
+        d_s, ts = self.d_s, []
+        for (_, r), (g, h, b) in zip(self.blocks, self._factors):
+            g = g if d_f == self.d_e else h
+            ts.append(np.einsum("xj,ky->kjxy", g, b).reshape(-1, r * d_f, r))
+        k = np.zeros((sum(map(len, ts)), d_s * d_f, d_s), dtype=complex)
+        lo = 0
+        for (_, r, s), t in zip(block_slices(self.blocks), ts):
+            for a in range(s.start, s.stop, r):  # the l_i diagonal copies
+                k[lo : lo + len(t), a * d_f : (a + r) * d_f, a : a + r] = t
+            lo += len(t)
+        if self.frame is not None:
+            f = self.frame
+            k = (f @ (k @ f.conj().T).reshape(len(k), d_s, -1)).reshape(k.shape)
+        return k
 
     @property
     def dim(self) -> int:
@@ -388,15 +364,8 @@ class _MarkovBlockSpace:
         return 0.0
 
     def canonical_assignment(self) -> AssignmentMap:
-        if self.frame is None:
-            return AssignmentMap(self.d_s, self.d_e, self._section(self.d_e), self._section(1))
-        # The section sum_k |g_k>><<h_k| / ||h_k||_F^2 over the generators
-        # g_k and their orthogonal images h_k = Tr_E g_k, framed term by term.
-        g = markov_generators(self.blocks, self.d_e, self.omega_re, self.frame)
-        g = g.reshape(len(g), -1).T
-        h = tr_e(g, self.d_s, self.d_e)
-        h_dag = h.conj().T / np.linalg.norm(h, axis=0)[:, None] ** 2
-        return AssignmentMap(self.d_s, self.d_e, g @ h_dag, h @ h_dag)
+        p = channel_from_kraus(KrausSet(self._kraus(1)), self.d_s, self.d_s).mat
+        return AssignmentMap(self.d_s, self.d_e, None, p, kraus=self._kraus(self.d_e))
 
     def kernel_escape(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(x))
@@ -413,12 +382,20 @@ class _MarkovBlockSpace:
         return bool(residual <= tol * max(1.0, np.linalg.norm(x)))
 
 
-def markov_block_space(blocks, d_e: int, omega_re, frame=None) -> _MarkovBlockSpace:
-    """The span of the Markov-block states directsum_i p_i rho_L_i kron
-    omega_RE_i on the layout ``blocks`` of (l_i, r_i), in the system basis
-    of the columns of the unitary ``frame`` (None: the standard one), in
-    closed form."""
-    return _MarkovBlockSpace(blocks, d_e, omega_re, frame)
+def _factor(w: np.ndarray) -> np.ndarray:
+    """g with g g^dag = w for a PSD ``w``, from one ``eigh`` (none at 1 x 1),
+    with rounding below zero in its eigenvalues clipped."""
+    if len(w) == 1:
+        return np.sqrt(np.maximum(w.real, 0.0)) + 0j
+    lam, q = np.linalg.eigh(w)
+    return q * np.sqrt(np.maximum(lam, 0.0))
+
+
+def markov_block_space(spec: MarkovBlocksSpec) -> _MarkovBlockSpace:
+    """The span of the members of ``spec``, the Markov-block states
+    directsum_i p_i rho_L_i kron omega_RE_i on its layout of blocks
+    (l_i, r_i), in its frame, in closed form."""
+    return _MarkovBlockSpace(spec)
 
 
 # Any subspace the module functions below accept (see the module docstring).
@@ -521,8 +498,8 @@ def canonical_assignment(v: Subspace) -> AssignmentMap:
     of Tr_E on V, whose trailing rows ``vh[k:]`` give the kernel, so
     dim V = dim V0 + k, the rank of the domain projector ``U_k U_k^dag``.
     The full space and demo 1's V give it in closed form, on all of L(S),
-    and a Markov-block span gives it in closed form on its domain, with no
-    factorization.
+    and a Markov-block span gives it in Kraus form on its domain, with no
+    factorization of Tr_E.
     """
     return v.canonical_assignment()
 

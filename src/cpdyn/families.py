@@ -48,7 +48,6 @@ __all__ = [
     "structure_fit",
     "block_slices",
     "in_frame",
-    "markov_generators",
 ]
 
 
@@ -244,26 +243,19 @@ def span_generators(spec) -> list[np.ndarray]:
     generators is the reference that closed form is tested against.
     """
     if isinstance(spec, MarkovBlocksSpec):
-        return list(markov_generators(spec.blocks, spec.d_e, spec.omega_re, spec.frame))
+        d, out = spec.d_s * spec.d_e, []
+        for (l, _, s), w in zip(block_slices(spec.blocks, spec.d_e), spec.omega_re):
+            n, eye = s.stop - s.start, np.eye(l, dtype=complex)
+            g = np.zeros((l * l, d, d), dtype=complex)
+            g[:, s, s] = np.einsum("ac,bd,xy->abcxdy", eye, eye, w).reshape(l * l, n, n)
+            out.append(g)
+        return list(in_frame(np.concatenate(out), spec.frame, spec.d_e))
     if isinstance(spec, SteeredSpec):
         # Tr_A[(E_ab kron I) omega]_{st} = omega_{(b,s),(a,t)}: block (b, a) of omega.
         d_se = spec.d_s * spec.d_e
         t = np.asarray(spec.omega_ase, dtype=complex).reshape(spec.d_a, d_se, spec.d_a, d_se)
         return [t[b, :, a, :] for a in range(spec.d_a) for b in range(spec.d_a)]
     raise TypeError(f"no linear generators for {type(spec).__name__}")
-
-
-def markov_generators(blocks, d_e: int, omega_re, frame=None) -> np.ndarray:
-    """The (k, d, d) stack of E_ab kron omega_RE_i in block i, for a, b < l_i
-    in row-major order, read in ``frame``."""
-    d = sum(l * r for l, r in blocks) * d_e
-    out = []
-    for (l, _, s), w in zip(block_slices(blocks, d_e), omega_re):
-        n, eye = s.stop - s.start, np.eye(l, dtype=complex)
-        g = np.zeros((l * l, d, d), dtype=complex)
-        g[:, s, s] = np.einsum("ac,bd,xy->abcxdy", eye, eye, w).reshape(l * l, n, n)
-        out.append(g)
-    return in_frame(np.concatenate(out), frame, d_e)
 
 
 def _extend_along_kernel(base, kernel_basis, coeffs) -> np.ndarray:

@@ -19,6 +19,14 @@ def run_args(*argv):
     return run(list(argv))
 
 
+def refusal(capsys, *argv) -> str:
+    """The stderr of a run the CLI refuses as a usage error, with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        run_args(*argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def strip_timing(report):
     out = json.loads(json.dumps(report))
     out.pop("wall_time_s")
@@ -84,29 +92,29 @@ def test_default_seed_ignores_the_environment(monkeypatch):
     assert report["config"]["seed"] == 2024
 
 
-def test_dimension_cap_aborts():
-    with pytest.raises(SystemExit):
-        run_args("verify-family", "--family", "factorized", "--ds", "9", "--de", "9",
-                 "--trials", "1")
+def test_dimension_cap_aborts(capsys):
+    err = refusal(capsys, "verify-family", "--family", "factorized", "--ds", "9", "--de", "9",
+                  "--trials", "1")
+    assert "error: total dimension 81 exceeds the hard cap 64" in err
 
 
 @pytest.mark.parametrize("command", ["consistency", "theorem1"])
-def test_steered_block_layout_counts_against_the_cap(command):
+def test_steered_block_layout_counts_against_the_cap(command, capsys):
     # --blocks 3x3 gives d_s = 9, so the run would be at 9 * 8 = 72 > 64
     # although --ds keeps its default of 2.
-    with pytest.raises(SystemExit, match="total dimension 72 exceeds the hard cap 64"):
-        run_args(command, "--family", "steered", "--blocks", "3x3", "--de", "8",
-                 "--g", "local", "--trials", "1")
+    err = refusal(capsys, command, "--family", "steered", "--blocks", "3x3", "--de", "8",
+                  "--g", "local", "--trials", "1")
+    assert "error: total dimension 72 exceeds the hard cap 64" in err
 
 
 @pytest.mark.parametrize("command", ["verify-family", "consistency", "theorem1"])
-def test_steered_checks_the_ancilla_dimension(command):
-    with pytest.raises(SystemExit, match="dimensions must be >= 1, got 0"):
-        run_args(command, "--family", "steered", "--da", "0", "--trials", "1")
+def test_steered_checks_the_ancilla_dimension(command, capsys):
+    err = refusal(capsys, command, "--family", "steered", "--da", "0", "--trials", "1")
+    assert "error: argument --da: must be at least 1, got '0'" in err
     # S x E is 16 but the steered state on A x S x E is 256.
-    with pytest.raises(SystemExit, match="total dimension 256 exceeds the hard cap 64"):
-        run_args(command, "--family", "steered", "--da", "16", "--blocks", "2x2",
-                 "--de", "4", "--trials", "1")
+    err = refusal(capsys, command, "--family", "steered", "--da", "16", "--blocks", "2x2",
+                  "--de", "4", "--trials", "1")
+    assert "error: total dimension 256 exceeds the hard cap 64" in err
 
 
 def test_steered_consistency_echoes_the_block_dimension():
@@ -204,9 +212,9 @@ def test_trial_streams_do_not_collide_across_seeds():
         ("theorem1", "--family", "markov-blocks"),
     ],
 )
-def test_swap_with_unequal_dimensions_is_an_argument_error(argv):
-    with pytest.raises(SystemExit, match="--g swap needs equal system and environment"):
-        run_args(*argv, "--g", "swap", "--trials", "1")
+def test_swap_with_unequal_dimensions_is_an_argument_error(argv, capsys):
+    err = refusal(capsys, *argv, "--g", "swap", "--trials", "1")
+    assert "error: --g swap needs equal system and environment dimensions" in err
 
 
 @pytest.mark.parametrize("command", ["verify-family", "consistency", "theorem1"])
@@ -344,12 +352,12 @@ def test_demo_and_empty_kernel_reports_validate(argv):
         ]
 
 
-def test_dpi_block_layout_counts_against_the_cap():
+def test_dpi_block_layout_counts_against_the_cap(capsys):
     # The Markov states run at d_a * 9 * d_e = 144 although --ds keeps its
     # default of 2 (the GHZ fixture alone would be 2 * 2 * 8 = 32).
-    with pytest.raises(SystemExit, match="total dimension 144 exceeds the hard cap 64"):
-        run_args("dpi", "--blocks", "3x3", "--de", "8", "--trials", "1",
-                 "--unitaries-per-state", "1", "--search-draws", "1")
+    err = refusal(capsys, "dpi", "--blocks", "3x3", "--de", "8", "--trials", "1",
+                  "--unitaries-per-state", "1", "--search-draws", "1")
+    assert "error: total dimension 144 exceeds the hard cap 64" in err
 
 
 def test_dpi_command():
@@ -508,9 +516,10 @@ def test_kernel_extended_defaults_to_local_products():
         assert args.g is None and cli._default_g(args) == "all"
 
 
-def test_kernel_extended_with_all_unitaries_is_an_argument_error():
-    with pytest.raises(SystemExit, match="--g all"):
-        run_args("verify-family", "--family", "kernel-extended", "--g", "all", "--trials", "1")
+def test_kernel_extended_with_all_unitaries_is_an_argument_error(capsys):
+    err = refusal(capsys, "verify-family", "--family", "kernel-extended", "--g", "all",
+                  "--trials", "1")
+    assert "error: --g all voids the kernel freedom of kernel-extended" in err
 
 
 @pytest.mark.parametrize(
@@ -528,9 +537,9 @@ def test_commands_take_only_the_flags_they_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_demo1_runs_at_ds_by_ds():
-    with pytest.raises(SystemExit, match="demo 1 runs at --ds x --ds"):
-        run_args("demo", "1", "--ds", "3", "--de", "5", "--trials", "1")
+def test_demo1_runs_at_ds_by_ds(capsys):
+    err = refusal(capsys, "demo", "1", "--ds", "3", "--de", "5", "--trials", "1")
+    assert "error: demo 1 runs at --ds x --ds; --de must equal --ds" in err
     report, code = run_args("demo", "1", "--ds", "3", "--trials", "1", "--seed", "1")
     assert code == 0
     assert report["config"]["de"] == 3
@@ -546,6 +555,9 @@ def test_demo1_runs_at_ds_by_ds():
         ("theorem1", "--trials", "0"),
         ("dpi", "--unitaries-per-state", "0"),
         ("dpi", "--search-draws", "0"),
+        ("verify-family", "--family", "factorized", "--ds", "0"),
+        ("demo", "2", "--de", "0"),
+        ("dpi", "--da", "0"),
     ],
 )
 def test_non_positive_counts_are_argument_errors(argv, capsys):
@@ -590,6 +602,7 @@ def test_non_finite_tol_is_an_argument_error(command, tol, capsys):
         (("demo", "2", "--trials", "abc"), "--trials: expected an integer, got 'abc'"),
         (("theorem1", "--seed", "1.5"), "--seed: expected an integer, got '1.5'"),
         (("dpi", "--tol", "abc"), "--tol: expected a number, got 'abc'"),
+        (("demo", "2", "--ds", "abc"), "--ds: expected an integer, got 'abc'"),
     ],
 )
 def test_malformed_numbers_are_argument_errors_that_name_no_parser(argv, message, capsys):

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdyn import cli, consistency
+from cpdyn import channels, cli, consistency
 from cpdyn.channels import (
     ChannelMap,
     choi,
@@ -22,6 +24,7 @@ from cpdyn.consistency import (
     full_space,
     g_consistency_report,
     kernel_tr_e,
+    markov_block_space,
     perturb_assignment,
     sample_unitaries,
     span_from_states,
@@ -284,6 +287,7 @@ def test_assignment_flags_read_lazily_match_direct_flags(rng):
         canon,
         perturb_assignment(canon, random_kernel_perturbation(v0, rng, scale=1.0), v0),
         canonical_assignment(markov_span(rng)[1]),
+        canonical_assignment(full_space(2, 3)),
         witness_assignment(omega, delta, 0.0, 2),
         witness_assignment(omega, delta, 2.0, 2),
         AssignmentMap(2, 2, rng.normal(size=(16, 4)) + 0j, np.eye(4, dtype=complex)),
@@ -496,13 +500,26 @@ def test_theorem1_records_report_u_consistency_violation(name, g):
     assert checked["worst_violation"] == max(r["perturbation_deviation"] for r in records)
 
 
-# Assignment CP decided on the support of the Choi marginal, against the
-# dense channels.is_cp of the same Choi matrix.
+# Assignment CP, by Kraus form or by the dense test, against the dense
+# channels.is_cp of the same Choi matrix.
 
 def _family_assignment(family, size, seed):
-    """The canonical assignment `theorem1 --family <family>` builds: at
-    `--blocks 2x2,2x2 --de <size>` for block families, else at
-    `--ds <size[0]> --de <size[1]>`."""
+    """The assignment a report builds: demo 1's product `x -> x kron omega_E`
+    at `--ds <size>` for `demo1-product`, else the canonical assignment
+    `theorem1 --family <family>` builds, at `--blocks 2x2,2x2 --de <size>`
+    for block families, else at `--ds <size[0]> --de <size[1]>`."""
+    if family == "demo1-product":
+        used = []
+        verify = cli.theorem1_verify
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                cli, "theorem1_verify",
+                lambda *a, **kw: used.append(kw["assignment"]) or verify(*a, **kw),
+            )
+            _, code = cli.run(["demo", "1", "--ds", str(size), "--seed", str(seed),
+                               "--trials", "1", "--out", os.devnull])
+        assert code == 0
+        return used[0]
     argv = ["theorem1", "--family", family, "--seed", str(seed)]
     if family in cli.BLOCK_FAMILIES:
         argv += ["--blocks", "2x2,2x2", "--de", str(size)]
@@ -513,11 +530,16 @@ def _family_assignment(family, size, seed):
     return canonical_assignment(cli._build_subspace(args, np.random.default_rng(seed)))
 
 
-CP_ORACLE_CASES = [
-    (family, size)
-    for family in ("factorized", "classical-quantum", "random")
-    for size in ((2, 2), (4, 2), (4, 4), (8, 8))
-] + [(family, d_e) for family in cli.BLOCK_FAMILIES for d_e in (4, 8)]
+CP_ORACLE_CASES = (
+    [
+        (family, size)
+        for family in ("factorized", "classical-quantum", "random")
+        for size in ((2, 2), (4, 2), (4, 4), (8, 8))
+    ]
+    + [(family, d_e) for family in cli.BLOCK_FAMILIES for d_e in (4, 8)]
+    + [("full", (2, 2)), ("full", (4, 8))]
+    + [("demo1-product", d_s) for d_s in (2, 3, 8)]
+)
 
 
 @pytest.mark.parametrize(
@@ -526,11 +548,43 @@ CP_ORACLE_CASES = [
     ids=[f"{f}-{s if isinstance(s, int) else 'x'.join(map(str, s))}" for f, s in CP_ORACLE_CASES],
 )
 def test_assignment_cp_matches_dense_is_cp(family, size):
-    for seed in range(1, 6):
+    # Demo 1 draws nothing its product assignment reads, so one seed does.
+    for seed in range(1, 2 if family == "demo1-product" else 6):
         a = _family_assignment(family, size, seed)
         assert a.cp == is_cp(a.choi())
+        # Only a basis-backed span's assignment is decided numerically.
+        assert (a.kraus is None) == (family in ("steered", "random"))
+        if a.kraus is not None:
+            assert a.cp and a.kraus.shape[1:] == (a.d_s * a.d_e, a.d_s)
         if family == "steered":  # its canonical assignment is never CP
             assert not a.cp
+
+
+def test_a_perturbed_kraus_backed_assignment_is_decided_numerically():
+    # x -> x kron (I/2 + Delta) has Choi matrix |Omega><Omega| kron diag(1.5, -0.5).
+    v = full_space(2, 2)
+    canon = canonical_assignment(v)
+    assert canon.kraus is not None and canon.cp
+    delta = product_assignment_matrix(np.diag([1.0, -1.0]).astype(complex), 2)
+    tilted = perturb_assignment(canon, delta, v)
+    assert tilted.kraus is None
+    assert tilted.trace_consistent and tilted.hermitian
+    assert not tilted.cp and not is_cp(tilted.choi())
+
+
+def test_markov_block_space_takes_only_a_psd_omega():
+    blocks, d_e = ((1, 2), (1, 1)), 2
+    good = (np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), np.eye(2, dtype=complex) / 2)
+    bad = (np.diag([0.5, 0.3, 0.3, -0.1]).astype(complex), good[1])
+    with pytest.raises(ValueError, match="omega_RE_0 is not positive semidefinite"):
+        markov_block_space(MarkovBlocksSpec(blocks, d_e, bad))
+    # Negativity at the rounding level passes psd_check and is clipped.
+    near = (good[0] - 1e-13 * np.diag([0, 0, 0, 1]), good[1])
+    exact, clipped = (
+        markov_block_space(MarkovBlocksSpec(blocks, d_e, w)).canonical_assignment()
+        for w in (good, near)
+    )
+    assert clipped.cp and np.abs(clipped.mat - exact.mat).max() <= 1e-12
 
 
 def _record_eigensolver_shapes(monkeypatch) -> list:
@@ -547,10 +601,8 @@ def _record_eigensolver_shapes(monkeypatch) -> list:
 @pytest.mark.parametrize("d_s,d_e", [(4, 4), (4, 8)])
 @pytest.mark.parametrize("depth", [0.5, 0.9, 1.1, 2.0])
 def test_witness_near_the_tolerance_is_decided_densely(monkeypatch, d_s, d_e, depth):
-    # The witness's least Choi eigenvalue, -gamma lambda_max(Delta)/d_S, lies
-    # on Omega-perp kron E, off supp(Tr_E C) kron E = Omega kron E: neither
-    # certificate holds, and the dense test decides at depth * tolerance,
-    # with the one Hermiticity check the hermitian flag made.
+    # The witness has no Kraus form, so the dense test decides at depth *
+    # tolerance, after the one Hermiticity check the hermitian flag made.
     rng = np.random.default_rng(91)
     omega = random_density(d_e, d_e, rng)
     delta = random_hermitian(d_e, rng)
@@ -572,13 +624,9 @@ def test_witness_near_the_tolerance_is_decided_densely(monkeypatch, d_s, d_e, de
 
 @pytest.mark.parametrize("d_s,d_e", [(4, 4), (4, 8)])
 @pytest.mark.parametrize("omega_kind", ["pure", "mixed", "indefinite"])
-def test_product_assignment_is_certified_on_the_marginal_support(
-    monkeypatch, d_s, d_e, omega_kind
-):
-    # x -> x kron omega has C = |Omega><Omega| kron omega, supported on
-    # Omega kron E, where A = d_S omega: a pure omega leaves A with zero
-    # eigenvalues, and an indefinite unit-trace omega puts the negativity
-    # inside the support, so a certificate decides each case.
+def test_mat_only_product_assignment_cp_matches_the_oracle(d_s, d_e, omega_kind):
+    # x -> x kron omega has C = |Omega><Omega| kron omega: CP for a pure or
+    # mixed omega, and not for an indefinite unit-trace omega.
     rng = np.random.default_rng(92)
     omega = random_density(d_e, 1 if omega_kind == "pure" else d_e, rng)
     if omega_kind == "indefinite":
@@ -586,10 +634,7 @@ def test_product_assignment_is_certified_on_the_marginal_support(
     a = AssignmentMap(
         d_s, d_e, product_assignment_matrix(omega, d_s), np.eye(d_s * d_s, dtype=complex)
     )
-    oracle = is_cp(a.choi())
-    shapes = _record_eigensolver_shapes(monkeypatch)
-    assert a.cp == oracle == (omega_kind != "indefinite")
-    assert a.choi().shape not in shapes
+    assert a.cp == is_cp(a.choi()) == (omega_kind != "indefinite")
 
 
 def _mat_from_choi(c, d_in, d_out):
@@ -624,71 +669,21 @@ def test_non_hermitian_assignment_choi_is_not_cp(rng):
     ],
     ids=["verify-family", "theorem1"],
 )
-def test_certified_assignment_cp_runs_no_dense_eigensolver(monkeypatch, tmp_path, argv):
-    # The assignment's 512 x 512 Choi matrix is built once, checked for
-    # Hermiticity once, and decided without an eigensolver of its size.
+def test_kraus_backed_assignment_cp_builds_no_assignment_choi(monkeypatch, tmp_path, argv):
+    # The assignment is CP by its Kraus form: no 512 x 512 Choi matrix is
+    # built, and no eigensolver of that size runs; the 64 x 64 Choi
+    # matrices of the reduced channels are built and decided.
     shapes = _record_eigensolver_shapes(monkeypatch)
-    sides = {"choi": [], "is_hermitian": []}
-    monkeypatch.setattr(
-        consistency, "choi", lambda ch: sides["choi"].append(ch.d_in * ch.d_out) or choi(ch)
-    )
-    monkeypatch.setattr(
-        consistency,
-        "is_hermitian",
-        lambda m: sides["is_hermitian"].append(len(m)) or is_hermitian(m),
-    )
+    sides = []
+    for module in (consistency, channels):
+        monkeypatch.setattr(
+            module, "choi", lambda ch, _choi=choi: sides.append(ch.d_in * ch.d_out) or _choi(ch)
+        )
     report, code = cli.run([*argv, "--seed", "1", "--out", str(tmp_path / "r.json")])
     assert code == 0
+    assert 512 not in sides and 64 in sides
     assert (512, 512) not in shapes and (64, 64) in shapes
-    assert sides["choi"].count(512) == 1 and sides["is_hermitian"].count(512) == 1
     if argv[0] == "verify-family":
         assert all(t["assignment_cp"] for t in report["trials"])
     else:
         assert report["theorem"]["assignment"]["cp"]
-
-
-def _record_eigensolver_inputs(monkeypatch) -> dict:
-    """Copies of the matrices every later eigvalsh and eigh call is given."""
-    inputs = {"eigvalsh": [], "eigh": []}
-    for name in inputs:
-        def recording(a, *rest, _orig=getattr(np.linalg, name), _name=name, **kw):
-            inputs[_name].append(np.array(a))
-            return _orig(a, *rest, **kw)
-        monkeypatch.setattr(np.linalg, name, recording)
-    return inputs
-
-
-@pytest.mark.parametrize("d_s,d_e", [(2, 4), (4, 4)], ids=["dense", "compressed"])
-def test_marginal_support_hermitian_parts_give_the_bits_of_the_strided_formulas(
-    monkeypatch, d_s, d_e
-):
-    # Every Hermitian part _psd_on_marginal_support hands an eigensolver is
-    # (m + m^dag)/2 taken on the strided view m.conj().T, bit for bit: the
-    # dense fallback's (side 32, below _COMPRESS_MIN_SIDE), and at side 64
-    # the marginal's and the compressed block's.  The product Choi matrix
-    # is perturbed off Hermiticity so that the formula has bits to differ in.
-    rng = np.random.default_rng(93)
-    c = AssignmentMap(
-        d_s, d_e, product_assignment_matrix(random_density(d_e, d_e, rng), d_s),
-        np.eye(d_s * d_s, dtype=complex),
-    ).choi()
-    c += 1e-13 * (rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape))
-    before = c.copy()
-    inputs = _record_eigensolver_inputs(monkeypatch)
-    consistency._psd_on_marginal_support(c, d_e)
-    monkeypatch.undo()
-    assert np.array_equal(c, before)  # the input is never written
-    if len(c) < consistency._COMPRESS_MIN_SIDE:
-        assert inputs["eigh"] == []
-        assert len(inputs["eigvalsh"]) == 1
-        assert np.array_equal(inputs["eigvalsh"][0], (c + c.conj().T) / 2)
-        return
-    m = len(c) // d_e
-    marginal = np.einsum("aebe->ab", c.reshape(m, d_e, m, d_e))
-    (got_marginal,) = inputs["eigh"]
-    assert np.array_equal(got_marginal, (marginal + marginal.conj().T) / 2)
-    w, vecs = np.linalg.eigh(got_marginal)
-    qh = vecs[:, np.abs(w) > consistency.SPAN_RANK_FACTOR * np.abs(w).max()].conj().T
-    assert 0 < len(qh) < m  # the compressed path runs
-    a = consistency._lift(qh, consistency._lift(qh, c, d_e).conj().T, d_e)
-    assert np.array_equal(inputs["eigvalsh"][0], (a + a.conj().T) / 2)

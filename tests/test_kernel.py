@@ -275,7 +275,7 @@ def _closed_forms():
     return {
         "full": full_space(2, 3),
         "demo1": full_space(2, 2, demo1_omega(2)),
-        "markov": markov_block_space(blocks, d_e, omega_re),
+        "markov": markov_block_space(MarkovBlocksSpec(blocks, d_e, tuple(omega_re))),
     }
 
 
