@@ -16,9 +16,8 @@ import sys
 
 import numpy as np
 
-from cpdyn.channels import choi, reduced_dynamics
-from cpdyn.consistency import witness_assignment
-from cpdyn.tensor import dagger, min_eigenvalue, random_haar_unitary
+from cpdyn.consistency import reduced_dynamics_verdict, witness_assignment
+from cpdyn.tensor import random_haar_unitary
 
 
 def main() -> int:
@@ -37,8 +36,7 @@ def main() -> int:
     best_draw = -1
     for i in range(args.draws):
         u = random_haar_unitary(4, rng)
-        ch = choi(reduced_dynamics(u, assign.mat, 2, 2))
-        eig = min_eigenvalue((ch + dagger(ch)) / 2)
+        eig = reduced_dynamics_verdict(assign, u)[1]["min_choi_eigenvalue"]
         if eig < best:
             best, best_draw = eig, i
 

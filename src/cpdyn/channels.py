@@ -1,9 +1,11 @@
-"""Linear maps on operator spaces: matrix representations, Choi matrices,
-Kraus sets and explicit operator-sum constructions.
+"""Linear maps on operator spaces: matrix representations, Choi matrices
+and explicit operator-sum constructions.
 
 A map Psi with input dimension ``d_in`` and output dimension ``d_out`` is
 stored as a ``(d_out**2, d_in**2)`` matrix acting on row-major vectorized
-operators: column ``i*d_in + j`` is ``vec(Psi(|i><j|))``.
+operators: column ``i*d_in + j`` is ``vec(Psi(|i><j|))``.  A Kraus set
+x -> sum_i E_i x E_i^dag is a plain ``(n, d_out, d_in)`` stack of its
+operators.
 
 The Choi matrix is the unnormalized ``C = sum_ij |i><j| kron Psi(|i><j|)``;
 it is PSD exactly when the map is completely positive.
@@ -15,17 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (
-    dagger,
-    psd_check,
-    tr_e,
-    unvec,
-    vec,
-)
+from .tensor import psd_check, tr_e, vec
 
 __all__ = [
     "ChannelMap",
-    "KrausSet",
     "choi",
     "channel_from_function",
     "channel_from_kraus",
@@ -56,27 +51,6 @@ class ChannelMap:
             )
         object.__setattr__(self, "mat", m)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(x), self.d_out)
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Operator-sum representation x -> sum_i E_i x E_i^dag of a CP map.
-
-    ``operators`` have shape (d_out, d_in), as a tuple or as one
-    (n, d_out, d_in) stack.
-    """
-
-    operators: tuple[np.ndarray, ...] | np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return sum(k @ x @ dagger(k) for k in self.operators)
-
-    def closure(self) -> np.ndarray:
-        """sum_i E_i^dag E_i; equals the input identity for TP maps."""
-        return sum(dagger(k) @ k for k in self.operators)
-
 
 def channel_from_function(fn, d_in: int, d_out: int) -> ChannelMap:
     """Build the matrix representation by applying ``fn`` to matrix units."""
@@ -89,11 +63,12 @@ def channel_from_function(fn, d_in: int, d_out: int) -> ChannelMap:
     return ChannelMap(d_in, d_out, cols)
 
 
-def channel_from_kraus(k: KrausSet, d_in: int, d_out: int) -> ChannelMap:
-    """``sum_i E_i kron conj(E_i)`` as one product: with the Kraus operators
+def channel_from_kraus(ops, d_in: int, d_out: int) -> ChannelMap:
+    """``sum_i E_i kron conj(E_i)`` for an ``(n, d_out, d_in)`` stack, or a
+    sequence, of Kraus operators, as one product: with the operators
     stacked as rows e[i, (a, b)], entry [(a, c), (b, d)] is
     ``(e^T conj(e))[(a, b), (c, d)]``."""
-    e = np.asarray(k.operators, dtype=complex).reshape(-1, d_out * d_in)
+    e = np.asarray(ops, dtype=complex).reshape(-1, d_out * d_in)
     m = (e.T @ e.conj()).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
     return ChannelMap(d_in, d_out, m.reshape(d_out**2, d_in**2))
 
@@ -167,12 +142,13 @@ def product_assignment_matrix(omega_e: np.ndarray, d_s: int) -> np.ndarray:
     return m.reshape((d_s * d_e) ** 2, d_s * d_s)
 
 
-def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> KrausSet:
+def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
     """Operator-sum construction for a fixed environment state.
 
     With omega_E = sum_l lam_l |mu_l><mu_l|, the Kraus operators are
-    ``E_kl = sqrt(lam_l) <k_E| U |mu_l>`` acting on H_S; the represented
-    channel equals Tr_E ( U (rho kron omega_E) U^dag ) for every rho.
+    ``E_kl = sqrt(lam_l) <k_E| U |mu_l>`` acting on H_S, returned as an
+    ``(n, d_s, d_s)`` stack; the represented channel equals
+    Tr_E ( U (rho kron omega_E) U^dag ) for every rho.
     """
     w, vmat = np.linalg.eigh(np.asarray(omega_e, dtype=complex))
     # Row index (s, e), column (s', e'): contract the environment slots.
@@ -186,26 +162,25 @@ def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> 
         u_mu = np.einsum("sket,t->ske", u4, mu)  # still indexed by k_E
         for k in range(d_e):
             ops.append(np.sqrt(lam) * u_mu[:, k, :])
-    return KrausSet(tuple(ops))
+    return np.array(ops, dtype=complex).reshape(-1, d_s, d_s)
 
 
 def kraus_classical_quantum(
     u: np.ndarray, basis: np.ndarray, omegas, d_s: int, d_e: int
-) -> KrausSet:
+) -> np.ndarray:
     """Operator-sum construction for classical-quantum initial correlations.
 
     ``basis`` holds the fixed orthonormal system basis as columns; each
     basis state i carries its own fixed environment state omegas[i].  The
-    Kraus operators are ``D_ikl P_i`` with P_i the basis projector and
-    ``D_ikl = sqrt(lam_il) <k_E| U |mu_il>`` the ``kraus_factorized``
-    operators for omegas[i].
+    Kraus operators, an ``(n, d_s, d_s)`` stack, are ``D_ikl P_i`` with P_i
+    the basis projector and ``D_ikl = sqrt(lam_il) <k_E| U |mu_il>`` the
+    ``kraus_factorized`` operators for omegas[i].
     """
     ops = []
     for i in range(d_s):
         b = basis[:, i]
-        proj = np.outer(b, b.conj())
-        ops += [d @ proj for d in kraus_factorized(u, omegas[i], d_s, d_e).operators]
-    return KrausSet(tuple(ops))
+        ops.append(kraus_factorized(u, omegas[i], d_s, d_e) @ np.outer(b, b.conj()))
+    return np.concatenate(ops)
 
 
 def choi_distance(a: ChannelMap, b: ChannelMap) -> float:

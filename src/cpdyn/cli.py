@@ -128,7 +128,7 @@ def _steered_draw(args, rng: np.random.Generator):
     """A random Markov state spec and the steered family of its state."""
     mspec = families.random_markov_state_spec(args.da, args.blocks, args.de, rng)
     state = families.build_markov_state(mspec)
-    return mspec, families.SteeredSpec(args.da, mspec.d_s, args.de, state)
+    return mspec, families.SteeredSpec(args.da, mspec.layout.d_s, args.de, state)
 
 
 def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
@@ -188,11 +188,11 @@ def _family_span(spec):
 def _verify_family_trial(args, trial: int) -> dict:
     rng = _trial_rng(args.seed, trial)
     # The assignment is built from the span of the widest family containing
-    # the trial's members: steered sets reuse their underlying block family,
-    # kernel extensions reuse their base.
+    # the trial's members: steered sets take the layout of their Markov
+    # state, kernel extensions their base.
     if args.family == "steered":
         mspec, spec = _steered_draw(args, rng)
-        v = _family_span(families.MarkovBlocksSpec(args.blocks, args.de, mspec.omega_re))
+        v = markov_block_space(mspec.layout)
     else:
         spec = _random_spec(args.family, args, rng)
         v = _family_span(spec)
@@ -208,7 +208,7 @@ def _verify_family_trial(args, trial: int) -> dict:
         direct = channels.channel_from_kraus(k, ds, ds)
         rec["construction_choi_distance"] = channels.choi_distance(psi, direct)
         rec["kraus_closure_error"] = float(
-            np.linalg.norm(k.closure() - np.eye(ds))
+            np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(ds))
         )
     if args.family == "markov-blocks":
         rec["structure_residual"] = families.structure_fit(member, spec.blocks, spec.omega_re, de)
@@ -220,10 +220,14 @@ def _verify_family_trial(args, trial: int) -> dict:
 
 def _system_dim(args) -> int:
     """System dimension a command runs at: block families take it from
-    ``--blocks``, the others from ``--ds``."""
+    ``--blocks`` and refuse a ``--ds`` that differs, the others take
+    ``--ds``, default 2."""
     if args.family in BLOCK_FAMILIES:
-        return sum(l * r for l, r in args.blocks)
-    return args.ds
+        ds = sum(l * r for l, r in args.blocks)
+        if args.ds not in (None, ds):
+            _refuse(f"--family {args.family} runs at d_s = {ds} from --blocks; --ds must equal it")
+        return ds
+    return 2 if args.ds is None else args.ds
 
 
 def _check_family_dims(args):
@@ -346,9 +350,10 @@ def cmd_dpi(args) -> dict:
         rng = _trial_rng(args.seed, t)
         mspec = families.random_markov_state_spec(args.da, args.blocks, args.de, rng)
         omega = families.build_markov_state(mspec)
-        cmi = info.conditional_mutual_information(omega, args.da, mspec.d_s, args.de)
+        d_s = mspec.layout.d_s
+        cmi = info.conditional_mutual_information(omega, args.da, d_s, args.de)
         worst = info.search_dpi_violation(
-            omega, args.da, mspec.d_s, args.de, rng, draws=args.unitaries_per_state
+            omega, args.da, d_s, args.de, rng, draws=args.unitaries_per_state
         )["best_delta"]
         worst_delta = min(worst_delta, worst)
         worst_cmi = max(worst_cmi, abs(cmi))
@@ -491,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=50, tol=True, g=True, blocks=True, de=2):
+    def common(p, trials=50, tol=True, g=True, blocks=True, ds=2, de=2):
         # A subcommand takes only the flags it reads.
-        p.add_argument("--ds", type=_positive_int, default=2, help="system dimension")
+        p.add_argument("--ds", type=_positive_int, default=ds, help="system dimension")
         p.add_argument("--de", type=_positive_int, default=de, help="environment dimension")
         if blocks:
             p.add_argument("--da", type=_positive_int, default=2, help="ancilla dimension")
@@ -518,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-family", help="CP/TP sweep over one family")
     p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    common(p, tol=False)
+    # --ds is resolved per family: block families run at the --blocks size.
+    common(p, tol=False, ds=None)
     p.set_defaults(func=cmd_verify_family)
 
     p = sub.add_parser("consistency", help="subspace consistency report")
@@ -528,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="markov-blocks",
     )
     p.add_argument("--span-states", type=_positive_int, default=4)
-    common(p)
+    common(p, ds=None)
     p.set_defaults(func=cmd_consistency)
 
     p = sub.add_parser("theorem1", help="end-to-end subspace/assignment check")
@@ -538,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="markov-blocks",
     )
     p.add_argument("--span-states", type=_positive_int, default=4)
-    common(p, trials=10)
+    common(p, trials=10, ds=None)
     p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser("dpi", help="data processing inequality sweeps")

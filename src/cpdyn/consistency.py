@@ -28,7 +28,6 @@ import numpy as np
 
 from .channels import (
     ChannelMap,
-    KrausSet,
     channel_from_kraus,
     choi,
     is_tp_on_domain,
@@ -43,7 +42,6 @@ from .tensor import (
     random_haar_unitary,
     swap_unitary,
     tr_e,
-    unvec,
     vec,
 )
 
@@ -157,12 +155,14 @@ class AssignmentMap:
 
     ``mat`` maps vec L(H_S) to vec L(H_S x H_E); ``domain_projector`` is the
     orthogonal projector onto Tr_E V inside vec L(H_S).  A map that is CP
-    by construction is given instead by its Kraus stack ``kraus``, of shape
-    (n, d_s d_e, d_s), with ``mat`` None: ``mat`` is then
+    by construction is given instead by its Kraus stack ``kraus``, a plain
+    (n, d_s d_e, d_s) array, with ``mat`` None: ``mat`` is then
     ``channels.channel_from_kraus`` of the stack, and ``hermitian`` and
     ``cp`` are true with no Choi matrix built.  Otherwise both read one Choi
-    matrix, built when first read, and ``cp`` is ``hermitian`` and the
-    dense ``psd_check``.  ``trace_consistent`` is always read from ``mat``.
+    matrix, built when first read: ``cp`` is the dense ``psd_check``, which
+    checks Hermiticity too, and ``hermitian`` checks it again only when
+    ``cp`` is false.  ``choi()`` returns a copy of that matrix, and
+    ``trace_consistent`` is always read from ``mat``.
     """
 
     d_s: int
@@ -175,7 +175,7 @@ class AssignmentMap:
         if (self.mat is None) == (self.kraus is None):
             raise ValueError("an assignment takes exactly one of mat and kraus")
         if self.kraus is not None:
-            ch = channel_from_kraus(KrausSet(self.kraus), self.d_s, self.d_s * self.d_e)
+            ch = channel_from_kraus(self.kraus, self.d_s, self.d_s * self.d_e)
             object.__setattr__(self, "mat", ch.mat)
 
     @cached_property
@@ -186,23 +186,17 @@ class AssignmentMap:
 
     @cached_property
     def _choi(self) -> np.ndarray:
-        return choi(self.as_channel())
+        return choi(ChannelMap(self.d_s, self.d_s * self.d_e, self.mat))
 
     @cached_property
     def hermitian(self) -> bool:
         """The Choi matrix is Hermitian: the map preserves Hermiticity."""
-        return self.kraus is not None or bool(is_hermitian(self._choi))
+        return self.cp or bool(is_hermitian(self._choi))
 
     @cached_property
     def cp(self) -> bool:
         """The Choi matrix is PSD: the map is completely positive."""
-        return self.kraus is not None or (self.hermitian and psd_check(self._choi)[0])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(x), self.d_s * self.d_e)
-
-    def as_channel(self) -> ChannelMap:
-        return ChannelMap(self.d_s, self.d_s * self.d_e, self.mat)
+        return self.kraus is not None or psd_check(self._choi)[0]
 
     def choi(self) -> np.ndarray:
         return self._choi.copy()
@@ -364,7 +358,7 @@ class _MarkovBlockSpace:
         return 0.0
 
     def canonical_assignment(self) -> AssignmentMap:
-        p = channel_from_kraus(KrausSet(self._kraus(1)), self.d_s, self.d_s).mat
+        p = channel_from_kraus(self._kraus(1), self.d_s, self.d_s).mat
         return AssignmentMap(self.d_s, self.d_e, None, p, kraus=self._kraus(self.d_e))
 
     def kernel_escape(self, x: np.ndarray) -> float:

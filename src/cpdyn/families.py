@@ -13,6 +13,11 @@ blocks has blocks (d_i, 1); a block holding a fixed S x E state omega_SE_i
 is a block (1, d_i); classical-quantum, sum_i p_i |b_i><b_i| kron omega_i,
 is d_s blocks (1, 1) in the frame of the b_i.  Every reader of a layout
 takes its blocks from ``block_slices``.
+
+A tripartite Markov state directsum_i q_i omega_AL_i kron omega_RE_i,
+``MarkovStateSpec``, is its ancilla half on such a layout: it holds q and
+the omega_AL_i, and its ``layout`` holds the blocks, d_E and the
+omega_RE_i that the family it steers to shares.
 """
 
 from __future__ import annotations
@@ -133,30 +138,26 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class MarkovStateSpec:
-    """Tripartite Markov construction: directsum_i q_i omega_AL_i kron omega_RE_i."""
+    """Tripartite Markov construction directsum_i q_i omega_AL_i kron
+    omega_RE_i: the ancilla half (q, omega_AL_i) on a ``layout`` that holds
+    the blocks, d_E and the omega_RE_i, validated there.  The state is
+    built in the standard basis, so a framed layout is refused."""
 
     d_a: int
-    blocks: tuple[tuple[int, int], ...]
-    d_e: int
     q: tuple[float, ...]
     omega_al: tuple[np.ndarray, ...] = field(repr=False)
-    omega_re: tuple[np.ndarray, ...] = field(repr=False)
+    layout: MarkovBlocksSpec
 
     def __post_init__(self):
         _check_probs(self.q)
-        if not len(self.q) == len(self.omega_al) == len(self.omega_re) == len(self.blocks):
+        if self.layout.frame is not None:
+            raise ValueError("a Markov state is built on an unframed layout")
+        if not len(self.q) == len(self.omega_al) == len(self.layout.blocks):
             raise ValueError("per-block data lengths disagree")
-        for i, ((l, r), wal, wre) in enumerate(
-            zip(self.blocks, self.omega_al, self.omega_re)
-        ):
+        for i, ((l, _), wal) in enumerate(zip(self.layout.blocks, self.omega_al)):
             check_density(wal, f"omega_AL_{i}")
-            check_density(wre, f"omega_RE_{i}")
-            if wal.shape[0] != self.d_a * l or wre.shape[0] != r * self.d_e:
+            if wal.shape[0] != self.d_a * l:
                 raise ValueError(f"block {i} dimension mismatch")
-
-    @property
-    def d_s(self) -> int:
-        return sum(l * r for l, r in self.blocks)
 
 
 def block_slices(blocks, d_f: int = 1):
@@ -294,19 +295,21 @@ def _extend_along_kernel(base, kernel_basis, coeffs) -> np.ndarray:
 
 def build_markov_state(spec: MarkovStateSpec) -> np.ndarray:
     """Assemble the A x S x E state directsum_i q_i omega_AL_i kron omega_RE_i."""
-    terms = (q * kron(wal, wre) for q, wal, wre in zip(spec.q, spec.omega_al, spec.omega_re))
-    return _direct_sum(spec.blocks, spec.d_e, terms, spec.d_a)
+    lay = spec.layout
+    terms = (q * kron(wal, wre) for q, wal, wre in zip(spec.q, spec.omega_al, lay.omega_re))
+    return _direct_sum(lay.blocks, lay.d_e, terms, spec.d_a)
 
 
 def random_markov_state_spec(
     d_a: int, blocks, d_e: int, rng: np.random.Generator
 ) -> MarkovStateSpec:
-    """Random Markov construction with full-rank block states."""
+    """Random Markov construction with full-rank block states, drawn in the
+    order q, every omega_AL_i, every omega_RE_i."""
     blocks = tuple(tuple(b) for b in blocks)
     q = tuple(rng.dirichlet(np.ones(len(blocks))))
     omega_al = tuple(random_density(d_a * l, d_a * l, rng) for l, _ in blocks)
     omega_re = tuple(random_density(r * d_e, r * d_e, rng) for _, r in blocks)
-    return MarkovStateSpec(d_a, blocks, d_e, q, omega_al, omega_re)
+    return MarkovStateSpec(d_a, q, omega_al, MarkovBlocksSpec(blocks, d_e, omega_re))
 
 
 def steer(omega_ase: np.ndarray, d_a: int, p_a: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "kron",
     "vec",
     "unvec",
-    "dagger",
     "partial_trace",
     "tr_e",
     "random_haar_unitary",
@@ -67,10 +66,6 @@ def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
         if rows * rows != v.size:
             raise ValueError(f"cannot unvec length-{v.size} vector to a square matrix")
     return v.reshape(rows, v.size // rows)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

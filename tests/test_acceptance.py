@@ -31,7 +31,6 @@ from cpdyn.consistency import (
     witness_assignment,
 )
 from cpdyn.tensor import (
-    dagger,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -80,10 +79,10 @@ def test_acceptance_1_factorized_reduction_is_cp():
         u = random_haar_unitary(d * d, rng)
         psi = reduced_dynamics(u, product_assignment_matrix(omega, d), d, d)
         ch = choi(psi)
-        worst_eig = min(worst_eig, min_eigenvalue((ch + dagger(ch)) / 2))
+        worst_eig = min(worst_eig, min_eigenvalue((ch + ch.conj().T) / 2))
         k = kraus_factorized(u, omega, d, d)
         worst_closure = max(
-            worst_closure, float(np.linalg.norm(k.closure() - np.eye(d)))
+            worst_closure, float(np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(d)))
         )
         worst_dist = max(worst_dist, choi_distance(channel_from_kraus(k, d, d), psi))
     elapsed = time.monotonic() - start
@@ -116,7 +115,7 @@ def test_acceptance_2_classical_quantum_construction_agrees():
             for i in range(d_s)
         )
         direct = partial_trace(u @ joint @ u.conj().T, (d_s, d_e), keep=(0,))
-        worst = max(worst, float(np.linalg.norm(k.apply(rho) - direct)))
+        worst = max(worst, float(np.linalg.norm(sum(e @ rho @ e.conj().T for e in k) - direct)))
     report(
         "acceptance 2: classical-quantum operator-sum matches reduced dynamics",
         worst <= 1e-10,
@@ -151,11 +150,11 @@ def test_acceptance_4_steered_states_keep_block_structure():
         omega = families.build_markov_state(mspec)
         worst_cmi = max(
             worst_cmi,
-            abs(info.conditional_mutual_information(omega, 2, mspec.d_s, 2)),
+            abs(info.conditional_mutual_information(omega, 2, mspec.layout.d_s, 2)),
         )
         p_a = random_density(2, 2, rng) * 2 + 0.1 * np.eye(2)  # strictly positive
         steered = families.steer(omega, 2, p_a)
-        residual = families.structure_fit(steered, mspec.blocks, mspec.omega_re, 2)
+        residual = families.structure_fit(steered, mspec.layout.blocks, mspec.layout.omega_re, 2)
         worst_res = max(worst_res, residual)
     report(
         "acceptance 4: steering preserves the block structure, Markov CMI vanishes",
@@ -170,8 +169,8 @@ def test_acceptance_5_data_processing_inequality():
     for _ in range(100):
         mspec = families.random_markov_state_spec(2, BLOCKS, 2, rng)
         omega = families.build_markov_state(mspec)
-        us = random_haar_unitaries(10, mspec.d_s * 2, rng)
-        worst_delta = min(worst_delta, info.dpi_check(omega, 2, mspec.d_s, 2, us).min())
+        us = random_haar_unitaries(10, mspec.layout.d_s * 2, rng)
+        worst_delta = min(worst_delta, info.dpi_check(omega, 2, mspec.layout.d_s, 2, us).min())
     hunt = info.search_dpi_violation(
         ghz_state(), 2, 2, 2, np.random.default_rng(1055), draws=500
     )
@@ -243,7 +242,7 @@ def test_acceptance_8_non_cp_assignment_is_detected():
         u = random_haar_unitary(4, rng)
         psi = reduced_dynamics(u, assign.mat, 2, 2)
         ch = choi(psi)
-        best = min(best, min_eigenvalue((ch + dagger(ch)) / 2))
+        best = min(best, min_eigenvalue((ch + ch.conj().T) / 2))
         if best <= -0.01:
             break
     report(

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cpdyn.channels import (
     ChannelMap,
-    KrausSet,
     channel_from_function,
     channel_from_kraus,
     choi,
@@ -30,6 +29,7 @@ from cpdyn.tensor import (
     random_haar_unitary,
     random_hermitian,
     tr_e,
+    unvec,
     vec,
 )
 
@@ -59,7 +59,7 @@ def test_channel_apply_matches_function(rng):
     u = random_haar_unitary(d, rng)
     c = channel_from_function(lambda x: u @ x @ u.conj().T, d, d)
     x = random_hermitian(d, rng)
-    assert np.allclose(c.apply(x), u @ x @ u.conj().T)
+    assert np.allclose(unvec(c.mat @ vec(x)), u @ x @ u.conj().T)
 
 
 def test_choi_of_identity_is_maximally_entangled():
@@ -187,7 +187,7 @@ def test_reduced_dynamics_matches_direct_evaluation(rng):
     c = reduced_dynamics(u, product_assignment_matrix(omega, d_s), d_s, d_e)
     rho = random_density(d_s, d_s, rng)
     direct = partial_trace(u @ kron(rho, omega) @ u.conj().T, (d_s, d_e), keep=(0,))
-    assert np.allclose(c.apply(rho), direct)
+    assert np.allclose(unvec(c.mat @ vec(rho)), direct)
     with pytest.raises(ValueError):
         reduced_dynamics(np.eye(3), product_assignment_matrix(omega, d_s), d_s, d_e)
 
@@ -197,7 +197,8 @@ def test_fixed_env_kraus_construction_agrees_with_composition(rng):
         omega = random_density(d_e, d_e, rng)
         u = random_haar_unitary(d_s * d_e, rng)
         k = kraus_factorized(u, omega, d_s, d_e)
-        assert np.linalg.norm(k.closure() - np.eye(d_s)) < 1e-10
+        assert isinstance(k, np.ndarray) and k.shape == (d_e * d_e, d_s, d_s)
+        assert np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(d_s)) < 1e-10
         built = channel_from_kraus(k, d_s, d_s)
         via = reduced_dynamics(u, product_assignment_matrix(omega, d_s), d_s, d_e)
         assert choi_distance(built, via) < 1e-9
@@ -206,30 +207,27 @@ def test_fixed_env_kraus_construction_agrees_with_composition(rng):
 def channel_from_kraus_by_loop(k, d_in, d_out):
     """Reference: sum_i E_i kron conj(E_i), one kron per Kraus operator."""
     m = np.zeros((d_out**2, d_in**2), dtype=complex)
-    for op in k.operators:
+    for op in k:
         m += np.kron(op, op.conj())
     return m
 
 
 @pytest.mark.parametrize("d_in,d_out,n", [(2, 2, 0), (2, 2, 1), (2, 3, 4), (3, 2, 5), (8, 8, 64)])
 def test_channel_from_kraus_matches_the_kron_loop(rng, d_in, d_out, n):
-    k = KrausSet(
-        tuple(
-            rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
-            for _ in range(n)
-        )
-    )
+    # The operators as an (n, d_out, d_in) stack and as a tuple.
+    k = rng.normal(size=(n, d_out, d_in)) + 1j * rng.normal(size=(n, d_out, d_in))
     ref = channel_from_kraus_by_loop(k, d_in, d_out)
-    built = channel_from_kraus(k, d_in, d_out)
-    assert built.mat.shape == ref.shape
-    assert np.abs(built.mat - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    for ops in (k, tuple(k)):
+        built = channel_from_kraus(ops, d_in, d_out)
+        assert built.mat.shape == ref.shape
+        assert np.abs(built.mat - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_fixed_env_kraus_drops_zero_eigenvalues(rng):
     omega = np.diag([1.0, 0.0]).astype(complex)  # pure environment
     u = random_haar_unitary(4, rng)
     k = kraus_factorized(u, omega, 2, 2)
-    assert len(k.operators) == 2  # only d_e operators survive
+    assert k.shape == (2, 2, 2)  # only d_e operators survive
 
 
 def test_classical_quantum_kraus_agrees_on_basis_diagonal_states(rng):
@@ -247,7 +245,8 @@ def test_classical_quantum_kraus_agrees_on_basis_diagonal_states(rng):
         for i in range(d_s)
     )
     direct = partial_trace(u @ joint @ u.conj().T, (d_s, d_e), keep=(0,))
-    assert np.linalg.norm(k.apply(rho) - direct) < 1e-10
+    assert k.shape == (d_s * d_e * d_e, d_s, d_s)
+    assert np.linalg.norm(sum(e @ rho @ e.conj().T for e in k) - direct) < 1e-10
 
 
 def test_choi_distance_basics(rng):

@@ -549,6 +549,33 @@ def test_demo1_runs_at_ds_by_ds(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, ds",
+    [
+        (("verify-family", "--family", "markov-blocks"), 4),
+        (("verify-family", "--family", "kernel-extended", "--blocks", "1x1,2x1"), 3),
+        (("consistency", "--family", "steered"), 4),
+        (("consistency", "--family", "mixed-direct-sum", "--blocks", "2x1,1x3"), 5),
+        (("theorem1", "--family", "direct-sum", "--blocks", "3x1"), 3),
+    ],
+)
+def test_block_families_refuse_a_ds_other_than_their_layout_size(argv, ds, capsys):
+    family = argv[2]
+    err = refusal(capsys, *argv, "--ds", str(ds + 1), "--trials", "1")
+    assert f"error: --family {family} runs at d_s = {ds} from --blocks; --ds must equal it" in err
+    # An equal --ds is accepted and gives the default's report, config_hash too.
+    default, code = run_args(*argv, "--trials", "1", "--seed", "1")
+    equal, code_equal = run_args(*argv, "--ds", str(ds), "--trials", "1", "--seed", "1")
+    assert code == code_equal == 0 and default["config"]["ds"] == ds
+    assert strip_timing(equal) == strip_timing(default)
+
+
+@pytest.mark.parametrize("command", ["verify-family", "consistency", "theorem1"])
+def test_ds_defaults_to_two_outside_the_block_families(command):
+    report, code = run_args(command, "--family", "factorized", "--trials", "1", "--seed", "1")
+    assert code == 0 and report["config"]["ds"] == 2
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("consistency", "--family", "random", "--span-states", "0"),

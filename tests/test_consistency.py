@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdyn import channels, cli, consistency
+from cpdyn import channels, cli, consistency, tensor
 from cpdyn.channels import (
     ChannelMap,
     choi,
@@ -49,6 +49,7 @@ from cpdyn.tensor import (
     random_hermitian,
     swap_unitary,
     tr_e,
+    unvec,
     vec,
 )
 
@@ -201,7 +202,7 @@ def test_canonical_assignment_is_a_section(rng):
     from cpdyn.tensor import partial_trace
 
     rho_s = partial_trace(member, (spec.d_s, spec.d_e), keep=(0,))
-    lifted = assign.apply(rho_s)
+    lifted = unvec(assign.mat @ vec(rho_s))
     assert np.allclose(
         partial_trace(lifted, (spec.d_s, spec.d_e), keep=(0,)), rho_s, atol=1e-9
     )
@@ -211,7 +212,7 @@ def test_canonical_assignment_is_a_section(rng):
 def test_canonical_assignment_full_space_attaches_maximally_mixed(rng):
     assign = canonical_assignment(full_space(2, 3))
     rho = random_density(2, 2, rng)
-    assert np.allclose(assign.apply(rho), kron(rho, np.eye(3) / 3))
+    assert np.allclose(unvec(assign.mat @ vec(rho)), kron(rho, np.eye(3) / 3))
 
 
 def test_perturbation_keeps_trace_consistency(rng):
@@ -602,7 +603,8 @@ def _record_eigensolver_shapes(monkeypatch) -> list:
 @pytest.mark.parametrize("depth", [0.5, 0.9, 1.1, 2.0])
 def test_witness_near_the_tolerance_is_decided_densely(monkeypatch, d_s, d_e, depth):
     # The witness has no Kraus form, so the dense test decides at depth *
-    # tolerance, after the one Hermiticity check the hermitian flag made.
+    # tolerance.  The Hermiticity check inside psd_check settles the
+    # hermitian flag of a CP map; a map it refuses is checked once more.
     rng = np.random.default_rng(91)
     omega = random_density(d_e, d_e, rng)
     delta = random_hermitian(d_e, rng)
@@ -614,12 +616,46 @@ def test_witness_near_the_tolerance_is_decided_densely(monkeypatch, d_s, d_e, de
     ok, low = psd_check(a.choi())
     assert low == pytest.approx(-depth * tau, rel=1e-3)
     shapes = _record_eigensolver_shapes(monkeypatch)
-    checked = []
-    monkeypatch.setattr(
-        consistency, "is_hermitian", lambda m: checked.append(len(m)) or is_hermitian(m)
-    )
+    checked = _record_hermiticity_checks(monkeypatch)
     assert a.hermitian and a.cp == ok == (depth < 1)
-    assert a.choi().shape in shapes and len(checked) == 1
+    assert a.choi().shape in shapes and checked == [len(c0)] * (1 if ok else 2)
+
+
+def _record_hermiticity_checks(monkeypatch) -> list:
+    """Sides of every ``is_hermitian`` call made after this one, whether
+    ``consistency`` or ``tensor.psd_check`` makes it."""
+    checked = []
+
+    def recording(m, *rest, **kw):
+        checked.append(len(m))
+        return is_hermitian(m, *rest, **kw)
+
+    for module in (consistency, tensor):
+        monkeypatch.setattr(module, "is_hermitian", recording)
+    return checked
+
+
+def test_demo1_checks_its_assignment_choi_for_hermiticity_once(monkeypatch):
+    # Demo 1's canonical assignment carries only its matrix, so its flags
+    # read the side-512 Choi matrix at --ds 8; one check settles both.
+    checked = _record_hermiticity_checks(monkeypatch)
+    report, code = cli.run(["demo", "1", "--ds", "8", "--out", os.devnull])
+    assert code == 0 and report["summary"]["canonical_assignment_cp"]
+    assert checked.count(512) == 1
+
+
+def test_a_non_hermitian_perturbed_map_is_neither_hermitian_nor_cp(rng):
+    # A kernel step with an anti-Hermitian Choi matrix breaks Hermiticity
+    # while keeping trace consistency; psd_check refuses it, and the
+    # hermitian flag then reads its own check.
+    v = full_space(2, 2)
+    base = canonical_assignment(v)
+    v0_step = kron(np.eye(2), np.diag([1.0, -1.0]))  # Tr_E vanishes on it
+    delta = 0.1j * np.outer(vec(v0_step), vec(np.eye(2)))
+    a = perturb_assignment(base, delta, v)
+    assert a.kraus is None and a.trace_consistent
+    assert not is_hermitian(a.choi())
+    assert not a.hermitian and not a.cp
 
 
 @pytest.mark.parametrize("d_s,d_e", [(4, 4), (4, 8)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from cpdyn.families import (
     FamilyParams,
     KernelExtendedSpec,
     MarkovBlocksSpec,
+    MarkovStateSpec,
     SteeredSpec,
     block_slices,
     build_markov_state,
@@ -219,24 +222,24 @@ def test_markov_state_marginal_lies_in_block_family(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
     check_density(omega)
-    marg = partial_trace(omega, (2, mspec.d_s * 2), keep=(1,))
-    assert structure_fit(marg, mspec.blocks, mspec.omega_re, 2) < 1e-10
+    marg = partial_trace(omega, (2, mspec.layout.d_s * 2), keep=(1,))
+    assert structure_fit(marg, mspec.layout.blocks, mspec.layout.omega_re, 2) < 1e-10
 
 
 def test_steer_identity_recovers_marginal(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
     out = steer(omega, 2, np.eye(2))
-    assert np.allclose(out, partial_trace(omega, (2, mspec.d_s * 2), keep=(1,)))
+    assert np.allclose(out, partial_trace(omega, (2, mspec.layout.d_s * 2), keep=(1,)))
 
 
 def test_steered_members_stay_in_block_family(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
-    spec = SteeredSpec(2, mspec.d_s, 2, build_markov_state(mspec))
+    spec = SteeredSpec(2, mspec.layout.d_s, 2, build_markov_state(mspec))
     for _ in range(10):
         member = sample_member(spec, random_params(spec, rng))
         check_density(member)
-        assert structure_fit(member, mspec.blocks, mspec.omega_re, 2) < 1e-9
+        assert structure_fit(member, mspec.layout.blocks, mspec.layout.omega_re, 2) < 1e-9
 
 
 def test_steer_input_validation(rng):
@@ -280,11 +283,12 @@ def test_kernel_extension_changes_state_but_not_marginal(rng):
 
 def build_markov_state_by_loop(spec):
     """Reference: the explicit (a, l, r, e) index loop over each block."""
-    d_a, d_e, d_s = spec.d_a, spec.d_e, spec.d_s
+    lay = spec.layout
+    d_a, d_e, d_s = spec.d_a, lay.d_e, lay.d_s
     d = d_a * d_s * d_e
     out = np.zeros((d, d), dtype=complex)
     off = 0
-    for (l, r), q, wal, wre in zip(spec.blocks, spec.q, spec.omega_al, spec.omega_re):
+    for (l, r), q, wal, wre in zip(lay.blocks, spec.q, spec.omega_al, lay.omega_re):
         idx = []
         for a in range(d_a):
             for li in range(l):
@@ -307,9 +311,17 @@ def test_build_markov_state_matches_index_loop(blocks, d_e, d_a, rng):
     assert np.array_equal(build_markov_state(mspec), build_markov_state_by_loop(mspec))
     if d_a == 1:
         # With no ancilla the Markov state is a member of its block family.
-        spec = MarkovBlocksSpec(mspec.blocks, d_e, mspec.omega_re)
         params = FamilyParams(probs=mspec.q, states=mspec.omega_al)
-        assert np.array_equal(build_markov_state(mspec), sample_member(spec, params))
+        assert np.array_equal(build_markov_state(mspec), sample_member(mspec.layout, params))
+
+
+def test_markov_state_spec_refuses_a_framed_layout(rng):
+    # build_markov_state writes the blocks in the standard basis.
+    mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
+    framed = replace(mspec.layout, frame=random_haar_unitary(4, rng))
+    with pytest.raises(ValueError, match="unframed layout"):
+        MarkovStateSpec(2, mspec.q, mspec.omega_al, framed)
+    assert MarkovStateSpec(2, mspec.q, mspec.omega_al, mspec.layout).layout is mspec.layout
 
 
 @settings(max_examples=20, deadline=None)

@@ -291,7 +291,7 @@ def test_markov_span_contains_reads_the_structure_fit_residual(layout, d_e):
     args = _args("steered", cli._parse_blocks(layout), d_e=d_e)
     rng = np.random.default_rng(17)
     mspec, spec = cli._steered_draw(args, rng)
-    markov = families.MarkovBlocksSpec(args.blocks, d_e, mspec.omega_re)
+    markov = mspec.layout
     v = cli._family_span(markov)
     b = span_from_states(span_generators(markov), markov.d_s, d_e).basis
     d = markov.d_s * d_e
@@ -302,6 +302,25 @@ def test_markov_span_contains_reads_the_structure_fit_residual(layout, d_e):
         x = x.reshape(-1)
         assert abs(residual - np.linalg.norm(b @ (b.conj().T @ x) - x)) <= 1e-12
     assert [v.contains(x) for x in xs] == [True] * 5 + [False] * 2
+
+
+@pytest.mark.parametrize("layout, d_e", STEERED_CASES)
+def test_a_steered_trial_validates_each_density_once(monkeypatch, layout, d_e):
+    # The Markov state's layout is the steered trial's span: its omega_RE_i
+    # are validated when the layout is built and never again, so a trial
+    # checks the omega_RE_i, the omega_AL_i and omega_ASE once each.
+    seen = []
+
+    def recording(rho, name="state", _orig=families.check_density):
+        seen.append(rho)  # kept alive, so no id is reused
+        return _orig(rho, name)
+
+    monkeypatch.setattr(families, "check_density", recording)
+    args = _args("steered", cli._parse_blocks(layout), d_e=d_e)
+    args.seed, args.g = 5, "all"
+    rec = cli._verify_family_trial(args, 0)
+    assert rec["steered_in_span"]
+    assert len(seen) == len({id(x) for x in seen}) == 2 * len(args.blocks) + 1
 
 
 MARKOV_BLOCK_REPORTS = [

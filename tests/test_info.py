@@ -103,7 +103,7 @@ def test_cmi_vanishes_on_markov_states(rng):
     for _ in range(5):
         mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
         omega = build_markov_state(mspec)
-        cmi = conditional_mutual_information(omega, 2, mspec.d_s, 2)
+        cmi = conditional_mutual_information(omega, 2, mspec.layout.d_s, 2)
         assert abs(cmi) < 1e-9
 
 
@@ -115,8 +115,9 @@ def test_cmi_positive_on_ghz():
 def test_dpi_holds_on_markov_states(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
-    assert abs(conditional_mutual_information(omega, 2, mspec.d_s, 2)) < 1e-9
-    deltas = dpi_check(omega, 2, mspec.d_s, 2, random_haar_unitaries(10, mspec.d_s * 2, rng))
+    d_s = mspec.layout.d_s
+    assert abs(conditional_mutual_information(omega, 2, d_s, 2)) < 1e-9
+    deltas = dpi_check(omega, 2, d_s, 2, random_haar_unitaries(10, d_s * 2, rng))
     assert deltas.shape == (10,)
     assert deltas.min() >= -1e-9
 
@@ -124,7 +125,7 @@ def test_dpi_holds_on_markov_states(rng):
 def test_dpi_identity_evolution_is_neutral(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
-    deltas = dpi_check(omega, 2, mspec.d_s, 2, np.eye(mspec.d_s * 2)[None])
+    deltas = dpi_check(omega, 2, mspec.layout.d_s, 2, np.eye(mspec.layout.d_s * 2)[None])
     assert abs(deltas[0]) < 1e-10
 
 
@@ -132,9 +133,9 @@ def test_dpi_rejects_wrong_unitary_dimension(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
     with pytest.raises(ValueError):
-        dpi_check(omega, 2, mspec.d_s, 2, np.eye(2)[None])
+        dpi_check(omega, 2, mspec.layout.d_s, 2, np.eye(2)[None])
     with pytest.raises(ValueError, match="stack"):
-        dpi_check(omega, 2, mspec.d_s, 2, np.eye(mspec.d_s * 2))
+        dpi_check(omega, 2, mspec.layout.d_s, 2, np.eye(mspec.layout.d_s * 2))
 
 
 @pytest.mark.parametrize("shape", [(12, 12), (16, 8), (16,)])
@@ -229,7 +230,7 @@ def test_search_finds_ghz_violation():
 def test_search_reports_no_violation_on_markov_state(rng):
     mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
     omega = build_markov_state(mspec)
-    out = search_dpi_violation(omega, 2, mspec.d_s, 2, rng, draws=20)
+    out = search_dpi_violation(omega, 2, mspec.layout.d_s, 2, rng, draws=20)
     assert not out["found"]
     assert out["best_delta"] >= -1e-9
 

@@ -29,7 +29,7 @@ from cpdyn.consistency import (
     span_from_states,
     u_consistency_violation,
 )
-from cpdyn.tensor import dagger, kron, random_density, random_haar_unitary
+from cpdyn.tensor import kron, random_density, random_haar_unitary
 
 DIMS = [(d_s, d_e) for d_s in (2, 3, 4) for d_e in (2, 3, 4)]
 
@@ -64,14 +64,14 @@ def test_system_change_of_basis_conjugates_the_choi_matrix(d_s, d_e):
     w = random_haar_unitary(d_s, rng)
     w_se = kron(w, np.eye(d_e))
     v = span_from_states(states, d_s, d_e)
-    v_w = span_from_states([w_se @ s @ dagger(w_se) for s in states], d_s, d_e)
+    v_w = span_from_states([w_se @ s @ w_se.conj().T for s in states], d_s, d_e)
     assert v_w.dim == v.dim and kernel_tr_e(v_w).dim == kernel_tr_e(v).dim
     u = random_haar_unitary(d_s * d_e, rng)
-    u_w = w_se @ u @ dagger(w_se)
+    u_w = w_se @ u @ w_se.conj().T
     c = choi(reduced_dynamics(u, canonical_assignment(v).mat, d_s, d_e))
     c_w = choi(reduced_dynamics(u_w, canonical_assignment(v_w).mat, d_s, d_e))
     x = np.kron(w.conj(), w)
-    assert np.abs(c_w - x @ c @ dagger(x)).max() <= 1e-10 * max(1.0, np.abs(c).max())
+    assert np.abs(c_w - x @ c @ x.conj().T).max() <= 1e-10 * max(1.0, np.abs(c).max())
     assert np.isclose(
         u_consistency_violation(v_w, u_w), u_consistency_violation(v, u), rtol=1e-10
     )

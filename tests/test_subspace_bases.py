@@ -39,7 +39,7 @@ def test_full_space_and_its_kernel_are_orthonormal(d_s, d_e):
 
 def _family_span(family: str) -> OperatorSubspace:
     """V as `consistency --family` builds it, from the family's generators."""
-    args = SimpleNamespace(family=family, ds=2, de=2, da=2, blocks=((1, 2), (2, 1)))
+    args = SimpleNamespace(family=family, ds=None, de=2, da=2, blocks=((1, 2), (2, 1)))
     args.ds = cli._system_dim(args)
     return cli._build_subspace(args, np.random.default_rng(71))
 
