@@ -28,6 +28,7 @@ __all__ = [
     "is_tp",
     "kraus_factorized",
     "kraus_classical_quantum",
+    "product_dynamics_choi",
     "reduced_dynamics",
     "trace_out_env_matrix",
     "choi_distance",
@@ -140,6 +141,23 @@ def product_assignment_matrix(omega_e: np.ndarray, d_s: int) -> np.ndarray:
     # Row (s, e, t, f), column (i, j): <s|i> omega_E[e, f] <j|t>.
     m = np.einsum("si,tj,ef->setfij", eye, eye, omega_e)
     return m.reshape((d_s * d_e) ** 2, d_s * d_s)
+
+
+def product_dynamics_choi(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
+    """Choi matrix of x -> Tr_E(U (x kron omega_E) U^dag), contracted from
+    U and omega_E with no eigendecomposition and no Kraus operators.
+
+    With W = U (I kron omega_E), entry [(i, s), (j, t)] is
+    ``sum_(e, g) W[(s, e), (i, g)] conj(U)[(t, e), (j, g)]``: one
+    ``(d_s^2, d_e^2) x (d_e^2, d_s^2)`` product.
+    """
+    u = np.asarray(u, dtype=complex)
+    w = u.reshape(-1, d_s, d_e) @ np.asarray(omega_e, dtype=complex)
+
+    def by_input(m):  # m[(s, e), (i, g)] laid out as [(i, s), (e, g)]
+        return m.reshape(d_s, d_e, d_s, d_e).transpose(2, 0, 1, 3).reshape(d_s * d_s, -1)
+
+    return by_input(w) @ by_input(u.conj()).T
 
 
 def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> np.ndarray:

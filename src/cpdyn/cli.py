@@ -204,9 +204,11 @@ def _verify_family_trial(args, trial: int) -> dict:
     psi, verdict = consistency.reduced_dynamics_verdict(assign, u)
     rec = {"trial": trial, "unitary": label, **verdict, "assignment_cp": bool(assign.cp)}
     if args.family == "factorized":
+        # psi comes from the assignment's Kraus stack, which is kraus_factorized's
+        # set here; the contraction of U and omega_E builds no Kraus operators.
+        direct = channels.product_dynamics_choi(u, spec.omega_re[0], ds, de)
+        rec["construction_choi_distance"] = float(np.linalg.norm(channels.choi(psi) - direct))
         k = channels.kraus_factorized(u, spec.omega_re[0], ds, de)
-        direct = channels.channel_from_kraus(k, ds, ds)
-        rec["construction_choi_distance"] = channels.choi_distance(psi, direct)
         rec["kraus_closure_error"] = float(
             np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(ds))
         )

@@ -11,8 +11,9 @@ which gives both its ``kernel`` and its canonical assignment.  The full
 space, demo 1's V and the span of Markov-block states, in any frame,
 answer in closed form, with no factorization of Tr_E, and have no basis
 or kernel.  The Markov-block spans and the full space build their
-canonical assignments as Kraus stacks, so those are CP by construction;
-every other assignment is decided by the dense test of its Choi matrix.
+canonical assignments as Kraus stacks, so those are CP by construction
+and their reduced dynamics is contracted from the stack; every other
+assignment is decided by the dense test of its Choi matrix.
 A basis-backed subspace and a Markov-block span answer
 ``contains(x, tol)`` too.  The kernel parametrizes the freedom in
 choosing an assignment map; conjugating it into ker Tr_E again is unitary
@@ -36,12 +37,14 @@ from .channels import (
 )
 from .families import MarkovBlocksSpec, block_slices, in_frame, structure_fit
 from .tensor import (
+    hermitian_part_psd,
     is_hermitian,
     kron,
     psd_check,
     random_haar_unitary,
     swap_unitary,
     tr_e,
+    tr_e_kraus,
     vec,
 )
 
@@ -149,39 +152,59 @@ class OperatorSubspace:
         return bool(residual <= tol * max(1.0, np.linalg.norm(x)))
 
 
-@dataclass(frozen=True)
 class AssignmentMap:
     """Linear section of the environment trace on a declared domain.
 
     ``mat`` maps vec L(H_S) to vec L(H_S x H_E); ``domain_projector`` is the
     orthogonal projector onto Tr_E V inside vec L(H_S).  A map that is CP
     by construction is given instead by its Kraus stack ``kraus``, a plain
-    (n, d_s d_e, d_s) array, with ``mat`` None: ``mat`` is then
-    ``channels.channel_from_kraus`` of the stack, and ``hermitian`` and
-    ``cp`` are true with no Choi matrix built.  Otherwise both read one Choi
-    matrix, built when first read: ``cp`` is the dense ``psd_check``, which
-    checks Hermiticity too, and ``hermitian`` checks it again only when
-    ``cp`` is false.  ``choi()`` returns a copy of that matrix, and
-    ``trace_consistent`` is always read from ``mat``.
+    (n, d_s d_e, d_s) array, with ``mat`` None.  Then ``hermitian`` and
+    ``cp`` are true with no Choi matrix built, ``reduced`` contracts the
+    stack with ``tensor.tr_e_kraus``, and ``mat``, which is
+    ``channels.channel_from_kraus`` of the stack, is built only when a
+    caller reads it.  A map given by ``mat`` alone is reduced by
+    ``channels.reduced_dynamics``, and its ``hermitian`` and ``cp`` read one
+    Choi matrix, built when first read: one ``is_hermitian`` and, when that
+    holds, one ``eigvalsh`` of its Hermitian part.  ``choi()`` returns a
+    copy of that matrix.
     """
 
-    d_s: int
-    d_e: int
-    mat: np.ndarray | None = field(repr=False)
-    domain_projector: np.ndarray = field(repr=False)
-    kraus: np.ndarray | None = field(default=None, repr=False, kw_only=True)
-
-    def __post_init__(self):
-        if (self.mat is None) == (self.kraus is None):
+    def __init__(
+        self,
+        d_s: int,
+        d_e: int,
+        mat: np.ndarray | None,
+        domain_projector: np.ndarray,
+        *,
+        kraus: np.ndarray | None = None,
+    ):
+        if (mat is None) == (kraus is None):
             raise ValueError("an assignment takes exactly one of mat and kraus")
+        self.d_s, self.d_e = d_s, d_e
+        self.domain_projector, self.kraus = domain_projector, kraus
+        if mat is not None:
+            self.mat = mat
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The (d^2, d_s^2) matrix of a Kraus-backed map, built when first read."""
+        return channel_from_kraus(self.kraus, self.d_s, self.d_s * self.d_e).mat
+
+    def reduced(self, u: np.ndarray | None = None) -> ChannelMap:
+        """The channel Tr_E o Ad_U o the map on S, or Tr_E o the map for
+        ``u=None``: from the Kraus stack when there is one, else from
+        ``mat``."""
+        d_s, d_e = self.d_s, self.d_e
         if self.kraus is not None:
-            ch = channel_from_kraus(self.kraus, self.d_s, self.d_s * self.d_e)
-            object.__setattr__(self, "mat", ch.mat)
+            return channel_from_kraus(tr_e_kraus(self.kraus, d_s, d_e, u), d_s, d_s)
+        if u is None:
+            return ChannelMap(d_s, d_s, tr_e(self.mat, d_s, d_e))
+        return reduced_dynamics(u, self.mat, d_s, d_e)
 
     @cached_property
     def trace_consistent(self) -> bool:
         """Tr_E after the assignment is the projector onto the domain."""
-        residual = tr_e(self.mat, self.d_s, self.d_e) - self.domain_projector
+        residual = self.reduced().mat - self.domain_projector
         return bool(np.linalg.norm(residual) <= 1e-8 * max(1, self.d_s))
 
     @cached_property
@@ -191,12 +214,12 @@ class AssignmentMap:
     @cached_property
     def hermitian(self) -> bool:
         """The Choi matrix is Hermitian: the map preserves Hermiticity."""
-        return self.cp or bool(is_hermitian(self._choi))
+        return self.kraus is not None or bool(is_hermitian(self._choi))
 
     @cached_property
     def cp(self) -> bool:
         """The Choi matrix is PSD: the map is completely positive."""
-        return self.kraus is not None or psd_check(self._choi)[0]
+        return self.kraus is not None or (self.hermitian and hermitian_part_psd(self._choi)[0])
 
     def choi(self) -> np.ndarray:
         return self._choi.copy()
@@ -548,8 +571,12 @@ def witness_assignment(
 def reduced_dynamics_verdict(assign: AssignmentMap, u: np.ndarray) -> tuple[ChannelMap, dict]:
     """The reduced channel Psi = Tr_E o Ad_U o ``assign`` and its verdicts
     ``{cp, tp, min_choi_eigenvalue}``: CP and the least eigenvalue from the
-    Choi matrix of Psi, TP on the assignment's domain."""
-    psi = reduced_dynamics(u, assign.mat, assign.d_s, assign.d_e)
+    Choi matrix of Psi, TP on the assignment's domain.
+
+    Psi is ``assign.reduced(u)``: for a Kraus-backed assignment, the Gram
+    matrix of its operators ``(I kron <e|) U A_k``, with no (d^2, d_s^2)
+    matrix built; for a ``mat``-only one, ``channels.reduced_dynamics``."""
+    psi = assign.reduced(u)
     cp, min_eig = psd_check(choi(psi))
     tp = bool(is_tp_on_domain(psi, assign.domain_projector))
     return psi, {"cp": cp, "tp": tp, "min_choi_eigenvalue": min_eig}

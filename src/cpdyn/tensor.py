@@ -1,6 +1,6 @@
 """Dense complex linear algebra on tensor-product spaces: kron and vec,
-partial traces, Tr_E after Ad_U on operator stacks, Haar and Ginibre
-sampling, von Neumann entropy, and Hermitian/PSD/density checks.
+partial traces, Tr_E after Ad_U on operator and Kraus stacks, Haar and
+Ginibre sampling, von Neumann entropy, and Hermitian/PSD/density checks.
 
 Conventions used everywhere in this package:
 
@@ -26,6 +26,7 @@ __all__ = [
     "unvec",
     "partial_trace",
     "tr_e",
+    "tr_e_kraus",
     "random_haar_unitary",
     "random_haar_unitaries",
     "random_density",
@@ -35,6 +36,7 @@ __all__ = [
     "psd_tolerance",
     "min_eigenvalue",
     "is_hermitian",
+    "hermitian_part_psd",
     "psd_check",
     "check_density",
 ]
@@ -113,6 +115,27 @@ def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> n
     ux = (u @ x.reshape(d, d * n)).reshape(d_s, d_e * d, n)
     # Tr_E(U X_k U^dagger)[s, t] = sum_(e, c) conj(U)[(t, e), c] (U X_k)[(s, e), c].
     return (u.conj().reshape(d_s, d_e * d) @ ux).reshape(d_s * d_s, n)
+
+
+def tr_e_kraus(ops: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> np.ndarray:
+    """Kraus stack of ``x -> Tr_E(U Lambda(x) U^dagger)`` for the
+    ``(n, d, d_s)`` Kraus stack ``A`` of Lambda, ``d = d_s * d_e``.
+
+    The operators are ``B_(k, e) = (I kron <e|) U A_k``, an
+    ``(n d_e, d_s, d_s)`` stack; with ``u=None`` only the environment
+    trace is applied.  The cost is one ``(d, d) x (d, n d_s)`` product, a
+    reshape and a transpose; no ``(d^2, d_s^2)`` matrix is formed.
+    """
+    a = np.asarray(ops, dtype=complex)
+    n, d = len(a), d_s * d_e
+    if u is None:
+        # A_k[(s, e), j] at [k, s, e, j], read as B[(k, e), s, j].
+        t = a.reshape(n, d_s, d_e, d_s).transpose(0, 2, 1, 3)
+    else:
+        # (U A_k)[(s, e), j] at [(s, e), (k, j)], read as B[(k, e), s, j].
+        ua = np.asarray(u, dtype=complex) @ a.transpose(1, 0, 2).reshape(d, n * d_s)
+        t = ua.reshape(d_s, d_e, n, d_s).transpose(2, 1, 0, 3)
+    return t.reshape(n * d_e, d_s, d_s)
 
 
 def random_haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,17 +234,23 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return np.linalg.norm(_with_adjoint(m, np.subtract)) <= tol * max(1.0, np.linalg.norm(m))
 
 
-def psd_check(m: np.ndarray) -> tuple[bool, float]:
-    """Whether ``m`` is Hermitian and PSD down to the scale-aware tolerance,
-    and the least eigenvalue of its Hermitian part.
+def hermitian_part_psd(m: np.ndarray) -> tuple[bool, float]:
+    """Whether the Hermitian part of ``m`` is PSD down to the scale-aware
+    tolerance, and its least eigenvalue.
 
     One ``eigvalsh`` of the Hermitian part gives both the smallest
     eigenvalue and the scale ``max |lambda|``, its spectral norm.
     """
-    m = np.asarray(m)
-    w = np.linalg.eigvalsh(_hermitian_part(m))
-    ok = is_hermitian(m) and w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max()))
-    return bool(ok), float(w[0])
+    w = np.linalg.eigvalsh(_hermitian_part(np.asarray(m)))
+    return bool(w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max()))), float(w[0])
+
+
+def psd_check(m: np.ndarray) -> tuple[bool, float]:
+    """Whether ``m`` is Hermitian and PSD down to the scale-aware tolerance
+    (``is_hermitian`` and ``hermitian_part_psd``), and the least eigenvalue
+    of its Hermitian part."""
+    psd, low = hermitian_part_psd(m)
+    return bool(is_hermitian(m) and psd), low
 
 
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:

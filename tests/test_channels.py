@@ -15,6 +15,7 @@ from cpdyn.channels import (
     kraus_classical_quantum,
     kraus_factorized,
     product_assignment_matrix,
+    product_dynamics_choi,
     reduced_dynamics,
     trace_out_env_matrix,
 )
@@ -29,6 +30,7 @@ from cpdyn.tensor import (
     random_haar_unitary,
     random_hermitian,
     tr_e,
+    tr_e_kraus,
     unvec,
     vec,
 )
@@ -119,6 +121,23 @@ def test_tr_e_matches_dense_oracle(d_s, d_e, haar):
     assert np.abs(out - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("haar", [False, True])
+@pytest.mark.parametrize("d_s, d_e, n", [(2, 2, 1), (2, 3, 5), (3, 2, 4), (4, 4, 7)])
+def test_tr_e_kraus_matches_the_dense_oracle(d_s, d_e, n, haar):
+    # The Kraus route to Tr_E o Ad_U o Lambda against the dense matrices of
+    # Tr_E, Ad_U and Lambda = channel_from_kraus of the stack.
+    rng = np.random.default_rng(100 * d_s + 10 * d_e + haar)
+    d = d_s * d_e
+    a = rng.normal(size=(n, d, d_s)) + 1j * rng.normal(size=(n, d, d_s))
+    u = random_haar_unitary(d, rng) if haar else None
+    ad = np.eye(d * d) if u is None else np.kron(u, u.conj())
+    expected = trace_out_env_matrix(d_s, d_e) @ ad @ channel_from_kraus(a, d_s, d).mat
+    b = tr_e_kraus(a, d_s, d_e, u)
+    assert b.shape == (n * d_e, d_s, d_s)
+    out = channel_from_kraus(b, d_s, d_s).mat
+    assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
 def product_assignment_by_units(omega_e, d_s):
     """Per-matrix-unit construction of x -> x kron omega_E (the reference)."""
     d = d_s * omega_e.shape[0]
@@ -202,6 +221,29 @@ def test_fixed_env_kraus_construction_agrees_with_composition(rng):
         built = channel_from_kraus(k, d_s, d_s)
         via = reduced_dynamics(u, product_assignment_matrix(omega, d_s), d_s, d_e)
         assert choi_distance(built, via) < 1e-9
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2), (8, 8)])
+@pytest.mark.parametrize("spectrum", ["full", "rank-deficient"])
+def test_product_dynamics_choi_agrees_with_the_dense_composition(rng, d_s, d_e, spectrum):
+    # The contraction of U and omega_E against Tr_E o Ad_U applied to the
+    # product assignment matrix.  At a rank-deficient omega_E, whose
+    # eigenvalues at or below 1e-14 kraus_factorized drops, the two still
+    # agree, and so does the Kraus set.
+    _, v = np.linalg.eigh(random_hermitian(d_e, rng))
+    lam = rng.random(d_e)
+    if spectrum == "rank-deficient":
+        lam[: d_e // 2] = 0.0
+        lam[0] = 1e-15
+    lam /= lam.sum()
+    omega = (v * lam) @ v.conj().T
+    u = random_haar_unitary(d_s * d_e, rng)
+    direct = product_dynamics_choi(u, omega, d_s, d_e)
+    dense = choi(reduced_dynamics(u, product_assignment_matrix(omega, d_s), d_s, d_e))
+    assert np.abs(direct - dense).max() <= 1e-12
+    k = kraus_factorized(u, omega, d_s, d_e)
+    assert len(k) == d_e * (d_e if spectrum == "full" else d_e - d_e // 2)
+    assert np.abs(choi(channel_from_kraus(k, d_s, d_s)) - direct).max() <= 1e-12
 
 
 def channel_from_kraus_by_loop(k, d_in, d_out):

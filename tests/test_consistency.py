@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdyn import channels, cli, consistency, tensor
+from cpdyn import channels, cli, consistency, families, tensor
 from cpdyn.channels import (
     ChannelMap,
     choi,
@@ -603,8 +603,8 @@ def _record_eigensolver_shapes(monkeypatch) -> list:
 @pytest.mark.parametrize("depth", [0.5, 0.9, 1.1, 2.0])
 def test_witness_near_the_tolerance_is_decided_densely(monkeypatch, d_s, d_e, depth):
     # The witness has no Kraus form, so the dense test decides at depth *
-    # tolerance.  The Hermiticity check inside psd_check settles the
-    # hermitian flag of a CP map; a map it refuses is checked once more.
+    # tolerance: one Hermiticity check and one eigensolver, whatever the
+    # verdict.
     rng = np.random.default_rng(91)
     omega = random_density(d_e, d_e, rng)
     delta = random_hermitian(d_e, rng)
@@ -618,7 +618,7 @@ def test_witness_near_the_tolerance_is_decided_densely(monkeypatch, d_s, d_e, de
     shapes = _record_eigensolver_shapes(monkeypatch)
     checked = _record_hermiticity_checks(monkeypatch)
     assert a.hermitian and a.cp == ok == (depth < 1)
-    assert a.choi().shape in shapes and checked == [len(c0)] * (1 if ok else 2)
+    assert shapes == [c0.shape] and checked == [len(c0)]
 
 
 def _record_hermiticity_checks(monkeypatch) -> list:
@@ -642,6 +642,18 @@ def test_demo1_checks_its_assignment_choi_for_hermiticity_once(monkeypatch):
     report, code = cli.run(["demo", "1", "--ds", "8", "--out", os.devnull])
     assert code == 0 and report["summary"]["canonical_assignment_cp"]
     assert checked.count(512) == 1
+
+
+def test_a_non_cp_mat_only_assignment_checks_its_choi_once(monkeypatch):
+    # The steered canonical assignment is Hermitian and not CP; its side-32
+    # Choi matrix gets one Hermiticity check and one eigensolver.
+    shapes = _record_eigensolver_shapes(monkeypatch)
+    checked = _record_hermiticity_checks(monkeypatch)
+    report, code = cli.run(["theorem1", "--family", "steered", "--g", "all", "--trials", "1",
+                            "--seed", "1", "--out", os.devnull])
+    flags = report["theorem"]["assignment"]
+    assert flags["hermitian"] and not flags["cp"]
+    assert checked.count(32) == 1 and shapes.count((32, 32)) == 1
 
 
 def test_a_non_hermitian_perturbed_map_is_neither_hermitian_nor_cp(rng):
@@ -723,3 +735,106 @@ def test_kraus_backed_assignment_cp_builds_no_assignment_choi(monkeypatch, tmp_p
         assert all(t["assignment_cp"] for t in report["trials"])
     else:
         assert report["theorem"]["assignment"]["cp"]
+
+
+# The Kraus route to the reduced dynamics against the dense path: the
+# assignment matrix, channels.reduced_dynamics and tensor.tr_e on it.
+
+def _kraus_backed_assignment(case, size, seed):
+    """A Kraus-backed assignment the reports build: the verify-family
+    steered trial's layout section (``--da 2``, ``--blocks`` ``size``),
+    demo 1's product at ``--ds size``, else ``_family_assignment``."""
+    if case == "steered":
+        blocks, d_e = size
+        rng = np.random.default_rng(seed)
+        layout = families.random_markov_state_spec(2, blocks, d_e, rng).layout
+        return markov_block_space(layout).canonical_assignment()
+    if case == "demo1-product":
+        omega_e = (np.diag([0.7, 0.3]) if size == 2 else np.eye(size) / size).astype(complex)
+        spec = MarkovBlocksSpec(((size, 1),), size, (omega_e,))
+        return markov_block_space(spec).canonical_assignment()
+    return _family_assignment(case, size, seed)
+
+
+KRAUS_ROUTE_CASES = (
+    [("factorized", (2, 2)), ("factorized", (8, 8))]
+    + [("classical-quantum", (4, 2)), ("classical-quantum", (8, 8))]
+    + [(family, d_e) for family in cli.BLOCK_FAMILIES if family != "steered" for d_e in (2, 8)]
+    + [("steered", (((1, 2), (2, 1)), 2)), ("steered", (((2, 2), (2, 2)), 4))]
+    + [("full", (2, 2)), ("full", (4, 8))]
+    + [("demo1-product", d_s) for d_s in (2, 3, 8)]
+)
+
+
+def _size_id(size) -> str:
+    if isinstance(size, int):
+        return str(size)
+    if isinstance(size[0], int):
+        return "x".join(map(str, size))
+    blocks, d_e = size
+    return ",".join(f"{l}x{r}" for l, r in blocks) + f"-de{d_e}"
+
+
+@pytest.mark.parametrize("g", ["all", "local"])
+@pytest.mark.parametrize(
+    "case,size", KRAUS_ROUTE_CASES, ids=[f"{c}-{_size_id(s)}" for c, s in KRAUS_ROUTE_CASES]
+)
+def test_kraus_route_agrees_with_the_dense_path(case, size, g):
+    for seed in (1, 2):
+        a = _kraus_backed_assignment(case, size, seed)
+        d_s, d_e = a.d_s, a.d_e
+        (_, u), = sample_unitaries(g, 1, d_s, d_e, np.random.default_rng([seed, 7]))
+        psi, verdict = consistency.reduced_dynamics_verdict(a, u)
+        traced = a.reduced()
+        assert a.kraus is not None and a.trace_consistent
+        assert "mat" not in vars(a)  # nothing above built the assignment matrix
+        dense = reduced_dynamics(u, a.mat, d_s, d_e)
+        assert np.abs(choi(psi) - choi(dense)).max() <= 1e-12
+        assert verdict["cp"] == psd_check(choi(dense))[0]
+        assert verdict["tp"] == is_tp_on_domain(dense, a.domain_projector)
+        on_e = tr_e(a.mat, d_s, d_e)
+        assert np.abs(traced.mat - on_e).max() <= 1e-12
+        assert np.linalg.norm(on_e - a.domain_projector) <= 1e-8 * max(1, d_s)
+        kraus_mat = channels.channel_from_kraus(a.kraus, d_s, d_s * d_e).mat
+        assert np.abs(a.mat - kraus_mat).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-family", "--family", "factorized", "--ds", "8", "--de", "8", "--trials", "1"],
+        [
+            "theorem1", "--family", "markov-blocks", "--blocks", "2x2,2x2",
+            "--de", "8", "--g", "local", "--trials", "1",
+        ],
+        ["verify-family", "--family", "markov-blocks", "--blocks", "2x2,2x2", "--de", "8",
+         "--trials", "2"],
+        ["verify-family", "--family", "steered", "--trials", "2"],
+        ["verify-family", "--family", "classical-quantum", "--ds", "4", "--de", "4", "--trials", "2"],
+        ["theorem1", "--family", "classical-quantum", "--ds", "4", "--de", "2", "--trials", "2"],
+        ["theorem1", "--family", "full", "--ds", "2", "--de", "4", "--trials", "2"],
+    ],
+    ids=["cap-verify-family", "cap-theorem1", "markov-blocks", "steered", "classical-quantum",
+         "theorem1-classical-quantum", "theorem1-full"],
+)
+def test_kraus_backed_reports_build_no_assignment_matrix(monkeypatch, argv):
+    # Every channel_from_kraus call is square (the reduced channel and the
+    # domain projector, on S), tr_e meets no (d^2, d_s^2) assignment matrix,
+    # and the dense channels.reduced_dynamics is not called.
+    squares, traced, dense = [], [], []
+
+    def from_kraus(ops, d_in, d_out, _orig=channels.channel_from_kraus):
+        squares.append(d_in == d_out)
+        return _orig(ops, d_in, d_out)
+
+    def recording_tr_e(cols, d_s, d_e, u=None, _orig=tr_e):
+        traced.append(np.shape(cols) == ((d_s * d_e) ** 2, d_s * d_s))
+        return _orig(cols, d_s, d_e, u)
+
+    monkeypatch.setattr(consistency, "channel_from_kraus", from_kraus)
+    monkeypatch.setattr(consistency, "reduced_dynamics", lambda *a: dense.append(a))
+    for module in (consistency, channels, cli):
+        monkeypatch.setattr(module, "tr_e", recording_tr_e)
+    report, code = cli.run([*argv, "--seed", "1", "--out", os.devnull])
+    assert code == 0
+    assert squares and all(squares) and not any(traced) and not dense
