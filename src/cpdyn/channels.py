@@ -9,6 +9,10 @@ operators.
 
 The Choi matrix is the unnormalized ``C = sum_ij |i><j| kron Psi(|i><j|)``;
 it is PSD exactly when the map is completely positive.
+
+Leading axes are batch axes, a stack of trials, in ``ChannelMap``,
+``channel_from_kraus``, ``choi``, ``is_tp_on_domain`` and
+``product_dynamics_choi``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import psd_check, tr_e, vec
+from .tensor import _scalar, _transpose_last, frobenius, psd_check, tr_e, vec
 
 __all__ = [
     "ChannelMap",
@@ -37,7 +41,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelMap:
-    """Matrix representation of a linear map on vectorized operators."""
+    """Matrix representation of a linear map on vectorized operators, or a
+    stack of them along the leading axes of ``mat``."""
 
     d_in: int
     d_out: int
@@ -45,7 +50,7 @@ class ChannelMap:
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (self.d_out**2, self.d_in**2):
+        if m.shape[-2:] != (self.d_out**2, self.d_in**2):
             raise ValueError(
                 f"channel matrix shape {m.shape}, expected "
                 f"({self.d_out**2}, {self.d_in**2})"
@@ -69,16 +74,19 @@ def channel_from_kraus(ops, d_in: int, d_out: int) -> ChannelMap:
     sequence, of Kraus operators, as one product: with the operators
     stacked as rows e[i, (a, b)], entry [(a, c), (b, d)] is
     ``(e^T conj(e))[(a, b), (c, d)]``."""
-    e = np.asarray(ops, dtype=complex).reshape(-1, d_out * d_in)
-    m = (e.T @ e.conj()).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
-    return ChannelMap(d_in, d_out, m.reshape(d_out**2, d_in**2))
+    ops = np.asarray(ops, dtype=complex)
+    batch = ops.shape[:-3]
+    e = ops.reshape(batch + (-1, d_out * d_in))
+    m = (e.swapaxes(-1, -2) @ e.conj()).reshape(batch + (d_out, d_in, d_out, d_in))
+    return ChannelMap(d_in, d_out, m.swapaxes(-3, -2).reshape(batch + (d_out**2, d_in**2)))
 
 
 def choi(c: ChannelMap) -> np.ndarray:
     """Choi matrix C = sum_ij |i><j| kron Psi(|i><j|), unnormalized."""
     d_in, d_out = c.d_in, c.d_out
-    t = c.mat.reshape(d_out, d_out, d_in, d_in)
-    return t.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
+    batch = c.mat.shape[:-2]
+    t = _transpose_last(c.mat.reshape(batch + (d_out, d_out, d_in, d_in)), 2, 0, 3, 1)
+    return t.reshape(batch + (d_in * d_out, d_in * d_out))
 
 
 def is_cp(ch: np.ndarray) -> bool:
@@ -99,7 +107,7 @@ def is_tp_on_domain(c: ChannelMap, domain_projector: np.ndarray, tol: float = 1e
     """
     lhs = vec(np.eye(c.d_out)).conj() @ (c.mat @ domain_projector)
     rhs = vec(np.eye(c.d_in)).conj() @ domain_projector
-    return bool(np.linalg.norm(lhs - rhs) <= tol * c.d_in)
+    return _scalar(frobenius(lhs - rhs, axes=1) <= tol * c.d_in)
 
 
 def trace_out_env_matrix(d_s: int, d_e: int) -> np.ndarray:
@@ -152,12 +160,15 @@ def product_dynamics_choi(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int
     ``(d_s^2, d_e^2) x (d_e^2, d_s^2)`` product.
     """
     u = np.asarray(u, dtype=complex)
-    w = u.reshape(-1, d_s, d_e) @ np.asarray(omega_e, dtype=complex)
+    rows = u.shape[:-1] + (d_s, d_e)  # U[(s, e), (i, g)] at [..., (s, e), i, g]
+    w = u.reshape(rows) @ np.asarray(omega_e, dtype=complex)[..., None, :, :]
 
     def by_input(m):  # m[(s, e), (i, g)] laid out as [(i, s), (e, g)]
-        return m.reshape(d_s, d_e, d_s, d_e).transpose(2, 0, 1, 3).reshape(d_s * d_s, -1)
+        batch = m.shape[:-3]
+        m = _transpose_last(m.reshape(batch + (d_s, d_e, d_s, d_e)), 2, 0, 1, 3)
+        return m.reshape(batch + (d_s * d_s, -1))
 
-    return by_input(w) @ by_input(u.conj()).T
+    return by_input(w) @ by_input(u.conj().reshape(rows)).swapaxes(-1, -2)
 
 
 def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> np.ndarray:

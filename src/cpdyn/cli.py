@@ -15,6 +15,13 @@ the ``wall_time_s`` field.  ``verify-family`` and ``dpi`` trials draw from
 RNG streams seeded with the pair ``[seed, trial_index]``; ``consistency``,
 ``theorem1`` and ``demo`` draw their unitaries once, from the seed's stream.
 
+``verify-family`` runs in two phases.  Each trial draws its spec, its
+member's parameters and its unitary from its own stream, in the order a
+lone trial takes them; the trials are then checked as one stack, along a
+leading trial axis.  A stack's largest arrays hold at most
+``_STACK_ENTRIES`` complex entries, so memory does not grow with
+``--trials``, and it records what each trial would record alone.
+
 Exit codes: 0 when the summary pass flag is set, 1 when a verdict failed,
 and 2 for a usage or configuration error (a malformed flag, a dimension
 over the cap, a unitary set the configuration cannot take), which prints
@@ -42,7 +49,7 @@ from .consistency import (
     span_from_states,
     theorem1_verify,
 )
-from .tensor import random_density, random_haar_unitary, tr_e, vec
+from .tensor import frobenius, haar_unitaries, random_density, tr_e, vec
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_DIM = 64
@@ -51,6 +58,13 @@ MAX_TOTAL_DIM = 64
 # alike, which a smaller tolerance would report as a counterexample.
 TOL_FLOOR = 1e-12
 DEFAULT_SEED = 2024
+# The complex entries the largest arrays of one stack of verify-family
+# trials may hold: per trial, its assignment's Kraus stack, U and the Choi
+# matrix of its reduced channel (see _stack_length).  A trial at the
+# default layout holds at most 640, so the 50 default trials are one
+# stack; one at --blocks 2x2,2x2 --de 8 holds 40960, a stack of its own.
+# So the peak memory of a run does not grow with --trials.
+_STACK_ENTRIES = 1 << 15
 
 # Families whose system dimension comes from the block layout.
 BLOCK_FAMILIES = (
@@ -124,11 +138,17 @@ def _check_dims(*dims: int):
         _refuse(f"total dimension {total} exceeds the hard cap {MAX_TOTAL_DIM}")
 
 
+def _steered(args, q, omega_al, omega_re):
+    """A Markov state spec from its draws, and the steered family of its state."""
+    layout = families.MarkovBlocksSpec(args.blocks, args.de, omega_re)
+    mspec = families.MarkovStateSpec(args.da, q, omega_al, layout)
+    state = families.build_markov_state(mspec)
+    return mspec, families.SteeredSpec(args.da, layout.d_s, args.de, state)
+
+
 def _steered_draw(args, rng: np.random.Generator):
     """A random Markov state spec and the steered family of its state."""
-    mspec = families.random_markov_state_spec(args.da, args.blocks, args.de, rng)
-    state = families.build_markov_state(mspec)
-    return mspec, families.SteeredSpec(args.da, mspec.layout.d_s, args.de, state)
+    return _steered(args, *families.markov_state_draws(args.da, args.blocks, args.de, rng))
 
 
 def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
@@ -152,27 +172,44 @@ def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _random_spec(family: str, args, rng: np.random.Generator):
+def _spec_draws(family: str, args, rng: np.random.Generator) -> dict:
+    """The draws behind a random spec of a family other than steered, in
+    stream order: classical-quantum's frame, the Ginibre pair of the Haar
+    basis b_i, first; then every omega_RE_i; then kernel-extended's
+    Gaussian directions."""
     ds, de = args.ds, args.de
-    if family == "steered":
-        return _steered_draw(args, rng)[1]
-    # Classical-quantum draws its frame, the Haar basis b_i, first.
-    frame = random_haar_unitary(ds, rng) if family == "classical-quantum" else None
-    layout = _layout(family, args)
-    spec = families.MarkovBlocksSpec(
-        layout, de, tuple(random_density(r * de, r * de, rng) for _, r in layout), frame
-    )
+    draws = {}
+    if family == "classical-quantum":
+        draws["frame"] = rng.normal(size=(2, ds, ds))
+    draws["omega_re"] = tuple(random_density(r * de, r * de, rng) for _, r in _layout(family, args))
+    if family == "kernel-extended":
+        d = ds * de
+        n_dir = min(3, d * d - ds * ds)
+        draws["directions"] = rng.normal(size=(d * d, n_dir)) + 1j * rng.normal(size=(d * d, n_dir))
+    return draws
+
+
+def _spec_from(family: str, args, draws: dict):
+    """The spec that ``_spec_draws`` drew, validated; draws stacked along
+    leading trial axes give a stack of specs."""
+    ds, de = args.ds, args.de
+    frame = haar_unitaries(draws["frame"]) if "frame" in draws else None
+    spec = families.MarkovBlocksSpec(_layout(family, args), de, draws["omega_re"], frame)
     if family != "kernel-extended":
         return spec
     # Gaussian directions projected onto ker Tr_E, X - Tr_E(X) kron I/d_E:
     # Tr_E is a co-isometry up to the factor d_E, so this is the
     # orthogonal projection, and no kernel basis is built.
-    d = ds * de
-    n_dir = min(3, d * d - ds * ds)
-    x = rng.normal(size=(d * d, n_dir)) + 1j * rng.normal(size=(d * d, n_dir))
-    t = tr_e(x, ds, de).reshape(ds, ds, n_dir)
-    x -= np.einsum("abk,ef->aebfk", t, np.eye(de) / de).reshape(d * d, n_dir)
+    x = draws["directions"]
+    t = tr_e(x, ds, de).reshape(x.shape[:-2] + (ds, ds, -1))
+    x = x - np.einsum("...abk,ef->...aebfk", t, np.eye(de) / de).reshape(x.shape)
     return families.KernelExtendedSpec(spec, np.linalg.qr(x)[0])
+
+
+def _random_spec(family: str, args, rng: np.random.Generator):
+    if family == "steered":
+        return _steered_draw(args, rng)[1]
+    return _spec_from(family, args, _spec_draws(family, args, rng))
 
 
 def _family_span(spec):
@@ -185,39 +222,88 @@ def _family_span(spec):
     return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
 
 
-def _verify_family_trial(args, trial: int) -> dict:
-    rng = _trial_rng(args.seed, trial)
-    # The assignment is built from the span of the widest family containing
-    # the trial's members: steered sets take the layout of their Markov
-    # state, kernel extensions their base.
-    if args.family == "steered":
-        mspec, spec = _steered_draw(args, rng)
+def _stack(items):
+    """The draws of several trials as the draws of one stack: arrays stack
+    along a new leading axis, tuples and dicts entry by entry, and a tuple
+    of numbers (a distribution over blocks) becomes a (trials, blocks)
+    array."""
+    x = items[0]
+    if isinstance(x, dict):
+        return {k: _stack([item[k] for item in items]) for k in x}
+    if isinstance(x, tuple) and not (x and np.isscalar(x[0])):
+        return tuple(_stack(list(col)) for col in zip(*items))
+    return np.array(items)
+
+
+def _stack_length(args) -> int:
+    """Trials per stack: as many as keep their largest arrays within
+    ``_STACK_ENTRIES``, and at least one.  A trial holds the Kraus stack of
+    its assignment, sum_i r_i^2 d_E operators of shape (d, d_s), its
+    (d, d) unitary and the (d_s^2, d_s^2) Choi matrix of its channel."""
+    ds, d = args.ds, args.ds * args.de
+    blocks = args.blocks if args.family == "steered" else _layout(args.family, args)
+    n = sum(r * r for _, r in blocks) * args.de
+    return max(1, _STACK_ENTRIES // (n * d * ds + d * d + ds**4))
+
+
+def _verify_stack(args, trials: range) -> list[dict]:
+    """The records of ``trials``, drawn one stream each and checked as one
+    stack.
+
+    Each stream is drawn from in the order of a lone trial: its spec, a
+    markov-blocks member's parameters, its unitary, then a steered
+    member's parameters.  The assignment is built from the span of the
+    widest family containing the trial's members: steered sets take the
+    layout of their Markov state, kernel extensions their base.
+    """
+    family, ds, de = args.family, args.ds, args.de
+    rngs = [_trial_rng(args.seed, t) for t in trials]
+    if family == "steered":
+        draws = [families.markov_state_draws(args.da, args.blocks, de, rng) for rng in rngs]
+        mspec, spec = _steered(args, *_stack(draws))
         v = markov_block_space(mspec.layout)
     else:
-        spec = _random_spec(args.family, args, rng)
+        spec = _spec_from(family, args, _stack([_spec_draws(family, args, rng) for rng in rngs]))
         v = _family_span(spec)
-    ds, de = spec.d_s, spec.d_e
     assign = canonical_assignment(v)
-    if args.family == "markov-blocks":
-        member = families.sample_member(spec, families.random_params(spec, rng))
-    label, u = consistency.sample_unitaries(args.g, 1, ds, de, rng)[0]
+    if family == "markov-blocks":
+        params = [families.random_params(spec, rng) for rng in rngs]
+        member = families.sample_member(
+            spec, families.FamilyParams(*_stack([(p.probs, p.states) for p in params]))
+        )
+    draws = _stack([consistency.unitary_draws(args.g, ds, de, rng) for rng in rngs])
+    stem, u = consistency.unitaries_from_draws(args.g, draws, ds, de)
+    label = stem if args.g == "swap" else f"{stem}_0"
+    u = np.broadcast_to(u, (len(trials),) + u.shape[-2:])
     psi, verdict = consistency.reduced_dynamics_verdict(assign, u)
-    rec = {"trial": trial, "unitary": label, **verdict, "assignment_cp": bool(assign.cp)}
-    if args.family == "factorized":
+    cols = dict(verdict)
+    if family == "factorized":
         # psi comes from the assignment's Kraus stack, which is kraus_factorized's
         # set here; the contraction of U and omega_E builds no Kraus operators.
-        direct = channels.product_dynamics_choi(u, spec.omega_re[0], ds, de)
-        rec["construction_choi_distance"] = float(np.linalg.norm(channels.choi(psi) - direct))
-        k = channels.kraus_factorized(u, spec.omega_re[0], ds, de)
-        rec["kraus_closure_error"] = float(
-            np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(ds))
+        omega_e = spec.omega_re[0]
+        direct = channels.product_dynamics_choi(u, omega_e, ds, de)
+        cols["construction_choi_distance"] = frobenius(channels.choi(psi) - direct)
+        # kraus_factorized drops eigenvalues of omega_E at or below 1e-14,
+        # so its sets differ in length from trial to trial.
+        kraus = [channels.kraus_factorized(*uw, ds, de) for uw in zip(u, omega_e)]
+        cols["kraus_closure_error"] = np.array(
+            [np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(ds)) for k in kraus]
         )
-    if args.family == "markov-blocks":
-        rec["structure_residual"] = families.structure_fit(member, spec.blocks, spec.omega_re, de)
-    if args.family == "steered":
-        member = families.sample_member(spec, families.random_params(spec, rng))
-        rec["steered_in_span"] = bool(v.contains(member))
-    return rec
+    if family == "markov-blocks":
+        cols["structure_residual"] = families.structure_fit(member, spec.blocks, spec.omega_re, de)
+    if family == "steered":
+        p_a = np.stack([families.random_params(spec, rng).p_a for rng in rngs])
+        member = families.sample_member(spec, families.FamilyParams(p_a=p_a))
+        cols["steered_in_span"] = v.contains(member)
+    return [
+        {
+            "trial": t,
+            "unitary": label,
+            "assignment_cp": bool(assign.cp),
+            **{k: col[i].item() for k, col in cols.items()},
+        }
+        for i, t in enumerate(trials)
+    ]
 
 
 def _system_dim(args) -> int:
@@ -246,7 +332,12 @@ def cmd_verify_family(args) -> dict:
     _check_swap(args.g, ds, args.de)
     if args.family == "kernel-extended" and args.g == "all":
         _refuse("--g all voids the kernel freedom of kernel-extended; use --g local or swap")
-    trials = [_verify_family_trial(args, t) for t in range(args.trials)]
+    step = _stack_length(args)
+    trials = [
+        rec
+        for lo in range(0, args.trials, step)
+        for rec in _verify_stack(args, range(lo, min(lo + step, args.trials)))
+    ]
     ok = [t["cp"] and t["tp"] for t in trials]
     summary = {
         "pass": all(ok),

@@ -37,11 +37,13 @@ from .channels import (
 )
 from .families import MarkovBlocksSpec, block_slices, in_frame, structure_fit
 from .tensor import (
+    _scalar,
+    frobenius,
+    haar_unitaries,
     hermitian_part_psd,
     is_hermitian,
     kron,
     psd_check,
-    random_haar_unitary,
     swap_unitary,
     tr_e,
     tr_e_kraus,
@@ -59,6 +61,8 @@ __all__ = [
     "u_consistency_violation",
     "g_consistency_report",
     "sample_unitaries",
+    "unitary_draws",
+    "unitaries_from_draws",
     "canonical_assignment",
     "perturb_assignment",
     "witness_assignment",
@@ -338,15 +342,18 @@ class _MarkovBlockSpace:
     def __init__(self, spec: MarkovBlocksSpec):
         self.blocks, self.d_e, self.omega_re = spec.blocks, spec.d_e, spec.omega_re
         self.frame, self.d_s = spec.frame, spec.d_s
+        # The trial axes of a stacked spec: every array below carries them.
+        self.batch = np.shape(spec.omega_re[0])[:-2]
 
     @cached_property
     def _factors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per block: factors g of omega_RE_i and h of omega_R_i, and b_i."""
         out = []
         for (_, r), w in zip(self.blocks, self.omega_re):
-            w_r = np.einsum("aebe->ab", w.reshape(r, self.d_e, r, self.d_e))
+            w_r = np.einsum("...aebe->...ab", w.reshape(self.batch + (r, self.d_e, r, self.d_e)))
             h = _factor(w_r)
-            out.append((_factor(w), h, h.conj().T / np.linalg.norm(w_r)))
+            b = h.swapaxes(-1, -2).conj() / np.asarray(frobenius(w_r))[..., None, None]
+            out.append((_factor(w), h, b))
         return out
 
     def _kraus(self, d_f: int) -> np.ndarray:
@@ -354,19 +361,22 @@ class _MarkovBlockSpace:
         f_i, with f_i = omega_RE_i for d_f = d_E and omega_R_i for d_f = 1:
         the operators I_L_i kron g_j <k| b_i, zero off block i, in the
         frame, for g the factor of f_i."""
-        d_s, ts = self.d_s, []
+        d_s, batch, ts = self.d_s, self.batch, []
         for (_, r), (g, h, b) in zip(self.blocks, self._factors):
             g = g if d_f == self.d_e else h
-            ts.append(np.einsum("xj,ky->kjxy", g, b).reshape(-1, r * d_f, r))
-        k = np.zeros((sum(map(len, ts)), d_s * d_f, d_s), dtype=complex)
+            ts.append(np.einsum("...xj,...ky->...kjxy", g, b).reshape(batch + (-1, r * d_f, r)))
+        n = sum(t.shape[-3] for t in ts)
+        k = np.zeros(batch + (n, d_s * d_f, d_s), dtype=complex)
         lo = 0
         for (_, r, s), t in zip(block_slices(self.blocks), ts):
+            hi = lo + t.shape[-3]
             for a in range(s.start, s.stop, r):  # the l_i diagonal copies
-                k[lo : lo + len(t), a * d_f : (a + r) * d_f, a : a + r] = t
-            lo += len(t)
+                k[..., lo:hi, a * d_f : (a + r) * d_f, a : a + r] = t
+            lo = hi
         if self.frame is not None:
-            f = self.frame
-            k = (f @ (k @ f.conj().T).reshape(len(k), d_s, -1)).reshape(k.shape)
+            f = self.frame[..., None, :, :]
+            fk = (k @ f.swapaxes(-1, -2).conj()).reshape(batch + (n, d_s, -1))
+            k = (f @ fk).reshape(k.shape)
         return k
 
     @property
@@ -394,18 +404,19 @@ class _MarkovBlockSpace:
         of each diagonal block x_ii onto the span of the E_ab kron
         omega_RE_i, and it drops every off-block entry."""
         if self.frame is not None:
-            x = in_frame(x, self.frame.conj().T, self.d_e)
+            x = in_frame(x, self.frame.swapaxes(-1, -2).conj(), self.d_e)
         residual = structure_fit(x, self.blocks, self.omega_re, self.d_e)
-        return bool(residual <= tol * max(1.0, np.linalg.norm(x)))
+        return _scalar(residual <= tol * np.maximum(1.0, frobenius(x)))
 
 
 def _factor(w: np.ndarray) -> np.ndarray:
-    """g with g g^dag = w for a PSD ``w``, from one ``eigh`` (none at 1 x 1),
-    with rounding below zero in its eigenvalues clipped."""
-    if len(w) == 1:
+    """g with g g^dag = w for a PSD ``w``, or each of a stack, from one
+    ``eigh`` (none at 1 x 1), with rounding below zero in its eigenvalues
+    clipped."""
+    if w.shape[-1] == 1:
         return np.sqrt(np.maximum(w.real, 0.0)) + 0j
     lam, q = np.linalg.eigh(w)
-    return q * np.sqrt(np.maximum(lam, 0.0))
+    return q * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
 
 
 def markov_block_space(spec: MarkovBlocksSpec) -> _MarkovBlockSpace:
@@ -462,20 +473,35 @@ def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generato
     """``n`` labelled unitaries drawn from the set named ``g``: ``"all"``
     (Haar on S x E), ``"local"`` (Haar products U_S x U_E) or ``"swap"``
     (the one swap, whatever ``n``)."""
+    draws = [unitary_draws(g, d_s, d_e, rng) for _ in range(n)]
+    stem, us = unitaries_from_draws(g, tuple(map(np.stack, zip(*draws))), d_s, d_e)
+    return [(stem, us)] if g == "swap" else [(f"{stem}_{i}", u) for i, u in enumerate(us)]
+
+
+def unitary_draws(g: str, d_s: int, d_e: int, rng: np.random.Generator) -> tuple:
+    """The normal draws behind one unitary of the set named ``g``, in stream
+    order: a Ginibre pair (see ``tensor.haar_unitaries``) on S x E for
+    ``"all"``, one on S and then one on E for ``"local"``, none for
+    ``"swap"``."""
     if g == "all":
-        return [(f"haar_{i}", random_haar_unitary(d_s * d_e, rng)) for i in range(n)]
+        return (rng.normal(size=(2, d_s * d_e, d_s * d_e)),)
     if g == "local":
-        return [
-            (
-                f"local_{i}",
-                kron(random_haar_unitary(d_s, rng), random_haar_unitary(d_e, rng)),
-            )
-            for i in range(n)
-        ]
+        return rng.normal(size=(2, d_s, d_s)), rng.normal(size=(2, d_e, d_e))
+    return ()
+
+
+def unitaries_from_draws(g: str, draws: tuple, d_s: int, d_e: int) -> tuple[str, np.ndarray]:
+    """The label stem and the unitaries of the set named ``g`` built from
+    ``unitary_draws``, stacked along leading axes: one QR per stack.  The
+    swap is the one matrix, whatever the draws."""
+    if g == "all":
+        return "haar", haar_unitaries(draws[0])
+    if g == "local":
+        return "local", kron(haar_unitaries(draws[0]), haar_unitaries(draws[1]))
     if g == "swap":
         if d_s != d_e:
             raise ValueError("swap needs equal system and environment dimensions")
-        return [("swap", swap_unitary(d_s))]
+        return "swap", swap_unitary(d_s)
     raise ValueError(f"unknown unitary set {g!r}")
 
 
@@ -578,7 +604,7 @@ def reduced_dynamics_verdict(assign: AssignmentMap, u: np.ndarray) -> tuple[Chan
     matrix built; for a ``mat``-only one, ``channels.reduced_dynamics``."""
     psi = assign.reduced(u)
     cp, min_eig = psd_check(choi(psi))
-    tp = bool(is_tp_on_domain(psi, assign.domain_projector))
+    tp = is_tp_on_domain(psi, assign.domain_projector)
     return psi, {"cp": cp, "tp": tp, "min_choi_eigenvalue": min_eig}
 
 

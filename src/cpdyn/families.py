@@ -18,6 +18,12 @@ A tripartite Markov state directsum_i q_i omega_AL_i kron omega_RE_i,
 ``MarkovStateSpec``, is its ancilla half on such a layout: it holds q and
 the omega_AL_i, and its ``layout`` holds the blocks, d_E and the
 omega_RE_i that the family it steers to shares.
+
+A spec whose arrays carry a leading trial axis is a stack of specs on one
+layout, validated at once, and ``sample_member``, ``steer``,
+``build_markov_state``, ``structure_fit`` and ``in_frame`` then act on each
+trial: per block, ``omega_re`` and ``omega_al`` hold ``(trials, n, n)``
+stacks and the probabilities a ``(trials, blocks)`` array.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
+    _scalar,
     check_density,
+    first_failure,
+    frobenius,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -49,6 +58,7 @@ __all__ = [
     "span_generators",
     "build_markov_state",
     "random_markov_state_spec",
+    "markov_state_draws",
     "steer",
     "structure_fit",
     "block_slices",
@@ -57,9 +67,13 @@ __all__ = [
 
 
 def _check_probs(p) -> np.ndarray:
+    """A distribution over the last axis of ``p``, clipped at 0."""
     p = np.asarray(p, dtype=float)
-    if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"invalid probability distribution {p}")
+    bad = (p < -1e-12).any(axis=-1) | (np.abs(p.sum(axis=-1) - 1.0) > 1e-9)
+    who = first_failure(bad, "probability distribution")
+    if who is not None:
+        k = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"invalid {who} {p[k]}")
     return np.clip(p, 0.0, None)
 
 
@@ -78,11 +92,16 @@ class MarkovBlocksSpec:
         if len(self.omega_re) != len(self.blocks):
             raise ValueError("need one fixed R,E state per block")
         f, eye = self.frame, np.eye(self.d_s)
-        if f is not None and (f.shape != eye.shape or np.abs(f.conj().T @ f - eye).max() > 1e-9):
-            raise ValueError("frame is not a unitary on S")
+        if f is not None:
+            if f.shape[-2:] != eye.shape:
+                raise ValueError("frame is not a unitary on S")
+            drift = np.abs(f.swapaxes(-1, -2).conj() @ f - eye).max(axis=(-2, -1))
+            who = first_failure(drift > 1e-9, "frame")
+            if who is not None:
+                raise ValueError(f"{who} is not a unitary on S")
         for i, ((_, r), w) in enumerate(zip(self.blocks, self.omega_re)):
             check_density(w, f"omega_RE_{i}")
-            if w.shape[0] != r * self.d_e:
+            if w.shape[-1] != r * self.d_e:
                 raise ValueError(f"omega_RE_{i} dimension mismatch")
 
     @property
@@ -101,7 +120,7 @@ class SteeredSpec:
 
     def __post_init__(self):
         check_density(self.omega_ase, "omega_ASE")
-        if self.omega_ase.shape[0] != self.d_a * self.d_s * self.d_e:
+        if self.omega_ase.shape[-1] != self.d_a * self.d_s * self.d_e:
             raise ValueError("omega_ASE dimension mismatch")
 
 
@@ -152,11 +171,11 @@ class MarkovStateSpec:
         _check_probs(self.q)
         if self.layout.frame is not None:
             raise ValueError("a Markov state is built on an unframed layout")
-        if not len(self.q) == len(self.omega_al) == len(self.layout.blocks):
+        if not np.shape(self.q)[-1] == len(self.omega_al) == len(self.layout.blocks):
             raise ValueError("per-block data lengths disagree")
         for i, ((l, _), wal) in enumerate(zip(self.layout.blocks, self.omega_al)):
             check_density(wal, f"omega_AL_{i}")
-            if wal.shape[0] != self.d_a * l:
+            if wal.shape[-1] != self.d_a * l:
                 raise ValueError(f"block {i} dimension mismatch")
 
 
@@ -176,19 +195,26 @@ def in_frame(x: np.ndarray, frame: np.ndarray | None, d_f: int = 1) -> np.ndarra
     unitary ``frame`` F, or ``x`` itself when ``frame`` is None."""
     if frame is None:
         return x
-    g = np.kron(frame, np.eye(d_f))
-    return g @ x @ g.conj().T
+    g = kron(frame, np.eye(d_f))
+    return g @ x @ g.swapaxes(-1, -2).conj()
 
 
 def _direct_sum(blocks, d_e: int, terms, d_a: int = 1) -> np.ndarray:
     """The operator on A x S x E holding ``terms[i]``, an operator on
     A x L_i x R_i x E in index order (a, l, r, e), in block i."""
-    n = sum(l * r for l, r in blocks) * d_e
-    out = np.zeros((d_a, n, d_a, n), dtype=complex)
+    terms = list(terms)
+    batch, n = terms[0].shape[:-2], sum(l * r for l, r in blocks) * d_e
+    out = np.zeros(batch + (d_a, n, d_a, n), dtype=complex)
     for (_, _, s), t in zip(block_slices(blocks, d_e), terms):
         m = s.stop - s.start
-        out[:, s, :, s] += t.reshape(d_a, m, d_a, m)
-    return out.reshape(d_a * n, d_a * n)
+        out[..., :, s, :, s] += t.reshape(batch + (d_a, m, d_a, m))
+    return out.reshape(batch + (d_a * n, d_a * n))
+
+
+def _weighted(p, ops):
+    """``p_i ops_i`` for each block i, with ``p`` indexed by block in its
+    last axis."""
+    return (q[..., None, None] * op for q, op in zip(np.moveaxis(np.asarray(p), -1, 0), ops))
 
 
 def random_params(spec, rng: np.random.Generator) -> FamilyParams:
@@ -213,7 +239,7 @@ def sample_member(spec, params: FamilyParams) -> np.ndarray:
     """Assemble the S x E density matrix for one parameter set."""
     if isinstance(spec, MarkovBlocksSpec):
         p = _check_probs(params.probs)
-        terms = (q * kron(rho_l, w) for q, rho_l, w in zip(p, params.states, spec.omega_re))
+        terms = _weighted(p, map(kron, params.states, spec.omega_re))
         return in_frame(_direct_sum(spec.blocks, spec.d_e, terms), spec.frame, spec.d_e)
     if isinstance(spec, SteeredSpec):
         return steer(spec.omega_ase, spec.d_a, params.p_a)
@@ -296,19 +322,27 @@ def _extend_along_kernel(base, kernel_basis, coeffs) -> np.ndarray:
 def build_markov_state(spec: MarkovStateSpec) -> np.ndarray:
     """Assemble the A x S x E state directsum_i q_i omega_AL_i kron omega_RE_i."""
     lay = spec.layout
-    terms = (q * kron(wal, wre) for q, wal, wre in zip(spec.q, spec.omega_al, lay.omega_re))
+    terms = _weighted(spec.q, map(kron, spec.omega_al, lay.omega_re))
     return _direct_sum(lay.blocks, lay.d_e, terms, spec.d_a)
+
+
+def markov_state_draws(d_a: int, blocks, d_e: int, rng: np.random.Generator) -> tuple:
+    """The draws ``(q, omega_al, omega_re)`` of a random Markov construction
+    with full-rank block states, in the order q, every omega_AL_i, every
+    omega_RE_i, not yet validated."""
+    q = tuple(rng.dirichlet(np.ones(len(blocks))))
+    omega_al = tuple(random_density(d_a * l, d_a * l, rng) for l, _ in blocks)
+    omega_re = tuple(random_density(r * d_e, r * d_e, rng) for _, r in blocks)
+    return q, omega_al, omega_re
 
 
 def random_markov_state_spec(
     d_a: int, blocks, d_e: int, rng: np.random.Generator
 ) -> MarkovStateSpec:
-    """Random Markov construction with full-rank block states, drawn in the
-    order q, every omega_AL_i, every omega_RE_i."""
+    """Random Markov construction with full-rank block states, from
+    ``markov_state_draws``."""
     blocks = tuple(tuple(b) for b in blocks)
-    q = tuple(rng.dirichlet(np.ones(len(blocks))))
-    omega_al = tuple(random_density(d_a * l, d_a * l, rng) for l, _ in blocks)
-    omega_re = tuple(random_density(r * d_e, r * d_e, rng) for _, r in blocks)
+    q, omega_al, omega_re = markov_state_draws(d_a, blocks, d_e, rng)
     return MarkovStateSpec(d_a, q, omega_al, MarkovBlocksSpec(blocks, d_e, omega_re))
 
 
@@ -319,16 +353,16 @@ def steer(omega_ase: np.ndarray, d_a: int, p_a: np.ndarray) -> np.ndarray:
     is checked on the Hermitian part of P_A.
     """
     p_a = np.asarray(p_a, dtype=complex)
-    if not psd_check((p_a + p_a.conj().T) / 2)[0]:
+    if not np.all(psd_check((p_a + p_a.swapaxes(-1, -2).conj()) / 2)[0]):
         raise ValueError("steering operator must be positive semidefinite")
-    d = omega_ase.shape[0]
+    d = omega_ase.shape[-1]
     d_se = d // d_a
     big = kron(p_a, np.eye(d_se))
     weighted = big @ omega_ase
-    norm = np.trace(weighted).real
-    if norm <= 1e-14:
+    norm = np.trace(weighted, axis1=-2, axis2=-1).real
+    if np.any(norm <= 1e-14):
         raise ValueError("steering operator has zero overlap with the state")
-    return partial_trace(weighted, (d_a, d_se), keep=(1,)) / norm
+    return partial_trace(weighted, (d_a, d_se), keep=(1,)) / np.asarray(norm)[..., None, None]
 
 
 def structure_fit(rho, blocks, fixed, d_f: int) -> float:
@@ -337,11 +371,15 @@ def structure_fit(rho, blocks, fixed, d_f: int) -> float:
     onto the span of the E_ab kron fixed_i by the normalized partial inner
     product, and every off-block entry is left over."""
     rho = np.asarray(rho, dtype=complex)
+    batch = rho.shape[:-2]
     recon = np.zeros_like(rho)
     for (l, r, s), w in zip(block_slices(blocks, d_f), fixed):
         w = np.asarray(w, dtype=complex)
         # A contiguous copy of the block, which einsum reads fastest.
-        blk = rho[s, s].copy().reshape(l, r * d_f, l, r * d_f)
-        m_l = np.einsum("awbv,wv->ab", blk, w.conj()) / np.vdot(w, w).real
-        recon[s, s] += np.kron(m_l, w)
-    return float(np.linalg.norm(rho - recon))
+        blk = rho[..., s, s].copy().reshape(batch + (l, r * d_f, l, r * d_f))
+        # <w, w> per matrix, as the (1, N) @ (N, 1) product of np.vdot.
+        flat = w.reshape(w.shape[:-2] + (1, -1))
+        norm2 = (flat.conj() @ flat.swapaxes(-1, -2)).real
+        m_l = np.einsum("...awbv,...wv->...ab", blk, w.conj()) / norm2
+        recon[..., s, s] += kron(m_l, w)
+    return _scalar(frobenius(rho - recon))

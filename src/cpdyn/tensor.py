@@ -8,7 +8,12 @@ Conventions used everywhere in this package:
   ``i1*d2*...*dn + ... + in`` (numpy ``kron`` order);
 * direct-sum blocks on the system factor are concatenated in declaration
   order, row-major within each ``L x R`` block;
-* ``vec`` is row-major flattening, so ``vec(A X B) = (A kron B.T) vec(X)``.
+* ``vec`` is row-major flattening, so ``vec(A X B) = (A kron B.T) vec(X)``;
+* leading axes beyond an operator's own are batch axes, a stack of trials:
+  ``kron``, ``partial_trace``, ``tr_e``, ``tr_e_kraus``, ``haar_unitaries``,
+  ``frobenius``, ``is_hermitian``, ``hermitian_part_psd``, ``psd_check``
+  and ``check_density`` take them, and give each member the bits it gets
+  alone.  A single operator gives Python scalars; a stack gives arrays.
 
 Every function is a pure function of its inputs; RNG state is always
 passed explicitly.
@@ -27,6 +32,7 @@ __all__ = [
     "partial_trace",
     "tr_e",
     "tr_e_kraus",
+    "haar_unitaries",
     "random_haar_unitary",
     "random_haar_unitaries",
     "random_density",
@@ -35,6 +41,8 @@ __all__ = [
     "swap_unitary",
     "psd_tolerance",
     "min_eigenvalue",
+    "frobenius",
+    "first_failure",
     "is_hermitian",
     "hermitian_part_psd",
     "psd_check",
@@ -49,10 +57,15 @@ ENTROPY_EIG_CUTOFF = 1e-12
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
-    """Tensor product in row-major convention (left factor most significant)."""
+    """Tensor product in row-major convention (left factor most significant)
+    of the matrices in the last two axes, with the products ``np.kron``
+    forms; leading axes broadcast."""
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
-        out = np.kron(out, m)
+        m = np.asarray(m)
+        (a, b), (c, d) = out.shape[-2:], m.shape[-2:]
+        t = out[..., :, None, :, None] * m[..., None, :, None, :]
+        out = t.reshape(t.shape[:-4] + (a * c, b * d))
     return out
 
 
@@ -68,6 +81,13 @@ def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
         if rows * rows != v.size:
             raise ValueError(f"cannot unvec length-{v.size} vector to a square matrix")
     return v.reshape(rows, v.size // rows)
+
+
+def _transpose_last(x: np.ndarray, *perm: int) -> np.ndarray:
+    """``x`` with its last ``len(perm)`` axes permuted by ``perm``, after
+    its leading (batch) axes."""
+    lead = x.ndim - len(perm)
+    return x.transpose([*range(lead), *[lead + p for p in perm]])
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
@@ -102,19 +122,22 @@ def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> n
     ``u=None`` only the environment trace is applied.  No superoperator is
     formed: the cost is one ``(d, d) x (d, d k)`` product plus one
     ``d_s``-batched ``(d_s, d d_e) x (d d_e, k)`` product that applies
-    ``U^dagger`` and the trace together.
+    ``U^dagger`` and the trace together.  Leading axes of ``cols`` and
+    ``u`` are batch axes.
     """
     d = d_s * d_e
     x = np.asarray(cols, dtype=complex)
-    n = x.shape[1]
+    batch, n = x.shape[:-2], x.shape[-1]
     if u is None:
-        t = x.reshape(d_s, d_e, d_s, d_e, n)
-        return np.einsum("aebek->abk", t).reshape(d_s * d_s, n)
+        t = x.reshape(batch + (d_s, d_e, d_s, d_e, n))
+        return np.einsum("...aebek->...abk", t).reshape(batch + (d_s * d_s, n))
     u = np.asarray(u, dtype=complex)
     # (U X_k)[(s, e), c] laid out as [s, (e, c), k].
-    ux = (u @ x.reshape(d, d * n)).reshape(d_s, d_e * d, n)
+    ux = u @ x.reshape(batch + (d, d * n))
+    ux = ux.reshape(ux.shape[:-2] + (d_s, d_e * d, n))
     # Tr_E(U X_k U^dagger)[s, t] = sum_(e, c) conj(U)[(t, e), c] (U X_k)[(s, e), c].
-    return (u.conj().reshape(d_s, d_e * d) @ ux).reshape(d_s * d_s, n)
+    out = u.conj().reshape(u.shape[:-2] + (1, d_s, d_e * d)) @ ux
+    return out.reshape(out.shape[:-3] + (d_s * d_s, n))
 
 
 def tr_e_kraus(ops: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> np.ndarray:
@@ -125,33 +148,41 @@ def tr_e_kraus(ops: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None)
     ``(n d_e, d_s, d_s)`` stack; with ``u=None`` only the environment
     trace is applied.  The cost is one ``(d, d) x (d, n d_s)`` product, a
     reshape and a transpose; no ``(d^2, d_s^2)`` matrix is formed.
+    Leading axes of ``ops`` and ``u`` are batch axes.
     """
     a = np.asarray(ops, dtype=complex)
-    n, d = len(a), d_s * d_e
+    batch, n, d = a.shape[:-3], a.shape[-3], d_s * d_e
     if u is None:
         # A_k[(s, e), j] at [k, s, e, j], read as B[(k, e), s, j].
-        t = a.reshape(n, d_s, d_e, d_s).transpose(0, 2, 1, 3)
+        t = a.reshape(batch + (n, d_s, d_e, d_s)).swapaxes(-3, -2)
     else:
         # (U A_k)[(s, e), j] at [(s, e), (k, j)], read as B[(k, e), s, j].
-        ua = np.asarray(u, dtype=complex) @ a.transpose(1, 0, 2).reshape(d, n * d_s)
-        t = ua.reshape(d_s, d_e, n, d_s).transpose(2, 1, 0, 3)
-    return t.reshape(n * d_e, d_s, d_s)
+        ua = np.asarray(u, dtype=complex) @ a.swapaxes(-3, -2).reshape(batch + (d, n * d_s))
+        batch = ua.shape[:-2]
+        t = _transpose_last(ua.reshape(batch + (d_s, d_e, n, d_s)), 2, 1, 0, 3)
+    return t.reshape(batch + (n * d_e, d_s, d_s))
+
+
+def haar_unitaries(x: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from standard normal draws ``x`` of shape
+    ``(..., 2, dim, dim)``: the QR factor of the complex Ginibre matrix
+    ``x[..., 0, :, :] + 1j x[..., 1, :, :]``, with the diagonal phase fix
+    that makes the distribution exactly Haar and the output a deterministic
+    function of the draws."""
+    q, r = np.linalg.qr(x[..., 0, :, :] + 1j * x[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A ``(n, dim, dim)`` stack of Haar-random unitaries, via QR of complex
-    Ginibre matrices.
+    """A ``(n, dim, dim)`` stack of Haar-random unitaries, ``haar_unitaries``
+    of ``n`` draws.
 
     Each matrix takes its real part and then its imaginary part from the
     stream, so the stack equals ``n`` successive ``random_haar_unitary``
-    draws and leaves ``rng`` in the same state.  The diagonal phase fix
-    makes the distribution exactly Haar and the output a deterministic
-    function of the RNG state.
+    draws and leaves ``rng`` in the same state.
     """
-    x = rng.normal(size=(n, 2, dim, dim))
-    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return haar_unitaries(rng.normal(size=(n, 2, dim, dim)))
 
 
 def random_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,11 +245,47 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex)).min())
 
 
+def _scalar(x):
+    """A 0-d result as a Python scalar; a stack of results as it is."""
+    return x.item() if x.ndim == 0 else x
+
+
+def frobenius(x: np.ndarray, axes: int = 2):
+    """The Frobenius norm of each array in the last ``axes`` axes of ``x``,
+    with the bits ``np.linalg.norm`` gives that array alone.
+
+    ``np.linalg.norm`` of a whole array is the square root of a BLAS dot
+    product of its real parts plus one of its imaginary parts; a norm taken
+    over axes sums in another order, and its last bits differ.  A stack
+    takes the same dot products, as ``(1, N) @ (N, 1)`` products.
+    """
+    x = np.asarray(x)
+    if x.ndim == axes:
+        return np.linalg.norm(x)
+    flat = x.reshape(x.shape[: x.ndim - axes] + (1, -1))
+    if np.iscomplexobj(flat):
+        re, im = flat.real, flat.imag
+        sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    else:
+        sq = flat @ flat.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def first_failure(bad, name: str) -> str | None:
+    """The name of the first member flagged in ``bad``: ``name`` itself for
+    a single check, ``"<name> of trial <k>"`` for a stack, with k counted
+    from the stack's first member, and None when nothing is flagged."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    return name if bad.ndim == 0 else f"{name} of trial {np.flatnonzero(bad)[0]}"
+
+
 def _with_adjoint(m: np.ndarray, op) -> np.ndarray:
     """``op(m^dag, m)`` written into a new C-contiguous ``m^dag``, at least in
     float precision: the bits of ``op(m.conj().T, m)`` at under half the
     cost at n = 512, with no strided operand and no further array."""
-    h = np.array(m.T, dtype=np.result_type(m, 1.0), order="C")
+    h = np.array(m.swapaxes(-1, -2), dtype=np.result_type(m, 1.0), order="C")
     return op(np.conjugate(h, out=h), m, out=h)
 
 
@@ -229,40 +296,57 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = HERM_TOL):
+    """Whether ``||m - m^dag||_F <= tol max(1, ||m||_F)``, for each matrix of
+    a stack."""
     m = np.asarray(m)
-    return np.linalg.norm(_with_adjoint(m, np.subtract)) <= tol * max(1.0, np.linalg.norm(m))
+    skew = frobenius(_with_adjoint(m, np.subtract))
+    # tol max(1, n) as max(tol, tol n): the same bound, with no ufunc call.
+    return _scalar((skew <= tol) | (skew <= tol * frobenius(m)))
 
 
-def hermitian_part_psd(m: np.ndarray) -> tuple[bool, float]:
+def hermitian_part_psd(m: np.ndarray):
     """Whether the Hermitian part of ``m`` is PSD down to the scale-aware
-    tolerance, and its least eigenvalue.
+    tolerance, and its least eigenvalue, for each matrix of a stack.
 
     One ``eigvalsh`` of the Hermitian part gives both the smallest
     eigenvalue and the scale ``max |lambda|``, its spectral norm.
     """
     w = np.linalg.eigvalsh(_hermitian_part(np.asarray(m)))
-    return bool(w[0] >= -PSD_TOL_FACTOR * max(1.0, float(np.abs(w).max()))), float(w[0])
+    low = w[..., 0]
+    ok = low >= -PSD_TOL_FACTOR * np.abs(w).max(axis=-1, initial=1.0)
+    return _scalar(ok), _scalar(low)
 
 
-def psd_check(m: np.ndarray) -> tuple[bool, float]:
+def psd_check(m: np.ndarray):
     """Whether ``m`` is Hermitian and PSD down to the scale-aware tolerance
     (``is_hermitian`` and ``hermitian_part_psd``), and the least eigenvalue
-    of its Hermitian part."""
+    of its Hermitian part, for each matrix of a stack."""
     psd, low = hermitian_part_psd(m)
-    return bool(is_hermitian(m) and psd), low
+    return is_hermitian(m) & psd, low
 
 
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; returns the array."""
+    """Validate Hermiticity, unit trace and positivity; returns the array.
+
+    A stack is validated at once; the error names the first member that
+    fails, with the first check that member fails, as it would alone.
+    """
     rho = np.asarray(rho, dtype=complex)
     psd, _ = psd_check(rho)  # also False when rho is not Hermitian
-    if not psd and not is_hermitian(rho):
-        raise ValueError(f"{name} is not Hermitian")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
-    if not psd:
-        raise ValueError(f"{name} is not positive semidefinite")
-    return rho
-
+    tr = rho.trace(axis1=-2, axis2=-1)
+    bad_trace = abs(tr - 1.0) > 1e-8
+    ok = psd & ~bad_trace
+    if ok.all() if ok.ndim else ok:
+        return rho
+    herm = np.asarray(is_hermitian(rho))
+    fails = np.stack([~herm, bad_trace, ~np.asarray(psd)], axis=-1)
+    bad = fails.any(axis=-1)
+    who = first_failure(bad, name)
+    k = tuple(np.argwhere(bad)[0])  # () for a single state
+    check = int(np.argmax(fails[k]))
+    if check == 0:
+        raise ValueError(f"{who} is not Hermitian")
+    if check == 1:
+        raise ValueError(f"{who} has trace {tr[k]}, expected 1")
+    raise ValueError(f"{who} is not positive semidefinite")

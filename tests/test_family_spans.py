@@ -139,12 +139,15 @@ def test_kernel_extended_has_no_generators():
 
 @pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
 def test_verify_family_trial_samples_at_most_one_member(monkeypatch, family):
+    # A stack of trials samples its members in one call: the members
+    # sampled are counted by the stack's leading axis.
     calls = []
     sample = families.sample_member
 
     def counting(spec, params):
-        calls.append(type(spec).__name__)
-        return sample(spec, params)
+        member = sample(spec, params)
+        calls.append(len(member) if member.ndim == 3 else 1)
+        return member
 
     monkeypatch.setattr(families, "sample_member", counting)
     argv = ["verify-family", "--family", family, "--trials", "3", "--seed", "4"]
@@ -152,8 +155,8 @@ def test_verify_family_trial_samples_at_most_one_member(monkeypatch, family):
         argv += ["--g", "local"]
     report, code = cli.run(argv)
     assert code == 0
-    assert len(calls) <= report["summary"]["n_trials"] == 3
-    assert len(calls) == (3 if family in ("markov-blocks", "steered") else 0)
+    assert sum(calls) <= report["summary"]["n_trials"] == 3
+    assert sum(calls) == (3 if family in ("markov-blocks", "steered") else 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -306,9 +309,10 @@ def test_markov_span_contains_reads_the_structure_fit_residual(layout, d_e):
 
 @pytest.mark.parametrize("layout, d_e", STEERED_CASES)
 def test_a_steered_trial_validates_each_density_once(monkeypatch, layout, d_e):
-    # The Markov state's layout is the steered trial's span: its omega_RE_i
-    # are validated when the layout is built and never again, so a trial
-    # checks the omega_RE_i, the omega_AL_i and omega_ASE once each.
+    # The Markov state's layout is the steered trials' span: its omega_RE_i
+    # are validated when the layout is built and never again, so a stack of
+    # trials checks the stacks of the omega_RE_i, the omega_AL_i and
+    # omega_ASE once each.
     seen = []
 
     def recording(rho, name="state", _orig=families.check_density):
@@ -318,9 +322,10 @@ def test_a_steered_trial_validates_each_density_once(monkeypatch, layout, d_e):
     monkeypatch.setattr(families, "check_density", recording)
     args = _args("steered", cli._parse_blocks(layout), d_e=d_e)
     args.seed, args.g = 5, "all"
-    rec = cli._verify_family_trial(args, 0)
-    assert rec["steered_in_span"]
+    recs = cli._verify_stack(args, range(3))
+    assert [rec["steered_in_span"] for rec in recs] == [True] * 3
     assert len(seen) == len({id(x) for x in seen}) == 2 * len(args.blocks) + 1
+    assert all(len(x) == 3 for x in seen)
 
 
 MARKOV_BLOCK_REPORTS = [
