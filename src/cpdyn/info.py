@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import partial_trace, random_haar_unitaries, von_neumann_entropy
+from .tensor import haar_unitaries, partial_trace, von_neumann_entropy
 
 __all__ = [
     "mutual_information",
@@ -19,10 +19,12 @@ __all__ = [
     "search_dpi_violation",
 ]
 
-# Unitaries per stack in search_dpi_violation.  At the 64-dimension cap a
-# chunk's two (64 x 64) state stacks take 2 MB, whatever the number of draws;
-# 32 or more would add over 10% to the peak RSS of a cap-size `dpi` run.
-_CHUNK = 16
+# The complex entries the largest arrays of one stacked evaluation may
+# hold: a (states, unitaries, n, n) stack of evolved states on A x S x E of
+# side n (see _chunk_length and _states_per_stack).  At the 64-dimension
+# cap a chunk is one state and four unitaries, 256 KB, whatever the number
+# of states or draws.
+_STACK_ENTRIES = 1 << 14
 
 
 def mutual_information(omega_as: np.ndarray, d_a: int, d_s: int) -> float | np.ndarray:
@@ -39,13 +41,23 @@ def mutual_information(omega_as: np.ndarray, d_a: int, d_s: int) -> float | np.n
     return s_a + s_s - von_neumann_entropy(omega_as)
 
 
+def _check_state(omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int) -> np.ndarray:
+    """A state on A x S x E, or a stack of them along leading axes, as a
+    complex array; any other shape is refused, by name."""
+    omega_ase = np.asarray(omega_ase, dtype=complex)
+    if omega_ase.shape[-2:] != (d_a * d_s * d_e,) * 2:
+        raise ValueError(f"state shape {omega_ase.shape} is not ({d_a}*{d_s}*{d_e}) square")
+    return omega_ase
+
+
 def conditional_mutual_information(
     omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int
-) -> float:
-    """I(A:E|S) = S(AS) + S(SE) - S(S) - S(ASE); zero exactly on Markov states."""
-    omega_ase = np.asarray(omega_ase, dtype=complex)
-    if omega_ase.shape[0] != d_a * d_s * d_e:
-        raise ValueError(f"state dim {omega_ase.shape[0]} != {d_a}*{d_s}*{d_e}")
+) -> float | np.ndarray:
+    """I(A:E|S) = S(AS) + S(SE) - S(S) - S(ASE); zero exactly on Markov states.
+
+    Leading axes are batch axes; a single state gives a float.
+    """
+    omega_ase = _check_state(omega_ase, d_a, d_s, d_e)
     dims = (d_a, d_s, d_e)
     s_as = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(0, 1)))
     s_se = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(1, 2)))
@@ -60,16 +72,16 @@ def dpi_check(
     ``(n, d_s d_e, d_s d_e)`` stack of unitaries on S x E followed by Tr_E.
 
     Each delta is non-negative (to round-off) whenever the input is a
-    Markov state.
+    Markov state.  A stack of states takes a stack of unitary stacks along
+    the same leading axes.
     """
-    return _i_before(omega_ase, d_a, d_s, d_e) - _i_after(omega_ase, d_a, d_s, d_e, u_se)
+    before = np.asarray(_i_before(omega_ase, d_a, d_s, d_e))
+    return before[..., None] - _i_after(omega_ase, d_a, d_s, d_e, u_se)
 
 
-def _i_before(omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int) -> float:
-    """I(A:S) of a state on A x S x E, whose shape is checked here."""
-    omega_ase = np.asarray(omega_ase, dtype=complex)
-    if omega_ase.shape != (d_a * d_s * d_e,) * 2:
-        raise ValueError(f"state shape {omega_ase.shape} is not ({d_a}*{d_s}*{d_e}) square")
+def _i_before(omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int) -> float | np.ndarray:
+    """I(A:S) of a state on A x S x E, or of each state of a stack."""
+    omega_ase = _check_state(omega_ase, d_a, d_s, d_e)
     return mutual_information(partial_trace(omega_ase, (d_a, d_s, d_e), keep=(0, 1)), d_a, d_s)
 
 
@@ -78,17 +90,66 @@ def _i_after(
 ) -> np.ndarray:
     """I(A:S) of Tr_E((I_A kron U) omega (I_A kron U)^dagger) for each U of a
     stack.  U acts on the S x E factor of every ``(a, a')`` block of the
-    state by batched matmul, so ``I_A kron U`` is never formed."""
+    state by batched matmul, so ``I_A kron U`` is never formed.  A
+    ``(..., n, n)`` stack of states takes a ``(..., k, d, d)`` stack of
+    unitaries and gives ``(..., k)``."""
     d = d_s * d_e
+    omega_ase = np.asarray(omega_ase, dtype=complex)
     u_se = np.asarray(u_se, dtype=complex)
-    if u_se.ndim != 3 or u_se.shape[1:] != (d, d):
+    if u_se.ndim != omega_ase.ndim + 1 or u_se.shape[-2:] != (d, d):
         raise ValueError(f"evolution must be a stack of {d}x{d} unitaries on S x E")
+    batch = u_se.shape[:-2]
     # (I_A kron U) omega with rows (a, (s, e)), then times (I_A kron U)^dagger
     # with columns ((a', s'), e') read as rows of d entries.
-    left = u_se[:, None] @ np.asarray(omega_ase, dtype=complex).reshape(d_a, d, d_a * d)
-    evolved = left.reshape(-1, d_a * d * d_a, d) @ u_se.conj().transpose(0, 2, 1)
-    after = partial_trace(evolved.reshape(-1, d_a * d, d_a * d), (d_a, d_s, d_e), keep=(0, 1))
+    state = omega_ase.reshape(omega_ase.shape[:-2] + (1, d_a, d, d_a * d))
+    left = u_se[..., None, :, :] @ state
+    evolved = left.reshape(batch + (d_a * d * d_a, d)) @ u_se.conj().swapaxes(-1, -2)
+    after = partial_trace(evolved.reshape(batch + (d_a * d,) * 2), (d_a, d_s, d_e), keep=(0, 1))
     return mutual_information(after, d_a, d_s)
+
+
+def _chunk_length(states: int, n: int, draws: int) -> int:
+    """Unitaries per chunk of a hunt on ``states`` states of side ``n``: as
+    many as keep the chunk's ``(states, unitaries, n, n)`` evolved states
+    within ``_STACK_ENTRIES``, at most ``draws`` and at least one."""
+    return max(1, min(draws, _STACK_ENTRIES // (states * n * n)))
+
+
+def _states_per_stack(n: int, draws: int) -> int:
+    """States of side ``n`` per stack of a sweep that gives each state
+    ``draws`` unitaries: as many as take one state's chunk length within
+    ``_STACK_ENTRIES``, and at least one."""
+    return max(1, _STACK_ENTRIES // (_chunk_length(1, n, draws) * n * n))
+
+
+def _search(
+    omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, rngs, draws: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The most negative delta over ``draws`` Haar unitaries, and the index
+    of its first draw, for each state of a ``(states, n, n)`` stack; state
+    i takes its unitaries from ``rngs[i]``.
+
+    I(A:S) before is computed once.  The unitaries are drawn and checked a
+    chunk at a time (``_chunk_length``), in the order of single draws from
+    each stream, so memory does not grow with ``draws``.
+    """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+    i_before = np.asarray(_i_before(omega_ase, d_a, d_s, d_e))[:, None]
+    d, rows = d_s * d_e, np.arange(len(rngs))
+    best = np.full(len(rngs), np.inf)
+    best_draw = np.full(len(rngs), -1)
+    step = _chunk_length(len(rngs), omega_ase.shape[-1], draws)
+    for start in range(0, draws, step):
+        size = (min(step, draws - start), 2, d, d)
+        us = haar_unitaries(np.stack([rng.normal(size=size) for rng in rngs]))
+        deltas = i_before - _i_after(omega_ase, d_a, d_s, d_e, us)
+        i = np.argmin(deltas, axis=-1)
+        low = deltas[rows, i]
+        # A strict < keeps the first of tied draws across chunks.
+        better = low < best
+        best[better], best_draw[better] = low[better], start + i[better]
+    return best, best_draw
 
 
 def search_dpi_violation(
@@ -102,27 +163,15 @@ def search_dpi_violation(
     """Monte-Carlo hunt for a data-processing violation.
 
     Draws Haar unitaries on S x E and returns the most negative delta seen
-    and the index of its first draw.  I(A:S) before is computed once; the
-    unitaries are drawn and checked ``_CHUNK`` at a time, in the order of
-    single draws, so memory does not grow with ``draws``.  ``found`` flags
-    a clear violation; a negative result only means none was found within
-    the budget.
+    and the index of its first draw: the one-state case of ``_search``.
+    ``found`` flags a clear violation; a negative result only means none
+    was found within the budget.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
-    i_before = _i_before(omega_ase, d_a, d_s, d_e)
-    best = np.inf
-    best_draw = -1
-    for start in range(0, draws, _CHUNK):
-        us = random_haar_unitaries(min(_CHUNK, draws - start), d_s * d_e, rng)
-        deltas = i_before - _i_after(omega_ase, d_a, d_s, d_e, us)
-        i = int(np.argmin(deltas))
-        if deltas[i] < best:
-            best = float(deltas[i])
-            best_draw = start + i
+    omega_ase = np.asarray(omega_ase, dtype=complex)
+    best, best_draw = _search(omega_ase[None], d_a, d_s, d_e, [rng], draws)
     return {
         "draws": draws,
-        "best_delta": best,
-        "best_draw": best_draw,
-        "found": bool(best < -0.01),
+        "best_delta": float(best[0]),
+        "best_draw": int(best_draw[0]),
+        "found": bool(best[0] < -0.01),
     }

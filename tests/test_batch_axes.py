@@ -1,10 +1,11 @@
-"""Leading batch axes on the primitives the stacked ``verify-family`` check
-runs: a stack gives each member the bits that member gets alone."""
+"""Leading batch axes on the primitives the stacked ``verify-family`` and
+``dpi`` checks run: a stack gives each member the bits that member gets
+alone."""
 
 import numpy as np
 import pytest
 
-from cpdyn import channels, consistency, families, tensor
+from cpdyn import channels, consistency, families, info, tensor
 from cpdyn.channels import ChannelMap
 from cpdyn.consistency import markov_block_space
 from cpdyn.families import FamilyParams, MarkovBlocksSpec, SteeredSpec
@@ -232,3 +233,31 @@ def test_unitaries_from_stacked_draws_equal_sampled_ones(g):
         assert [f"{stem}_0"] * T == [label for label, _ in sampled]
         _equal_per_member(us, [u for _, u in sampled])
     assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2), (3, 3, 2)])
+def test_entropic_quantities_on_a_stack(dims, rng):
+    d_a, d_s, d_e = dims
+    omega = _states(rng, d_a * d_s * d_e)
+    us = np.stack([_unitaries(rng, d_s * d_e, 3) for _ in range(T)])
+    _equal_per_member(
+        info.conditional_mutual_information(omega, *dims),
+        [info.conditional_mutual_information(w, *dims) for w in omega],
+    )
+    _equal_per_member(info._i_before(omega, *dims), [info._i_before(w, *dims) for w in omega])
+    _equal_per_member(
+        info.dpi_check(omega, *dims, us), [info.dpi_check(w, *dims, u) for w, u in zip(omega, us)]
+    )
+
+
+def test_a_stack_of_hunts_equals_each_hunt_alone(rng):
+    dims = (2, 2, 2)
+    omega = _states(rng, 8)
+    seeds = range(T)
+    best, draw = info._search(omega, *dims, [np.random.default_rng(k) for k in seeds], 300)
+    alone = [
+        info.search_dpi_violation(w, *dims, np.random.default_rng(k), draws=300)
+        for w, k in zip(omega, seeds)
+    ]
+    assert best.tolist() == [a["best_delta"] for a in alone]
+    assert draw.tolist() == [a["best_draw"] for a in alone]

@@ -107,6 +107,12 @@ def test_cmi_vanishes_on_markov_states(rng):
         assert abs(cmi) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(8, 4), (8,), (2, 4, 8)])
+def test_cmi_rejects_a_state_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=rf"state shape \({shape[0]},"):
+        conditional_mutual_information(np.zeros(shape), 2, 2, 2)
+
+
 def test_cmi_positive_on_ghz():
     # Oracle for the three-qubit GHZ state: I(A:E|S) = ln 2.
     assert abs(conditional_mutual_information(ghz_state(), 2, 2, 2) - LN2) < 1e-12
@@ -175,10 +181,17 @@ def test_stacked_haar_draw_equals_successive_single_draws(dim):
     assert np.array_equal(random_haar_unitary(dim, stacked_rng), reference_haar_unitary(dim, single_rng))
 
 
+def full_chunk(n):
+    """Unitaries per full chunk of the hunt on a state of side n."""
+    return info._chunk_length(1, n, 10**9)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
 def test_chunked_search_matches_the_reference_loop(dims):
     # Two full chunks and a partial one.
-    draws = 2 * info._CHUNK + 3
+    step = full_chunk(np.prod(dims))
+    draws = 2 * step + 3
+    assert info._chunk_length(1, np.prod(dims), draws) == step < draws
     omega = ghz_state(*dims)
     out = search_dpi_violation(omega, *dims, np.random.default_rng(11), draws=draws)
     best, best_draw = reference_search(omega, *dims, np.random.default_rng(11), draws)
@@ -191,7 +204,7 @@ def test_search_reports_the_first_of_tied_draws():
     # Every draw is the same unitary: the deltas tie within and across
     # chunks, and the first draw is reported, as a strict < loop does.
     rng = RepeatingNormals(4, seed=3)
-    out = search_dpi_violation(ghz_state(), 2, 2, 2, rng, draws=2 * info._CHUNK + 3)
+    out = search_dpi_violation(ghz_state(), 2, 2, 2, rng, draws=2 * full_chunk(8) + 3)
     assert out["best_draw"] == 0
 
 
@@ -210,7 +223,8 @@ def test_search_memory_does_not_grow_with_draws():
     def peak(chunks):
         tracemalloc.start()
         try:
-            search_dpi_violation(omega, 4, 4, 4, np.random.default_rng(5), draws=chunks * info._CHUNK)
+            draws = chunks * full_chunk(64)
+            search_dpi_violation(omega, 4, 4, 4, np.random.default_rng(5), draws=draws)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
