@@ -11,8 +11,8 @@ The Choi matrix is the unnormalized ``C = sum_ij |i><j| kron Psi(|i><j|)``;
 it is PSD exactly when the map is completely positive.
 
 Leading axes are batch axes, a stack of trials, in ``ChannelMap``,
-``channel_from_kraus``, ``choi``, ``is_tp_on_domain`` and
-``product_dynamics_choi``.
+``channel_from_kraus``, ``choi``, ``is_tp_on_domain``,
+``product_dynamics_choi`` and ``kraus_factorized``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "is_cp",
     "is_tp",
     "kraus_factorized",
-    "kraus_classical_quantum",
     "product_dynamics_choi",
     "reduced_dynamics",
     "trace_out_env_matrix",
@@ -177,39 +176,21 @@ def kraus_factorized(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> 
     With omega_E = sum_l lam_l |mu_l><mu_l|, the Kraus operators are
     ``E_kl = sqrt(lam_l) <k_E| U |mu_l>`` acting on H_S, returned as an
     ``(n, d_s, d_s)`` stack; the represented channel equals
-    Tr_E ( U (rho kron omega_E) U^dag ) for every rho.
+    Tr_E ( U (rho kron omega_E) U^dag ) for every rho.  Eigenvalues at or
+    below 1e-14 are dropped.  Leading axes of ``u`` and ``omega_e`` are
+    batch axes: a stack keeps zero operators in place of the dropped ones,
+    so that every member has d_E^2 operators, in the order (l, k).
     """
     w, vmat = np.linalg.eigh(np.asarray(omega_e, dtype=complex))
+    kept = w > 1e-14
+    scale = np.sqrt(np.where(kept, w, 0.0))[..., None, None, None]  # (..., l, k, s, e)
     # Row index (s, e), column (s', e'): contract the environment slots.
-    u4 = np.asarray(u, dtype=complex).reshape(d_s, d_e, d_s, d_e)
-    ops = []
-    for l in range(d_e):
-        lam = w[l].real
-        if lam <= 1e-14:
-            continue
-        mu = vmat[:, l]
-        u_mu = np.einsum("sket,t->ske", u4, mu)  # still indexed by k_E
-        for k in range(d_e):
-            ops.append(np.sqrt(lam) * u_mu[:, k, :])
-    return np.array(ops, dtype=complex).reshape(-1, d_s, d_s)
-
-
-def kraus_classical_quantum(
-    u: np.ndarray, basis: np.ndarray, omegas, d_s: int, d_e: int
-) -> np.ndarray:
-    """Operator-sum construction for classical-quantum initial correlations.
-
-    ``basis`` holds the fixed orthonormal system basis as columns; each
-    basis state i carries its own fixed environment state omegas[i].  The
-    Kraus operators, an ``(n, d_s, d_s)`` stack, are ``D_ikl P_i`` with P_i
-    the basis projector and ``D_ikl = sqrt(lam_il) <k_E| U |mu_il>`` the
-    ``kraus_factorized`` operators for omegas[i].
-    """
-    ops = []
-    for i in range(d_s):
-        b = basis[:, i]
-        ops.append(kraus_factorized(u, omegas[i], d_s, d_e) @ np.outer(b, b.conj()))
-    return np.concatenate(ops)
+    u = np.asarray(u, dtype=complex)
+    u4 = u.reshape(u.shape[:-2] + (d_s, d_e, d_s, d_e))
+    u_mu = [np.einsum("...sket,...t->...kse", u4, vmat[..., :, l]) for l in range(d_e)]
+    u_mu = np.stack(u_mu, axis=-4)
+    ops = (scale * u_mu).reshape(u_mu.shape[:-4] + (d_e * d_e, d_s, d_s))
+    return ops[np.repeat(kept, d_e)] if kept.ndim == 1 else ops
 
 
 def choi_distance(a: ChannelMap, b: ChannelMap) -> float:

@@ -17,8 +17,14 @@ RNG streams seeded with the pair ``[seed, trial_index]``; ``consistency``,
 
 ``verify-family`` runs in two phases.  Each trial draws its spec, its
 member's parameters and its unitary from its own stream, in the order a
-lone trial takes them; the trials are then checked as one stack, along a
-leading trial axis.  A stack's largest arrays hold at most
+lone trial takes them, with one ``normal`` call per run of normal draws
+(``_stack_draws``): one run for the spec and the unitary; for
+markov-blocks the spec's run, a Dirichlet draw, then one run for the
+member's block states and the unitary; for steered a Dirichlet draw, then
+one run for omega_AL, omega_RE, the unitary and P_A.  The runs are stacked
+along a leading trial axis and cut into Ginibre pairs and unitary draws;
+densities, Kraus closures and records are then formed once per stack, and
+the trials checked as one stack.  A stack's largest arrays hold at most
 ``_STACK_ENTRIES`` complex entries, so memory does not grow with
 ``--trials``, and it records what each trial would record alone.
 ``dpi`` runs the same way: each Markov state draws its blocks, then its
@@ -52,7 +58,16 @@ from .consistency import (
     span_from_states,
     theorem1_verify,
 )
-from .tensor import frobenius, haar_unitaries, random_density, tr_e, vec
+from .tensor import (
+    frobenius,
+    ginibre_densities,
+    haar_unitaries,
+    normal_runs,
+    per_stream,
+    random_density,
+    tr_e,
+    vec,
+)
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_DIM = 64
@@ -181,35 +196,46 @@ def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _spec_draws(family: str, args, rng: np.random.Generator) -> dict:
-    """The draws behind a random spec of a family other than steered, in
-    stream order: classical-quantum's frame, the Ginibre pair of the Haar
-    basis b_i, first; then every omega_RE_i; then kernel-extended's
-    Gaussian directions."""
+def _spec_draws(family: str, args, rngs, *then) -> tuple[dict, list]:
+    """A random spec's parts, a family other than steered, and the draws of
+    the groups of shapes ``then`` (``tensor.normal_runs``), from one stream
+    or stacked from several.
+
+    A stream gives them in one run of normal draws: classical-quantum's
+    frame, the Ginibre pair of the Haar basis b_i, first; then the Ginibre
+    pairs of every omega_RE_i; then kernel-extended's Gaussian directions;
+    then the draws of ``then``.  The parts are the ``frame``, the
+    ``omega_re`` and the ``directions``, None where the family has none.
+    """
     ds, de = args.ds, args.de
-    draws = {}
-    if family == "classical-quantum":
-        draws["frame"] = rng.normal(size=(2, ds, ds))
-    draws["omega_re"] = tuple(random_density(r * de, r * de, rng) for _, r in _layout(family, args))
-    if family == "kernel-extended":
-        d = ds * de
-        n_dir = min(3, d * d - ds * ds)
-        draws["directions"] = rng.normal(size=(d * d, n_dir)) + 1j * rng.normal(size=(d * d, n_dir))
-    return draws
+    d = ds * de
+    frame, x_re, x_dir, *rest = normal_runs(
+        rngs,
+        [(2, ds, ds)] if family == "classical-quantum" else [],
+        [(2, r * de, r * de) for _, r in _layout(family, args)],
+        [(2, d * d, min(3, d * d - ds * ds))] if family == "kernel-extended" else [],
+        *then,
+    )
+    parts = {
+        "frame": haar_unitaries(frame[0]) if frame else None,
+        "omega_re": tuple(map(ginibre_densities, x_re)),
+        "directions": x_dir[0][..., 0, :, :] + 1j * x_dir[0][..., 1, :, :] if x_dir else None,
+    }
+    return parts, rest
 
 
-def _spec_from(family: str, args, draws: dict):
-    """The spec that ``_spec_draws`` drew, validated; draws stacked along
-    leading trial axes give a stack of specs."""
+def _spec_from(family: str, args, frame, omega_re, directions):
+    """The spec of a family other than steered from its parts (see
+    ``_spec_draws``), validated; parts stacked along leading trial axes
+    give a stack of specs."""
     ds, de = args.ds, args.de
-    frame = haar_unitaries(draws["frame"]) if "frame" in draws else None
-    spec = families.MarkovBlocksSpec(_layout(family, args), de, draws["omega_re"], frame)
+    spec = families.MarkovBlocksSpec(_layout(family, args), de, omega_re, frame)
     if family != "kernel-extended":
         return spec
     # Gaussian directions projected onto ker Tr_E, X - Tr_E(X) kron I/d_E:
     # Tr_E is a co-isometry up to the factor d_E, so this is the
     # orthogonal projection, and no kernel basis is built.
-    x = draws["directions"]
+    x = directions
     t = tr_e(x, ds, de).reshape(x.shape[:-2] + (ds, ds, -1))
     x = x - np.einsum("...abk,ef->...aebfk", t, np.eye(de) / de).reshape(x.shape)
     return families.KernelExtendedSpec(spec, np.linalg.qr(x)[0])
@@ -218,7 +244,7 @@ def _spec_from(family: str, args, draws: dict):
 def _random_spec(family: str, args, rng: np.random.Generator):
     if family == "steered":
         return _steered_draw(args, rng)[1]
-    return _spec_from(family, args, _spec_draws(family, args, rng))
+    return _spec_from(family, args, **_spec_draws(family, args, rng)[0])
 
 
 def _family_span(spec):
@@ -229,19 +255,6 @@ def _family_span(spec):
     if isinstance(base, families.MarkovBlocksSpec):
         return markov_block_space(base)
     return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
-
-
-def _stack(items):
-    """The draws of several trials as the draws of one stack: arrays stack
-    along a new leading axis, tuples and dicts entry by entry, and a tuple
-    of numbers (a distribution over blocks) becomes a (trials, blocks)
-    array."""
-    x = items[0]
-    if isinstance(x, dict):
-        return {k: _stack([item[k] for item in items]) for k in x}
-    if isinstance(x, tuple) and not (x and np.isscalar(x[0])):
-        return tuple(_stack(list(col)) for col in zip(*items))
-    return np.array(items)
 
 
 def _stack_length(args) -> int:
@@ -255,33 +268,57 @@ def _stack_length(args) -> int:
     return max(1, _STACK_ENTRIES // (n * d * ds + d * d + ds**4))
 
 
-def _verify_stack(args, trials: range) -> list[dict]:
-    """The records of ``trials``, drawn one stream each and checked as one
-    stack.
+def _stack_draws(args, rngs) -> dict:
+    """The draws of a stack of ``verify-family`` trials, one stream each, as
+    a lone trial takes them, formed on the stack.
 
-    Each stream is drawn from in the order of a lone trial: its spec, a
-    markov-blocks member's parameters, its unitary, then a steered
-    member's parameters.  The assignment is built from the span of the
-    widest family containing the trial's members: steered sets take the
-    layout of their Markov state, kernel extensions their base.
+    Each stream gives one call for each run of normal draws: the spec's
+    run (see ``_spec_draws``), with the unitary's draws at its end; for
+    markov-blocks the spec's run, the member's Dirichlet draw ``probs``,
+    then the member's block ``states`` and the unitary; for steered the
+    Markov state's Dirichlet draw ``q``, then ``omega_al``, ``omega_re``,
+    the unitary and the member's ``p_a``.  The ``unitary`` entry holds the
+    normal draws of ``consistency.unitary_shapes``.
+    """
+    family, de = args.family, args.de
+    u_shapes = consistency.unitary_shapes(args.g, args.ds, de)
+    if family == "steered":
+        q, omega_al, omega_re, x_u, (x_p,) = families.markov_state_draws(
+            args.da, args.blocks, de, rngs, u_shapes, [(2, args.da, args.da)]
+        )
+        # Full rank and positive, as families.random_params draws it.
+        p_a = ginibre_densities(x_p) * args.da
+        return {"q": q, "omega_al": omega_al, "omega_re": omega_re, "unitary": x_u, "p_a": p_a}
+    if family != "markov-blocks":
+        draws, (x_u,) = _spec_draws(family, args, rngs, u_shapes)
+        return {**draws, "unitary": x_u}
+    draws, _ = _spec_draws(family, args, rngs)
+    blocks = args.blocks
+    probs = per_stream(rngs, lambda rng: rng.dirichlet(np.ones(len(blocks))))
+    x_states, x_u = normal_runs(rngs, [(2, l, l) for l, _ in blocks], u_shapes)
+    states = tuple(map(ginibre_densities, x_states))
+    return {**draws, "probs": probs, "states": states, "unitary": x_u}
+
+
+def _verify_stack(args, trials: range) -> list[dict]:
+    """The records of ``trials``, drawn one stream each (``_stack_draws``)
+    and checked as one stack.
+
+    The assignment is built from the span of the widest family containing
+    the trial's members: steered sets take the layout of their Markov
+    state, kernel extensions their base.  Densities, Kraus closures and
+    records are formed once per stack.
     """
     family, ds, de = args.family, args.ds, args.de
-    rngs = [_trial_rng(args.seed, t) for t in trials]
+    draws = _stack_draws(args, [_trial_rng(args.seed, t) for t in trials])
     if family == "steered":
-        draws = [families.markov_state_draws(args.da, args.blocks, de, rng) for rng in rngs]
-        mspec, spec = _steered(args, *_stack(draws))
+        mspec, spec = _steered(args, draws["q"], draws["omega_al"], draws["omega_re"])
         v = markov_block_space(mspec.layout)
     else:
-        spec = _spec_from(family, args, _stack([_spec_draws(family, args, rng) for rng in rngs]))
+        spec = _spec_from(family, args, draws["frame"], draws["omega_re"], draws["directions"])
         v = _family_span(spec)
     assign = canonical_assignment(v)
-    if family == "markov-blocks":
-        params = [families.random_params(spec, rng) for rng in rngs]
-        member = families.sample_member(
-            spec, families.FamilyParams(*_stack([(p.probs, p.states) for p in params]))
-        )
-    draws = _stack([consistency.unitary_draws(args.g, ds, de, rng) for rng in rngs])
-    stem, u = consistency.unitaries_from_draws(args.g, draws, ds, de)
+    stem, u = consistency.unitaries_from_draws(args.g, draws["unitary"], ds, de)
     label = stem if args.g == "swap" else f"{stem}_0"
     u = np.broadcast_to(u, (len(trials),) + u.shape[-2:])
     psi, verdict = consistency.reduced_dynamics_verdict(assign, u)
@@ -292,27 +329,20 @@ def _verify_stack(args, trials: range) -> list[dict]:
         omega_e = spec.omega_re[0]
         direct = channels.product_dynamics_choi(u, omega_e, ds, de)
         cols["construction_choi_distance"] = frobenius(channels.choi(psi) - direct)
-        # kraus_factorized drops eigenvalues of omega_E at or below 1e-14,
-        # so its sets differ in length from trial to trial.
-        kraus = [channels.kraus_factorized(*uw, ds, de) for uw in zip(u, omega_e)]
-        cols["kraus_closure_error"] = np.array(
-            [np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(ds)) for k in kraus]
-        )
+        kraus = channels.kraus_factorized(u, omega_e, ds, de)
+        closure = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
+        cols["kraus_closure_error"] = frobenius(closure - np.eye(ds))
     if family == "markov-blocks":
+        member = families.sample_member(
+            spec, families.FamilyParams(draws["probs"], draws["states"])
+        )
         cols["structure_residual"] = families.structure_fit(member, spec.blocks, spec.omega_re, de)
     if family == "steered":
-        p_a = np.stack([families.random_params(spec, rng).p_a for rng in rngs])
-        member = families.sample_member(spec, families.FamilyParams(p_a=p_a))
+        member = families.sample_member(spec, families.FamilyParams(p_a=draws["p_a"]))
         cols["steered_in_span"] = v.contains(member)
-    return [
-        {
-            "trial": t,
-            "unitary": label,
-            "assignment_cp": bool(assign.cp),
-            **{k: col[i].item() for k, col in cols.items()},
-        }
-        for i, t in enumerate(trials)
-    ]
+    head = {"unitary": label, "assignment_cp": bool(assign.cp)}
+    columns = [col.tolist() for col in cols.values()]
+    return [{"trial": t, **head, **dict(zip(cols, row))} for t, *row in zip(trials, *columns)]
 
 
 def _system_dim(args) -> int:
@@ -446,8 +476,8 @@ def _dpi_stack(args, trials: range) -> list[dict]:
     stream, then checked with the others as one stack.  A stream gives its
     state's draws, then the Ginibre pairs of its unitaries."""
     rngs = [_trial_rng(args.seed, t) for t in trials]
-    draws = [families.markov_state_draws(args.da, args.blocks, args.de, rng) for rng in rngs]
-    mspec, omega = _markov_state(args, *_stack(draws))
+    draws = families.markov_state_draws(args.da, args.blocks, args.de, rngs)
+    mspec, omega = _markov_state(args, *draws)
     dims = args.da, mspec.layout.d_s, args.de
     cmi = info.conditional_mutual_information(omega, *dims)
     worst, _ = info._search(omega, *dims, rngs, args.unitaries_per_state)

@@ -61,6 +61,7 @@ __all__ = [
     "u_consistency_violation",
     "g_consistency_report",
     "sample_unitaries",
+    "unitary_shapes",
     "unitary_draws",
     "unitaries_from_draws",
     "canonical_assignment",
@@ -478,16 +479,22 @@ def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generato
     return [(stem, us)] if g == "swap" else [(f"{stem}_{i}", u) for i, u in enumerate(us)]
 
 
-def unitary_draws(g: str, d_s: int, d_e: int, rng: np.random.Generator) -> tuple:
-    """The normal draws behind one unitary of the set named ``g``, in stream
-    order: a Ginibre pair (see ``tensor.haar_unitaries``) on S x E for
-    ``"all"``, one on S and then one on E for ``"local"``, none for
-    ``"swap"``."""
+def unitary_shapes(g: str, d_s: int, d_e: int) -> list[tuple[int, ...]]:
+    """The shapes of the normal draws behind one unitary of the set named
+    ``g``, in stream order: a Ginibre pair (see ``tensor.haar_unitaries``)
+    on S x E for ``"all"``, one on S and then one on E for ``"local"``,
+    none for ``"swap"``."""
     if g == "all":
-        return (rng.normal(size=(2, d_s * d_e, d_s * d_e)),)
+        return [(2, d_s * d_e, d_s * d_e)]
     if g == "local":
-        return rng.normal(size=(2, d_s, d_s)), rng.normal(size=(2, d_e, d_e))
-    return ()
+        return [(2, d_s, d_s), (2, d_e, d_e)]
+    return []
+
+
+def unitary_draws(g: str, d_s: int, d_e: int, rng: np.random.Generator) -> tuple:
+    """The normal draws behind one unitary of the set named ``g``, one
+    ``normal`` call per shape of ``unitary_shapes``."""
+    return tuple(rng.normal(size=shape) for shape in unitary_shapes(g, d_s, d_e))
 
 
 def unitaries_from_draws(g: str, draws: tuple, d_s: int, d_e: int) -> tuple[str, np.ndarray]:

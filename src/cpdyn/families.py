@@ -37,9 +37,12 @@ from .tensor import (
     check_density,
     first_failure,
     frobenius,
+    ginibre_densities,
     kron,
     min_eigenvalue,
+    normal_runs,
     partial_trace,
+    per_stream,
     psd_check,
     psd_tolerance,
     random_density,
@@ -57,7 +60,6 @@ __all__ = [
     "random_params",
     "span_generators",
     "build_markov_state",
-    "random_markov_state_spec",
     "markov_state_draws",
     "steer",
     "structure_fit",
@@ -326,24 +328,23 @@ def build_markov_state(spec: MarkovStateSpec) -> np.ndarray:
     return _direct_sum(lay.blocks, lay.d_e, terms, spec.d_a)
 
 
-def markov_state_draws(d_a: int, blocks, d_e: int, rng: np.random.Generator) -> tuple:
+def markov_state_draws(d_a: int, blocks, d_e: int, rngs, *then) -> tuple:
     """The draws ``(q, omega_al, omega_re)`` of a random Markov construction
-    with full-rank block states, in the order q, every omega_AL_i, every
-    omega_RE_i, not yet validated."""
-    q = tuple(rng.dirichlet(np.ones(len(blocks))))
-    omega_al = tuple(random_density(d_a * l, d_a * l, rng) for l, _ in blocks)
-    omega_re = tuple(random_density(r * d_e, r * d_e, rng) for _, r in blocks)
-    return q, omega_al, omega_re
+    with full-rank block states, not yet validated, from one generator or
+    stacked from each of a sequence (``tensor.per_stream``).
 
-
-def random_markov_state_spec(
-    d_a: int, blocks, d_e: int, rng: np.random.Generator
-) -> MarkovStateSpec:
-    """Random Markov construction with full-rank block states, from
-    ``markov_state_draws``."""
-    blocks = tuple(tuple(b) for b in blocks)
-    q, omega_al, omega_re = markov_state_draws(d_a, blocks, d_e, rng)
-    return MarkovStateSpec(d_a, q, omega_al, MarkovBlocksSpec(blocks, d_e, omega_re))
+    A stream gives q by one Dirichlet draw, then the Ginibre pairs of every
+    omega_AL_i and every omega_RE_i in one run of normal draws, which goes
+    on with the groups of shapes ``then`` (``tensor.normal_runs``); their
+    draws follow the three."""
+    q = per_stream(rngs, lambda rng: rng.dirichlet(np.ones(len(blocks))))
+    x_al, x_re, *rest = normal_runs(
+        rngs,
+        [(2, d_a * l, d_a * l) for l, _ in blocks],
+        [(2, r * d_e, r * d_e) for _, r in blocks],
+        *then,
+    )
+    return q, tuple(map(ginibre_densities, x_al)), tuple(map(ginibre_densities, x_re)), *rest
 
 
 def steer(omega_ase: np.ndarray, d_a: int, p_a: np.ndarray) -> np.ndarray:

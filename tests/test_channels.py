@@ -12,7 +12,6 @@ from cpdyn.channels import (
     is_cp,
     is_tp,
     is_tp_on_domain,
-    kraus_classical_quantum,
     kraus_factorized,
     product_assignment_matrix,
     product_dynamics_choi,
@@ -28,12 +27,12 @@ from cpdyn.tensor import (
     partial_trace,
     random_density,
     random_haar_unitary,
-    random_hermitian,
     tr_e,
     tr_e_kraus,
     unvec,
     vec,
 )
+from trial_oracle import kraus_classical_quantum, random_hermitian
 
 
 def identity_channel(d):

@@ -46,12 +46,12 @@ from cpdyn.tensor import (
     psd_check,
     random_density,
     random_haar_unitary,
-    random_hermitian,
     swap_unitary,
     tr_e,
     unvec,
     vec,
 )
+from trial_oracle import random_hermitian, random_markov_state_spec
 
 
 def random_kernel_perturbation(v0, rng, scale=0.1):
@@ -749,7 +749,7 @@ def _kraus_backed_assignment(case, size, seed):
     if case == "steered":
         blocks, d_e = size
         rng = np.random.default_rng(seed)
-        layout = families.random_markov_state_spec(2, blocks, d_e, rng).layout
+        layout = random_markov_state_spec(2, blocks, d_e, rng).layout
         return markov_block_space(layout).canonical_assignment()
     if case == "demo1-product":
         omega_e = (np.diag([0.7, 0.3]) if size == 2 else np.eye(size) / size).astype(complex)

@@ -13,7 +13,6 @@ from cpdyn.families import (
     SteeredSpec,
     block_slices,
     build_markov_state,
-    random_markov_state_spec,
     random_params,
     sample_member,
     span_generators,
@@ -28,6 +27,7 @@ from cpdyn.tensor import (
     random_haar_unitary,
 )
 from cpdyn.consistency import OperatorSubspace, kernel_tr_e
+from trial_oracle import random_markov_state_spec
 
 
 def markov_spec(rng, blocks=((1, 2), (2, 1)), d_e=2):

@@ -19,6 +19,7 @@ from cpdyn.families import (
     span_generators,
 )
 from cpdyn.tensor import random_density, random_haar_unitary, tr_e
+from trial_oracle import kraus_classical_quantum
 
 LAYOUTS = {
     "1x2,2x1": ((1, 2), (2, 1)),
@@ -278,7 +279,7 @@ def test_classical_quantum_dynamics_dephases_then_prepares(d_s, d_e):
     assign = canonical_assignment(cli._family_span(spec))
     for _, u in sample_unitaries("all", 2, d_s, d_e, rng):
         psi = channels.reduced_dynamics(u, assign.mat, d_s, d_e)
-        k = channels.kraus_classical_quantum(u, spec.frame, spec.omega_re, d_s, d_e)
+        k = kraus_classical_quantum(u, spec.frame, spec.omega_re, d_s, d_e)
         assert np.linalg.norm(psi.mat - channels.channel_from_kraus(k, d_s, d_s).mat) <= 1e-12
 
 

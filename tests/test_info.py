@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cpdyn import info
 from cpdyn.cli import ghz_state
-from cpdyn.families import build_markov_state, random_markov_state_spec
+from cpdyn.families import build_markov_state
 from cpdyn.info import (
     conditional_mutual_information,
     dpi_check,
@@ -21,6 +21,7 @@ from cpdyn.tensor import (
     random_haar_unitaries,
     random_haar_unitary,
 )
+from trial_oracle import random_markov_state_spec
 
 LN2 = 0.6931471805599453
 # Markov block layouts by system dimension.

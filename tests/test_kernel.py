@@ -24,11 +24,11 @@ from cpdyn.tensor import (
     kron,
     random_density,
     random_haar_unitary,
-    random_hermitian,
     swap_unitary,
     tr_e,
     vec,
 )
+from trial_oracle import random_hermitian
 
 TOL = 1e-12
 

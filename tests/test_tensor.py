@@ -10,14 +10,15 @@ from cpdyn.tensor import (
     check_density,
     is_hermitian,
     kron,
+    normal_runs,
     partial_trace,
     psd_check,
     random_density,
     random_haar_unitary,
-    random_hermitian,
     swap_unitary,
     von_neumann_entropy,
 )
+from trial_oracle import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -99,6 +100,45 @@ def test_random_density_rank_and_determinism():
     assert np.array_equal(rho, again)
     with pytest.raises(ValueError):
         random_density(2, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 1), (2, 2), (4, 4), (4, 1), (16, 3)])
+def test_random_density_is_one_draw_of_the_two_ginibre_halves(dim, rank):
+    # One (2, dim, rank) draw: the real half of G, then its imaginary half,
+    # as two (dim, rank) draws take them, bits and stream alike.
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    rho = random_density(dim, rank, a)
+    g = b.normal(size=(dim, rank)) + 1j * b.normal(size=(dim, rank))
+    ref = g @ g.conj().T
+    ref = ref / np.trace(ref).real
+    assert (rho.shape, rho.tobytes()) == (ref.shape, ref.tobytes())
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("rank", [0, -1, 5])
+def test_random_density_refuses_a_rank_outside_one_to_dim(rank):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"rank must be in \[1, 4\]"):
+        random_density(4, rank, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_normal_runs_cut_one_call_into_the_draws_of_each_shape():
+    groups = ([(2, 3, 3)], [], [(4,), (2, 1, 2)])
+    stream = [np.random.default_rng([5, t]) for t in range(3)]
+    cut = normal_runs(stream, *groups)
+    for t, rng in enumerate(stream):
+        alone = np.random.default_rng([5, t])
+        for group, arrays in zip(groups, cut):
+            assert len(arrays) == len(group)
+            for shape, x in zip(group, arrays):
+                ref = alone.normal(size=shape)
+                assert x.shape == (3,) + shape and x[t].tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == alone.bit_generator.state
+    # One generator gives the draws with no trial axis.
+    one = normal_runs(np.random.default_rng([5, 0]), *groups)
+    assert all(np.array_equal(x, y[0]) for a, b in zip(one, cut) for x, y in zip(a, b))
 
 
 def test_check_density_takes_positivity_from_one_eigvalsh(monkeypatch, rng):

@@ -9,7 +9,7 @@ import pytest
 from cpdyn import cli, families
 from cpdyn.families import MarkovBlocksSpec, MarkovStateSpec
 from cpdyn.tensor import check_density, is_hermitian, psd_check, random_density, random_haar_unitary
-from trial_oracle import verify_family_trial
+from trial_oracle import trial_draws, verify_family_trial
 
 DEFAULT_CASES = [
     ("--family", family, "--g", g)
@@ -54,6 +54,48 @@ def _assert_records_match_the_oracle(case, trials, seed):
 @pytest.mark.parametrize("case", DEFAULT_CASES + SWAP_CASES + LAYOUT_CASES, ids=" ".join)
 def test_stacked_records_equal_the_oracle(case, seed):
     _assert_records_match_the_oracle(case, 1 if case in LAYOUT_CASES else 50, seed)
+
+
+def _member(draw, t):
+    """Trial ``t``'s part of a stack's draw: None, a tuple of arrays, or an
+    array along the trial axis."""
+    if draw is None:
+        return None
+    if isinstance(draw, tuple):
+        return tuple(x[t] for x in draw)
+    return draw[t]
+
+
+def _assert_same_bits(cut, alone):
+    if alone is None:
+        assert cut is None
+    elif isinstance(alone, tuple) and all(isinstance(x, np.ndarray) for x in alone):
+        # Per-block states, or a unitary's draws.
+        assert isinstance(cut, tuple) and len(cut) == len(alone)
+        for c, a in zip(cut, alone):
+            _assert_same_bits(c, a)
+    else:
+        # A distribution drawn alone is a tuple of floats.
+        cut, alone = np.asarray(cut), np.asarray(alone)
+        assert (cut.dtype, cut.shape, cut.tobytes()) == (alone.dtype, alone.shape, alone.tobytes())
+
+
+@pytest.mark.parametrize("case", DEFAULT_CASES + SWAP_CASES + LAYOUT_CASES, ids=" ".join)
+def test_the_cut_draws_are_the_draws_of_each_trial_alone(case):
+    # Every family at every --g: the stack's runs of normal draws, cut into
+    # arrays and formed on the stack, equal the per-call draws of each
+    # trial's stream, bit for bit, and leave each stream where they do.
+    n = 3
+    args = _args(case, n, 4)
+    streams = [cli._trial_rng(args.seed, t) for t in range(n)]
+    cut = cli._stack_draws(args, streams)
+    for t, rng in enumerate(streams):
+        alone_rng = cli._trial_rng(args.seed, t)
+        alone = trial_draws(args, alone_rng)
+        assert cut.keys() == alone.keys()
+        for key, draw in alone.items():
+            _assert_same_bits(_member(cut[key], t), draw)
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
 
 
 def test_the_default_trials_are_one_stack():

@@ -1,35 +1,105 @@
 """The per-trial oracles of ``verify-family`` and ``dpi``: one trial drawn
-from its own stream and checked alone, with the unbatched primitives.  The
-commands check their trials as stacks; every record they write must equal
-these oracles' records for the same trial, bit for bit."""
+from its own stream, one draw at a time, and checked alone, with the
+unbatched primitives.  The commands draw each stream in runs and check
+their trials as stacks; every record they write must equal these oracles'
+records for the same trial, bit for bit.
+
+Also here: the samplers and the Kraus construction that only tests call."""
 
 import numpy as np
 
 from cpdyn import channels, cli, consistency, families, info
 from cpdyn.consistency import canonical_assignment, markov_block_space
-from cpdyn.tensor import random_haar_unitaries
+from cpdyn.families import MarkovBlocksSpec, MarkovStateSpec
+from cpdyn.tensor import random_density, random_haar_unitaries, random_haar_unitary
 
 # Unitaries per chunk of the one-state hunt, a count independent of the
 # command's entry bound.
 DPI_CHUNK = 16
 
 
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def kraus_classical_quantum(
+    u: np.ndarray, basis: np.ndarray, omegas, d_s: int, d_e: int
+) -> np.ndarray:
+    """Operator-sum construction for classical-quantum initial correlations.
+
+    ``basis`` holds the fixed orthonormal system basis as columns; each
+    basis state i carries its own fixed environment state omegas[i].  The
+    Kraus operators, an ``(n, d_s, d_s)`` stack, are ``D_ikl P_i`` with P_i
+    the basis projector and ``D_ikl = sqrt(lam_il) <k_E| U |mu_il>`` the
+    ``kraus_factorized`` operators for omegas[i].
+    """
+    ops = []
+    for i in range(d_s):
+        b = basis[:, i]
+        ops.append(channels.kraus_factorized(u, omegas[i], d_s, d_e) @ np.outer(b, b.conj()))
+    return np.concatenate(ops)
+
+
+def random_markov_state_spec(
+    d_a: int, blocks, d_e: int, rng: np.random.Generator
+) -> MarkovStateSpec:
+    """Random Markov construction with full-rank block states, drawn in the
+    order q, every omega_AL_i, every omega_RE_i."""
+    blocks = tuple(tuple(b) for b in blocks)
+    q = tuple(rng.dirichlet(np.ones(len(blocks))))
+    omega_al = tuple(random_density(d_a * l, d_a * l, rng) for l, _ in blocks)
+    omega_re = tuple(random_density(r * d_e, r * d_e, rng) for _, r in blocks)
+    return MarkovStateSpec(d_a, q, omega_al, MarkovBlocksSpec(blocks, d_e, omega_re))
+
+
+def trial_draws(args, rng: np.random.Generator) -> dict:
+    """The draws of one ``verify-family`` trial, one call at a time, in
+    stream order, with the entries of ``cli._stack_draws``."""
+    ds, de, da = args.ds, args.de, args.da
+    if args.family == "steered":
+        mspec = random_markov_state_spec(da, args.blocks, de, rng)
+        unitary = consistency.unitary_draws(args.g, ds, de, rng)
+        spec = families.SteeredSpec(da, ds, de, families.build_markov_state(mspec))
+        return {
+            "q": mspec.q,
+            "omega_al": mspec.omega_al,
+            "omega_re": mspec.layout.omega_re,
+            "unitary": unitary,
+            "p_a": families.random_params(spec, rng).p_a,
+        }
+    draws = {"frame": random_haar_unitary(ds, rng) if args.family == "classical-quantum" else None}
+    draws["omega_re"] = tuple(
+        random_density(r * de, r * de, rng) for _, r in cli._layout(args.family, args)
+    )
+    draws["directions"] = None
+    if args.family == "kernel-extended":
+        d = ds * de
+        n_dir = min(3, d * d - ds * ds)
+        draws["directions"] = rng.normal(size=(d * d, n_dir)) + 1j * rng.normal(size=(d * d, n_dir))
+    if args.family == "markov-blocks":
+        params = families.random_params(MarkovBlocksSpec(args.blocks, de, draws["omega_re"]), rng)
+        draws["probs"], draws["states"] = params.probs, params.states
+    return {**draws, "unitary": consistency.unitary_draws(args.g, ds, de, rng)}
+
+
 def verify_family_trial(args, trial: int) -> dict:
-    rng = cli._trial_rng(args.seed, trial)
+    draws = trial_draws(args, cli._trial_rng(args.seed, trial))
     # The assignment is built from the span of the widest family containing
     # the trial's members: steered sets take the layout of their Markov
     # state, kernel extensions their base.
     if args.family == "steered":
-        mspec, spec = cli._steered_draw(args, rng)
+        mspec, spec = cli._steered(args, draws["q"], draws["omega_al"], draws["omega_re"])
         v = markov_block_space(mspec.layout)
     else:
-        spec = cli._random_spec(args.family, args, rng)
+        spec = cli._spec_from(
+            args.family, args, draws["frame"], draws["omega_re"], draws["directions"]
+        )
         v = cli._family_span(spec)
     ds, de = spec.d_s, spec.d_e
     assign = canonical_assignment(v)
-    if args.family == "markov-blocks":
-        member = families.sample_member(spec, families.random_params(spec, rng))
-    label, u = consistency.sample_unitaries(args.g, 1, ds, de, rng)[0]
+    label, u = consistency.unitaries_from_draws(args.g, draws["unitary"], ds, de)
+    label = label if args.g == "swap" else f"{label}_0"
     psi, verdict = consistency.reduced_dynamics_verdict(assign, u)
     rec = {"trial": trial, "unitary": label, **verdict, "assignment_cp": bool(assign.cp)}
     if args.family == "factorized":
@@ -42,9 +112,11 @@ def verify_family_trial(args, trial: int) -> dict:
             np.linalg.norm(sum(e.conj().T @ e for e in k) - np.eye(ds))
         )
     if args.family == "markov-blocks":
+        params = families.FamilyParams(draws["probs"], draws["states"])
+        member = families.sample_member(spec, params)
         rec["structure_residual"] = families.structure_fit(member, spec.blocks, spec.omega_re, de)
     if args.family == "steered":
-        member = families.sample_member(spec, families.random_params(spec, rng))
+        member = families.sample_member(spec, families.FamilyParams(p_a=draws["p_a"]))
         rec["steered_in_span"] = bool(v.contains(member))
     return rec
 
@@ -65,7 +137,7 @@ def dpi_search(omega, d_a, d_s, d_e, rng, draws) -> dict:
 
 def dpi_state(args, trial: int) -> dict:
     rng = cli._trial_rng(args.seed, trial)
-    mspec = families.random_markov_state_spec(args.da, args.blocks, args.de, rng)
+    mspec = random_markov_state_spec(args.da, args.blocks, args.de, rng)
     omega = families.build_markov_state(mspec)
     d_s = mspec.layout.d_s
     cmi = info.conditional_mutual_information(omega, args.da, d_s, args.de)
