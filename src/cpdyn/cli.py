@@ -170,17 +170,14 @@ def _steered(args, q, omega_al, omega_re):
     return mspec, families.SteeredSpec(args.da, mspec.layout.d_s, args.de, state)
 
 
-def _steered_draw(args, rng: np.random.Generator):
-    """A random Markov state spec and the steered family of its state."""
-    return _steered(args, *families.markov_state_draws(args.da, args.blocks, args.de, rng))
-
-
 def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
     """The Markov block layout (l_i, r_i) of a family: factorized is the one
     block (d_s, 1), classical-quantum d_s blocks (1, 1) (in a random frame)
     and direct-sum has blocks (d_i, 1), with d_i the sizes of ``--blocks``;
     mixed-direct-sum holds a fixed S x E state in each of its first
-    max(1, m // 2) blocks, as (1, d_i), and is a direct sum after them."""
+    max(1, m // 2) blocks, as (1, d_i), and is a direct sum after them;
+    markov-blocks, kernel-extended and steered (that of its Markov state)
+    take ``--blocks``."""
     if family == "factorized":
         return ((args.ds, 1),)
     if family == "classical-quantum":
@@ -191,7 +188,7 @@ def _layout(family: str, args) -> tuple[tuple[int, int], ...]:
     if family == "mixed-direct-sum":
         m_prime = max(1, len(dims) // 2)
         return tuple((1, d) for d in dims[:m_prime]) + tuple((d, 1) for d in dims[m_prime:])
-    if family in ("markov-blocks", "kernel-extended"):
+    if family in ("markov-blocks", "kernel-extended", "steered"):
         return args.blocks
     raise ValueError(f"unknown family {family!r}")
 
@@ -243,7 +240,8 @@ def _spec_from(family: str, args, frame, omega_re, directions):
 
 def _random_spec(family: str, args, rng: np.random.Generator):
     if family == "steered":
-        return _steered_draw(args, rng)[1]
+        draws = families.markov_state_draws(args.da, args.blocks, args.de, rng)
+        return _steered(args, *draws)[1]
     return _spec_from(family, args, **_spec_draws(family, args, rng)[0])
 
 
@@ -263,8 +261,7 @@ def _stack_length(args) -> int:
     its assignment, sum_i r_i^2 d_E operators of shape (d, d_s), its
     (d, d) unitary and the (d_s^2, d_s^2) Choi matrix of its channel."""
     ds, d = args.ds, args.ds * args.de
-    blocks = args.blocks if args.family == "steered" else _layout(args.family, args)
-    n = sum(r * r for _, r in blocks) * args.de
+    n = sum(r * r for _, r in _layout(args.family, args)) * args.de
     return max(1, _STACK_ENTRIES // (n * d * ds + d * d + ds**4))
 
 

@@ -43,6 +43,7 @@ from .tensor import (
     hermitian_part_psd,
     is_hermitian,
     kron,
+    normal_runs,
     psd_check,
     swap_unitary,
     tr_e,
@@ -62,7 +63,6 @@ __all__ = [
     "g_consistency_report",
     "sample_unitaries",
     "unitary_shapes",
-    "unitary_draws",
     "unitaries_from_draws",
     "canonical_assignment",
     "perturb_assignment",
@@ -473,8 +473,10 @@ def u_consistency_violation(v: Subspace, u: np.ndarray) -> float:
 def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generator):
     """``n`` labelled unitaries drawn from the set named ``g``: ``"all"``
     (Haar on S x E), ``"local"`` (Haar products U_S x U_E) or ``"swap"``
-    (the one swap, whatever ``n``)."""
-    draws = [unitary_draws(g, d_s, d_e, rng) for _ in range(n)]
+    (the one swap, whatever ``n``).  The normal draws of every unitary
+    (``unitary_shapes``) come in stream order from one ``normal`` call
+    (``tensor.normal_runs``), and the unitaries are built as one stack."""
+    draws = normal_runs(rng, *[unitary_shapes(g, d_s, d_e)] * n)
     stem, us = unitaries_from_draws(g, tuple(map(np.stack, zip(*draws))), d_s, d_e)
     return [(stem, us)] if g == "swap" else [(f"{stem}_{i}", u) for i, u in enumerate(us)]
 
@@ -491,16 +493,10 @@ def unitary_shapes(g: str, d_s: int, d_e: int) -> list[tuple[int, ...]]:
     return []
 
 
-def unitary_draws(g: str, d_s: int, d_e: int, rng: np.random.Generator) -> tuple:
-    """The normal draws behind one unitary of the set named ``g``, one
-    ``normal`` call per shape of ``unitary_shapes``."""
-    return tuple(rng.normal(size=shape) for shape in unitary_shapes(g, d_s, d_e))
-
-
 def unitaries_from_draws(g: str, draws: tuple, d_s: int, d_e: int) -> tuple[str, np.ndarray]:
     """The label stem and the unitaries of the set named ``g`` built from
-    ``unitary_draws``, stacked along leading axes: one QR per stack.  The
-    swap is the one matrix, whatever the draws."""
+    the normal draws of ``unitary_shapes``, stacked along leading axes: one
+    QR per stack.  The swap is the one matrix, whatever the draws."""
     if g == "all":
         return "haar", haar_unitaries(draws[0])
     if g == "local":

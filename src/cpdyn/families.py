@@ -38,12 +38,12 @@ from .tensor import (
     first_failure,
     frobenius,
     ginibre_densities,
+    hermitian_part_psd,
     kron,
     min_eigenvalue,
     normal_runs,
     partial_trace,
     per_stream,
-    psd_check,
     psd_tolerance,
     random_density,
     unvec,
@@ -354,7 +354,7 @@ def steer(omega_ase: np.ndarray, d_a: int, p_a: np.ndarray) -> np.ndarray:
     is checked on the Hermitian part of P_A.
     """
     p_a = np.asarray(p_a, dtype=complex)
-    if not np.all(psd_check((p_a + p_a.swapaxes(-1, -2).conj()) / 2)[0]):
+    if not np.all(hermitian_part_psd(p_a)[0]):
         raise ValueError("steering operator must be positive semidefinite")
     d = omega_ase.shape[-1]
     d_se = d // d_a

@@ -1,5 +1,7 @@
 """Mutual information, conditional mutual information and the data
 processing inequality on tripartite ancilla-system-environment states.
+After a unitary U on S x E, the (a, a') block of the state on A x S is
+Tr_E(U omega_aa' U^dagger), so one ``tensor.tr_e`` over the blocks gives it.
 
 All entropies are in nats.  Sampling-based searches report the best
 violation found; absence of a violation is never a Markovianity
@@ -10,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import haar_unitaries, partial_trace, von_neumann_entropy
+from .tensor import (
+    _transpose_last,
+    haar_unitaries,
+    partial_trace,
+    per_stream,
+    tr_e,
+    von_neumann_entropy,
+)
 
 __all__ = [
     "mutual_information",
@@ -20,10 +29,10 @@ __all__ = [
 ]
 
 # The complex entries the largest arrays of one stacked evaluation may
-# hold: a (states, unitaries, n, n) stack of evolved states on A x S x E of
-# side n (see _chunk_length and _states_per_stack).  At the 64-dimension
-# cap a chunk is one state and four unitaries, 256 KB, whatever the number
-# of states or draws.
+# hold: tr_e's U X product, n^2 entries for each (state, unitary) pair of
+# side n = d_a d_s d_e (see _i_after, _chunk_length and _states_per_stack).
+# At the 64-dimension cap a chunk is one state and four unitaries, 256 KB,
+# whatever the number of states or draws.
 _STACK_ENTRIES = 1 << 14
 
 
@@ -89,8 +98,9 @@ def _i_after(
     omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, u_se: np.ndarray
 ) -> np.ndarray:
     """I(A:S) of Tr_E((I_A kron U) omega (I_A kron U)^dagger) for each U of a
-    stack.  U acts on the S x E factor of every ``(a, a')`` block of the
-    state by batched matmul, so ``I_A kron U`` is never formed.  A
+    stack.  The ``(a, a')`` block of that state on A x S is
+    Tr_E(U omega_aa' U^dagger), so it is one ``tr_e`` over the d_a^2 blocks
+    of omega, and neither ``I_A kron U`` nor an evolved state is formed.  A
     ``(..., n, n)`` stack of states takes a ``(..., k, d, d)`` stack of
     unitaries and gives ``(..., k)``."""
     d = d_s * d_e
@@ -98,20 +108,21 @@ def _i_after(
     u_se = np.asarray(u_se, dtype=complex)
     if u_se.ndim != omega_ase.ndim + 1 or u_se.shape[-2:] != (d, d):
         raise ValueError(f"evolution must be a stack of {d}x{d} unitaries on S x E")
-    batch = u_se.shape[:-2]
-    # (I_A kron U) omega with rows (a, (s, e)), then times (I_A kron U)^dagger
-    # with columns ((a', s'), e') read as rows of d entries.
-    state = omega_ase.reshape(omega_ase.shape[:-2] + (1, d_a, d, d_a * d))
-    left = u_se[..., None, :, :] @ state
-    evolved = left.reshape(batch + (d_a * d * d_a, d)) @ u_se.conj().swapaxes(-1, -2)
-    after = partial_trace(evolved.reshape(batch + (d_a * d,) * 2), (d_a, d_s, d_e), keep=(0, 1))
+    # Column (a, a') of each state's stack is vec omega_aa', the block at
+    # rows (a, .) and columns (a', .).
+    blocks = omega_ase.reshape(omega_ase.shape[:-2] + (1, d_a, d, d_a, d))
+    cols = _transpose_last(blocks, 1, 3, 0, 2).reshape(blocks.shape[:-4] + (d * d, d_a * d_a))
+    # Rows (s, s') and columns (a, a'), read as rows (a, s), columns (a', s').
+    after = tr_e(cols, d_s, d_e, u_se).reshape(u_se.shape[:-2] + (d_s, d_s, d_a, d_a))
+    after = _transpose_last(after, 2, 0, 3, 1).reshape(u_se.shape[:-2] + (d_a * d_s,) * 2)
     return mutual_information(after, d_a, d_s)
 
 
 def _chunk_length(states: int, n: int, draws: int) -> int:
     """Unitaries per chunk of a hunt on ``states`` states of side ``n``: as
-    many as keep the chunk's ``(states, unitaries, n, n)`` evolved states
-    within ``_STACK_ENTRIES``, at most ``draws`` and at least one."""
+    many as keep the chunk's ``tr_e`` product, n^2 entries for each (state,
+    unitary) pair, within ``_STACK_ENTRIES``, at most ``draws`` and at least
+    one."""
     return max(1, min(draws, _STACK_ENTRIES // (states * n * n)))
 
 
@@ -142,7 +153,7 @@ def _search(
     step = _chunk_length(len(rngs), omega_ase.shape[-1], draws)
     for start in range(0, draws, step):
         size = (min(step, draws - start), 2, d, d)
-        us = haar_unitaries(np.stack([rng.normal(size=size) for rng in rngs]))
+        us = haar_unitaries(per_stream(rngs, lambda rng: rng.normal(size=size)))
         deltas = i_before - _i_after(omega_ase, d_a, d_s, d_e, us)
         i = np.argmin(deltas, axis=-1)
         low = deltas[rows, i]

@@ -35,7 +35,6 @@ __all__ = [
     "tr_e_kraus",
     "haar_unitaries",
     "random_haar_unitary",
-    "random_haar_unitaries",
     "ginibre_densities",
     "random_density",
     "per_stream",
@@ -126,7 +125,8 @@ def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> n
     formed: the cost is one ``(d, d) x (d, d k)`` product plus one
     ``d_s``-batched ``(d_s, d d_e) x (d d_e, k)`` product that applies
     ``U^dagger`` and the trace together.  Leading axes of ``cols`` and
-    ``u`` are batch axes.
+    ``u`` are batch axes.  ``info`` takes the d_a^2 blocks of a state on
+    A x S x E as the columns, for the state on A x S after U.
     """
     d = d_s * d_e
     x = np.asarray(cols, dtype=complex)
@@ -177,20 +177,11 @@ def haar_unitaries(x: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A ``(n, dim, dim)`` stack of Haar-random unitaries, ``haar_unitaries``
-    of ``n`` draws.
-
-    Each matrix takes its real part and then its imaginary part from the
-    stream, so the stack equals ``n`` successive ``random_haar_unitary``
-    draws and leaves ``rng`` in the same state.
-    """
-    return haar_unitaries(rng.normal(size=(n, 2, dim, dim)))
-
-
 def random_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-random unitary: ``random_haar_unitaries`` with ``n = 1``."""
-    return random_haar_unitaries(1, dim, rng)[0]
+    """One Haar-random unitary: ``haar_unitaries`` of one ``(2, dim, dim)``
+    normal draw, the real part of the Ginibre matrix and then its imaginary
+    part."""
+    return haar_unitaries(rng.normal(size=(2, dim, dim)))
 
 
 def ginibre_densities(x: np.ndarray) -> np.ndarray:

@@ -34,11 +34,15 @@ from cpdyn.tensor import (
     min_eigenvalue,
     partial_trace,
     random_density,
-    random_haar_unitaries,
     random_haar_unitary,
     tr_e,
 )
-from trial_oracle import kraus_classical_quantum, random_hermitian, random_markov_state_spec
+from trial_oracle import (
+    kraus_classical_quantum,
+    random_haar_unitaries,
+    random_hermitian,
+    random_markov_state_spec,
+)
 
 BLOCKS = ((1, 2), (2, 1))
 

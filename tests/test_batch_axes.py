@@ -10,7 +10,7 @@ from cpdyn.channels import ChannelMap
 from cpdyn.consistency import markov_block_space
 from cpdyn.families import FamilyParams, MarkovBlocksSpec, SteeredSpec
 from cpdyn.tensor import random_density, random_haar_unitary
-from trial_oracle import random_hermitian
+from trial_oracle import random_haar_unitaries, random_hermitian, unitary_draws
 
 T = 5
 
@@ -98,7 +98,7 @@ def test_random_haar_unitaries_keep_their_stream_and_bits():
     x = a.normal(size=(7, 2, 6, 6))
     q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    assert np.array_equal(tensor.random_haar_unitaries(7, 6, b), q * (d / np.abs(d))[:, None, :])
+    assert np.array_equal(random_haar_unitaries(7, 6, b), q * (d / np.abs(d))[:, None, :])
     assert a.random() == b.random()
 
 
@@ -245,18 +245,29 @@ def test_markov_states_on_a_stack(rng):
     )
 
 
-@pytest.mark.parametrize("g", ["all", "local", "swap"])
-def test_unitaries_from_stacked_draws_equal_sampled_ones(g):
+@pytest.mark.parametrize(
+    "g, n",
+    [
+        pytest.param(g, n, id=g if n == 1 else f"{g}-{n}")
+        for g in ("all", "local", "swap")
+        for n in (1, 7)
+    ],
+)
+def test_unitaries_from_stacked_draws_equal_sampled_ones(g, n):
+    # sample_unitaries takes n unitaries' draws in one normal call: the
+    # unitaries, labels and stream of n per-call draws, T times over.
     a, b = np.random.default_rng(3), np.random.default_rng(3)
-    draws = [consistency.unitary_draws(g, 2, 2, a) for _ in range(T)]
+    draws = [unitary_draws(g, 2, 2, a) for _ in range(T * n)]
     stem, us = consistency.unitaries_from_draws(g, tuple(map(np.stack, zip(*draws))), 2, 2)
-    sampled = [consistency.sample_unitaries(g, 1, 2, 2, b)[0] for _ in range(T)]
+    sampled = [consistency.sample_unitaries(g, n, 2, 2, b) for _ in range(T)]
     if g == "swap":
-        assert [(stem, us.tolist())] * T == [(label, u.tolist()) for label, u in sampled]
+        assert [[(stem, us.tolist())]] * T == [[(l, u.tolist()) for l, u in s] for s in sampled]
+        # The swap draws nothing.
+        assert b.bit_generator.state == np.random.default_rng(3).bit_generator.state
     else:
-        assert [f"{stem}_0"] * T == [label for label, _ in sampled]
-        _equal_per_member(us, [u for _, u in sampled])
-    assert a.random() == b.random()
+        assert [[f"{stem}_{i}" for i in range(n)]] * T == [[l for l, _ in s] for s in sampled]
+        _equal_per_member(us, [u for s in sampled for _, u in s])
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2), (3, 3, 2)])

@@ -264,6 +264,19 @@ def test_steer_checks_the_positivity_of_p(low, ok):
             steer(omega, 2, p_a)
 
 
+@pytest.mark.parametrize("low, ok", [(-1e-3, False), (0.2, True)])
+def test_steer_checks_the_hermitian_part_of_a_non_hermitian_p(low, ok):
+    # The anti-Hermitian part is ignored: diag(1, low) decides.
+    rng = np.random.default_rng(31)
+    omega = build_markov_state(random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng))
+    p_a = np.diag([1.0, low]) + 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    if ok:
+        assert abs(np.trace(steer(omega, 2, p_a)).real - 1) < 1e-12
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            steer(omega, 2, p_a)
+
+
 def test_kernel_extension_changes_state_but_not_marginal(rng):
     base = markov_spec(rng)
     full = OperatorSubspace(base.d_s, 2, np.eye((2 * base.d_s) ** 2))

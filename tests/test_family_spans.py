@@ -294,7 +294,8 @@ def test_markov_span_contains_reads_the_structure_fit_residual(layout, d_e):
     # that the orthonormalized generators give, on members and states alike.
     args = _args("steered", cli._parse_blocks(layout), d_e=d_e)
     rng = np.random.default_rng(17)
-    mspec, spec = cli._steered_draw(args, rng)
+    draws = families.markov_state_draws(args.da, args.blocks, args.de, rng)
+    mspec, spec = cli._steered(args, *draws)
     markov = mspec.layout
     v = cli._family_span(markov)
     b = span_from_states(span_generators(markov), markov.d_s, d_e).basis

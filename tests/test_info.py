@@ -18,14 +18,13 @@ from cpdyn.tensor import (
     kron,
     partial_trace,
     random_density,
-    random_haar_unitaries,
     random_haar_unitary,
 )
-from trial_oracle import random_markov_state_spec
+from trial_oracle import i_after, random_haar_unitaries, random_markov_state_spec
 
 LN2 = 0.6931471805599453
 # Markov block layouts by system dimension.
-BLOCKS = {2: ((1, 1), (1, 1)), 3: ((1, 1), (1, 2)), 4: ((1, 2), (2, 1))}
+BLOCKS = {2: ((1, 1), (1, 1)), 3: ((1, 1), (1, 2)), 4: ((1, 2), (2, 1)), 8: ((2, 2), (2, 2))}
 DPI_DIMS = [(1, 2, 2), (2, 2, 2), (2, 4, 2), (3, 2, 3), (2, 3, 2), (4, 4, 4)]
 
 
@@ -170,6 +169,23 @@ def test_stacked_delta_matches_the_per_unitary_reference(dims, state):
     us = random_haar_unitaries(7, d_s * d_e, rng)
     ref = [reference_delta(omega, d_a, d_s, d_e, u) for u in us]
     assert np.max(np.abs(dpi_check(omega, d_a, d_s, d_e, us) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2), (3, 3, 2), (2, 8, 4)])
+@pytest.mark.parametrize("state", ["markov", "random"])
+def test_i_after_matches_the_evolve_then_trace_oracle(dims, state):
+    # A (states, unitaries) stack: tr_e over the blocks of omega against
+    # (I_A kron U) omega (I_A kron U)^dagger and partial_trace.
+    d_a, d_s, d_e = dims
+    n, rng = d_a * d_s * d_e, np.random.default_rng(sum(dims))
+    if state == "markov":
+        omega = np.stack([markov_state(*dims, rng) for _ in range(3)])
+    else:
+        omega = np.stack([random_density(n, n, rng) for _ in range(3)])
+    us = np.stack([random_haar_unitaries(4, d_s * d_e, rng) for _ in range(3)])
+    got = info._i_after(omega, *dims, us)
+    assert got.shape == (3, 4)
+    assert np.max(np.abs(got - i_after(omega, *dims, us))) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 64])

@@ -4,14 +4,16 @@ unbatched primitives.  The commands draw each stream in runs and check
 their trials as stacks; every record they write must equal these oracles'
 records for the same trial, bit for bit.
 
-Also here: the samplers and the Kraus construction that only tests call."""
+Also here: the samplers, the per-call unitary draws, the Kraus
+construction and the evolve-then-trace data-processing term that only tests
+call."""
 
 import numpy as np
 
 from cpdyn import channels, cli, consistency, families, info
 from cpdyn.consistency import canonical_assignment, markov_block_space
 from cpdyn.families import MarkovBlocksSpec, MarkovStateSpec
-from cpdyn.tensor import random_density, random_haar_unitaries, random_haar_unitary
+from cpdyn.tensor import haar_unitaries, partial_trace, random_density, random_haar_unitary
 
 # Unitaries per chunk of the one-state hunt, a count independent of the
 # command's entry bound.
@@ -21,6 +23,37 @@ DPI_CHUNK = 16
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2
+
+
+def random_haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A ``(n, dim, dim)`` stack of Haar-random unitaries from one ``normal``
+    call, each matrix's real part and then its imaginary part: ``n``
+    successive ``random_haar_unitary`` draws."""
+    return haar_unitaries(rng.normal(size=(n, 2, dim, dim)))
+
+
+def unitary_draws(g: str, d_s: int, d_e: int, rng: np.random.Generator) -> tuple:
+    """The normal draws behind one unitary of the set named ``g``, one
+    ``normal`` call per shape of ``consistency.unitary_shapes``."""
+    return tuple(rng.normal(size=shape) for shape in consistency.unitary_shapes(g, d_s, d_e))
+
+
+def i_after(omega_ase, d_a: int, d_s: int, d_e: int, u_se) -> np.ndarray:
+    """``info._i_after`` the slow way: each state evolved by
+    ``(I_A kron U) omega (I_A kron U)^dagger``, U acting on the S x E factor
+    of every ``(a, a')`` block by batched matmul, then E traced out by
+    ``partial_trace``.  The evolved states are a ``(..., k, n, n)`` stack."""
+    d = d_s * d_e
+    omega_ase = np.asarray(omega_ase, dtype=complex)
+    u_se = np.asarray(u_se, dtype=complex)
+    batch = u_se.shape[:-2]
+    # (I_A kron U) omega with rows (a, (s, e)), then times (I_A kron U)^dagger
+    # with columns ((a', s'), e') read as rows of d entries.
+    state = omega_ase.reshape(omega_ase.shape[:-2] + (1, d_a, d, d_a * d))
+    left = u_se[..., None, :, :] @ state
+    evolved = left.reshape(batch + (d_a * d * d_a, d)) @ u_se.conj().swapaxes(-1, -2)
+    after = partial_trace(evolved.reshape(batch + (d_a * d,) * 2), (d_a, d_s, d_e), keep=(0, 1))
+    return info.mutual_information(after, d_a, d_s)
 
 
 def kraus_classical_quantum(
@@ -59,7 +92,7 @@ def trial_draws(args, rng: np.random.Generator) -> dict:
     ds, de, da = args.ds, args.de, args.da
     if args.family == "steered":
         mspec = random_markov_state_spec(da, args.blocks, de, rng)
-        unitary = consistency.unitary_draws(args.g, ds, de, rng)
+        unitary = unitary_draws(args.g, ds, de, rng)
         spec = families.SteeredSpec(da, ds, de, families.build_markov_state(mspec))
         return {
             "q": mspec.q,
@@ -80,7 +113,7 @@ def trial_draws(args, rng: np.random.Generator) -> dict:
     if args.family == "markov-blocks":
         params = families.random_params(MarkovBlocksSpec(args.blocks, de, draws["omega_re"]), rng)
         draws["probs"], draws["states"] = params.probs, params.states
-    return {**draws, "unitary": consistency.unitary_draws(args.g, ds, de, rng)}
+    return {**draws, "unitary": unitary_draws(args.g, ds, de, rng)}
 
 
 def verify_family_trial(args, trial: int) -> dict:
