@@ -24,12 +24,12 @@ member's block states and the unitary; for steered a Dirichlet draw, then
 one run for omega_AL, omega_RE, the unitary and P_A.  The runs are stacked
 along a leading trial axis and cut into Ginibre pairs and unitary draws;
 densities, Kraus closures and records are then formed once per stack, and
-the trials checked as one stack.  A stack's largest arrays hold at most
-``_STACK_ENTRIES`` complex entries, so memory does not grow with
-``--trials``, and it records what each trial would record alone.
-``dpi`` runs the same way: each Markov state draws its blocks, then its
-unitaries, from its own stream, and the states and their unitaries are
-checked as stacks within ``info._STACK_ENTRIES``.
+the trials checked as one stack.  ``dpi`` runs the same way: each Markov
+state draws its blocks, then its unitaries, from its own stream, and the
+states and their unitaries are checked as stacks.  Both cut their work
+with ``tensor.stacks``, so a stack's largest arrays hold at most
+``tensor.STACK_ENTRIES`` complex entries and memory does not grow with
+any flag; a stack records what each member would record alone.
 
 Exit codes: 0 when the summary pass flag is set, 1 when a verdict failed,
 and 2 for a usage or configuration error (a malformed flag, a dimension
@@ -65,6 +65,7 @@ from .tensor import (
     normal_runs,
     per_stream,
     random_density,
+    stacks,
     tr_e,
     vec,
 )
@@ -76,13 +77,6 @@ MAX_TOTAL_DIM = 64
 # alike, which a smaller tolerance would report as a counterexample.
 TOL_FLOOR = 1e-12
 DEFAULT_SEED = 2024
-# The complex entries the largest arrays of one stack of verify-family
-# trials may hold: per trial, its assignment's Kraus stack, U and the Choi
-# matrix of its reduced channel (see _stack_length).  A trial at the
-# default layout holds at most 640, so the 50 default trials are one
-# stack; one at --blocks 2x2,2x2 --de 8 holds 40960, a stack of its own.
-# So the peak memory of a run does not grow with --trials.
-_STACK_ENTRIES = 1 << 15
 
 # Families whose system dimension comes from the block layout.
 BLOCK_FAMILIES = (
@@ -143,11 +137,6 @@ def _default_g(args) -> str:
 def _refuse(message: str):
     """Exit 2 with ``error: message`` on stderr, as argparse refuses a flag."""
     build_parser().error(message)
-
-
-def _check_swap(g: str, d_s: int, d_e: int):
-    if g == "swap" and d_s != d_e:
-        _refuse("--g swap needs equal system and environment dimensions")
 
 
 def _check_dims(*dims: int):
@@ -255,14 +244,16 @@ def _family_span(spec):
     return span_from_states(families.span_generators(base), spec.d_s, spec.d_e)
 
 
-def _stack_length(args) -> int:
-    """Trials per stack: as many as keep their largest arrays within
-    ``_STACK_ENTRIES``, and at least one.  A trial holds the Kraus stack of
-    its assignment, sum_i r_i^2 d_E operators of shape (d, d_s), its
-    (d, d) unitary and the (d_s^2, d_s^2) Choi matrix of its channel."""
+def _trial_entries(args) -> int:
+    """The complex entries of a ``verify-family`` trial's largest arrays,
+    by which ``tensor.stacks`` cuts the trials: the Kraus stack of its
+    assignment, sum_i r_i^2 d_E operators of shape (d, d_s), its (d, d)
+    unitary and the (d_s^2, d_s^2) Choi matrix of its channel.  A trial at
+    the default layout holds at most 640, so the 50 default trials are one
+    stack; one at --blocks 2x2,2x2 --de 8 holds 40960, a stack of its own."""
     ds, d = args.ds, args.ds * args.de
     n = sum(r * r for _, r in _layout(args.family, args)) * args.de
-    return max(1, _STACK_ENTRIES // (n * d * ds + d * d + ds**4))
+    return n * d * ds + d * d + ds**4
 
 
 def _stack_draws(args, rngs) -> dict:
@@ -356,24 +347,23 @@ def _system_dim(args) -> int:
 
 def _check_family_dims(args):
     """Check S x E and, for the steered family, whose members are drawn
-    from a state on A x S x E, that state's dimensions too."""
+    from a state on A x S x E, that state's dimensions too; then that
+    ``--g swap`` has d_s = d_e.  The family commands call it before any
+    draw."""
     _check_dims(args.ds, args.de)
     if args.family == "steered":
         _check_dims(args.da, args.ds, args.de)
+    if args.g == "swap" and args.ds != args.de:
+        _refuse("--g swap needs equal system and environment dimensions")
 
 
 def cmd_verify_family(args) -> dict:
-    ds = args.ds = _system_dim(args)
+    args.ds = _system_dim(args)
     _check_family_dims(args)
-    _check_swap(args.g, ds, args.de)
     if args.family == "kernel-extended" and args.g == "all":
         _refuse("--g all voids the kernel freedom of kernel-extended; use --g local or swap")
-    step = _stack_length(args)
-    trials = [
-        rec
-        for lo in range(0, args.trials, step)
-        for rec in _verify_stack(args, range(lo, min(lo + step, args.trials)))
-    ]
+    cut = stacks(args.trials, _trial_entries(args))
+    trials = [rec for stack in cut for rec in _verify_stack(args, stack)]
     ok = [t["cp"] and t["tp"] for t in trials]
     summary = {
         "pass": all(ok),
@@ -402,7 +392,6 @@ def cmd_consistency(args) -> dict:
     _check_family_dims(args)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
-    _check_swap(args.g, v.d_s, v.d_e)
     unitaries = consistency.sample_unitaries(args.g, args.trials, v.d_s, v.d_e, rng)
     violations = [consistency.u_consistency_violation(v, u) for _, u in unitaries]
     report = consistency.g_consistency_report(v, args.g, violations, args.tol)
@@ -425,7 +414,6 @@ def cmd_theorem1(args) -> dict:
     _check_family_dims(args)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
-    _check_swap(args.g, v.d_s, v.d_e)
     unitaries = consistency.sample_unitaries(args.g, args.trials, v.d_s, v.d_e, rng)
     report = theorem1_verify(v, args.g, unitaries, tol=args.tol)
     summary = {
@@ -489,12 +477,11 @@ def cmd_dpi(args) -> dict:
     _check_dims(args.da, args.ds, args.de)
     d_s = sum(l * r for l, r in args.blocks)
     _check_dims(args.da, d_s, args.de)
-    step = info._states_per_stack(args.da * d_s * args.de, args.unitaries_per_state)
-    trials = [
-        rec
-        for lo in range(0, args.trials, step)
-        for rec in _dpi_stack(args, range(lo, min(lo + step, args.trials)))
-    ]
+    # The states are cut by the entries of one state's chunk of unitaries
+    # in info._search, n^2 for each unitary.
+    n = args.da * d_s * args.de
+    chunk = len(stacks(args.unitaries_per_state, n * n)[0]) * n * n
+    trials = [rec for states in stacks(args.trials, chunk) for rec in _dpi_stack(args, states)]
     worst_delta = min(t["worst_delta"] for t in trials)
     ghz = ghz_state(args.da, args.ds, args.de)
     shift = ghz_inverse_shift(args.ds, args.de)[None]

@@ -38,12 +38,12 @@ from .tensor import (
     first_failure,
     frobenius,
     ginibre_densities,
-    hermitian_part_psd,
     kron,
     min_eigenvalue,
     normal_runs,
     partial_trace,
     per_stream,
+    psd_check,
     psd_tolerance,
     random_density,
     unvec,
@@ -350,12 +350,13 @@ def markov_state_draws(d_a: int, blocks, d_e: int, rngs, *then) -> tuple:
 def steer(omega_ase: np.ndarray, d_a: int, p_a: np.ndarray) -> np.ndarray:
     """Condition on a positive ancilla operator and trace A out.
 
-    Implements Tr_A[(P_A kron I_SE) omega_ASE], renormalized.  Positivity
-    is checked on the Hermitian part of P_A.
+    Implements Tr_A[(P_A kron I_SE) omega_ASE], renormalized.  A P_A that
+    is not Hermitian PSD (``psd_check``) is refused: its result would not
+    be a density matrix.
     """
     p_a = np.asarray(p_a, dtype=complex)
-    if not np.all(hermitian_part_psd(p_a)[0]):
-        raise ValueError("steering operator must be positive semidefinite")
+    if not np.all(psd_check(p_a)[0]):
+        raise ValueError("steering operator must be Hermitian positive semidefinite")
     d = omega_ase.shape[-1]
     d_se = d // d_a
     big = kron(p_a, np.eye(d_se))

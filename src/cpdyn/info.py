@@ -17,6 +17,7 @@ from .tensor import (
     haar_unitaries,
     partial_trace,
     per_stream,
+    stacks,
     tr_e,
     von_neumann_entropy,
 )
@@ -27,14 +28,6 @@ __all__ = [
     "dpi_check",
     "search_dpi_violation",
 ]
-
-# The complex entries the largest arrays of one stacked evaluation may
-# hold: tr_e's U X product, n^2 entries for each (state, unitary) pair of
-# side n = d_a d_s d_e (see _i_after, _chunk_length and _states_per_stack).
-# At the 64-dimension cap a chunk is one state and four unitaries, 256 KB,
-# whatever the number of states or draws.
-_STACK_ENTRIES = 1 << 14
-
 
 def mutual_information(omega_as: np.ndarray, d_a: int, d_s: int) -> float | np.ndarray:
     """I(A:S) = S(A) + S(S) - S(AS) for the declared bipartition.
@@ -118,21 +111,6 @@ def _i_after(
     return mutual_information(after, d_a, d_s)
 
 
-def _chunk_length(states: int, n: int, draws: int) -> int:
-    """Unitaries per chunk of a hunt on ``states`` states of side ``n``: as
-    many as keep the chunk's ``tr_e`` product, n^2 entries for each (state,
-    unitary) pair, within ``_STACK_ENTRIES``, at most ``draws`` and at least
-    one."""
-    return max(1, min(draws, _STACK_ENTRIES // (states * n * n)))
-
-
-def _states_per_stack(n: int, draws: int) -> int:
-    """States of side ``n`` per stack of a sweep that gives each state
-    ``draws`` unitaries: as many as take one state's chunk length within
-    ``_STACK_ENTRIES``, and at least one."""
-    return max(1, _STACK_ENTRIES // (_chunk_length(1, n, draws) * n * n))
-
-
 def _search(
     omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, rngs, draws: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,25 +119,28 @@ def _search(
     i takes its unitaries from ``rngs[i]``.
 
     I(A:S) before is computed once.  The unitaries are drawn and checked a
-    chunk at a time (``_chunk_length``), in the order of single draws from
-    each stream, so memory does not grow with ``draws``.
+    chunk at a time, in the order of single draws from each stream: the
+    draws are cut into ``tensor.stacks`` by the largest array of a chunk,
+    ``tr_e``'s U X product in ``_i_after``, n^2 entries for each (state,
+    unitary) pair of side n = d_a d_s d_e.  So memory does not grow with
+    ``draws``; at the 64-dimension cap a chunk is one state and eight
+    unitaries.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     i_before = np.asarray(_i_before(omega_ase, d_a, d_s, d_e))[:, None]
-    d, rows = d_s * d_e, np.arange(len(rngs))
+    d, n, rows = d_s * d_e, omega_ase.shape[-1], np.arange(len(rngs))
     best = np.full(len(rngs), np.inf)
     best_draw = np.full(len(rngs), -1)
-    step = _chunk_length(len(rngs), omega_ase.shape[-1], draws)
-    for start in range(0, draws, step):
-        size = (min(step, draws - start), 2, d, d)
+    for chunk in stacks(draws, len(rngs) * n * n):
+        size = (len(chunk), 2, d, d)
         us = haar_unitaries(per_stream(rngs, lambda rng: rng.normal(size=size)))
         deltas = i_before - _i_after(omega_ase, d_a, d_s, d_e, us)
         i = np.argmin(deltas, axis=-1)
         low = deltas[rows, i]
         # A strict < keeps the first of tied draws across chunks.
         better = low < best
-        best[better], best_draw[better] = low[better], start + i[better]
+        best[better], best_draw[better] = low[better], chunk.start + i[better]
     return best, best_draw
 
 

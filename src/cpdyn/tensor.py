@@ -14,7 +14,10 @@ Conventions used everywhere in this package:
   ``ginibre_densities``, ``frobenius``, ``is_hermitian``,
   ``hermitian_part_psd``, ``psd_check`` and ``check_density`` take them,
   and give each member the bits it gets alone.  A single operator gives
-  Python scalars; a stack gives arrays.
+  Python scalars; a stack gives arrays;
+* a stacked evaluation cuts its members into ``stacks``, whose largest
+  arrays hold at most ``STACK_ENTRIES`` complex entries, so its memory
+  does not grow with the number of members.
 
 Every function is a pure function of its inputs; RNG state is always
 passed explicitly.
@@ -37,6 +40,7 @@ __all__ = [
     "random_haar_unitary",
     "ginibre_densities",
     "random_density",
+    "stacks",
     "per_stream",
     "normal_runs",
     "von_neumann_entropy",
@@ -56,6 +60,9 @@ PSD_TOL_FACTOR = 1e-9
 HERM_TOL = 1e-9
 # Eigenvalues below this are treated as exact zeros in entropy sums.
 ENTROPY_EIG_CUTOFF = 1e-12
+# The complex entries the largest arrays of one stacked evaluation may hold
+# (see stacks): 512 KB, whatever the number of trials, states or draws.
+STACK_ENTRIES = 1 << 15
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -201,6 +208,14 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     if rank < 1 or rank > dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     return ginibre_densities(rng.normal(size=(2, dim, rank)))
+
+
+def stacks(count: int, entries: int) -> list[range]:
+    """Consecutive ranges that cover ``range(count)`` in order, each of as
+    many items of ``entries`` complex entries as fit in ``STACK_ENTRIES``,
+    and at least one item."""
+    step, items = max(1, STACK_ENTRIES // entries), range(count)
+    return [items[lo : lo + step] for lo in items[::step]]
 
 
 def per_stream(rngs, draw):

@@ -217,6 +217,21 @@ def test_swap_with_unequal_dimensions_is_an_argument_error(argv, capsys):
     assert "error: --g swap needs equal system and environment dimensions" in err
 
 
+def test_swap_with_unequal_dimensions_is_refused_before_any_work(monkeypatch, capsys):
+    builds = []
+    build_subspace = cli._build_subspace
+
+    def counting_build_subspace(*args):
+        builds.append(args)
+        return build_subspace(*args)
+
+    monkeypatch.setattr(cli, "_build_subspace", counting_build_subspace)
+    argv = ("consistency", "--family", "random", "--ds", "2", "--de", "4", "--g", "swap")
+    err = refusal(capsys, *argv)
+    assert "error: --g swap needs equal system and environment dimensions" in err
+    assert builds == []
+
+
 @pytest.mark.parametrize("command", ["verify-family", "consistency", "theorem1"])
 def test_kernel_extended_builds_no_full_space(monkeypatch, command):
     # The extra directions are drawn by projection, so no report factors the

@@ -1,6 +1,6 @@
 """``dpi`` draws each Markov state from its own stream and checks the states
-and their unitaries as stacks whose largest arrays hold at most
-``info._STACK_ENTRIES`` complex entries.  Every report equals the report
+and their unitaries as ``tensor.stacks``, whose largest arrays hold at most
+``tensor.STACK_ENTRIES`` complex entries.  Every report equals the report
 the per-state oracle (``trial_oracle``) writes, byte for byte apart from
 ``wall_time_s``, and its memory grows with no flag."""
 
@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from cpdyn import cli, info
+from cpdyn.tensor import STACK_ENTRIES, stacks
 from trial_oracle import dpi_report
 
 CASES = [
@@ -27,11 +28,25 @@ def _args(*argv):
     return cli.build_parser().parse_args(["dpi", *argv])
 
 
-def _stack_shape(args):
-    """States per stack and unitaries per chunk of the Markov sweep."""
-    n = args.da * sum(l * r for l, r in args.blocks) * args.de
-    states = info._states_per_stack(n, args.unitaries_per_state)
-    return states, info._chunk_length(states, n, args.unitaries_per_state)
+def _chunks(monkeypatch, *argv) -> list[list[tuple[int, int]]]:
+    """The (states, unitaries) shape of each chunk ``dpi`` draws, one list
+    for each ``info._search`` call: the Markov sweep's stacks in order,
+    then the GHZ hunt."""
+    searches = []
+    search, haar = info._search, info.haar_unitaries
+
+    def spy_search(*args):
+        searches.append([])
+        return search(*args)
+
+    def spy_haar(x):
+        searches[-1].append(x.shape[:2])
+        return haar(x)
+
+    monkeypatch.setattr(info, "_search", spy_search)
+    monkeypatch.setattr(info, "haar_unitaries", spy_haar)
+    cli.cmd_dpi(_args(*argv))
+    return searches
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -45,28 +60,33 @@ def test_stacked_report_equals_the_oracle(case, seed, tmp_path):
     assert json.dumps(body, sort_keys=True) == json.dumps(oracle, sort_keys=True)
 
 
-def test_the_cases_cross_stack_and_chunk_boundaries():
-    shapes = {case: _stack_shape(_args(*case)) for case in CASES}
-    # The default states fill several stacks; with 37 unitaries each state
-    # is a stack of its own.
-    assert shapes[()] == (6, 10)
-    assert shapes[("--unitaries-per-state", "37")] == (1, 37)
-    # At the cap one state's ten unitaries take three chunks.
-    assert shapes[("--blocks", "2x2,2x2", "--de", "4")] == (1, 4)
-    # The GHZ hunt's 1000 draws at side 8 take four chunks.
-    assert info._chunk_length(1, 8, 1000) == 256
+def test_the_cases_cross_stack_and_chunk_boundaries(monkeypatch):
+    # The twenty default states of side 16 take two stacks, each one chunk
+    # of their ten unitaries; with 37 unitaries a stack is three states.
+    *sweep, hunt = _chunks(monkeypatch)
+    assert sweep == [[(12, 10)], [(8, 10)]]
+    assert hunt == [(1, 500)]
+    *sweep, _ = _chunks(monkeypatch, "--unitaries-per-state", "37")
+    assert sweep == [[(3, 37)]] * 6 + [[(2, 37)]]
+    # At the cap a stack is one state, whose ten unitaries take two chunks.
+    *sweep, _ = _chunks(monkeypatch, "--blocks", "2x2,2x2", "--de", "4")
+    assert sweep == [[(1, 8), (1, 2)]] * 20
+    # The GHZ hunt's 1000 draws at side 8 take two chunks.
+    *_, hunt = _chunks(monkeypatch, "--trials", "7", "--search-draws", "1000")
+    assert hunt == [(1, 512), (1, 488)]
 
 
-def test_a_chunk_holds_at_most_the_entry_bound():
-    for n in (1, 4, 8, 12, 16, 27, 36, 64):
-        for draws in (1, 3, 10, 37, 500):
-            states = info._states_per_stack(n, draws)
-            for k in range(1, states + 1):
-                per = info._chunk_length(k, n, draws)
-                assert 1 <= per <= draws
-                assert k * per * n * n <= max(info._STACK_ENTRIES, n * n)
+def test_a_chunk_holds_at_most_the_entry_bound(monkeypatch):
+    for case in CASES + [CAP]:
+        args = _args(*case)
+        n = args.da * sum(l * r for l, r in args.blocks) * args.de
+        alone = [len(chunk) for chunk in stacks(args.unitaries_per_state, n * n)]
+        *sweep, _ = _chunks(monkeypatch, *case)
+        for chunks in sweep:
+            for states, unitaries in chunks:
+                assert states * unitaries * n * n <= max(STACK_ENTRIES, n * n)
             # A full stack takes the chunks one state would take alone.
-            assert info._chunk_length(states, n, draws) == info._chunk_length(1, n, draws)
+            assert [unitaries for _, unitaries in chunks] == alone
 
 
 def _peak(argv) -> int:
@@ -80,7 +100,7 @@ def _peak(argv) -> int:
 
 @pytest.mark.parametrize("flag", ["--trials", "--unitaries-per-state", "--search-draws"])
 def test_cap_size_memory_does_not_grow_with_a_flag(flag):
-    # A cap-size state takes one state a stack and four unitaries a chunk,
+    # A cap-size state takes one state a stack and eight unitaries a chunk,
     # as does the cap-size GHZ hunt; the other counts stay at two.
     base = {"--trials": 2, "--unitaries-per-state": 8, "--search-draws": 8}
 

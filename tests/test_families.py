@@ -21,6 +21,7 @@ from cpdyn.families import (
 )
 from cpdyn.tensor import (
     check_density,
+    hermitian_part_psd,
     kron,
     partial_trace,
     random_density,
@@ -264,17 +265,16 @@ def test_steer_checks_the_positivity_of_p(low, ok):
             steer(omega, 2, p_a)
 
 
-@pytest.mark.parametrize("low, ok", [(-1e-3, False), (0.2, True)])
-def test_steer_checks_the_hermitian_part_of_a_non_hermitian_p(low, ok):
-    # The anti-Hermitian part is ignored: diag(1, low) decides.
+@pytest.mark.parametrize("low, part_psd", [(-1e-3, False), (0.2, True)])
+def test_steer_checks_the_hermitian_part_of_a_non_hermitian_p(low, part_psd):
+    # A non-Hermitian P_A is refused even where its Hermitian part,
+    # diag(1, low), is PSD: its result would have a complex trace.
     rng = np.random.default_rng(31)
     omega = build_markov_state(random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng))
     p_a = np.diag([1.0, low]) + 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    if ok:
-        assert abs(np.trace(steer(omega, 2, p_a)).real - 1) < 1e-12
-    else:
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            steer(omega, 2, p_a)
+    assert hermitian_part_psd(p_a)[0] == part_psd
+    with pytest.raises(ValueError, match="must be Hermitian positive semidefinite"):
+        steer(omega, 2, p_a)
 
 
 def test_kernel_extension_changes_state_but_not_marginal(rng):

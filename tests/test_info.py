@@ -15,10 +15,12 @@ from cpdyn.info import (
     search_dpi_violation,
 )
 from cpdyn.tensor import (
+    STACK_ENTRIES,
     kron,
     partial_trace,
     random_density,
     random_haar_unitary,
+    stacks,
 )
 from trial_oracle import i_after, random_haar_unitaries, random_markov_state_spec
 
@@ -200,15 +202,16 @@ def test_stacked_haar_draw_equals_successive_single_draws(dim):
 
 def full_chunk(n):
     """Unitaries per full chunk of the hunt on a state of side n."""
-    return info._chunk_length(1, n, 10**9)
+    return len(stacks(STACK_ENTRIES, n * n)[0])
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
 def test_chunked_search_matches_the_reference_loop(dims):
     # Two full chunks and a partial one.
-    step = full_chunk(np.prod(dims))
+    n = np.prod(dims)
+    step = full_chunk(n)
     draws = 2 * step + 3
-    assert info._chunk_length(1, np.prod(dims), draws) == step < draws
+    assert [len(chunk) for chunk in stacks(draws, n * n)] == [step, step, 3]
     omega = ghz_state(*dims)
     out = search_dpi_violation(omega, *dims, np.random.default_rng(11), draws=draws)
     best, best_draw = reference_search(omega, *dims, np.random.default_rng(11), draws)

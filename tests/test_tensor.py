@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cpdyn.tensor import (
     HERM_TOL,
     PSD_TOL_FACTOR,
+    STACK_ENTRIES,
     _with_adjoint,
     check_density,
     is_hermitian,
@@ -15,6 +16,7 @@ from cpdyn.tensor import (
     psd_check,
     random_density,
     random_haar_unitary,
+    stacks,
     swap_unitary,
     von_neumann_entropy,
 )
@@ -139,6 +141,23 @@ def test_normal_runs_cut_one_call_into_the_draws_of_each_shape():
     # One generator gives the draws with no trial axis.
     one = normal_runs(np.random.default_rng([5, 0]), *groups)
     assert all(np.array_equal(x, y[0]) for a, b in zip(one, cut) for x, y in zip(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(0, 3 * STACK_ENTRIES),
+    entries=st.integers(1, 2 * STACK_ENTRIES),
+)
+def test_stacks_cover_the_items_in_order_within_the_entry_bound(count, entries):
+    cut = stacks(count, entries)
+    assert [i for stack in cut for i in stack] == list(range(count))
+    assert all(len(stack) >= 1 for stack in cut)
+    # A stack of several items holds at most STACK_ENTRIES entries.
+    assert all(len(stack) * entries <= STACK_ENTRIES for stack in cut if len(stack) > 1)
+    # All stacks but the last have equal length, and could take no more.
+    assert len({len(stack) for stack in cut[:-1]}) <= 1
+    assert all((len(stack) + 1) * entries > STACK_ENTRIES for stack in cut[:-1])
+    assert (cut == []) == (count == 0)
 
 
 def test_check_density_takes_positivity_from_one_eigvalsh(monkeypatch, rng):

@@ -8,7 +8,15 @@ import pytest
 
 from cpdyn import cli, families
 from cpdyn.families import MarkovBlocksSpec, MarkovStateSpec
-from cpdyn.tensor import check_density, is_hermitian, psd_check, random_density, random_haar_unitary
+from cpdyn.tensor import (
+    STACK_ENTRIES,
+    check_density,
+    is_hermitian,
+    psd_check,
+    random_density,
+    random_haar_unitary,
+    stacks,
+)
 from trial_oracle import trial_draws, verify_family_trial
 
 DEFAULT_CASES = [
@@ -98,9 +106,14 @@ def test_the_cut_draws_are_the_draws_of_each_trial_alone(case):
         assert rng.bit_generator.state == alone_rng.bit_generator.state
 
 
+def _stack_length(args) -> int:
+    """Trials per full stack of ``verify-family``."""
+    return len(stacks(STACK_ENTRIES, cli._trial_entries(args))[0])
+
+
 def test_the_default_trials_are_one_stack():
     for case in DEFAULT_CASES:
-        assert cli._stack_length(_args(case, 50, 1)) >= 50
+        assert stacks(50, cli._trial_entries(_args(case, 50, 1))) == [range(50)]
 
 
 # Factorized and classical-quantum stack hundreds of trials at the default
@@ -114,7 +127,7 @@ BOUNDARY_CASES = [case for case in DEFAULT_CASES[::2] if case[1] not in (
 @pytest.mark.parametrize("case", BOUNDARY_CASES, ids=" ".join)
 def test_records_across_a_stack_boundary_equal_the_oracle(case, seed):
     # One trial past a full stack: the last trial is a stack of its own.
-    step = cli._stack_length(_args(case, 1, seed))
+    step = _stack_length(_args(case, 1, seed))
     _assert_records_match_the_oracle(case, step + 1, seed)
     _assert_records_match_the_oracle(case, 1, seed)
 
