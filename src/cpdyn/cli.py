@@ -464,8 +464,8 @@ def _dpi_stack(args, trials: range) -> list[dict]:
     draws = families.markov_state_draws(args.da, args.blocks, args.de, rngs)
     mspec, omega = _markov_state(args, *draws)
     dims = args.da, mspec.layout.d_s, args.de
-    cmi = info.conditional_mutual_information(omega, *dims)
-    worst, _ = info._search(omega, *dims, rngs, args.unitaries_per_state)
+    cmi, i_before = info._cmi_and_i_before(omega, *dims)
+    worst, _ = info._search(omega, *dims, rngs, args.unitaries_per_state, i_before)
     return [
         {"trial": t, "cmi": c, "worst_delta": w}
         for t, c, w in zip(trials, cmi.tolist(), worst.tolist())

@@ -3,6 +3,11 @@ processing inequality on tripartite ancilla-system-environment states.
 After a unitary U on S x E, the (a, a') block of the state on A x S is
 Tr_E(U omega_aa' U^dagger), so one ``tensor.tr_e`` over the blocks gives it.
 
+A unitary on S x E leaves rho_A unchanged, so S(A) cancels from every
+data-processing delta: a delta is a difference of -S(A|S) = S(S) - S(AS),
+and S(A) is never computed for it.  Each Markov state's S(AS) and S(S)
+are computed once, for its CMI and its "before" term together.
+
 All entropies are in nats.  Sampling-based searches report the best
 violation found; absence of a violation is never a Markovianity
 certificate.
@@ -35,9 +40,7 @@ def mutual_information(omega_as: np.ndarray, d_a: int, d_s: int) -> float | np.n
     Leading axes beyond the last two are batch axes, as in
     ``von_neumann_entropy``; a single state gives a float.
     """
-    omega_as = np.asarray(omega_as, dtype=complex)
-    if omega_as.shape[-1] != d_a * d_s:
-        raise ValueError(f"state dim {omega_as.shape[-1]} != {d_a}*{d_s}")
+    omega_as = _check_state(omega_as, d_a, d_s, 1)
     s_a = von_neumann_entropy(partial_trace(omega_as, (d_a, d_s), keep=(0,)))
     s_s = von_neumann_entropy(partial_trace(omega_as, (d_a, d_s), keep=(1,)))
     return s_a + s_s - von_neumann_entropy(omega_as)
@@ -59,12 +62,18 @@ def conditional_mutual_information(
 
     Leading axes are batch axes; a single state gives a float.
     """
+    return _cmi_and_i_before(omega_ase, d_a, d_s, d_e)[0]
+
+
+def _cmi_and_i_before(omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int) -> tuple:
+    """I(A:E|S) and -S(A|S) of a state, or of each state of a stack, from
+    one S(AS) and one S(S); the second is ``_i_before``, bit for bit."""
     omega_ase = _check_state(omega_ase, d_a, d_s, d_e)
     dims = (d_a, d_s, d_e)
     s_as = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(0, 1)))
     s_se = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(1, 2)))
     s_s = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(1,)))
-    return s_as + s_se - s_s - von_neumann_entropy(omega_ase)
+    return s_as + s_se - s_s - von_neumann_entropy(omega_ase), s_s - s_as
 
 
 def dpi_check(
@@ -73,25 +82,30 @@ def dpi_check(
     """Data-processing deltas ``I(A:S) before - I(A:S) after`` for a
     ``(n, d_s d_e, d_s d_e)`` stack of unitaries on S x E followed by Tr_E.
 
-    Each delta is non-negative (to round-off) whenever the input is a
-    Markov state.  A stack of states takes a stack of unitary stacks along
-    the same leading axes.
+    S(A) is the same before and after, so each delta is computed as the
+    difference of -S(A|S) = S(S) - S(AS).  Each delta is non-negative (to
+    round-off) whenever the input is a Markov state.  A stack of states
+    takes a stack of unitary stacks along the same leading axes.
     """
     before = np.asarray(_i_before(omega_ase, d_a, d_s, d_e))
     return before[..., None] - _i_after(omega_ase, d_a, d_s, d_e, u_se)
 
 
 def _i_before(omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int) -> float | np.ndarray:
-    """I(A:S) of a state on A x S x E, or of each state of a stack."""
+    """-S(A|S) = S(S) - S(AS) of a state on A x S x E, or of each state of a
+    stack: I(A:S) less the S(A) that no unitary on S x E changes."""
     omega_ase = _check_state(omega_ase, d_a, d_s, d_e)
-    return mutual_information(partial_trace(omega_ase, (d_a, d_s, d_e), keep=(0, 1)), d_a, d_s)
+    dims = (d_a, d_s, d_e)
+    s_as = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(0, 1)))
+    s_s = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(1,)))
+    return s_s - s_as
 
 
 def _i_after(
     omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, u_se: np.ndarray
 ) -> np.ndarray:
-    """I(A:S) of Tr_E((I_A kron U) omega (I_A kron U)^dagger) for each U of a
-    stack.  The ``(a, a')`` block of that state on A x S is
+    """-S(A|S) of Tr_E((I_A kron U) omega (I_A kron U)^dagger) for each U of
+    a stack.  The ``(a, a')`` block of that state on A x S is
     Tr_E(U omega_aa' U^dagger), so it is one ``tr_e`` over the d_a^2 blocks
     of omega, and neither ``I_A kron U`` nor an evolved state is formed.  A
     ``(..., n, n)`` stack of states takes a ``(..., k, d, d)`` stack of
@@ -108,27 +122,32 @@ def _i_after(
     # Rows (s, s') and columns (a, a'), read as rows (a, s), columns (a', s').
     after = tr_e(cols, d_s, d_e, u_se).reshape(u_se.shape[:-2] + (d_s, d_s, d_a, d_a))
     after = _transpose_last(after, 2, 0, 3, 1).reshape(u_se.shape[:-2] + (d_a * d_s,) * 2)
-    return mutual_information(after, d_a, d_s)
+    s_s = von_neumann_entropy(partial_trace(after, (d_a, d_s), keep=(1,)))
+    return s_s - von_neumann_entropy(after)
 
 
 def _search(
-    omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, rngs, draws: int
+    omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, rngs, draws: int, i_before=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The most negative delta over ``draws`` Haar unitaries, and the index
     of its first draw, for each state of a ``(states, n, n)`` stack; state
     i takes its unitaries from ``rngs[i]``.
 
-    I(A:S) before is computed once.  The unitaries are drawn and checked a
-    chunk at a time, in the order of single draws from each stream: the
-    draws are cut into ``tensor.stacks`` by the largest array of a chunk,
-    ``tr_e``'s U X product in ``_i_after``, n^2 entries for each (state,
-    unitary) pair of side n = d_a d_s d_e.  So memory does not grow with
-    ``draws``; at the 64-dimension cap a chunk is one state and eight
-    unitaries.
+    Each delta is the "before" -S(A|S) less the -S(A|S) after a unitary.
+    The "before" term is ``i_before`` when the caller has it from
+    ``_cmi_and_i_before``, and is otherwise computed here, once.  The
+    unitaries are drawn and checked a chunk at a time, in the order of
+    single draws from each stream: the draws are cut into ``tensor.stacks``
+    by the largest array of a chunk, ``tr_e``'s U X product in
+    ``_i_after``, n^2 entries for each (state, unitary) pair of side
+    n = d_a d_s d_e.  So memory does not grow with ``draws``; at the
+    64-dimension cap a chunk is one state and eight unitaries.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    i_before = np.asarray(_i_before(omega_ase, d_a, d_s, d_e))[:, None]
+    if i_before is None:
+        i_before = _i_before(omega_ase, d_a, d_s, d_e)
+    i_before = np.asarray(i_before)[:, None]
     d, n, rows = d_s * d_e, omega_ase.shape[-1], np.arange(len(rngs))
     best = np.full(len(rngs), np.inf)
     best_draw = np.full(len(rngs), -1)

@@ -21,8 +21,9 @@ from cpdyn.tensor import (
     random_density,
     random_haar_unitary,
     stacks,
+    von_neumann_entropy,
 )
-from trial_oracle import i_after, random_haar_unitaries, random_markov_state_spec
+from trial_oracle import evolve, i_after, random_haar_unitaries, random_markov_state_spec
 
 LN2 = 0.6931471805599453
 # Markov block layouts by system dimension.
@@ -101,6 +102,12 @@ def test_mutual_information_dimension_check(rng):
         mutual_information(np.eye(4) / 4, 3, 2)
 
 
+@pytest.mark.parametrize("shape", [(8, 4), (2, 4), (4,)])
+def test_mutual_information_rejects_a_state_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=rf"state shape \({shape[0]},"):
+        mutual_information(np.zeros(shape), 2, 2)
+
+
 def test_cmi_vanishes_on_markov_states(rng):
     for _ in range(5):
         mspec = random_markov_state_spec(2, ((1, 2), (2, 1)), 2, rng)
@@ -173,21 +180,61 @@ def test_stacked_delta_matches_the_per_unitary_reference(dims, state):
     assert np.max(np.abs(dpi_check(omega, d_a, d_s, d_e, us) - ref)) <= 1e-12
 
 
+def _states(state, dims, rng):
+    """A stack of three Markov or random states, or the GHZ state alone."""
+    n = np.prod(dims)
+    if state == "ghz":
+        return ghz_state(*dims)[None]
+    if state == "markov":
+        return np.stack([markov_state(*dims, rng) for _ in range(3)])
+    return np.stack([random_density(n, n, rng) for _ in range(3)])
+
+
+def s_a(omega, dims):
+    """S(A) of each state of a stack."""
+    return von_neumann_entropy(partial_trace(omega, dims, keep=(0,)))
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2), (3, 3, 2), (2, 8, 4)])
 @pytest.mark.parametrize("state", ["markov", "random"])
 def test_i_after_matches_the_evolve_then_trace_oracle(dims, state):
     # A (states, unitaries) stack: tr_e over the blocks of omega against
-    # (I_A kron U) omega (I_A kron U)^dagger and partial_trace.
+    # (I_A kron U) omega (I_A kron U)^dagger and partial_trace.  _i_after
+    # is -S(A|S), the oracle's I(A:S) less the S(A) of omega.
     d_a, d_s, d_e = dims
-    n, rng = d_a * d_s * d_e, np.random.default_rng(sum(dims))
-    if state == "markov":
-        omega = np.stack([markov_state(*dims, rng) for _ in range(3)])
-    else:
-        omega = np.stack([random_density(n, n, rng) for _ in range(3)])
+    rng = np.random.default_rng(sum(dims))
+    omega = _states(state, dims, rng)
     us = np.stack([random_haar_unitaries(4, d_s * d_e, rng) for _ in range(3)])
     got = info._i_after(omega, *dims, us)
     assert got.shape == (3, 4)
-    assert np.max(np.abs(got - i_after(omega, *dims, us))) <= 1e-12
+    assert np.max(np.abs(got - (i_after(omega, *dims, us) - s_a(omega, dims)[:, None]))) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2), (3, 3, 2), (2, 8, 4), (4, 4, 4)])
+@pytest.mark.parametrize("state", ["markov", "random", "ghz"])
+def test_a_unitary_on_s_x_e_leaves_s_a_unchanged(dims, state):
+    # The identity that lets dpi drop S(A): rho_A is the same after
+    # (I_A kron U), so S(A) before and after agree.
+    d_a, d_s, d_e = dims
+    rng = np.random.default_rng(sum(dims))
+    omega = _states(state, dims, rng)
+    us = np.stack([random_haar_unitaries(4, d_s * d_e, rng) for _ in omega])
+    after = s_a(evolve(omega, *dims, us), dims)
+    assert np.max(np.abs(after - s_a(omega, dims)[:, None])) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", DPI_DIMS)
+@pytest.mark.parametrize("state", ["markov", "random", "ghz"])
+def test_a_unitary_on_a_leaves_every_delta_unchanged(dims, state):
+    # (V_A kron I) omega (V_A kron I)^dagger has the same I(A:S) before and
+    # after any unitary on S x E, so the same deltas.
+    d_a, d_s, d_e = dims
+    rng = np.random.default_rng(sum(dims))
+    omega = _states(state, dims, rng)
+    us = np.stack([random_haar_unitaries(5, d_s * d_e, rng) for _ in omega])
+    v = kron(random_haar_unitary(d_a, rng), np.eye(d_s * d_e))
+    turned = v @ omega @ v.conj().T
+    assert np.max(np.abs(dpi_check(turned, *dims, us) - dpi_check(omega, *dims, us))) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 64])

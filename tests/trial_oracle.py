@@ -38,11 +38,11 @@ def unitary_draws(g: str, d_s: int, d_e: int, rng: np.random.Generator) -> tuple
     return tuple(rng.normal(size=shape) for shape in consistency.unitary_shapes(g, d_s, d_e))
 
 
-def i_after(omega_ase, d_a: int, d_s: int, d_e: int, u_se) -> np.ndarray:
-    """``info._i_after`` the slow way: each state evolved by
-    ``(I_A kron U) omega (I_A kron U)^dagger``, U acting on the S x E factor
-    of every ``(a, a')`` block by batched matmul, then E traced out by
-    ``partial_trace``.  The evolved states are a ``(..., k, n, n)`` stack."""
+def evolve(omega_ase, d_a: int, d_s: int, d_e: int, u_se) -> np.ndarray:
+    """Each state evolved by ``(I_A kron U) omega (I_A kron U)^dagger``, U
+    acting on the S x E factor of every ``(a, a')`` block by batched matmul.
+    A ``(..., n, n)`` stack of states and a ``(..., k, d, d)`` stack of
+    unitaries give a ``(..., k, n, n)`` stack."""
     d = d_s * d_e
     omega_ase = np.asarray(omega_ase, dtype=complex)
     u_se = np.asarray(u_se, dtype=complex)
@@ -52,7 +52,14 @@ def i_after(omega_ase, d_a: int, d_s: int, d_e: int, u_se) -> np.ndarray:
     state = omega_ase.reshape(omega_ase.shape[:-2] + (1, d_a, d, d_a * d))
     left = u_se[..., None, :, :] @ state
     evolved = left.reshape(batch + (d_a * d * d_a, d)) @ u_se.conj().swapaxes(-1, -2)
-    after = partial_trace(evolved.reshape(batch + (d_a * d,) * 2), (d_a, d_s, d_e), keep=(0, 1))
+    return evolved.reshape(batch + (d_a * d,) * 2)
+
+
+def i_after(omega_ase, d_a: int, d_s: int, d_e: int, u_se) -> np.ndarray:
+    """I(A:S) after each unitary, the slow way: the states ``evolve``d, then
+    E traced out by ``partial_trace``."""
+    evolved = evolve(omega_ase, d_a, d_s, d_e, u_se)
+    after = partial_trace(evolved, (d_a, d_s, d_e), keep=(0, 1))
     return info.mutual_information(after, d_a, d_s)
 
 
