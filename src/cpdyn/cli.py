@@ -13,7 +13,8 @@ Subcommands:
 Reports are deterministic functions of (command, config, seed) except for
 the ``wall_time_s`` field.  ``verify-family`` and ``dpi`` trials draw from
 RNG streams seeded with the pair ``[seed, trial_index]``; ``consistency``,
-``theorem1`` and ``demo`` draw their unitaries once, from the seed's stream.
+``theorem1`` and ``demo`` draw their unitaries from the seed's stream, in
+chunks that hold the bits of one draw of them all.
 
 ``verify-family`` runs in two phases.  Each trial draws its spec, its
 member's parameters and its unitary from its own stream, in the order a
@@ -26,10 +27,12 @@ along a leading trial axis and cut into Ginibre pairs and unitary draws;
 densities, Kraus closures and records are then formed once per stack, and
 the trials checked as one stack.  ``dpi`` runs the same way: each Markov
 state draws its blocks, then its unitaries, from its own stream, and the
-states and their unitaries are checked as stacks.  Both cut their work
-with ``tensor.stacks``, so a stack's largest arrays hold at most
-``tensor.STACK_ENTRIES`` complex entries and memory does not grow with
-any flag; a stack records what each member would record alone.
+states and their unitaries are checked as stacks.  The other three check
+each chunk of their unitaries (``consistency.sample_unitaries``) as one
+stack.  All cut their work with ``tensor.stacks``, so a stack's largest
+arrays hold at most ``tensor.STACK_ENTRIES`` complex entries and memory
+does not grow with any flag; a stack records what each member would
+record alone.
 
 Exit codes: 0 when the summary pass flag is set, 1 when a verdict failed,
 and 2 for a usage or configuration error (a malformed flag, a dimension
@@ -329,8 +332,7 @@ def _verify_stack(args, trials: range) -> list[dict]:
         member = families.sample_member(spec, families.FamilyParams(p_a=draws["p_a"]))
         cols["steered_in_span"] = v.contains(member)
     head = {"unitary": label, "assignment_cp": bool(assign.cp)}
-    columns = [col.tolist() for col in cols.values()]
-    return [{"trial": t, **head, **dict(zip(cols, row))} for t, *row in zip(trials, *columns)]
+    return consistency.records({"trial": trials, **cols}, **head)
 
 
 def _system_dim(args) -> int:
@@ -387,18 +389,25 @@ def _build_subspace(args, rng: np.random.Generator):
     return _family_span(_random_spec(args.family, args, rng))
 
 
-def cmd_consistency(args) -> dict:
+def _checked(args):
+    """The V of a ``consistency`` or ``theorem1`` report, then the chunks of
+    its unitaries, from the seed's stream, once its dimensions are checked."""
     args.ds = _system_dim(args)
     _check_family_dims(args)
     rng = np.random.default_rng(args.seed)
     v = _build_subspace(args, rng)
-    unitaries = consistency.sample_unitaries(args.g, args.trials, v.d_s, v.d_e, rng)
-    violations = [consistency.u_consistency_violation(v, u) for _, u in unitaries]
+    return v, consistency.sample_unitaries(args.g, args.trials, v, rng)
+
+
+def cmd_consistency(args) -> dict:
+    v, unitaries = _checked(args)
+    labels, violations = [], []
+    for chunk, us in unitaries:
+        labels += chunk
+        violations += consistency.u_consistency_violation(v, us).tolist()
     report = consistency.g_consistency_report(v, args.g, violations, args.tol)
-    trials = [
-        {"trial": i, "unitary": label, "violation": x}
-        for i, ((label, _), x) in enumerate(zip(unitaries[:10], violations))
-    ]
+    # The records are the first ten of the checked unitaries.
+    trials = consistency.records({"trial": range(10), "unitary": labels, "violation": violations})
     summary = {
         "pass": bool(report["consistent"]),
         "dim_v": v.dim,
@@ -410,11 +419,7 @@ def cmd_consistency(args) -> dict:
 
 
 def cmd_theorem1(args) -> dict:
-    args.ds = _system_dim(args)
-    _check_family_dims(args)
-    rng = np.random.default_rng(args.seed)
-    v = _build_subspace(args, rng)
-    unitaries = consistency.sample_unitaries(args.g, args.trials, v.d_s, v.d_e, rng)
+    v, unitaries = _checked(args)
     report = theorem1_verify(v, args.g, unitaries, tol=args.tol)
     summary = {
         "pass": bool(report["passed"]),
@@ -518,12 +523,11 @@ def _demo1(args) -> dict:
     product = markov_block_space(families.MarkovBlocksSpec(((ds, 1),), de, (omega_e,)))
     product = product.canonical_assignment()
     perturb_assignment(canon, product.mat - canon.mat, v)
-    unitaries = consistency.sample_unitaries(
-        "swap", args.trials, ds, de, np.random.default_rng(args.seed)
-    )
-    report = theorem1_verify(v, "swap", unitaries, assignment=product, tol=args.tol)
+    rng = np.random.default_rng(args.seed)
+    (chunk,) = consistency.sample_unitaries("swap", args.trials, v, rng)
+    report = theorem1_verify(v, "swap", [chunk], assignment=product, tol=args.tol)
     # The swap turns any member into its system marginal read on S.
-    psi = channels.reduced_dynamics(unitaries[0][1], product.mat, ds, de)
+    psi = channels.reduced_dynamics(chunk[1][0], product.mat, ds, de)
     constant = channels.channel_from_function(lambda x: np.trace(x) * omega_e, ds, ds)
     const_dist = channels.choi_distance(psi, constant)
     # dim V and dim V_0 counted apart from their closed forms, on random
@@ -556,9 +560,8 @@ def _demo2(args) -> dict:
     _check_dims(ds, de)
     v = full_space(ds, de)
     canon = canonical_assignment(v)
-    unitaries = consistency.sample_unitaries(
-        "local", args.trials, ds, de, np.random.default_rng(args.seed)
-    )
+    rng = np.random.default_rng(args.seed)
+    unitaries = consistency.sample_unitaries("local", args.trials, v, rng)
     report = theorem1_verify(v, "local", unitaries, assignment=canon, tol=args.tol)
     mixed = channels.channel_from_function(lambda x: np.kron(x, np.eye(de) / de), ds, ds * de)
     mixed_dist = float(np.linalg.norm(canon.mat - mixed.mat))
@@ -599,15 +602,9 @@ def cmd_demo(args) -> dict:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func", "out"}
-    cfg = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip:
-            continue
-        if k == "blocks" and v is not None:
-            cfg[k] = [list(b) for b in v]
-        else:
-            cfg[k] = v
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
+    if cfg.get("blocks") is not None:
+        cfg["blocks"] = [list(b) for b in cfg["blocks"]]
     return cfg
 
 
@@ -652,25 +649,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, tol=False, ds=None)
     p.set_defaults(func=cmd_verify_family)
 
-    p = sub.add_parser("consistency", help="subspace consistency report")
-    p.add_argument(
-        "--family",
-        choices=FAMILY_CHOICES + ("full", "random"),
-        default="markov-blocks",
-    )
-    p.add_argument("--span-states", type=_positive_int, default=4)
-    common(p, ds=None)
-    p.set_defaults(func=cmd_consistency)
-
-    p = sub.add_parser("theorem1", help="end-to-end subspace/assignment check")
-    p.add_argument(
-        "--family",
-        choices=FAMILY_CHOICES + ("full", "random"),
-        default="markov-blocks",
-    )
-    p.add_argument("--span-states", type=_positive_int, default=4)
-    common(p, trials=10, ds=None)
-    p.set_defaults(func=cmd_theorem1)
+    for name, about, trials, func in (
+        ("consistency", "subspace consistency report", 50, cmd_consistency),
+        ("theorem1", "end-to-end subspace/assignment check", 10, cmd_theorem1),
+    ):
+        p = sub.add_parser(name, help=about)
+        choices = FAMILY_CHOICES + ("full", "random")
+        p.add_argument("--family", choices=choices, default="markov-blocks")
+        p.add_argument("--span-states", type=_positive_int, default=4)
+        common(p, trials=trials, ds=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("dpi", help="data processing inequality sweeps")
     p.add_argument("--unitaries-per-state", type=_positive_int, default=10)

@@ -33,7 +33,6 @@ from .channels import (
     choi,
     is_tp_on_domain,
     product_assignment_matrix,
-    reduced_dynamics,
 )
 from .families import MarkovBlocksSpec, block_slices, in_frame, structure_fit
 from .tensor import (
@@ -45,6 +44,7 @@ from .tensor import (
     kron,
     normal_runs,
     psd_check,
+    stacks,
     swap_unitary,
     tr_e,
     tr_e_kraus,
@@ -68,6 +68,7 @@ __all__ = [
     "perturb_assignment",
     "witness_assignment",
     "reduced_dynamics_verdict",
+    "records",
     "theorem1_verify",
 ]
 
@@ -135,9 +136,8 @@ class OperatorSubspace:
     def dim_v0(self) -> int:
         return kernel_tr_e(self).dim
 
-    def violation(self, u: np.ndarray) -> float:
-        k = kernel_tr_e(self)
-        return float(np.linalg.norm(tr_e(k.basis, self.d_s, self.d_e, u))) if k.dim else 0.0
+    def violation(self, u: np.ndarray):
+        return frobenius(tr_e(kernel_tr_e(self).basis, self.d_s, self.d_e, u))
 
     def canonical_assignment(self) -> AssignmentMap:
         u, sv, vh = self._tr_e_svd
@@ -167,8 +167,8 @@ class AssignmentMap:
     ``cp`` are true with no Choi matrix built, ``reduced`` contracts the
     stack with ``tensor.tr_e_kraus``, and ``mat``, which is
     ``channels.channel_from_kraus`` of the stack, is built only when a
-    caller reads it.  A map given by ``mat`` alone is reduced by
-    ``channels.reduced_dynamics``, and its ``hermitian`` and ``cp`` read one
+    caller reads it.  A map given by ``mat`` alone is reduced by one
+    ``tensor.tr_e`` of ``mat``, and its ``hermitian`` and ``cp`` read one
     Choi matrix, built when first read: one ``is_hermitian`` and, when that
     holds, one ``eigvalsh`` of its Hermitian part.  ``choi()`` returns a
     copy of that matrix.
@@ -197,14 +197,12 @@ class AssignmentMap:
 
     def reduced(self, u: np.ndarray | None = None) -> ChannelMap:
         """The channel Tr_E o Ad_U o the map on S, or Tr_E o the map for
-        ``u=None``: from the Kraus stack when there is one, else from
-        ``mat``."""
+        ``u=None``, or the stack of channels of a stack of unitaries: from
+        the Kraus stack when there is one, else from ``mat``."""
         d_s, d_e = self.d_s, self.d_e
         if self.kraus is not None:
             return channel_from_kraus(tr_e_kraus(self.kraus, d_s, d_e, u), d_s, d_s)
-        if u is None:
-            return ChannelMap(d_s, d_s, tr_e(self.mat, d_s, d_e))
-        return reduced_dynamics(u, self.mat, d_s, d_e)
+        return ChannelMap(d_s, d_s, tr_e(self.mat, d_s, d_e, u))
 
     @cached_property
     def trace_consistent(self) -> bool:
@@ -269,27 +267,28 @@ class _ClosedFormSpace:
         return (self.d_s**2 - (self.omega_e is not None)) * (self.d_e**2 - 1)
 
     def _project_v0(self, x: np.ndarray) -> np.ndarray:
-        """P applied in place to each operator X[(a, f), (b, g)] = x[s, a, f, t, b, g]."""
-        t = np.einsum("saftbf->satb", x) / self.d_e
+        """P applied in place to each X[(a, f), (b, g)] = x[..., s, a, f, t, b, g]."""
+        t = np.einsum("...saftbf->...satb", x) / self.d_e
         for f in range(self.d_e):
-            x[:, :, f, :, :, f] -= t
+            x[..., :, :, f, :, :, f] -= t
         if self.omega_e is not None:
-            t = np.einsum("saftag->sftg", x) / self.d_s
+            t = np.einsum("...saftag->...sftg", x) / self.d_s
             for a in range(self.d_s):
-                x[:, a, :, :, a] -= t
+                x[..., :, a, :, :, a, :] -= t
         return x
 
-    def violation(self, u: np.ndarray) -> float:
+    def violation(self, u: np.ndarray):
         """The norm of A_U, the matrix of Tr_E o Ad_U, with the real symmetric
         P applied to each row; taken entrywise, as a difference of squared
         norms would cancel to the rounding level."""
         d_s, d_e, d = self.d_s, self.d_e, self.d_s * self.d_e
-        w = np.asarray(u, dtype=complex).reshape(d_s, d_e, d).transpose(1, 0, 2)
-        w = w.reshape(d_e, d_s * d)
+        u = np.asarray(u, dtype=complex)
+        w = u.reshape(u.shape[:-2] + (d_s, d_e, d)).swapaxes(-3, -2)
+        w = w.reshape(u.shape[:-2] + (d_e, d_s * d))
         # A_U[(s, t), (i, j)] = sum_e U[s,e,i] conj U[t,e,j], laid out as
         # [s, (a, f), t, (b, g)] with i = (a, f) and j = (b, g).
-        a = (w.T @ w.conj()).reshape(d_s, d_s, d_e, d_s, d_s, d_e)
-        return float(np.linalg.norm(self._project_v0(a)))
+        a = (w.swapaxes(-1, -2) @ w.conj()).reshape(u.shape[:-2] + (d_s, d_s, d_e) * 2)
+        return frobenius(self._project_v0(a), axes=6)
 
     def canonical_assignment(self) -> AssignmentMap:
         d_s, d_e = self.d_s, self.d_e
@@ -388,8 +387,8 @@ class _MarkovBlockSpace:
     def dim_v0(self) -> int:
         return 0
 
-    def violation(self, u: np.ndarray) -> float:
-        return 0.0
+    def violation(self, u: np.ndarray):
+        return np.zeros(np.shape(u)[:-2])[()]
 
     def canonical_assignment(self) -> AssignmentMap:
         p = channel_from_kraus(self._kraus(1), self.d_s, self.d_s).mat
@@ -457,8 +456,8 @@ def kernel_tr_e(v: OperatorSubspace) -> OperatorSubspace:
     return v.kernel
 
 
-def u_consistency_violation(v: Subspace, u: np.ndarray) -> float:
-    """Hilbert-Schmidt norm of M_U = Tr_E o Ad_U restricted to V0.
+def u_consistency_violation(v: Subspace, u: np.ndarray):
+    """Hilbert-Schmidt norm of M_U = Tr_E o Ad_U restricted to V0, for each U of a stack.
 
     ``||M_U||_F = ||tr_e(K, d_s, d_e, u)||_F`` for any orthonormal kernel
     basis K, and it is invariant under K -> K Q.  It vanishes exactly when
@@ -470,15 +469,28 @@ def u_consistency_violation(v: Subspace, u: np.ndarray) -> float:
     return v.violation(u)
 
 
-def sample_unitaries(g: str, n: int, d_s: int, d_e: int, rng: np.random.Generator):
-    """``n`` labelled unitaries drawn from the set named ``g``: ``"all"``
-    (Haar on S x E), ``"local"`` (Haar products U_S x U_E) or ``"swap"``
-    (the one swap, whatever ``n``).  The normal draws of every unitary
-    (``unitary_shapes``) come in stream order from one ``normal`` call
-    (``tensor.normal_runs``), and the unitaries are built as one stack."""
-    draws = normal_runs(rng, *[unitary_shapes(g, d_s, d_e)] * n)
-    stem, us = unitaries_from_draws(g, tuple(map(np.stack, zip(*draws))), d_s, d_e)
-    return [(stem, us)] if g == "swap" else [(f"{stem}_{i}", u) for i, u in enumerate(us)]
+def _unitary_entries(v: Subspace) -> int:
+    """The complex entries of the largest arrays one unitary's check on V
+    holds: d^2 d_s^2, the size of Tr_E o Ad_U as a matrix, which bounds the
+    U A product of either assignment form, the Choi matrix and the full
+    space's A_U; or d^2 dim V0, the U K product of a kernel basis K, if wider."""
+    width = kernel_tr_e(v).dim if isinstance(v, OperatorSubspace) else 0
+    return (v.d_s * v.d_e) ** 2 * max(v.d_s**2, width)
+
+
+def sample_unitaries(g: str, n: int, v: Subspace, rng: np.random.Generator):
+    """``n`` unitaries on the S x E of ``v`` from the set named ``g``: ``"all"``
+    (Haar, labels ``haar_i``), ``"local"`` (Haar products U_S x U_E,
+    ``local_i``) or ``"swap"`` (the one swap, ``swap``, whatever ``n``).
+    They are yielded as ``(labels, stack)`` chunks, ``tensor.stacks`` of
+    ``_unitary_entries(v)``, each from one ``normal`` call of their draws
+    (``unitary_shapes``, ``tensor.normal_runs``) and one QR, so every
+    unitary has the bits it has in one draw of all ``n``."""
+    d_s, d_e = v.d_s, v.d_e
+    for chunk in stacks(1 if g == "swap" else n, _unitary_entries(v)):
+        draws = normal_runs(rng, *[unitary_shapes(g, d_s, d_e)] * len(chunk))
+        stem, us = unitaries_from_draws(g, tuple(map(np.stack, zip(*draws))), d_s, d_e)
+        yield ([stem], us[None]) if g == "swap" else ([f"{stem}_{i}" for i in chunk], us)
 
 
 def unitary_shapes(g: str, d_s: int, d_e: int) -> list[tuple[int, ...]]:
@@ -600,30 +612,40 @@ def witness_assignment(
 def reduced_dynamics_verdict(assign: AssignmentMap, u: np.ndarray) -> tuple[ChannelMap, dict]:
     """The reduced channel Psi = Tr_E o Ad_U o ``assign`` and its verdicts
     ``{cp, tp, min_choi_eigenvalue}``: CP and the least eigenvalue from the
-    Choi matrix of Psi, TP on the assignment's domain.
+    Choi matrix of Psi, TP on the assignment's domain.  A stack of
+    unitaries gives a stack of channels and arrays of verdicts.
 
     Psi is ``assign.reduced(u)``: for a Kraus-backed assignment, the Gram
     matrix of its operators ``(I kron <e|) U A_k``, with no (d^2, d_s^2)
-    matrix built; for a ``mat``-only one, ``channels.reduced_dynamics``."""
+    matrix built; for a ``mat``-only one, one ``tensor.tr_e`` of ``mat``."""
     psi = assign.reduced(u)
     cp, min_eig = psd_check(choi(psi))
     tp = is_tp_on_domain(psi, assign.domain_projector)
     return psi, {"cp": cp, "tp": tp, "min_choi_eigenvalue": min_eig}
 
 
+def records(cols: dict, **head) -> list[dict]:
+    """One record per row of the columns ``cols``, lists or stacks read as
+    Python values, after the entries ``head`` all share; to the shortest."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols.values()))
+    return [{**head, **dict(zip(cols, row))} for row in rows]
+
+
 def theorem1_verify(
     v: Subspace,
     g: str,
-    unitaries: list[tuple[str, np.ndarray]],
+    unitaries,
     assignment: AssignmentMap | None = None,
     tol: float = CONSISTENCY_TOL,
 ) -> dict:
     """Check the subspace/assignment route to CP reduced dynamics.
 
-    Reports, over the labelled ``unitaries`` the caller drew from the set
-    named ``g`` (see ``sample_unitaries``), (a) consistency of the
-    subspace, (b) the CP flag of the assignment, and per-unitary CP/TP
-    verdicts of the reduced channel; nothing is drawn here.  Each record's
+    Reports, over the ``(labels, stack)`` chunks of ``unitaries`` the
+    caller drew from the set named ``g`` (see ``sample_unitaries``), (a)
+    consistency of the subspace, (b) the CP flag of the assignment, and
+    per-unitary CP/TP verdicts of the reduced channel; nothing is drawn
+    here.  A chunk is checked as one stack, its records formed from the
+    columns of its verdicts and violations (``records``).  Each record's
     ``perturbation_deviation`` is ``u_consistency_violation`` for its
     unitary: the exact bound on how far the reduced dynamics moves per unit
     Frobenius norm of a kernel-valued perturbation of the assignment; (a)
@@ -633,13 +655,12 @@ def theorem1_verify(
     """
     assign = canonical_assignment(v) if assignment is None else assignment
     per_u = []
-    for label, u in unitaries:
-        _, verdict = reduced_dynamics_verdict(assign, u)
-        deviation = u_consistency_violation(v, u)
-        per_u.append({"unitary": label, **verdict, "perturbation_deviation": deviation})
-    consistency = g_consistency_report(
-        v, g, [rec["perturbation_deviation"] for rec in per_u], tol
-    )
+    for labels, us in unitaries:
+        _, verdict = reduced_dynamics_verdict(assign, us)
+        deviation = u_consistency_violation(v, us)
+        per_u += records({"unitary": labels, **verdict, "perturbation_deviation": deviation})
+    deviations = [rec["perturbation_deviation"] for rec in per_u]
+    consistency = g_consistency_report(v, g, deviations, tol)
     premises = bool(consistency["consistent"]) and bool(assign.cp)
     conclusion = all(rec["cp"] for rec in per_u) and consistency["worst_violation"] <= tol
     return {

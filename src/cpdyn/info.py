@@ -66,8 +66,10 @@ def conditional_mutual_information(
 
 
 def _cmi_and_i_before(omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int) -> tuple:
-    """I(A:E|S) and -S(A|S) of a state, or of each state of a stack, from
-    one S(AS) and one S(S); the second is ``_i_before``, bit for bit."""
+    """I(A:E|S) and -S(A|S) = S(S) - S(AS) of a state on A x S x E, or of
+    each state of a stack, from one S(AS) and one S(S).  The second is
+    I(A:S) less the S(A) that no unitary on S x E changes: the "before"
+    term of every data-processing delta."""
     omega_ase = _check_state(omega_ase, d_a, d_s, d_e)
     dims = (d_a, d_s, d_e)
     s_as = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(0, 1)))
@@ -87,18 +89,8 @@ def dpi_check(
     round-off) whenever the input is a Markov state.  A stack of states
     takes a stack of unitary stacks along the same leading axes.
     """
-    before = np.asarray(_i_before(omega_ase, d_a, d_s, d_e))
+    before = np.asarray(_cmi_and_i_before(omega_ase, d_a, d_s, d_e)[1])
     return before[..., None] - _i_after(omega_ase, d_a, d_s, d_e, u_se)
-
-
-def _i_before(omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int) -> float | np.ndarray:
-    """-S(A|S) = S(S) - S(AS) of a state on A x S x E, or of each state of a
-    stack: I(A:S) less the S(A) that no unitary on S x E changes."""
-    omega_ase = _check_state(omega_ase, d_a, d_s, d_e)
-    dims = (d_a, d_s, d_e)
-    s_as = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(0, 1)))
-    s_s = von_neumann_entropy(partial_trace(omega_ase, dims, keep=(1,)))
-    return s_s - s_as
 
 
 def _i_after(
@@ -127,15 +119,14 @@ def _i_after(
 
 
 def _search(
-    omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, rngs, draws: int, i_before=None
+    omega_ase: np.ndarray, d_a: int, d_s: int, d_e: int, rngs, draws: int, i_before
 ) -> tuple[np.ndarray, np.ndarray]:
     """The most negative delta over ``draws`` Haar unitaries, and the index
     of its first draw, for each state of a ``(states, n, n)`` stack; state
     i takes its unitaries from ``rngs[i]``.
 
-    Each delta is the "before" -S(A|S) less the -S(A|S) after a unitary.
-    The "before" term is ``i_before`` when the caller has it from
-    ``_cmi_and_i_before``, and is otherwise computed here, once.  The
+    Each delta is the "before" -S(A|S) of each state, ``i_before`` from
+    ``_cmi_and_i_before``, less the -S(A|S) after a unitary.  The
     unitaries are drawn and checked a chunk at a time, in the order of
     single draws from each stream: the draws are cut into ``tensor.stacks``
     by the largest array of a chunk, ``tr_e``'s U X product in
@@ -145,8 +136,6 @@ def _search(
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    if i_before is None:
-        i_before = _i_before(omega_ase, d_a, d_s, d_e)
     i_before = np.asarray(i_before)[:, None]
     d, n, rows = d_s * d_e, omega_ase.shape[-1], np.arange(len(rngs))
     best = np.full(len(rngs), np.inf)
@@ -178,8 +167,9 @@ def search_dpi_violation(
     ``found`` flags a clear violation; a negative result only means none
     was found within the budget.
     """
-    omega_ase = np.asarray(omega_ase, dtype=complex)
-    best, best_draw = _search(omega_ase[None], d_a, d_s, d_e, [rng], draws)
+    omega_ase = np.asarray(omega_ase, dtype=complex)[None]
+    i_before = _cmi_and_i_before(omega_ase, d_a, d_s, d_e)[1]
+    best, best_draw = _search(omega_ase, d_a, d_s, d_e, [rng], draws, i_before)
     return {
         "draws": draws,
         "best_delta": float(best[0]),

@@ -296,7 +296,8 @@ def frobenius(x: np.ndarray, axes: int = 2):
     x = np.asarray(x)
     if x.ndim == axes:
         return np.linalg.norm(x)
-    flat = x.reshape(x.shape[: x.ndim - axes] + (1, -1))
+    # The size, not -1, so that a stack of empty arrays has norms 0.
+    flat = x.reshape(x.shape[: x.ndim - axes] + (1, math.prod(x.shape[x.ndim - axes :])))
     if np.iscomplexobj(flat):
         re, im = flat.real, flat.imag
         sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)

@@ -10,7 +10,7 @@ from cpdyn.channels import ChannelMap
 from cpdyn.consistency import markov_block_space
 from cpdyn.families import FamilyParams, MarkovBlocksSpec, SteeredSpec
 from cpdyn.tensor import random_density, random_haar_unitary
-from trial_oracle import random_haar_unitaries, random_hermitian, unitary_draws
+from trial_oracle import labelled, random_haar_unitaries, random_hermitian, unitary_draws
 
 T = 5
 
@@ -254,12 +254,13 @@ def test_markov_states_on_a_stack(rng):
     ],
 )
 def test_unitaries_from_stacked_draws_equal_sampled_ones(g, n):
-    # sample_unitaries takes n unitaries' draws in one normal call: the
+    # sample_unitaries takes a chunk's draws in one normal call: the
     # unitaries, labels and stream of n per-call draws, T times over.
     a, b = np.random.default_rng(3), np.random.default_rng(3)
     draws = [unitary_draws(g, 2, 2, a) for _ in range(T * n)]
     stem, us = consistency.unitaries_from_draws(g, tuple(map(np.stack, zip(*draws))), 2, 2)
-    sampled = [consistency.sample_unitaries(g, n, 2, 2, b) for _ in range(T)]
+    v = consistency.full_space(2, 2)
+    sampled = [labelled(consistency.sample_unitaries(g, n, v, b)) for _ in range(T)]
     if g == "swap":
         assert [[(stem, us.tolist())]] * T == [[(l, u.tolist()) for l, u in s] for s in sampled]
         # The swap draws nothing.
@@ -279,7 +280,8 @@ def test_entropic_quantities_on_a_stack(dims, rng):
         info.conditional_mutual_information(omega, *dims),
         [info.conditional_mutual_information(w, *dims) for w in omega],
     )
-    _equal_per_member(info._i_before(omega, *dims), [info._i_before(w, *dims) for w in omega])
+    before = [info._cmi_and_i_before(w, *dims)[1] for w in omega]
+    _equal_per_member(info._cmi_and_i_before(omega, *dims)[1], before)
     _equal_per_member(
         info.dpi_check(omega, *dims, us), [info.dpi_check(w, *dims, u) for w, u in zip(omega, us)]
     )
@@ -289,7 +291,8 @@ def test_a_stack_of_hunts_equals_each_hunt_alone(rng):
     dims = (2, 2, 2)
     omega = _states(rng, 8)
     seeds = range(T)
-    best, draw = info._search(omega, *dims, [np.random.default_rng(k) for k in seeds], 300)
+    rngs = [np.random.default_rng(k) for k in seeds]
+    best, draw = info._search(omega, *dims, rngs, 300, info._cmi_and_i_before(omega, *dims)[1])
     alone = [
         info.search_dpi_violation(w, *dims, np.random.default_rng(k), draws=300)
         for w, k in zip(omega, seeds)

@@ -9,6 +9,7 @@ import numpy as np
 from cpdyn import channels, cli, consistency, info
 from cpdyn.cli import build_parser, ghz_state, main, run
 from cpdyn.tensor import random_haar_unitary
+from trial_oracle import labelled
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json").read_text()
@@ -298,12 +299,12 @@ def test_full_space_commands_factor_nothing(monkeypatch, argv, dim_v0):
 
 def _checked_unitaries(argv):
     """A consistency report's subspace and checked unitaries, replayed: the
-    subspace, then one draw of `--trials` unitaries from the seed stream."""
+    subspace, then the chunks of `--trials` unitaries from the seed stream."""
     args = build_parser().parse_args(argv)
     args.ds = cli._system_dim(args)
     rng = np.random.default_rng(args.seed)
     v = cli._build_subspace(args, rng)
-    return v, consistency.sample_unitaries(args.g, args.trials, v.d_s, v.d_e, rng)
+    return v, labelled(consistency.sample_unitaries(args.g, args.trials, v, rng))
 
 
 @pytest.mark.parametrize("g", ["all", "local"])
@@ -330,25 +331,30 @@ def test_consistency_records_are_the_checked_unitaries(g):
     ],
 )
 def test_one_u_consistency_violation_per_drawn_unitary(monkeypatch, argv, n_drawn):
+    # One call per drawn chunk, on its stack: every drawn unitary is
+    # checked once, in draw order.
     calls, draws = [], []
     violation, sample = consistency.u_consistency_violation, consistency.sample_unitaries
 
-    def counting_violation(v, u):
-        calls.append(u)
-        return violation(v, u)
+    def counting_violation(v, us):
+        calls.append(us)
+        return violation(v, us)
 
     def recording_sample(*args):
-        out = sample(*args)
-        draws.append([u for _, u in out])
-        return out
+        draws.append([])
+        for chunk in sample(*args):
+            draws[-1].append(chunk)
+            yield chunk
 
     monkeypatch.setattr(consistency, "u_consistency_violation", counting_violation)
     monkeypatch.setattr(consistency, "sample_unitaries", recording_sample)
     report, _ = run_args(*argv, "--seed", "5")
     (drawn,) = draws  # one draw per report
-    assert len(drawn) == len(calls) == n_drawn
-    assert all(c is d for c, d in zip(calls, drawn))
-    assert all("unitary" in t for t in report["trials"])
+    assert len(calls) == len(drawn) and all(c is us for c, (_, us) in zip(calls, drawn))
+    assert sum(len(us) for _, us in drawn) == n_drawn
+    labels = [label for chunk, _ in drawn for label in chunk]
+    shown = 10 if argv[0] == "consistency" else None  # consistency records the first ten
+    assert [t["unitary"] for t in report["trials"]] == labels[:shown]
 
 
 @pytest.mark.parametrize(
@@ -476,8 +482,8 @@ def test_demo2_records_are_the_system_conjugation(ds, de):
     assert report["summary"]["maximally_mixed_distance"] <= 1e-8
     records = report["trials"]
     assert [r["unitary"] for r in records] == [f"local_{i}" for i in range(trials)]
-    drawn = consistency.sample_unitaries("local", trials, ds, de, np.random.default_rng(seed))
     v = consistency.full_space(ds, de)
+    drawn = labelled(consistency.sample_unitaries("local", trials, v, np.random.default_rng(seed)))
     assign = consistency.canonical_assignment(v)
     rng = np.random.default_rng(seed)
     for rec, (_, u) in zip(records, drawn):

@@ -51,7 +51,7 @@ from cpdyn.tensor import (
     unvec,
     vec,
 )
-from trial_oracle import random_hermitian, random_markov_state_spec
+from trial_oracle import labelled, random_hermitian, random_markov_state_spec
 
 
 def random_kernel_perturbation(v0, rng, scale=0.1):
@@ -131,7 +131,7 @@ def test_subspace_from_constraint_is_null_space(rng):
 
 def checked_report(v, g, n, rng, tol=CONSISTENCY_TOL):
     """g_consistency_report over one draw of n unitaries from the set g."""
-    unitaries = sample_unitaries(g, n, v.d_s, v.d_e, rng)
+    unitaries = labelled(sample_unitaries(g, n, v, rng))
     return g_consistency_report(v, g, [u_consistency_violation(v, u) for _, u in unitaries], tol)
 
 
@@ -179,16 +179,17 @@ def test_zero_kernel_is_always_consistent(rng):
 
 
 def test_sample_unitaries_variants(rng):
-    drawn = sample_unitaries("all", 7, 2, 2, rng)
+    drawn = labelled(sample_unitaries("all", 7, full_space(2, 2), rng))
     assert [label for label, _ in drawn] == [f"haar_{i}" for i in range(7)]
-    drawn = sample_unitaries("local", 2, 2, 3, rng)
+    drawn = labelled(sample_unitaries("local", 2, full_space(2, 3), rng))
     assert [(label, u.shape) for label, u in drawn] == [("local_0", (6, 6)), ("local_1", (6, 6))]
-    (label, u), = sample_unitaries("swap", 5, 2, 2, rng)  # the one swap, whatever n
-    assert label == "swap" and np.allclose(u, swap_unitary(2))
+    # The one swap, whatever n, as a chunk of one.
+    (labels, us), = sample_unitaries("swap", 5, full_space(2, 2), rng)
+    assert labels == ["swap"] and us.shape == (1, 4, 4) and np.allclose(us[0], swap_unitary(2))
     with pytest.raises(ValueError, match="swap needs equal"):
-        sample_unitaries("swap", 1, 2, 3, rng)
+        list(sample_unitaries("swap", 1, full_space(2, 3), rng))
     with pytest.raises(ValueError, match="unknown unitary set 'Local'"):
-        sample_unitaries("Local", 1, 2, 2, rng)
+        list(sample_unitaries("Local", 1, full_space(2, 2), rng))
 
 
 def test_canonical_assignment_is_a_section(rng):
@@ -348,7 +349,7 @@ def test_witness_choi_spectrum_closed_form(d_s, gamma):
 
 def test_theorem_verifier_passes_on_consistent_setup(rng):
     _, v = markov_span(rng)
-    report = theorem1_verify(v, "local", sample_unitaries("local", 5, v.d_s, v.d_e, rng))
+    report = theorem1_verify(v, "local", sample_unitaries("local", 5, v, rng))
     assert report["premises_hold"]
     assert report["conclusion_holds"]
     assert report["passed"]
@@ -360,7 +361,7 @@ def test_theorem_verifier_passes_on_consistent_setup(rng):
 
 def test_theorem_verifier_vacuous_when_premises_fail(rng):
     v = random_span_with_kernel(rng)
-    report = theorem1_verify(v, "all", sample_unitaries("all", 3, v.d_s, v.d_e, rng))
+    report = theorem1_verify(v, "all", sample_unitaries("all", 3, v, rng))
     assert not report["premises_hold"]
     assert report["passed"]  # implication holds vacuously
 
@@ -487,8 +488,9 @@ def test_u_consistency_violation_ignores_the_kernel_basis(name, kind):
 def test_theorem1_records_report_u_consistency_violation(name, g):
     v = ORACLE_SUBSPACES[name]()
     g_name, n = g
-    drawn = sample_unitaries(g_name, n, v.d_s, v.d_e, np.random.default_rng(83))
+    drawn = list(sample_unitaries(g_name, n, v, np.random.default_rng(83)))
     report = theorem1_verify(v, g_name, drawn)
+    drawn = labelled(drawn)
     records, checked = report["per_unitary"], report["consistency"]
     # The records name the caller's unitaries in order, and the consistency
     # block summarizes those same records.
@@ -785,7 +787,8 @@ def test_kraus_route_agrees_with_the_dense_path(case, size, g):
     for seed in (1, 2):
         a = _kraus_backed_assignment(case, size, seed)
         d_s, d_e = a.d_s, a.d_e
-        (_, u), = sample_unitaries(g, 1, d_s, d_e, np.random.default_rng([seed, 7]))
+        rng = np.random.default_rng([seed, 7])
+        (_, u), = labelled(sample_unitaries(g, 1, full_space(d_s, d_e), rng))
         psi, verdict = consistency.reduced_dynamics_verdict(a, u)
         traced = a.reduced()
         assert a.kraus is not None and a.trace_consistent
@@ -834,7 +837,7 @@ def test_kraus_backed_reports_build_no_assignment_matrix(monkeypatch, argv):
         return _orig(cols, d_s, d_e, u)
 
     monkeypatch.setattr(consistency, "channel_from_kraus", from_kraus)
-    monkeypatch.setattr(consistency, "reduced_dynamics", lambda *a: dense.append(a))
+    monkeypatch.setattr(channels, "reduced_dynamics", lambda *a: dense.append(a))
     for module in (consistency, channels, cli):
         monkeypatch.setattr(module, "tr_e", recording_tr_e)
     report, code = cli.run([*argv, "--seed", "1", "--out", os.devnull])

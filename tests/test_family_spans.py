@@ -19,7 +19,7 @@ from cpdyn.families import (
     span_generators,
 )
 from cpdyn.tensor import random_density, random_haar_unitary, tr_e
-from trial_oracle import kraus_classical_quantum
+from trial_oracle import kraus_classical_quantum, labelled
 
 LAYOUTS = {
     "1x2,2x1": ((1, 2), (2, 1)),
@@ -209,7 +209,7 @@ def test_markov_block_space_matches_the_generator_span(layout, d_e, seed):
     assert v.dim_v0 == ref.dim_v0 == 0
     rng = np.random.default_rng(seed + 200)
     for g in ("all", "local"):
-        for _, u in sample_unitaries(g, 2, d_s, d_e, rng):
+        for _, u in labelled(sample_unitaries(g, 2, v, rng)):
             assert v.violation(u) == 0.0
             assert abs(v.violation(u) - ref.violation(u)) <= 1e-12
     d2 = (d_s * d_e) ** 2
@@ -276,8 +276,9 @@ def test_classical_quantum_dynamics_dephases_then_prepares(d_s, d_e):
     # basis b_i and then prepare omega_i on E before U acts.
     rng = np.random.default_rng(10 * d_s + d_e)
     spec = _framed_spec("classical-quantum", d_s, d_e, rng)
-    assign = canonical_assignment(cli._family_span(spec))
-    for _, u in sample_unitaries("all", 2, d_s, d_e, rng):
+    v = cli._family_span(spec)
+    assign = canonical_assignment(v)
+    for _, u in labelled(sample_unitaries("all", 2, v, rng)):
         psi = channels.reduced_dynamics(u, assign.mat, d_s, d_e)
         k = kraus_classical_quantum(u, spec.frame, spec.omega_re, d_s, d_e)
         assert np.linalg.norm(psi.mat - channels.channel_from_kraus(k, d_s, d_s).mat) <= 1e-12

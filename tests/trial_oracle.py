@@ -4,16 +4,31 @@ unbatched primitives.  The commands draw each stream in runs and check
 their trials as stacks; every record they write must equal these oracles'
 records for the same trial, bit for bit.
 
+The per-unitary oracles of ``theorem1``, ``consistency`` and ``demo``: all
+``--trials`` unitaries drawn in one call, then checked one at a time.  The
+commands draw and check them in ``consistency.sample_unitaries`` chunks;
+every report they write must equal these oracles' reports, byte for byte
+apart from ``wall_time_s``.
+
 Also here: the samplers, the per-call unitary draws, the Kraus
 construction and the evolve-then-trace data-processing term that only tests
 call."""
 
+import os
+
 import numpy as np
+import pytest
 
 from cpdyn import channels, cli, consistency, families, info
 from cpdyn.consistency import canonical_assignment, markov_block_space
 from cpdyn.families import MarkovBlocksSpec, MarkovStateSpec
-from cpdyn.tensor import haar_unitaries, partial_trace, random_density, random_haar_unitary
+from cpdyn.tensor import (
+    haar_unitaries,
+    normal_runs,
+    partial_trace,
+    random_density,
+    random_haar_unitary,
+)
 
 # Unitaries per chunk of the one-state hunt, a count independent of the
 # command's entry bound.
@@ -164,7 +179,7 @@ def verify_family_trial(args, trial: int) -> dict:
 def dpi_search(omega, d_a, d_s, d_e, rng, draws) -> dict:
     """The hunt on one state: ``DPI_CHUNK`` Haar unitaries drawn and checked
     at a time, the first of tied draws kept."""
-    i_before = info._i_before(omega, d_a, d_s, d_e)
+    i_before = info._cmi_and_i_before(omega, d_a, d_s, d_e)[1]
     best, best_draw = np.inf, -1
     for start in range(0, draws, DPI_CHUNK):
         us = random_haar_unitaries(min(DPI_CHUNK, draws - start), d_s * d_e, rng)
@@ -203,3 +218,112 @@ def dpi_report(args) -> dict:
         "non_markov_search": hunt,
     }
     return {"trials": trials, "summary": summary}
+
+
+def one_call_draw(g: str, n: int, d_s: int, d_e: int, rng) -> list[tuple[str, np.ndarray]]:
+    """``n`` labelled unitaries of the set named ``g`` (the one swap for
+    ``"swap"``), the normal draws of all of them from one ``normal`` call
+    and one QR: the draw that the chunks of ``consistency.sample_unitaries``
+    must concatenate to."""
+    draws = normal_runs(rng, *[consistency.unitary_shapes(g, d_s, d_e)] * n)
+    stem, us = consistency.unitaries_from_draws(g, tuple(map(np.stack, zip(*draws))), d_s, d_e)
+    return [(stem, us)] if g == "swap" else [(f"{stem}_{i}", u) for i, u in enumerate(us)]
+
+
+def labelled(chunks) -> list[tuple[str, np.ndarray]]:
+    """The ``(label, unitary)`` pairs of ``(labels, stack)`` chunks, in order."""
+    return [pair for labels, us in chunks for pair in zip(labels, us)]
+
+
+def theorem1_verify(v, g, unitaries, assignment=None, tol=consistency.CONSISTENCY_TOL) -> dict:
+    """``consistency.theorem1_verify`` over ``(label, unitary)`` pairs, one
+    unitary at a time."""
+    assign = canonical_assignment(v) if assignment is None else assignment
+    per_u = []
+    for label, u in unitaries:
+        _, verdict = consistency.reduced_dynamics_verdict(assign, u)
+        deviation = float(consistency.u_consistency_violation(v, u))
+        per_u.append({"unitary": label, **verdict, "perturbation_deviation": deviation})
+    checked = consistency.g_consistency_report(
+        v, g, [rec["perturbation_deviation"] for rec in per_u], tol
+    )
+    premises = bool(checked["consistent"]) and bool(assign.cp)
+    conclusion = all(rec["cp"] for rec in per_u) and checked["worst_violation"] <= tol
+    return {
+        "dim_v": v.dim,
+        "dim_v0": checked["dim_v0"],
+        "consistency": checked,
+        "assignment": {
+            "trace_consistent": bool(assign.trace_consistent),
+            "hermitian": bool(assign.hermitian),
+            "cp": bool(assign.cp),
+        },
+        "per_unitary": per_u,
+        "premises_hold": premises,
+        "conclusion_holds": conclusion,
+        "passed": (not premises) or conclusion,
+    }
+
+
+def _subspace_and_draw(args):
+    """A ``consistency`` or ``theorem1`` report's subspace, then its
+    unitaries in one draw, from the seed's stream."""
+    args.ds = cli._system_dim(args)
+    rng = np.random.default_rng(args.seed)
+    v = cli._build_subspace(args, rng)
+    return v, one_call_draw(args.g, args.trials, v.d_s, v.d_e, rng)
+
+
+def theorem1_report(args) -> dict:
+    """The trials, theorem and summary of a ``theorem1`` report, one
+    unitary at a time."""
+    v, drawn = _subspace_and_draw(args)
+    report = theorem1_verify(v, args.g, drawn, tol=args.tol)
+    summary = {
+        "pass": bool(report["passed"]),
+        "dim_v": report["dim_v"],
+        "dim_v0": report["dim_v0"],
+        "premises_hold": report["premises_hold"],
+        "worst_min_choi_eigenvalue": min(
+            (r["min_choi_eigenvalue"] for r in report["per_unitary"]), default=0.0
+        ),
+    }
+    return {"trials": report["per_unitary"], "theorem": report, "summary": summary}
+
+
+def consistency_report(args) -> dict:
+    """The trials and summary of a ``consistency`` report, one unitary at a
+    time."""
+    v, drawn = _subspace_and_draw(args)
+    violations = [float(consistency.u_consistency_violation(v, u)) for _, u in drawn]
+    report = consistency.g_consistency_report(v, args.g, violations, args.tol)
+    trials = [
+        {"trial": i, "unitary": label, "violation": x}
+        for i, ((label, _), x) in enumerate(zip(drawn[:10], violations))
+    ]
+    summary = {
+        "pass": bool(report["consistent"]),
+        "dim_v": v.dim,
+        "dim_v0": report["dim_v0"],
+        "worst_violation": report["worst_violation"],
+        "exact": report["exact"],
+    }
+    return {"trials": trials, "summary": summary}
+
+
+def demo_report(argv) -> dict:
+    """The report of ``cli.run(argv)`` for a ``demo``, its unitaries drawn
+    in one call and checked one at a time by ``theorem1_verify`` above."""
+
+    def draw(g, n, v, rng):
+        pairs = one_call_draw(g, n, v.d_s, v.d_e, rng)
+        return [([label for label, _ in pairs], np.stack([u for _, u in pairs]))]
+
+    def verify(v, g, chunks, **kwargs):
+        return theorem1_verify(v, g, labelled(chunks), **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consistency, "sample_unitaries", draw)
+        mp.setattr(cli, "theorem1_verify", verify)
+        report, _ = cli.run([*argv, "--out", os.devnull])
+    return report
