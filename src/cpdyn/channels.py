@@ -140,16 +140,6 @@ def reduced_dynamics(u: np.ndarray, assign_mat: np.ndarray, d_s: int, d_e: int) 
     return ChannelMap(d_s, d_s, tr_e(assign_mat, d_s, d_e, u))
 
 
-def product_assignment_matrix(omega_e: np.ndarray, d_s: int) -> np.ndarray:
-    """Matrix of the product assignment x -> x kron omega_E."""
-    omega_e = np.asarray(omega_e, dtype=complex)
-    d_e = omega_e.shape[0]
-    eye = np.eye(d_s)
-    # Row (s, e, t, f), column (i, j): <s|i> omega_E[e, f] <j|t>.
-    m = np.einsum("si,tj,ef->setfij", eye, eye, omega_e)
-    return m.reshape((d_s * d_e) ** 2, d_s * d_s)
-
-
 def product_dynamics_choi(u: np.ndarray, omega_e: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
     """Choi matrix of x -> Tr_E(U (x kron omega_E) U^dag), contracted from
     U and omega_E with no eigendecomposition and no Kraus operators.

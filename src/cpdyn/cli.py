@@ -79,6 +79,11 @@ MAX_TOTAL_DIM = 64
 # at the dimension cap, on a kernel basis and in the full space's closed form
 # alike, which a smaller tolerance would report as a counterexample.
 TOL_FLOOR = 1e-12
+# Bounds of verify-family's family checks, which a passing trial meets
+# besides CP and TP; steered_in_span must hold too (acceptance 1 and 4).
+CONSTRUCTION_TOL = 1e-9
+CLOSURE_TOL = 1e-10
+STRUCTURE_TOL = 1e-9
 DEFAULT_SEED = 2024
 
 # Families whose system dimension comes from the block layout.
@@ -366,7 +371,15 @@ def cmd_verify_family(args) -> dict:
         _refuse("--g all voids the kernel freedom of kernel-extended; use --g local or swap")
     cut = stacks(args.trials, _trial_entries(args))
     trials = [rec for stack in cut for rec in _verify_stack(args, stack)]
-    ok = [t["cp"] and t["tp"] for t in trials]
+    ok = [
+        t["cp"]
+        and t["tp"]
+        and t.get("construction_choi_distance", 0.0) <= CONSTRUCTION_TOL
+        and t.get("kraus_closure_error", 0.0) <= CLOSURE_TOL
+        and t.get("structure_residual", 0.0) <= STRUCTURE_TOL
+        and t.get("steered_in_span", True)
+        for t in trials
+    ]
     summary = {
         "pass": all(ok),
         "n_trials": len(trials),
@@ -471,10 +484,7 @@ def _dpi_stack(args, trials: range) -> list[dict]:
     dims = args.da, mspec.layout.d_s, args.de
     cmi, i_before = info._cmi_and_i_before(omega, *dims)
     worst, _ = info._search(omega, *dims, rngs, args.unitaries_per_state, i_before)
-    return [
-        {"trial": t, "cmi": c, "worst_delta": w}
-        for t, c, w in zip(trials, cmi.tolist(), worst.tolist())
-    ]
+    return consistency.records({"trial": trials, "cmi": cmi, "worst_delta": worst})
 
 
 def cmd_dpi(args) -> dict:

@@ -32,7 +32,6 @@ from .channels import (
     channel_from_kraus,
     choi,
     is_tp_on_domain,
-    product_assignment_matrix,
 )
 from .families import MarkovBlocksSpec, block_slices, in_frame, structure_fit
 from .tensor import (
@@ -66,7 +65,6 @@ __all__ = [
     "unitaries_from_draws",
     "canonical_assignment",
     "perturb_assignment",
-    "witness_assignment",
     "reduced_dynamics_verdict",
     "records",
     "theorem1_verify",
@@ -577,36 +575,6 @@ def perturb_assignment(
     if escape > tol * max(1.0, np.linalg.norm(delta)):
         raise ValueError(f"delta range escapes the kernel (residual {escape:.3e})")
     return AssignmentMap(base.d_s, base.d_e, base.mat + delta, base.domain_projector)
-
-
-def witness_assignment(
-    omega_e: np.ndarray, delta_e: np.ndarray, gamma: float, d_s: int
-) -> AssignmentMap:
-    """Hermitian, trace-consistent assignment on all of L(H_S) that departs
-    from CP-ness.
-
-    x -> x kron omega_E + gamma * (x - tr(x) I/d_S) kron Delta with Delta a
-    fixed traceless Hermitian environment direction; trace consistency
-    holds for every gamma.  The Choi matrix is |Omega><Omega| kron
-    (omega_E + gamma Delta) - (gamma/d_S) I kron Delta, with Omega the
-    unnormalized maximally entangled vector.  On Omega-perp kron E it
-    equals -(gamma/d_S) Delta, whose least eigenvalue
-    -gamma lambda_max(Delta)/d_S is negative for every gamma > 0 once
-    d_S >= 2 and Delta != 0 (a nonzero traceless Hermitian Delta has a
-    positive eigenvalue), whatever omega_E is.  So the CP threshold is
-    gamma = 0 in closed form; for d_S = 1 or Delta = 0 the perturbation
-    vanishes and the map is CP for every gamma.
-    """
-    delta_e = np.asarray(delta_e, dtype=complex)
-    if abs(np.trace(delta_e)) > 1e-10 or not is_hermitian(delta_e):
-        raise ValueError("Delta must be traceless Hermitian")
-    d_e = omega_e.shape[0]
-    base = product_assignment_matrix(omega_e, d_s)
-    # x -> (x - tr(x) I/d_S) kron Delta, with tr(x) = vec(I) . vec(x).
-    eye = np.eye(d_s)
-    pert = product_assignment_matrix(delta_e, d_s)
-    pert -= np.outer(vec(kron(eye, delta_e)), vec(eye)) / d_s
-    return AssignmentMap(d_s, d_e, base + gamma * pert, np.eye(d_s * d_s, dtype=complex))
 
 
 def reduced_dynamics_verdict(assign: AssignmentMap, u: np.ndarray) -> tuple[ChannelMap, dict]:

@@ -17,7 +17,6 @@ from cpdyn.channels import (
     choi_distance,
     is_cp,
     kraus_factorized,
-    product_assignment_matrix,
     reduced_dynamics,
     trace_out_env_matrix,
 )
@@ -27,7 +26,6 @@ from cpdyn.consistency import (
     full_space,
     kernel_tr_e,
     span_from_states,
-    witness_assignment,
 )
 from cpdyn.tensor import (
     kron,
@@ -39,9 +37,11 @@ from cpdyn.tensor import (
 )
 from trial_oracle import (
     kraus_classical_quantum,
+    product_assignment_matrix,
     random_haar_unitaries,
     random_hermitian,
     random_markov_state_spec,
+    witness_assignment,
 )
 
 BLOCKS = ((1, 2), (2, 1))
@@ -236,23 +236,28 @@ def test_acceptance_8_non_cp_assignment_is_detected():
     rng = np.random.default_rng(108)
     omega = np.diag([0.7, 0.3]).astype(complex)
     delta = np.diag([1.0, -1.0]).astype(complex)
-    # The witness is not CP for any gamma > 0 at d_S = 2 (closed form, see
-    # witness_assignment), so gamma = 2 is past its threshold.
+    # The witness is Hermitian and trace-consistent, and not CP for any
+    # gamma > 0 at d_S = 2 (closed form, see trial_oracle.witness_assignment),
+    # so gamma = 2 is past its threshold.
     gamma = 2.0
     assign = witness_assignment(omega, delta, gamma, 2)
-    best = 0.0
-    for _ in range(60):
-        u = random_haar_unitary(4, rng)
-        psi = reduced_dynamics(u, assign.mat, 2, 2)
-        ch = choi(psi)
-        best = min(best, min_eigenvalue((ch + ch.conj().T) / 2))
-        if best <= -0.01:
-            break
+    premises = assign.trace_consistent and assign.hermitian and not assign.cp
+    # Each chunk of unitaries goes through the commands' verdict path, and
+    # each unitary alone through the dense reduced dynamics and Choi matrix.
+    verdict_eigs, dense_eigs = [], []
+    for _, us in consistency.sample_unitaries("all", 60, full_space(2, 2), rng):
+        _, verdict = consistency.reduced_dynamics_verdict(assign, us)
+        verdict_eigs += verdict["min_choi_eigenvalue"].tolist()
+        for u in us:
+            ch = choi(reduced_dynamics(u, assign.mat, 2, 2))
+            dense_eigs.append(min_eigenvalue((ch + ch.conj().T) / 2))
+    best = min(verdict_eigs)
+    gap = float(np.max(np.abs(np.subtract(verdict_eigs, dense_eigs))))
     report(
-        "acceptance 8: a witness assignment past its CP threshold produces "
-        "detectably non-CP reduced dynamics",
-        not assign.cp and best <= -0.01,
-        f"best min Choi eigenvalue {best:.3f}",
+        "acceptance 8: a Hermitian, trace-consistent witness assignment past "
+        "its CP threshold produces detectably non-CP reduced dynamics",
+        premises and len(verdict_eigs) == 60 and best <= -0.01 and gap <= 1e-12,
+        f"best min Choi eigenvalue {best:.3f}, verdict vs dense {gap:.1e}",
     )
 
 

@@ -13,7 +13,6 @@ from cpdyn.channels import (
     is_tp,
     is_tp_on_domain,
     kraus_factorized,
-    product_assignment_matrix,
     product_dynamics_choi,
     reduced_dynamics,
     trace_out_env_matrix,
@@ -32,7 +31,7 @@ from cpdyn.tensor import (
     unvec,
     vec,
 )
-from trial_oracle import kraus_classical_quantum, random_hermitian
+from trial_oracle import kraus_classical_quantum, product_assignment_matrix, random_hermitian
 
 
 def identity_channel(d):

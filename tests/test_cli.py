@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from cpdyn import channels, cli, consistency, info
+from cpdyn import channels, cli, consistency, families, info
 from cpdyn.cli import build_parser, ghz_state, main, run
 from cpdyn.tensor import random_haar_unitary
 from trial_oracle import labelled
@@ -63,6 +63,41 @@ def test_verify_family_all_variants(family):
     )
     assert code == 0, report["summary"]
     jsonschema.validate(report, SCHEMA)
+
+
+# One family check of verify-family, broken on the first trial of a stack:
+# the family, the function whose output the check reads, and the change.
+BROKEN_CHECKS = {
+    "construction_choi_distance": (
+        "factorized", channels, "product_dynamics_choi", lambda c: c + 1e-6
+    ),
+    "kraus_closure_error": ("factorized", channels, "kraus_factorized", lambda k: k * 1.001),
+    "structure_residual": ("markov-blocks", families, "structure_fit", lambda r: r + 1e-6),
+    "steered_in_span": ("steered", consistency._MarkovBlockSpace, "contains", lambda _: False),
+}
+
+
+@pytest.mark.parametrize(
+    "family, owner, name, change", BROKEN_CHECKS.values(), ids=list(BROKEN_CHECKS)
+)
+def test_verify_family_fails_on_a_broken_family_check(monkeypatch, family, owner, name, change):
+    argv = ("verify-family", "--family", family, "--trials", "3", "--seed", "5")
+    clean, code = run_args(*argv)
+    assert code == 0 and clean["summary"]["n_pass"] == 3
+    original = getattr(owner, name)
+
+    def first_broken(*args, **kwargs):
+        out = np.array(original(*args, **kwargs))
+        out[0] = change(out[0])
+        return out
+
+    monkeypatch.setattr(owner, name, first_broken)
+    report, code = run_args(*argv)
+    assert code == 1
+    assert report["summary"]["pass"] is False
+    assert report["summary"]["n_pass"] == 2
+    # Only the family check moved: every trial's reduced dynamics is CP and TP.
+    assert all(t["cp"] and t["tp"] for t in report["trials"])
 
 
 def test_reports_are_deterministic_up_to_timing():

@@ -12,7 +12,6 @@ from cpdyn.channels import (
     choi_distance,
     is_cp,
     is_tp_on_domain,
-    product_assignment_matrix,
     reduced_dynamics,
     trace_out_env_matrix,
 )
@@ -31,7 +30,6 @@ from cpdyn.consistency import (
     subspace_from_constraint,
     theorem1_verify,
     u_consistency_violation,
-    witness_assignment,
 )
 from cpdyn.families import (
     FamilyParams,
@@ -51,7 +49,13 @@ from cpdyn.tensor import (
     unvec,
     vec,
 )
-from trial_oracle import labelled, random_hermitian, random_markov_state_spec
+from trial_oracle import (
+    labelled,
+    product_assignment_matrix,
+    random_hermitian,
+    random_markov_state_spec,
+    witness_assignment,
+)
 
 
 def random_kernel_perturbation(v0, rng, scale=0.1):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIRS = ("src", "tests", "scripts", "bench")
+DIRS = ("src", "tests", "bench")
 
 
 def imported_modules(path: Path) -> list[str]:

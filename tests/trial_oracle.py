@@ -11,8 +11,8 @@ every report they write must equal these oracles' reports, byte for byte
 apart from ``wall_time_s``.
 
 Also here: the samplers, the per-call unitary draws, the Kraus
-construction and the evolve-then-trace data-processing term that only tests
-call."""
+construction, the evolve-then-trace data-processing term, and the product
+and witness assignments that only tests call."""
 
 import os
 
@@ -20,14 +20,17 @@ import numpy as np
 import pytest
 
 from cpdyn import channels, cli, consistency, families, info
-from cpdyn.consistency import canonical_assignment, markov_block_space
+from cpdyn.consistency import AssignmentMap, canonical_assignment, markov_block_space
 from cpdyn.families import MarkovBlocksSpec, MarkovStateSpec
 from cpdyn.tensor import (
     haar_unitaries,
+    is_hermitian,
+    kron,
     normal_runs,
     partial_trace,
     random_density,
     random_haar_unitary,
+    vec,
 )
 
 # Unitaries per chunk of the one-state hunt, a count independent of the
@@ -327,3 +330,43 @@ def demo_report(argv) -> dict:
         mp.setattr(cli, "theorem1_verify", verify)
         report, _ = cli.run([*argv, "--out", os.devnull])
     return report
+
+
+def product_assignment_matrix(omega_e: np.ndarray, d_s: int) -> np.ndarray:
+    """Matrix of the product assignment x -> x kron omega_E."""
+    omega_e = np.asarray(omega_e, dtype=complex)
+    d_e = omega_e.shape[0]
+    eye = np.eye(d_s)
+    # Row (s, e, t, f), column (i, j): <s|i> omega_E[e, f] <j|t>.
+    m = np.einsum("si,tj,ef->setfij", eye, eye, omega_e)
+    return m.reshape((d_s * d_e) ** 2, d_s * d_s)
+
+
+def witness_assignment(
+    omega_e: np.ndarray, delta_e: np.ndarray, gamma: float, d_s: int
+) -> AssignmentMap:
+    """Hermitian, trace-consistent assignment on all of L(H_S) that departs
+    from CP-ness.
+
+    x -> x kron omega_E + gamma * (x - tr(x) I/d_S) kron Delta with Delta a
+    fixed traceless Hermitian environment direction; trace consistency
+    holds for every gamma.  The Choi matrix is |Omega><Omega| kron
+    (omega_E + gamma Delta) - (gamma/d_S) I kron Delta, with Omega the
+    unnormalized maximally entangled vector.  On Omega-perp kron E it
+    equals -(gamma/d_S) Delta, whose least eigenvalue
+    -gamma lambda_max(Delta)/d_S is negative for every gamma > 0 once
+    d_S >= 2 and Delta != 0 (a nonzero traceless Hermitian Delta has a
+    positive eigenvalue), whatever omega_E is.  So the CP threshold is
+    gamma = 0 in closed form; for d_S = 1 or Delta = 0 the perturbation
+    vanishes and the map is CP for every gamma.
+    """
+    delta_e = np.asarray(delta_e, dtype=complex)
+    if abs(np.trace(delta_e)) > 1e-10 or not is_hermitian(delta_e):
+        raise ValueError("Delta must be traceless Hermitian")
+    d_e = omega_e.shape[0]
+    base = product_assignment_matrix(omega_e, d_s)
+    # x -> (x - tr(x) I/d_S) kron Delta, with tr(x) = vec(I) . vec(x).
+    eye = np.eye(d_s)
+    pert = product_assignment_matrix(delta_e, d_s)
+    pert -= np.outer(vec(kron(eye, delta_e)), vec(eye)) / d_s
+    return AssignmentMap(d_s, d_e, base + gamma * pert, np.eye(d_s * d_s, dtype=complex))
