@@ -254,11 +254,14 @@ def _family_span(spec):
 
 def _trial_entries(args) -> int:
     """The complex entries of a ``verify-family`` trial's largest arrays,
-    by which ``tensor.stacks`` cuts the trials: the Kraus stack of its
-    assignment, sum_i r_i^2 d_E operators of shape (d, d_s), its (d, d)
-    unitary and the (d_s^2, d_s^2) Choi matrix of its channel.  A trial at
-    the default layout holds at most 640, so the 50 default trials are one
-    stack; one at --blocks 2x2,2x2 --de 8 holds 40960, a stack of its own."""
+    by which ``tensor.stacks`` cuts the trials: n d d_s for its assignment's
+    n = sum_i r_i^2 d_E operators, its (d, d) unitary and the (d_s^2,
+    d_s^2) Choi matrix of its channel.  n d d_s is the size those operators
+    would take zero-padded to (d, d_s), which no report stores; it bounds
+    the arrays of each block's contraction, the U-slice product and the
+    operators, d d_E l_i r_i^3 entries each.  A trial at the default layout
+    counts at most 640, so the 50 default trials are one stack; one at
+    --blocks 2x2,2x2 --de 8 counts 40960, a stack of its own."""
     ds, d = args.ds, args.ds * args.de
     n = sum(r * r for _, r in _layout(args.family, args)) * args.de
     return n * d * ds + d * d + ds**4
@@ -431,11 +434,30 @@ def cmd_consistency(args) -> dict:
     return {"trials": trials, "summary": summary}
 
 
+def _outcome(report: dict) -> dict:
+    """The case a ``theorem1_verify`` report falls in, for its summary:
+    ``outcome`` is ``"holds"`` when the premises and the conclusion hold,
+    ``"vacuous"`` when a premise fails and ``"counterexample"`` when the
+    premises hold and the conclusion fails; ``failed_premises`` names the
+    premises that fail, ``"consistency"`` and ``"assignment_cp"``."""
+    failed = [
+        name
+        for name, held in (
+            ("consistency", report["consistency"]["consistent"]),
+            ("assignment_cp", report["assignment"]["cp"]),
+        )
+        if not held
+    ]
+    case = "vacuous" if failed else "holds" if report["conclusion_holds"] else "counterexample"
+    return {"outcome": case, "failed_premises": failed}
+
+
 def cmd_theorem1(args) -> dict:
     v, unitaries = _checked(args)
     report = theorem1_verify(v, args.g, unitaries, tol=args.tol)
     summary = {
         "pass": bool(report["passed"]),
+        **_outcome(report),
         "dim_v": report["dim_v"],
         "dim_v0": report["dim_v0"],
         "premises_hold": report["premises_hold"],
@@ -589,6 +611,7 @@ def _demo_report(v, canon, report: dict, checks: bool, **extra) -> dict:
     and the demo's own ``checks``; ``extra`` joins the summary."""
     summary = {
         "pass": bool(report["passed"] and report["premises_hold"] and checks),
+        **_outcome(report),
         "dim_v": v.dim,
         "dim_v0": report["dim_v0"],
         "canonical_assignment_cp": bool(canon.cp),

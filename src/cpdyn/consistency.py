@@ -11,9 +11,10 @@ which gives both its ``kernel`` and its canonical assignment.  The full
 space, demo 1's V and the span of Markov-block states, in any frame,
 answer in closed form, with no factorization of Tr_E, and have no basis
 or kernel.  The Markov-block spans and the full space build their
-canonical assignments as Kraus stacks, so those are CP by construction
-and their reduced dynamics is contracted from the stack; every other
-assignment is decided by the dense test of its Choi matrix.
+canonical assignments in Kraus form, one operator stack per block, so
+those are CP by construction and their reduced dynamics is contracted
+block by block; every other assignment is decided by the dense test of
+its Choi matrix.
 A basis-backed subspace and a Markov-block span answer
 ``contains(x, tol)`` too.  The kernel parametrizes the freedom in
 choosing an assignment map; conjugating it into ker Tr_E again is unitary
@@ -36,6 +37,7 @@ from .channels import (
 from .families import MarkovBlocksSpec, block_slices, in_frame, structure_fit
 from .tensor import (
     _scalar,
+    _transpose_last,
     frobenius,
     haar_unitaries,
     hermitian_part_psd,
@@ -46,7 +48,6 @@ from .tensor import (
     stacks,
     swap_unitary,
     tr_e,
-    tr_e_kraus,
     vec,
 )
 
@@ -159,17 +160,23 @@ class AssignmentMap:
     """Linear section of the environment trace on a declared domain.
 
     ``mat`` maps vec L(H_S) to vec L(H_S x H_E); ``domain_projector`` is the
-    orthogonal projector onto Tr_E V inside vec L(H_S).  A map that is CP
-    by construction is given instead by its Kraus stack ``kraus``, a plain
-    (n, d_s d_e, d_s) array, with ``mat`` None.  Then ``hermitian`` and
-    ``cp`` are true with no Choi matrix built, ``reduced`` contracts the
-    stack with ``tensor.tr_e_kraus``, and ``mat``, which is
-    ``channels.channel_from_kraus`` of the stack, is built only when a
-    caller reads it.  A map given by ``mat`` alone is reduced by one
-    ``tensor.tr_e`` of ``mat``, and its ``hermitian`` and ``cp`` read one
-    Choi matrix, built when first read: one ``is_hermitian`` and, when that
-    holds, one ``eigvalsh`` of its Hermitian part.  ``choi()`` returns a
-    copy of that matrix.
+    orthogonal projector onto Tr_E V inside vec L(H_S).
+
+    A Markov-block assignment, CP by construction, is given instead by its
+    ``blocks`` and ``frame``, with ``mat`` None.  Block i is a tuple
+    ``(s, r, t)``: ``s`` is its slice of S, of l_i r_i rows, and ``t`` the
+    (..., n_i, r_i d_E, r_i) stack of its operators g_j <k| b_i on
+    R_i -> R_i x E; the map is x -> directsum_i (I_L_i kron t) x_ii
+    (I_L_i kron t)^dag, conjugated by the unitary ``frame`` F on S (None for
+    the standard basis).  The l_i diagonal copies and the rows off each
+    block are never stored.  Then ``hermitian`` and ``cp`` are true with no
+    Choi matrix built, ``reduced`` contracts each block on its own rows and
+    columns (``_block_dynamics``), and ``mat`` is built block by block
+    (``_block_mat``) only when a caller reads it.  A map given by ``mat``
+    alone is reduced by one ``tensor.tr_e`` of ``mat``, and its
+    ``hermitian`` and ``cp`` read one Choi matrix, built when first read:
+    one ``is_hermitian`` and, when that holds, one ``eigvalsh`` of its
+    Hermitian part.  ``choi()`` returns a copy of that matrix.
     """
 
     def __init__(
@@ -179,28 +186,37 @@ class AssignmentMap:
         mat: np.ndarray | None,
         domain_projector: np.ndarray,
         *,
-        kraus: np.ndarray | None = None,
+        blocks: list[tuple[slice, int, np.ndarray]] | None = None,
+        frame: np.ndarray | None = None,
     ):
-        if (mat is None) == (kraus is None):
-            raise ValueError("an assignment takes exactly one of mat and kraus")
+        if (mat is None) == (blocks is None):
+            raise ValueError("an assignment takes exactly one of mat and blocks")
         self.d_s, self.d_e = d_s, d_e
-        self.domain_projector, self.kraus = domain_projector, kraus
+        self.domain_projector, self.blocks, self.frame = domain_projector, blocks, frame
         if mat is not None:
             self.mat = mat
 
     @cached_property
     def mat(self) -> np.ndarray:
-        """The (d^2, d_s^2) matrix of a Kraus-backed map, built when first read."""
-        return channel_from_kraus(self.kraus, self.d_s, self.d_s * self.d_e).mat
+        """The (d^2, d_s^2) matrix of a block-backed map, built when first read."""
+        return _block_mat(self.blocks, self.d_s, self.d_e, self.frame)
 
     def reduced(self, u: np.ndarray | None = None) -> ChannelMap:
         """The channel Tr_E o Ad_U o the map on S, or Tr_E o the map for
-        ``u=None``, or the stack of channels of a stack of unitaries: from
-        the Kraus stack when there is one, else from ``mat``."""
+        ``u=None``, or the stack of channels of a stack of unitaries: block
+        by block when there are blocks, else from ``mat``.
+
+        A frame F is carried by the unitary: with U' = U (F kron I_E), the
+        map is Psi_U'(F^dag x F) (``_inputs_in_frame``)."""
         d_s, d_e = self.d_s, self.d_e
-        if self.kraus is not None:
-            return channel_from_kraus(tr_e_kraus(self.kraus, d_s, d_e, u), d_s, d_s)
-        return ChannelMap(d_s, d_s, tr_e(self.mat, d_s, d_e, u))
+        if self.blocks is None:
+            return ChannelMap(d_s, d_s, tr_e(self.mat, d_s, d_e, u))
+        u = np.eye(d_s * d_e) if u is None else np.asarray(u, dtype=complex)
+        f = self.frame
+        if f is None:
+            return ChannelMap(d_s, d_s, _block_dynamics(self.blocks, u, d_s, d_e))
+        psi = _block_dynamics(self.blocks, u @ kron(f, np.eye(d_e)), d_s, d_e)
+        return ChannelMap(d_s, d_s, _inputs_in_frame(psi, f))
 
     @cached_property
     def trace_consistent(self) -> bool:
@@ -215,15 +231,77 @@ class AssignmentMap:
     @cached_property
     def hermitian(self) -> bool:
         """The Choi matrix is Hermitian: the map preserves Hermiticity."""
-        return self.kraus is not None or bool(is_hermitian(self._choi))
+        return self.blocks is not None or bool(is_hermitian(self._choi))
 
     @cached_property
     def cp(self) -> bool:
         """The Choi matrix is PSD: the map is completely positive."""
-        return self.kraus is not None or (self.hermitian and hermitian_part_psd(self._choi)[0])
+        return self.blocks is not None or (self.hermitian and hermitian_part_psd(self._choi)[0])
 
     def choi(self) -> np.ndarray:
         return self._choi.copy()
+
+
+def _block_dynamics(blocks, u: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
+    """The (..., d_s^2, d_s^2) matrix of x -> Tr_E(U Lambda(x) U^dag) for
+    the unframed block map Lambda of ``blocks`` (see ``AssignmentMap``).
+
+    Block i meets only U's columns on its rows of S x E: that (d, l_i r_i
+    d_E) slice, read as (d l_i, r_i d_E), times t laid out as (r_i d_E,
+    n_i r_i), gives the operators B_(k, e) = (I kron <e|) U (I_L_i kron
+    t_k) on the block's columns, an (n_i d_E, d_s, l_i r_i) stack.  Their
+    Gram matrix, formed as ``channels.channel_from_kraus`` forms it, is
+    Psi's columns (s, s); blocks fill disjoint columns, and every other
+    column is zero."""
+    d, out = d_s * d_e, None
+    for s, r, t in blocks:
+        m, n = s.stop - s.start, t.shape[-3]
+        w = u[..., :, s.start * d_e : s.stop * d_e].reshape(u.shape[:-2] + (d * m // r, r * d_e))
+        ut = w @ t.swapaxes(-3, -2).reshape(t.shape[:-3] + (r * d_e, n * r))
+        batch = ut.shape[:-2]  # the batch axes of U and t, broadcast
+        # (U (I kron t_k))[(a, e), (c, y)] at [a, e, c, k, y], read as B[(k, e), a, (c, y)].
+        ops = _transpose_last(ut.reshape(batch + (d_s, d_e, m // r, n, r)), 3, 1, 0, 2, 4)
+        e = ops.reshape(batch + (n * d_e, d_s * m))
+        gram = (e.swapaxes(-1, -2) @ e.conj()).reshape(batch + (d_s, m, d_s, m))
+        if out is None:
+            out = np.zeros(batch + (d_s,) * 4, dtype=complex)
+        out[..., s, s] = gram.swapaxes(-3, -2)
+    return out.reshape(out.shape[:-4] + (d_s * d_s,) * 2)
+
+
+def _block_mat(blocks, d_s: int, d_f: int, frame: np.ndarray | None) -> np.ndarray:
+    """The (..., (d_s d_f)^2, d_s^2) matrix of the block map x ->
+    directsum_i (I_L_i kron t) x_ii (I_L_i kron t)^dag on S -> S x F, for
+    ``blocks`` whose operators t map R_i to R_i x F, conjugated by the
+    frame: each block's Gram matrix (``channels.channel_from_kraus``) of its
+    n_i operators, copied onto the l_i^2 pairs of its diagonal copies."""
+    batch, d = blocks[0][2].shape[:-3], d_s * d_f
+    out = np.zeros(batch + (d, d, d_s, d_s), dtype=complex)
+    for s, r, t in blocks:
+        l, rf = (s.stop - s.start) // r, t.shape[-2]
+        gram = channel_from_kraus(t, r, rf).mat.reshape(batch + (1, rf, 1, rf, 1, r, 1, r))
+        # Output copy (a, b) from input copy (c, d) when a = c and b = d,
+        # written through a view of the block's rows and columns.
+        copies = np.einsum("ac,bd->abcd", np.eye(l), np.eye(l)).reshape((l, 1) * 4)
+        rows = slice(s.start * d_f, s.stop * d_f)
+        blk = out[..., rows, rows, s, s].reshape(batch + (l, rf, l, rf, l, r, l, r))
+        np.multiply(copies, gram, out=blk)
+    if frame is None:
+        return out.reshape(batch + (d * d, d_s * d_s))
+    # Each column (F kron I) Y (F kron I)^dag, then the input x read as F^dag x F.
+    cols = np.moveaxis(out.reshape(batch + (d, d, -1)), -1, -3)
+    cols = in_frame(cols, frame[..., None, :, :], d_f)
+    return _inputs_in_frame(np.moveaxis(cols, -3, -1).reshape(batch + (d * d, -1)), frame)
+
+
+def _inputs_in_frame(m: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """``m kron(F^dag, F^T)`` for the (..., k, d_s^2) matrix m of a map on
+    L(S): the matrix of x -> m(F^dag x F).  Each row, read as a (d_s, d_s)
+    matrix R, becomes conj(F) R F^T, in 2 k d_s^3 multiply-adds where the
+    product with the Kronecker matrix takes k d_s^4."""
+    f = frame[..., None, :, :]
+    r = m.reshape(m.shape[:-1] + f.shape[-2:])
+    return (f.conj() @ r @ f.swapaxes(-1, -2)).reshape(m.shape)
 
 
 def span_from_states(states, d_s: int, d_e: int) -> OperatorSubspace:
@@ -330,11 +408,13 @@ class _MarkovBlockSpace:
     omega_RE_i and b_i = h^dag / ||omega_R_i||_F for a factor h of
     omega_R_i, so that tr(b_i y b_i^dag) = <omega_R_i, y> /
     ||omega_R_i||_F^2, the operators are I_L_i kron g_j <k| b_i, one per
-    (k, j), each carrying all l_i diagonal copies.  The columns of h in
-    place of the g_j give the projector.  The factors exist because the
-    spec's constructor has passed every omega_RE_i through ``psd_check``.
-    A ``frame`` F turns V by F kron I_E, so V0 stays 0 and each operator K
-    becomes (F kron I) K F^dag.
+    (k, j), each acting alike on all l_i diagonal copies; block i keeps
+    only its g_j <k| b_i (``_blocks``).  The columns of h in place of the
+    g_j give the projector.  The factors exist because the spec's
+    constructor has passed every omega_RE_i through ``psd_check``.  A
+    ``frame`` F turns V by F kron I_E, so V0 stays 0 and each operator K
+    becomes (F kron I) K F^dag, which the assignment carries as its
+    ``frame``.
     """
 
     def __init__(self, spec: MarkovBlocksSpec):
@@ -354,28 +434,17 @@ class _MarkovBlockSpace:
             out.append((_factor(w), h, b))
         return out
 
-    def _kraus(self, d_f: int) -> np.ndarray:
-        """The (n, d_s d_f, d_s) Kraus stack of x -> directsum_i m_i(x) kron
-        f_i, with f_i = omega_RE_i for d_f = d_E and omega_R_i for d_f = 1:
-        the operators I_L_i kron g_j <k| b_i, zero off block i, in the
-        frame, for g the factor of f_i."""
-        d_s, batch, ts = self.d_s, self.batch, []
-        for (_, r), (g, h, b) in zip(self.blocks, self._factors):
+    def _blocks(self, d_f: int) -> list[tuple[slice, int, np.ndarray]]:
+        """The blocks ``(s, r, t)`` (see ``AssignmentMap``) of x ->
+        directsum_i m_i(x) kron f_i, with f_i = omega_RE_i for d_f = d_E and
+        omega_R_i for d_f = 1: t holds the operators g_j <k| b_i, for g the
+        factor of f_i, in the order (k, j)."""
+        out = []
+        for (_, r, s), (g, h, b) in zip(block_slices(self.blocks), self._factors):
             g = g if d_f == self.d_e else h
-            ts.append(np.einsum("...xj,...ky->...kjxy", g, b).reshape(batch + (-1, r * d_f, r)))
-        n = sum(t.shape[-3] for t in ts)
-        k = np.zeros(batch + (n, d_s * d_f, d_s), dtype=complex)
-        lo = 0
-        for (_, r, s), t in zip(block_slices(self.blocks), ts):
-            hi = lo + t.shape[-3]
-            for a in range(s.start, s.stop, r):  # the l_i diagonal copies
-                k[..., lo:hi, a * d_f : (a + r) * d_f, a : a + r] = t
-            lo = hi
-        if self.frame is not None:
-            f = self.frame[..., None, :, :]
-            fk = (k @ f.swapaxes(-1, -2).conj()).reshape(batch + (n, d_s, -1))
-            k = (f @ fk).reshape(k.shape)
-        return k
+            t = np.einsum("...xj,...ky->...kjxy", g, b).reshape(self.batch + (-1, r * d_f, r))
+            out.append((s, r, t))
+        return out
 
     @property
     def dim(self) -> int:
@@ -389,8 +458,10 @@ class _MarkovBlockSpace:
         return np.zeros(np.shape(u)[:-2])[()]
 
     def canonical_assignment(self) -> AssignmentMap:
-        p = channel_from_kraus(self._kraus(1), self.d_s, self.d_s).mat
-        return AssignmentMap(self.d_s, self.d_e, None, p, kraus=self._kraus(self.d_e))
+        p = _block_mat(self._blocks(1), self.d_s, 1, self.frame)
+        return AssignmentMap(
+            self.d_s, self.d_e, None, p, blocks=self._blocks(self.d_e), frame=self.frame
+        )
 
     def kernel_escape(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(x))
@@ -470,8 +541,10 @@ def u_consistency_violation(v: Subspace, u: np.ndarray):
 def _unitary_entries(v: Subspace) -> int:
     """The complex entries of the largest arrays one unitary's check on V
     holds: d^2 d_s^2, the size of Tr_E o Ad_U as a matrix, which bounds the
-    U A product of either assignment form, the Choi matrix and the full
-    space's A_U; or d^2 dim V0, the U K product of a kernel basis K, if wider."""
+    U A product of a ``mat``-only assignment, each block's U-slice product
+    and operators in a block-backed one (d d_E l_i r_i^3 entries each,
+    since n_i = r_i^2 d_E), the Choi matrix and the full space's A_U; or
+    d^2 dim V0, the U K product of a kernel basis K, if wider."""
     width = kernel_tr_e(v).dim if isinstance(v, OperatorSubspace) else 0
     return (v.d_s * v.d_e) ** 2 * max(v.d_s**2, width)
 
@@ -583,9 +656,10 @@ def reduced_dynamics_verdict(assign: AssignmentMap, u: np.ndarray) -> tuple[Chan
     Choi matrix of Psi, TP on the assignment's domain.  A stack of
     unitaries gives a stack of channels and arrays of verdicts.
 
-    Psi is ``assign.reduced(u)``: for a Kraus-backed assignment, the Gram
-    matrix of its operators ``(I kron <e|) U A_k``, with no (d^2, d_s^2)
-    matrix built; for a ``mat``-only one, one ``tensor.tr_e`` of ``mat``."""
+    Psi is ``assign.reduced(u)``: for a block-backed assignment, one Gram
+    matrix per block of its operators ``(I kron <e|) U A_k`` on that
+    block's columns, with no (d^2, d_s^2) matrix built; for a ``mat``-only
+    one, one ``tensor.tr_e`` of ``mat``."""
     psi = assign.reduced(u)
     cp, min_eig = psd_check(choi(psi))
     tp = is_tp_on_domain(psi, assign.domain_projector)

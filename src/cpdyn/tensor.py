@@ -1,6 +1,6 @@
 """Dense complex linear algebra on tensor-product spaces: kron and vec,
-partial traces, Tr_E after Ad_U on operator and Kraus stacks, Haar and
-Ginibre sampling, von Neumann entropy, and Hermitian/PSD/density checks.
+partial traces, Tr_E after Ad_U on operator stacks, Haar and Ginibre
+sampling, von Neumann entropy, and Hermitian/PSD/density checks.
 
 Conventions used everywhere in this package:
 
@@ -10,7 +10,7 @@ Conventions used everywhere in this package:
   order, row-major within each ``L x R`` block;
 * ``vec`` is row-major flattening, so ``vec(A X B) = (A kron B.T) vec(X)``;
 * leading axes beyond an operator's own are batch axes, a stack of trials:
-  ``kron``, ``partial_trace``, ``tr_e``, ``tr_e_kraus``, ``haar_unitaries``,
+  ``kron``, ``partial_trace``, ``tr_e``, ``haar_unitaries``,
   ``ginibre_densities``, ``frobenius``, ``is_hermitian``,
   ``hermitian_part_psd``, ``psd_check`` and ``check_density`` take them,
   and give each member the bits it gets alone.  A single operator gives
@@ -35,7 +35,6 @@ __all__ = [
     "unvec",
     "partial_trace",
     "tr_e",
-    "tr_e_kraus",
     "haar_unitaries",
     "random_haar_unitary",
     "ginibre_densities",
@@ -148,29 +147,6 @@ def tr_e(cols: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> n
     # Tr_E(U X_k U^dagger)[s, t] = sum_(e, c) conj(U)[(t, e), c] (U X_k)[(s, e), c].
     out = u.conj().reshape(u.shape[:-2] + (1, d_s, d_e * d)) @ ux
     return out.reshape(out.shape[:-3] + (d_s * d_s, n))
-
-
-def tr_e_kraus(ops: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> np.ndarray:
-    """Kraus stack of ``x -> Tr_E(U Lambda(x) U^dagger)`` for the
-    ``(n, d, d_s)`` Kraus stack ``A`` of Lambda, ``d = d_s * d_e``.
-
-    The operators are ``B_(k, e) = (I kron <e|) U A_k``, an
-    ``(n d_e, d_s, d_s)`` stack; with ``u=None`` only the environment
-    trace is applied.  The cost is one ``(d, d) x (d, n d_s)`` product, a
-    reshape and a transpose; no ``(d^2, d_s^2)`` matrix is formed.
-    Leading axes of ``ops`` and ``u`` are batch axes.
-    """
-    a = np.asarray(ops, dtype=complex)
-    batch, n, d = a.shape[:-3], a.shape[-3], d_s * d_e
-    if u is None:
-        # A_k[(s, e), j] at [k, s, e, j], read as B[(k, e), s, j].
-        t = a.reshape(batch + (n, d_s, d_e, d_s)).swapaxes(-3, -2)
-    else:
-        # (U A_k)[(s, e), j] at [(s, e), (k, j)], read as B[(k, e), s, j].
-        ua = np.asarray(u, dtype=complex) @ a.swapaxes(-3, -2).reshape(batch + (d, n * d_s))
-        batch = ua.shape[:-2]
-        t = _transpose_last(ua.reshape(batch + (d_s, d_e, n, d_s)), 2, 1, 0, 3)
-    return t.reshape(batch + (n * d_e, d_s, d_s))
 
 
 def haar_unitaries(x: np.ndarray) -> np.ndarray:

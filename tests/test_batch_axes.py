@@ -10,7 +10,13 @@ from cpdyn.channels import ChannelMap
 from cpdyn.consistency import markov_block_space
 from cpdyn.families import FamilyParams, MarkovBlocksSpec, SteeredSpec
 from cpdyn.tensor import random_density, random_haar_unitary
-from trial_oracle import labelled, random_haar_unitaries, random_hermitian, unitary_draws
+from trial_oracle import (
+    labelled,
+    random_haar_unitaries,
+    random_hermitian,
+    tr_e_kraus,
+    unitary_draws,
+)
 
 T = 5
 
@@ -54,12 +60,12 @@ def test_tr_e_kraus_on_a_stack(with_u, rng):
     d_s, d_e, n = 3, 2, 4
     ops = _gaussian(rng, T, n, d_s * d_e, d_s)
     u = _unitaries(rng, d_s * d_e) if with_u else [None] * T
-    stacked = tensor.tr_e_kraus(ops, d_s, d_e, u if with_u else None)
-    _equal_per_member(stacked, [tensor.tr_e_kraus(a, d_s, d_e, w) for a, w in zip(ops, u)])
+    stacked = tr_e_kraus(ops, d_s, d_e, u if with_u else None)
+    _equal_per_member(stacked, [tr_e_kraus(a, d_s, d_e, w) for a, w in zip(ops, u)])
     if with_u:  # one unitary for the whole stack broadcasts
         _equal_per_member(
-            tensor.tr_e_kraus(ops, d_s, d_e, u[0]),
-            [tensor.tr_e_kraus(a, d_s, d_e, u[0]) for a in ops],
+            tr_e_kraus(ops, d_s, d_e, u[0]),
+            [tr_e_kraus(a, d_s, d_e, u[0]) for a in ops],
         )
 
 
@@ -195,8 +201,11 @@ def test_markov_block_assignment_on_a_stack(frame, rng):
     stacked, alone = _specs(rng, frame)
     a = markov_block_space(stacked).canonical_assignment()
     singles = [markov_block_space(s).canonical_assignment() for s in alone]
-    _equal_per_member(a.kraus, [s.kraus for s in singles])
-    _equal_per_member(a.domain_projector, [s.domain_projector for s in singles])
+    for i, (s, r, t) in enumerate(a.blocks):
+        assert all(one.blocks[i][:2] == (s, r) for one in singles)
+        _equal_per_member(t, [one.blocks[i][2] for one in singles])
+    _equal_per_member(a.domain_projector, [one.domain_projector for one in singles])
+    _equal_per_member(a.mat, [one.mat for one in singles])
 
 
 @pytest.mark.parametrize("frame", [False, True])

@@ -27,11 +27,15 @@ from cpdyn.tensor import (
     random_density,
     random_haar_unitary,
     tr_e,
-    tr_e_kraus,
     unvec,
     vec,
 )
-from trial_oracle import kraus_classical_quantum, product_assignment_matrix, random_hermitian
+from trial_oracle import (
+    kraus_classical_quantum,
+    product_assignment_matrix,
+    random_hermitian,
+    tr_e_kraus,
+)
 
 
 def identity_channel(d):

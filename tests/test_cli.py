@@ -696,3 +696,77 @@ def test_malformed_numbers_are_argument_errors_that_name_no_parser(argv, message
     assert message in err
     assert "_positive_int" not in err and "_nonnegative_int" not in err
     assert "_tolerance" not in err and "invalid" not in err
+
+
+# summary.outcome names the case a theorem1 or demo report falls in; pass
+# and the exit code read as before, so a vacuous report still passes.
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("g", ["local", "all"])
+@pytest.mark.parametrize("family", ["steered", "random"])
+def test_a_non_cp_canonical_assignment_reads_vacuous(family, g, seed):
+    report, code = run_args(
+        "theorem1", "--family", family, "--g", g, "--trials", "5", "--seed", str(seed)
+    )
+    s = report["summary"]
+    assert code == 0 and s["pass"] and not s["premises_hold"]
+    assert s["outcome"] == "vacuous" and "assignment_cp" in s["failed_premises"]
+    jsonschema.validate(report, SCHEMA)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_inconsistent_full_space_reads_vacuous(seed):
+    report, code = run_args("theorem1", "--family", "full", "--g", "all", "--trials", "5",
+                            "--seed", str(seed))
+    s = report["summary"]
+    assert code == 0 and s["pass"]
+    assert s["outcome"] == "vacuous" and s["failed_premises"] == ["consistency"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem1", "--family", "markov-blocks", "--g", "all"],
+        ["theorem1", "--family", "markov-blocks", "--blocks", "2x2,2x2", "--de", "8", "--g", "local"],
+        ["demo", "1"],
+        ["demo", "2"],
+    ],
+    ids=" ".join,
+)
+def test_markov_blocks_and_the_demos_read_holds(argv):
+    report, code = run_args(*argv, "--trials", "3", "--seed", "1")
+    s = report["summary"]
+    assert code == 0 and s["pass"]
+    assert s["outcome"] == "holds" and s["failed_premises"] == []
+    jsonschema.validate(report, SCHEMA)
+
+
+def test_a_non_cp_record_under_true_premises_is_a_counterexample(monkeypatch):
+    # The canonical assignment of a markov-blocks span, CP by construction,
+    # with its reduced channel for the first unitary checked replaced by
+    # the transpose, which is not CP.
+    canonical = consistency.canonical_assignment
+
+    def patched(v):
+        assign = canonical(v)
+        reduced = assign.reduced
+
+        def first_transposed(u=None):
+            psi = reduced(u)
+            if u is None:
+                return psi
+            d = psi.d_in
+            flip = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
+            mat = psi.mat.copy()
+            mat[0] = flip
+            return channels.ChannelMap(d, d, mat)
+
+        assign.reduced = first_transposed
+        return assign
+
+    monkeypatch.setattr(consistency, "canonical_assignment", patched)
+    report, code = run_args("theorem1", "--family", "markov-blocks", "--trials", "3", "--seed", "1")
+    s = report["summary"]
+    assert code == 1 and not s["pass"] and s["premises_hold"]
+    assert s["outcome"] == "counterexample" and s["failed_premises"] == []
+    assert [t["cp"] for t in report["trials"]] == [False, True, True]

@@ -51,6 +51,7 @@ from cpdyn.tensor import (
 )
 from trial_oracle import (
     labelled,
+    padded_kraus,
     product_assignment_matrix,
     random_hermitian,
     random_markov_state_spec,
@@ -560,9 +561,12 @@ def test_assignment_cp_matches_dense_is_cp(family, size):
         a = _family_assignment(family, size, seed)
         assert a.cp == is_cp(a.choi())
         # Only a basis-backed span's assignment is decided numerically.
-        assert (a.kraus is None) == (family in ("steered", "random"))
-        if a.kraus is not None:
-            assert a.cp and a.kraus.shape[1:] == (a.d_s * a.d_e, a.d_s)
+        assert (a.blocks is None) == (family in ("steered", "random"))
+        if a.blocks is not None:
+            assert a.cp
+            # Each block holds its operators on R_i -> R_i x E alone.
+            assert all(t.shape[1:] == (r * a.d_e, r) for _, r, t in a.blocks)
+            assert sum(s.stop - s.start for s, _, _ in a.blocks) == a.d_s
         if family == "steered":  # its canonical assignment is never CP
             assert not a.cp
 
@@ -571,10 +575,10 @@ def test_a_perturbed_kraus_backed_assignment_is_decided_numerically():
     # x -> x kron (I/2 + Delta) has Choi matrix |Omega><Omega| kron diag(1.5, -0.5).
     v = full_space(2, 2)
     canon = canonical_assignment(v)
-    assert canon.kraus is not None and canon.cp
+    assert canon.blocks is not None and canon.cp
     delta = product_assignment_matrix(np.diag([1.0, -1.0]).astype(complex), 2)
     tilted = perturb_assignment(canon, delta, v)
-    assert tilted.kraus is None
+    assert tilted.blocks is None
     assert tilted.trace_consistent and tilted.hermitian
     assert not tilted.cp and not is_cp(tilted.choi())
 
@@ -671,7 +675,7 @@ def test_a_non_hermitian_perturbed_map_is_neither_hermitian_nor_cp(rng):
     v0_step = kron(np.eye(2), np.diag([1.0, -1.0]))  # Tr_E vanishes on it
     delta = 0.1j * np.outer(vec(v0_step), vec(np.eye(2)))
     a = perturb_assignment(base, delta, v)
-    assert a.kraus is None and a.trace_consistent
+    assert a.blocks is None and a.trace_consistent
     assert not is_hermitian(a.choi())
     assert not a.hermitian and not a.cp
 
@@ -795,7 +799,7 @@ def test_kraus_route_agrees_with_the_dense_path(case, size, g):
         (_, u), = labelled(sample_unitaries(g, 1, full_space(d_s, d_e), rng))
         psi, verdict = consistency.reduced_dynamics_verdict(a, u)
         traced = a.reduced()
-        assert a.kraus is not None and a.trace_consistent
+        assert a.blocks is not None and a.trace_consistent
         assert "mat" not in vars(a)  # nothing above built the assignment matrix
         dense = reduced_dynamics(u, a.mat, d_s, d_e)
         assert np.abs(choi(psi) - choi(dense)).max() <= 1e-12
@@ -804,7 +808,8 @@ def test_kraus_route_agrees_with_the_dense_path(case, size, g):
         on_e = tr_e(a.mat, d_s, d_e)
         assert np.abs(traced.mat - on_e).max() <= 1e-12
         assert np.linalg.norm(on_e - a.domain_projector) <= 1e-8 * max(1, d_s)
-        kraus_mat = channels.channel_from_kraus(a.kraus, d_s, d_s * d_e).mat
+        padded = padded_kraus(a.blocks, d_s, d_e, a.frame)
+        kraus_mat = channels.channel_from_kraus(padded, d_s, d_s * d_e).mat
         assert np.abs(a.mat - kraus_mat).max() <= 1e-12
 
 
@@ -827,23 +832,23 @@ def test_kraus_route_agrees_with_the_dense_path(case, size, g):
          "theorem1-classical-quantum", "theorem1-full"],
 )
 def test_kraus_backed_reports_build_no_assignment_matrix(monkeypatch, argv):
-    # Every channel_from_kraus call is square (the reduced channel and the
-    # domain projector, on S), tr_e meets no (d^2, d_s^2) assignment matrix,
-    # and the dense channels.reduced_dynamics is not called.
-    squares, traced, dense = [], [], []
+    # The one block matrix built is the domain projector, on S (d_f = 1),
+    # tr_e meets no (d^2, d_s^2) assignment matrix, and the dense
+    # channels.reduced_dynamics is not called.
+    on_s, traced, dense = [], [], []
 
-    def from_kraus(ops, d_in, d_out, _orig=channels.channel_from_kraus):
-        squares.append(d_in == d_out)
-        return _orig(ops, d_in, d_out)
+    def block_mat(blocks, d_s, d_f, frame, _orig=consistency._block_mat):
+        on_s.append(d_f == 1)
+        return _orig(blocks, d_s, d_f, frame)
 
     def recording_tr_e(cols, d_s, d_e, u=None, _orig=tr_e):
         traced.append(np.shape(cols) == ((d_s * d_e) ** 2, d_s * d_s))
         return _orig(cols, d_s, d_e, u)
 
-    monkeypatch.setattr(consistency, "channel_from_kraus", from_kraus)
+    monkeypatch.setattr(consistency, "_block_mat", block_mat)
     monkeypatch.setattr(channels, "reduced_dynamics", lambda *a: dense.append(a))
     for module in (consistency, channels, cli):
         monkeypatch.setattr(module, "tr_e", recording_tr_e)
     report, code = cli.run([*argv, "--seed", "1", "--out", os.devnull])
     assert code == 0
-    assert squares and all(squares) and not any(traced) and not dense
+    assert on_s and all(on_s) and not any(traced) and not dense

@@ -43,3 +43,21 @@ def test_every_public_name_is_used_in_src_or_traced():
         and not any(stmt.name in used for j, used in enumerate(uses) if j != i)
     ]
     assert not unused, f"public names no src/ code uses and bench/tracing.py does not trace: {unused}"
+
+
+# The padded Kraus route is the oracle of the block-by-block contraction of
+# a Markov-block assignment: src/ holds one contraction path.
+ORACLE_ONLY = ("tr_e_kraus", "padded_kraus", "padded_reduced")
+
+
+def test_the_padded_kraus_route_lives_only_in_the_oracle():
+    import trial_oracle
+
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert all(callable(getattr(trial_oracle, name)) for name in ORACLE_ONLY)
+    assert not defined & set(ORACLE_ONLY)

@@ -10,6 +10,11 @@ commands draw and check them in ``consistency.sample_unitaries`` chunks;
 every report they write must equal these oracles' reports, byte for byte
 apart from ``wall_time_s``.
 
+The padded Kraus route of a block-backed assignment: its operators
+zero-padded to the full (n, d_s d_e, d_s) shape (``padded_kraus``) and
+reduced by one product over all of S x E (``tr_e_kraus``), the oracle of
+the block-by-block contraction of ``AssignmentMap.reduced``.
+
 Also here: the samplers, the per-call unitary draws, the Kraus
 construction, the evolve-then-trace data-processing term, and the product
 and witness assignments that only tests call."""
@@ -20,9 +25,11 @@ import numpy as np
 import pytest
 
 from cpdyn import channels, cli, consistency, families, info
+from cpdyn.channels import ChannelMap, channel_from_kraus
 from cpdyn.consistency import AssignmentMap, canonical_assignment, markov_block_space
 from cpdyn.families import MarkovBlocksSpec, MarkovStateSpec
 from cpdyn.tensor import (
+    _transpose_last,
     haar_unitaries,
     is_hermitian,
     kron,
@@ -48,6 +55,67 @@ def random_haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndar
     call, each matrix's real part and then its imaginary part: ``n``
     successive ``random_haar_unitary`` draws."""
     return haar_unitaries(rng.normal(size=(n, 2, dim, dim)))
+
+
+def tr_e_kraus(ops: np.ndarray, d_s: int, d_e: int, u: np.ndarray | None = None) -> np.ndarray:
+    """Kraus stack of ``x -> Tr_E(U Lambda(x) U^dagger)`` for the
+    ``(n, d, d_s)`` Kraus stack ``A`` of Lambda, ``d = d_s * d_e``.
+
+    The operators are ``B_(k, e) = (I kron <e|) U A_k``, an
+    ``(n d_e, d_s, d_s)`` stack; with ``u=None`` only the environment
+    trace is applied.  The cost is one ``(d, d) x (d, n d_s)`` product, a
+    reshape and a transpose; no ``(d^2, d_s^2)`` matrix is formed.
+    Leading axes of ``ops`` and ``u`` are batch axes.
+    """
+    a = np.asarray(ops, dtype=complex)
+    batch, n, d = a.shape[:-3], a.shape[-3], d_s * d_e
+    if u is None:
+        # A_k[(s, e), j] at [k, s, e, j], read as B[(k, e), s, j].
+        t = a.reshape(batch + (n, d_s, d_e, d_s)).swapaxes(-3, -2)
+    else:
+        # (U A_k)[(s, e), j] at [(s, e), (k, j)], read as B[(k, e), s, j].
+        ua = np.asarray(u, dtype=complex) @ a.swapaxes(-3, -2).reshape(batch + (d, n * d_s))
+        batch = ua.shape[:-2]
+        t = _transpose_last(ua.reshape(batch + (d_s, d_e, n, d_s)), 2, 1, 0, 3)
+    return t.reshape(batch + (n * d_e, d_s, d_s))
+
+
+def padded_kraus(blocks, d_s: int, d_f: int, frame=None) -> np.ndarray:
+    """The (..., n, d_s d_f, d_s) Kraus stack of the block map of
+    ``blocks`` (see ``consistency.AssignmentMap``), with ``d_f`` = d_E for
+    an assignment and 1 for its domain projector: each operator I_L_i kron
+    t on block i's rows and columns, zero off them, in the frame F as
+    (F kron I) K F^dag."""
+    batch = blocks[0][2].shape[:-3]
+    n = sum(t.shape[-3] for _, _, t in blocks)
+    k = np.zeros(batch + (n, d_s * d_f, d_s), dtype=complex)
+    lo = 0
+    for s, r, t in blocks:
+        hi = lo + t.shape[-3]
+        for a in range(s.start, s.stop, r):  # the l_i diagonal copies
+            k[..., lo:hi, a * d_f : (a + r) * d_f, a : a + r] = t
+        lo = hi
+    if frame is not None:
+        f = frame[..., None, :, :]
+        fk = (k @ f.swapaxes(-1, -2).conj()).reshape(batch + (n, d_s, -1))
+        k = (f @ fk).reshape(k.shape)
+    return k
+
+
+def padded_reduced(assign: AssignmentMap, u=None) -> ChannelMap:
+    """``assign.reduced(u)`` of a block-backed assignment by the padded
+    route: ``tr_e_kraus`` of its ``padded_kraus`` stack, then the Gram
+    matrix of the result over all n d_E operators."""
+    d_s, d_e = assign.d_s, assign.d_e
+    ops = padded_kraus(assign.blocks, d_s, d_e, assign.frame)
+    return channel_from_kraus(tr_e_kraus(ops, d_s, d_e, u), d_s, d_s)
+
+
+def padded_domain_projector(v) -> np.ndarray:
+    """The domain projector of a Markov-block span's canonical assignment
+    by the padded route: the Gram matrix of its ``padded_kraus`` stack at
+    d_f = 1."""
+    return channel_from_kraus(padded_kraus(v._blocks(1), v.d_s, 1, v.frame), v.d_s, v.d_s).mat
 
 
 def unitary_draws(g: str, d_s: int, d_e: int, rng: np.random.Generator) -> tuple:
@@ -284,6 +352,7 @@ def theorem1_report(args) -> dict:
     report = theorem1_verify(v, args.g, drawn, tol=args.tol)
     summary = {
         "pass": bool(report["passed"]),
+        **cli._outcome(report),
         "dim_v": report["dim_v"],
         "dim_v0": report["dim_v0"],
         "premises_hold": report["premises_hold"],
