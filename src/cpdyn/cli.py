@@ -12,9 +12,13 @@ Subcommands:
 
 Reports are deterministic functions of (command, config, seed) except for
 the ``wall_time_s`` field.  ``verify-family`` and ``dpi`` trials draw from
-RNG streams seeded with the pair ``[seed, trial_index]``; ``consistency``,
+RNG streams seeded with the pair ``[seed, trial_index]``, the
+``SeedSequence`` streams of ``default_rng([seed, trial_index])``, built a
+stack at a time by ``tensor.trial_streams``; ``consistency``,
 ``theorem1`` and ``demo`` draw their unitaries from the seed's stream, in
-chunks that hold the bits of one draw of them all.
+chunks that hold the bits of one draw of them all.  A report is written
+as ``json.dumps(report, sort_keys=True, indent=2)`` would write it
+(``_report_text``).
 
 ``verify-family`` runs in two phases.  Each trial draws its spec, its
 member's parameters and its unitary from its own stream, in the order a
@@ -70,6 +74,7 @@ from .tensor import (
     random_density,
     stacks,
     tr_e,
+    trial_streams,
     vec,
 )
 
@@ -127,10 +132,6 @@ def _at_least(low, convert=int, kind: str = "an integer", why: str = ""):
 
 _positive_int, _nonnegative_int = _at_least(1), _at_least(0)
 _tolerance = _at_least(TOL_FLOOR, float, "a number", ", the rounding floor, and finite")
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
 
 
 def _default_g(args) -> str:
@@ -299,9 +300,11 @@ def _stack_draws(args, rngs) -> dict:
     return {**draws, "probs": probs, "states": states, "unitary": x_u}
 
 
-def _verify_stack(args, trials: range) -> list[dict]:
-    """The records of ``trials``, drawn one stream each (``_stack_draws``)
-    and checked as one stack.
+def _verify_stack(args, trials: range) -> tuple[str, list[dict]]:
+    """The form of the stack's assignment, ``"kraus"`` when it is built
+    from per-block Kraus operators, and so CP by construction, or
+    ``"dense"``; and the records of ``trials``, drawn one stream each
+    (``_stack_draws``) and checked as one stack.
 
     The assignment is built from the span of the widest family containing
     the trial's members: steered sets take the layout of their Markov
@@ -309,7 +312,7 @@ def _verify_stack(args, trials: range) -> list[dict]:
     records are formed once per stack.
     """
     family, ds, de = args.family, args.ds, args.de
-    draws = _stack_draws(args, [_trial_rng(args.seed, t) for t in trials])
+    draws = _stack_draws(args, trial_streams(args.seed, trials))
     if family == "steered":
         mspec, spec = _steered(args, draws["q"], draws["omega_al"], draws["omega_re"])
         v = markov_block_space(mspec.layout)
@@ -340,7 +343,8 @@ def _verify_stack(args, trials: range) -> list[dict]:
         member = families.sample_member(spec, families.FamilyParams(p_a=draws["p_a"]))
         cols["steered_in_span"] = v.contains(member)
     head = {"unitary": label, "assignment_cp": bool(assign.cp)}
-    return consistency.records({"trial": trials, **cols}, **head)
+    form = "dense" if assign.blocks is None else "kraus"
+    return form, consistency.records({"trial": trials, **cols}, **head)
 
 
 def _system_dim(args) -> int:
@@ -372,8 +376,8 @@ def cmd_verify_family(args) -> dict:
     _check_family_dims(args)
     if args.family == "kernel-extended" and args.g == "all":
         _refuse("--g all voids the kernel freedom of kernel-extended; use --g local or swap")
-    cut = stacks(args.trials, _trial_entries(args))
-    trials = [rec for stack in cut for rec in _verify_stack(args, stack)]
+    checked = [_verify_stack(args, stack) for stack in stacks(args.trials, _trial_entries(args))]
+    trials = [rec for _, recs in checked for rec in recs]
     ok = [
         t["cp"]
         and t["tp"]
@@ -391,6 +395,8 @@ def cmd_verify_family(args) -> dict:
         "worst_residual": max(
             (t.get("construction_choi_distance", 0.0) for t in trials), default=0.0
         ),
+        # Every stack builds its assignment on the same layout, in one form.
+        "assignment": checked[0][0],
     }
     return {"trials": trials, "summary": summary}
 
@@ -500,7 +506,7 @@ def _dpi_stack(args, trials: range) -> list[dict]:
     """The records of ``trials``: each Markov state drawn from its own
     stream, then checked with the others as one stack.  A stream gives its
     state's draws, then the Ginibre pairs of its unitaries."""
-    rngs = [_trial_rng(args.seed, t) for t in trials]
+    rngs = trial_streams(args.seed, trials)
     draws = families.markov_state_draws(args.da, args.blocks, args.de, rngs)
     mspec, omega = _markov_state(args, *draws)
     dims = args.da, mspec.layout.d_s, args.de
@@ -708,6 +714,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _encoder(indent: str):
+    """json's C encoder with ``json.dumps(..., sort_keys=True, indent=2)``'s
+    scalars, keys and key separator, and ``",\n" + indent`` between the
+    items of every container."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + indent, True, False, True,
+    )
+
+
+def _container(x) -> bool:
+    return isinstance(x, (dict, list, tuple))
+
+
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, character for
+    character, for a report with string keys.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the C
+    encoder writes what it can here, with items separated by ``",\n"``
+    and their indent (``_encoder``).  A container with no container in it
+    then needs only its brackets opened out.  So does a list of non-empty
+    flat dicts, such as the trial records, written at the indent of the
+    records' items, once each ``"},\n" + indent + "{"`` between two
+    records is opened out too.  That ``str.replace`` is safe: the encoder
+    escapes every newline inside a string, so the pattern can only fall
+    between records.  Anything else is written item by item
+    (``_indented``).
+    """
+    return _indented(report, "")
+
+
+def _indented(obj, pad: str) -> str:
+    """``_report_text`` of ``obj`` on a line indented by ``pad``."""
+    inner = pad + "  "
+    if not _container(obj):
+        return "".join(_encoder(inner)(obj, 0))
+    items = sorted(obj.items()) if isinstance(obj, dict) else None
+    values = list(obj) if items is None else [v for _, v in items]
+    if not values:
+        return "{}" if items is not None else "[]"
+    if not any(map(_container, values)):
+        text = "".join(_encoder(inner)(obj, 0))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if items is None and all(
+        isinstance(v, dict) and v and not any(map(_container, v.values())) for v in values
+    ):
+        field = inner + "  "
+        text = "".join(_encoder(field)(obj, 0))[2:-2]
+        text = text.replace("},\n" + field + "{", f"\n{inner}}},\n{inner}{{\n{field}")
+        return f"[\n{inner}{{\n{field}{text}\n{inner}}}\n{pad}]"
+    if items is None:
+        lines = [inner + _indented(v, inner) for v in values]
+        return "[\n" + ",\n".join(lines) + f"\n{pad}]"
+    key = json.encoder.encode_basestring_ascii
+    lines = [f"{inner}{key(k)}: {_indented(v, inner)}" for k, v in items]
+    return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
+
+
 def run(argv=None) -> tuple[dict, int]:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -725,7 +791,7 @@ def run(argv=None) -> tuple[dict, int]:
     report["config_hash"] = hashlib.sha256(
         json.dumps(report["config"], sort_keys=True).encode()
     ).hexdigest()
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _report_text(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

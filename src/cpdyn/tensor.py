@@ -40,6 +40,7 @@ __all__ = [
     "ginibre_densities",
     "random_density",
     "stacks",
+    "trial_streams",
     "per_stream",
     "normal_runs",
     "von_neumann_entropy",
@@ -194,6 +195,101 @@ def stacks(count: int, entries: int) -> list[range]:
     return [items[lo : lo + step] for lo in items[::step]]
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, kept stable by
+# NEP 19): entropy words go into a pool of 4 uint32 words, each through a
+# hashmix, which xors its word with one constant and multiplies it by the
+# next, INIT_A times successive powers of MULT_A; a PCG64 state is 8 words
+# read from the pool with the constants INIT_B times powers of MULT_B.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` times the powers 0 to ``count`` of ``mult``, mod 2^32: the
+    constants of ``count`` hashes in turn, as a uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# The 4 + 12 hashes that fill and mix every pool, and the 8 that read a
+# state out of it.
+_MIX_HASHES = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+# Each pool word in turn, the other 3, in order, and the constants of the 3
+# hashes of the word that are mixed into them.
+_SPREAD = [
+    (src, np.delete(np.arange(_POOL), src), _MIX_HASHES[_POOL + 3 * src : 2 * _POOL + 3 * src])
+    for src in range(_POOL)
+]
+
+
+def _hashmix(words: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``words`` by the constants ``hashes``, the
+    k-th row by the k-th and (k+1)-th."""
+    out = words ^ hashes[:-1]
+    out *= hashes[1:]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of ``y`` into ``x``, written into ``x``."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> 16
+    return x
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is already hashed: ``PCG64`` asks it
+    once for four uint64 words, and it gives those."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def trial_streams(seed: int, trials: range) -> list[np.random.Generator]:
+    """The generators ``default_rng([seed, t])`` for each ``t`` of
+    ``trials``, in the same states, with the ``SeedSequence`` hash of all
+    their entropies taken in one pass of uint32 array operations.
+
+    The entropy of ``[seed, t]`` is the little-endian 32-bit words of the
+    seed, then that of ``t`` (one word: ``t < 2^32``).  A pool of 4 words
+    takes the first 4 entropy words (or zeros); each word is then mixed
+    into the other 3, and each word past the 4th into all 4.
+    """
+    if not trials:
+        return []
+    if trials[-1] > _MASK32:
+        raise ValueError(f"trial indices must be below 2^32, got {trials[-1]}")
+    seed_words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(seed_words) + 1, _POOL), len(trials)), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint32)
+    pool = _hashmix(entropy[:_POOL], _MIX_HASHES[: _POOL + 1])
+    for src, dst, hashes in _SPREAD:
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
+    if len(entropy) > _POOL:
+        # The hashes of the words past the pool, 4 a word, follow on.
+        hashes = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy))
+        for at, word in enumerate(entropy[_POOL:], start=_POOL):
+            pool = _mix(pool, _hashmix(word, hashes[_POOL * at : _POOL * at + _POOL + 1]))
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_HASHES)
+    # Each stream's 8 words, read as 4 little-endian uint64 words.
+    words = np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
+    words = words.astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_State(w))) for w in words]
+
+
 def per_stream(rngs, draw):
     """``draw(rng)`` of one generator, or of each of a sequence of them,
     stacked along a new leading trial axis."""
@@ -267,13 +363,17 @@ def frobenius(x: np.ndarray, axes: int = 2):
     ``np.linalg.norm`` of a whole array is the square root of a BLAS dot
     product of its real parts plus one of its imaginary parts; a norm taken
     over axes sums in another order, and its last bits differ.  A stack
-    takes the same dot products, as ``(1, N) @ (N, 1)`` products.
+    takes the same dot products, as ``(1, N) @ (N, 1)`` products; a stack
+    of one array takes ``np.linalg.norm`` of it flattened, at half the cost.
     """
     x = np.asarray(x)
     if x.ndim == axes:
         return np.linalg.norm(x)
+    lead = x.shape[: x.ndim - axes]
+    if math.prod(lead) == 1:
+        return np.linalg.norm(x.reshape(-1)).reshape(lead)
     # The size, not -1, so that a stack of empty arrays has norms 0.
-    flat = x.reshape(x.shape[: x.ndim - axes] + (1, math.prod(x.shape[x.ndim - axes :])))
+    flat = x.reshape(lead + (1, math.prod(x.shape[x.ndim - axes :])))
     if np.iscomplexobj(flat):
         re, im = flat.real, flat.imag
         sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)

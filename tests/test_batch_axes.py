@@ -116,6 +116,20 @@ def test_frobenius_gives_the_bits_of_np_linalg_norm(axes, shape, complex_, rng):
     assert tensor.frobenius(x[0], axes) == np.linalg.norm(x[0])
 
 
+@pytest.mark.parametrize("lead", [(1,), (1, 1)])
+@pytest.mark.parametrize("shape", [(4, 6), (64, 64)])
+@pytest.mark.parametrize("complex_", [True, False])
+def test_frobenius_of_a_one_member_stack_is_the_norm_of_its_member(lead, shape, complex_, rng):
+    # The chunk of one unitary: the member's norm alone, the bits a stack of
+    # several gives it too, shaped by the leading axes.
+    x = _gaussian(rng, *lead, *shape) if complex_ else rng.normal(size=(*lead, *shape))
+    member = x.reshape(shape)
+    norms = tensor.frobenius(x)
+    assert norms.shape == lead
+    assert norms.tobytes() == np.full(lead, np.linalg.norm(member)).tobytes()
+    assert tensor.frobenius(np.stack([member, -member]))[0] == norms.item()
+
+
 def _mixed_stack(rng, dim=4):
     """Hermitian PSD, Hermitian non-PSD, non-Hermitian, and trace-2 members."""
     good = random_density(dim, dim, rng)

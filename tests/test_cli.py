@@ -3,13 +3,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
 from cpdyn import channels, cli, consistency, families, info
 from cpdyn.cli import build_parser, ghz_state, main, run
 from cpdyn.tensor import random_haar_unitary
-from trial_oracle import labelled
+from trial_oracle import labelled, trial_rng
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json").read_text()
@@ -18,6 +20,20 @@ SCHEMA = json.loads(
 
 def run_args(*argv):
     return run(list(argv))
+
+
+@pytest.fixture(autouse=True)
+def reports_are_written_as_json_dumps(monkeypatch):
+    """Every report a test here writes, printed or to ``--out``, is the text
+    ``json.dumps`` gives the dict ``run`` returns."""
+    original = cli._report_text
+
+    def checked(report):
+        text = original(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_report_text", checked)
 
 
 def refusal(capsys, *argv) -> str:
@@ -62,6 +78,17 @@ def test_verify_family_all_variants(family):
         "--g", "local",
     )
     assert code == 0, report["summary"]
+    jsonschema.validate(report, SCHEMA)
+
+
+@pytest.mark.parametrize("family", cli.FAMILY_CHOICES)
+def test_verify_family_names_its_assignment_form(family):
+    # Every family's span is a Markov-block layout, whose assignment is built
+    # from per-block Kraus operators: CP by construction.
+    report, code = run_args("verify-family", "--family", family, "--trials", "2", "--g", "local")
+    assert code == 0
+    assert report["summary"]["assignment"] == "kraus"
+    assert all(t["assignment_cp"] for t in report["trials"])
     jsonschema.validate(report, SCHEMA)
 
 
@@ -235,8 +262,8 @@ def test_theorem1_reports_tp_on_the_assignment_domain():
 
 
 def test_trial_streams_do_not_collide_across_seeds():
-    a = cli._trial_rng(2025, 0).normal(size=3)
-    b = cli._trial_rng(2024, 1).normal(size=3)
+    a = trial_rng(2025, 0).normal(size=3)
+    b = trial_rng(2024, 1).normal(size=3)
     assert not np.array_equal(a, b)
 
 
@@ -770,3 +797,41 @@ def test_a_non_cp_record_under_true_premises_is_a_counterexample(monkeypatch):
     assert code == 1 and not s["pass"] and s["premises_hold"]
     assert s["outcome"] == "counterexample" and s["failed_premises"] == []
     assert [t["cp"] for t in report["trials"]] == [False, True, True]
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text()
+)
+FLAT_DICTS = st.dictionaries(st.text(), SCALARS, min_size=1, max_size=4)
+JSON = st.recursive(
+    SCALARS | FLAT_DICTS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.lists(FLAT_DICTS, min_size=1, max_size=4)
+    | st.lists(FLAT_DICTS | children, max_size=4),
+    max_leaves=30,
+)
+
+
+@seed(20161228)
+@settings(max_examples=300, deadline=None, database=None)
+@given(JSON)
+def test_report_text_is_json_dumps_with_indent(obj):
+    # Nested and empty containers, tuples, records among other items, escapes
+    # and non-ASCII text, NaN, infinities, -0.0, ints past 64 bits, None.
+    assert cli._report_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "text", ["}", "},\n      {", "\n", "\u2028", '"},', "\x00\x1f"], ids=repr
+)
+def test_report_text_keeps_record_boundaries_inside_strings(text):
+    records = [{"a": text, "b": 1}, {"a": 2.5, text: None}, {"c": text}]
+    report = {"trials": records, "summary": {"pass": True, "note": text}}
+    assert cli._report_text(report) == json.dumps(report, sort_keys=True, indent=2)

@@ -325,7 +325,7 @@ def test_a_steered_trial_validates_each_density_once(monkeypatch, layout, d_e):
     monkeypatch.setattr(families, "check_density", recording)
     args = _args("steered", cli._parse_blocks(layout), d_e=d_e)
     args.seed, args.g = 5, "all"
-    recs = cli._verify_stack(args, range(3))
+    _, recs = cli._verify_stack(args, range(3))
     assert [rec["steered_in_span"] for rec in recs] == [True] * 3
     assert len(seen) == len({id(x) for x in seen}) == 2 * len(args.blocks) + 1
     assert all(len(x) == 3 for x in seen)

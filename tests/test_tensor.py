@@ -18,9 +18,10 @@ from cpdyn.tensor import (
     random_haar_unitary,
     stacks,
     swap_unitary,
+    trial_streams,
     von_neumann_entropy,
 )
-from trial_oracle import random_hermitian
+from trial_oracle import random_hermitian, trial_rng
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -141,6 +142,28 @@ def test_normal_runs_cut_one_call_into_the_draws_of_each_shape():
     # One generator gives the draws with no trial axis.
     one = normal_runs(np.random.default_rng([5, 0]), *groups)
     assert all(np.array_equal(x, y[0]) for a, b in zip(one, cut) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200 + 9])
+@pytest.mark.parametrize(
+    "trials", [range(0, 50), range(50, 57), range(3, 4), range(0, 0), range(2**32 - 2, 2**32)],
+    ids=str,
+)
+def test_trial_streams_are_the_default_rng_streams(seed, trials):
+    # A first stack, a later one, one trial, none, and the last one-word
+    # trial indices; seeds of one, two, three and seven words.
+    streams = trial_streams(seed, trials)
+    assert len(streams) == len(trials)
+    for t, rng in zip(trials, streams):
+        alone = trial_rng(seed, t)
+        assert rng.bit_generator.state == alone.bit_generator.state
+        assert rng.normal(size=5).tobytes() == alone.normal(size=5).tobytes()
+        assert rng.integers(2**63) == alone.integers(2**63)
+
+
+def test_trial_streams_refuse_a_trial_index_of_two_words():
+    with pytest.raises(ValueError, match="below 2"):
+        trial_streams(0, range(2**32 - 1, 2**32 + 1))
 
 
 @settings(max_examples=200, deadline=None)

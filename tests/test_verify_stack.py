@@ -16,8 +16,9 @@ from cpdyn.tensor import (
     random_density,
     random_haar_unitary,
     stacks,
+    trial_streams,
 )
-from trial_oracle import trial_draws, verify_family_trial
+from trial_oracle import trial_draws, trial_rng, verify_family_trial
 
 DEFAULT_CASES = [
     ("--family", family, "--g", g)
@@ -95,10 +96,10 @@ def test_the_cut_draws_are_the_draws_of_each_trial_alone(case):
     # trial's stream, bit for bit, and leave each stream where they do.
     n = 3
     args = _args(case, n, 4)
-    streams = [cli._trial_rng(args.seed, t) for t in range(n)]
+    streams = trial_streams(args.seed, range(n))
     cut = cli._stack_draws(args, streams)
     for t, rng in enumerate(streams):
-        alone_rng = cli._trial_rng(args.seed, t)
+        alone_rng = trial_rng(args.seed, t)
         alone = trial_draws(args, alone_rng)
         assert cut.keys() == alone.keys()
         for key, draw in alone.items():

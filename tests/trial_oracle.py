@@ -1,8 +1,9 @@
 """The per-trial oracles of ``verify-family`` and ``dpi``: one trial drawn
-from its own stream, one draw at a time, and checked alone, with the
-unbatched primitives.  The commands draw each stream in runs and check
-their trials as stacks; every record they write must equal these oracles'
-records for the same trial, bit for bit.
+from its own ``default_rng([seed, trial])`` stream (``trial_rng``), one
+draw at a time, and checked alone, with the unbatched primitives.  The
+commands seed each stack's streams at once, draw each stream in runs and
+check their trials as stacks; every record they write must equal these
+oracles' records for the same trial, bit for bit.
 
 The per-unitary oracles of ``theorem1``, ``consistency`` and ``demo``: all
 ``--trials`` unitaries drawn in one call, then checked one at a time.  The
@@ -43,6 +44,12 @@ from cpdyn.tensor import (
 # Unitaries per chunk of the one-state hunt, a count independent of the
 # command's entry bound.
 DPI_CHUNK = 16
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The stream of one trial, ``default_rng([seed, trial])``: the oracle
+    of ``tensor.trial_streams``."""
+    return np.random.default_rng([seed, trial])
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -210,7 +217,7 @@ def trial_draws(args, rng: np.random.Generator) -> dict:
 
 
 def verify_family_trial(args, trial: int) -> dict:
-    draws = trial_draws(args, cli._trial_rng(args.seed, trial))
+    draws = trial_draws(args, trial_rng(args.seed, trial))
     # The assignment is built from the span of the widest family containing
     # the trial's members: steered sets take the layout of their Markov
     # state, kernel extensions their base.
@@ -262,7 +269,7 @@ def dpi_search(omega, d_a, d_s, d_e, rng, draws) -> dict:
 
 
 def dpi_state(args, trial: int) -> dict:
-    rng = cli._trial_rng(args.seed, trial)
+    rng = trial_rng(args.seed, trial)
     mspec = random_markov_state_spec(args.da, args.blocks, args.de, rng)
     omega = families.build_markov_state(mspec)
     d_s = mspec.layout.d_s
